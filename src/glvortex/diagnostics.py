@@ -6,6 +6,10 @@ the quantization of the weighted potential integral by the winding numbers,
 the pointwise amplitude bound f_+^2 + f_-^2 <= Lambda^2, positivity of the
 second variation of the energy, and the monotonicity classification of the
 two components.  Everything is a pure function of an immutable Profile.
+
+The second variation is the solver's Newton Jacobian weighted by the
+finite-volume masses, and its smallest eigenvalue is bisected with banded
+Cholesky factorizations, O(N) each.
 """
 
 from __future__ import annotations
@@ -14,15 +18,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import LinAlgError, eig_banded
+from scipy.linalg.lapack import dpbtrf
 
 from .grid import quadrature, quadrature_upto
 from .model import derived_bounds
-from .solver import Profile
+from .solver import Profile, jacobian
 
 
 class EigenFailure(RuntimeError):
-    """The banded symmetric eigensolver did not converge."""
+    """The second variation has non-finite entries or cannot be factored."""
 
 
 # ---------------------------------------------------------------------------
@@ -148,103 +152,77 @@ def amplitude_bound_check(profile: Profile) -> float:
 # second variation
 
 
-def _hessian_dofs(profile: Profile):
-    """Global indices of the retained unknowns, interleaved (+, -) per node.
-
-    Components with nonzero winding lose the origin node (test functions
-    vanish there); both components lose R_max (decaying perturbations)."""
-    N = profile.grid.N
-    gp = -np.ones(N + 1, dtype=int)
-    gm = -np.ones(N + 1, dtype=int)
-    idx = 0
-    for i in range(N):
-        if not (i == 0 and profile.degrees.n_plus != 0):
-            gp[i] = idx
-            idx += 1
-        if not (i == 0 and profile.degrees.n_minus != 0):
-            gm[i] = idx
-            idx += 1
-    return gp, gm, idx
-
-
 def second_variation_matrix(profile: Profile):
-    """Assemble the discrete quadratic form of the energy around the profile.
+    """The discrete quadratic form of the energy around the profile.
 
-    Returns (K_band, masses): K_band is the symmetric banded storage (upper,
-    two super-diagonals) of the form matrix in the r-weighted geometry, and
-    masses the diagonal metric.  Off-diagonal entries are written once and
-    mirrored, so the matrix equals its transpose exactly by construction.
+    K = diag(m) J restricted to the retained unknowns, where J is the Newton
+    Jacobian of the discrete residual and m the finite-volume mass of each
+    node under r dr: the trapezoid weight r_i hbar_i inside and the exact
+    measure h_0^2/8 of the origin's half cell.  This mass turns the
+    conservative stencil into a symmetric matrix on any grid.  Components
+    with nonzero winding lose the origin unknown (test functions vanish
+    there); both components lose R_max (decaying perturbations).
+
+    Returns (K_band, masses): K_band is the upper symmetric banded storage
+    (rows: offset 2, offset 1, diagonal) over the retained unknowns,
+    interleaved (+, -) per node, and masses the diagonal metric.
     """
     g = profile.grid
-    p = profile.params
-    r = g.nodes
-    h = g.spacings
-    rm = 0.5 * (r[:-1] + r[1:])
-    m = g.cell_masses
-    gp, gm, ndof = _hessian_dofs(profile)
-
-    band = np.zeros((3, ndof))  # rows: offset 2, offset 1, diagonal
-
-    def add(i, j, val):
-        if i < 0 or j < 0:
-            return
-        lo, hi = (i, j) if i <= j else (j, i)
-        band[2 - (hi - lo), hi] += val
-
-    w_cell = rm / h  # gradient stiffness per cell
-    pot = (
-        p.A_plus * (3.0 * profile.f_plus ** 2 - p.t_plus ** 2)
-        + p.B * (profile.f_minus ** 2 - p.t_minus ** 2),
-        p.A_minus * (3.0 * profile.f_minus ** 2 - p.t_minus ** 2)
-        + p.B * (profile.f_plus ** 2 - p.t_plus ** 2),
-    )
-    cross = 2.0 * p.B * profile.f_plus * profile.f_minus
-    N = g.N
-    for comp, gg, n in ((0, gp, profile.degrees.n_plus),
-                        (1, gm, profile.degrees.n_minus)):
-        for i in range(N):
-            add(gg[i], gg[i], w_cell[i])
-            add(gg[i + 1] if i + 1 <= N else -1, gg[i + 1], w_cell[i])
-            add(gg[i], gg[i + 1], -w_cell[i])
-        for i in range(N):
-            if gg[i] < 0:
-                continue
-            centrifugal = 0.0 if i == 0 else n * n / r[i] ** 2
-            add(gg[i], gg[i], m[i] * (centrifugal + pot[comp][i]))
-    for i in range(N):
-        if gp[i] >= 0 and gm[i] >= 0:
-            add(gp[i], gm[i], m[i] * cross[i])
-
-    masses = np.zeros(ndof)
-    for i in range(N):
-        if gp[i] >= 0:
-            masses[gp[i]] = m[i]
-        if gm[i] >= 0:
-            masses[gm[i]] = m[i]
-    return band, masses
+    m = g.weights.copy()
+    m[0] = g.nodes[1] ** 2 / 8.0
+    mass = np.repeat(m, 2)
+    dropped = [c for c, n in enumerate((profile.degrees.n_plus,
+                                        profile.degrees.n_minus)) if n != 0]
+    keep = np.delete(np.arange(2 * g.N), dropped)
+    ab = jacobian(profile)  # ab[2 + i - j, j] = J[i, j]
+    band = np.zeros((3, keep.size))
+    band[2] = mass[keep] * ab[2, keep]
+    for k in (1, 2):
+        i, j = keep[:-k], keep[k:]
+        d = j - i  # a dropped origin unknown can widen the gap beyond k
+        near = d <= 2
+        band[2 - k, k:][near] = mass[i[near]] * ab[2 - d[near], j[near]]
+    return band, mass[keep]
 
 
 def second_variation_min_eig(profile: Profile) -> float:
     """Smallest eigenvalue of the second variation in the r-weighted inner
-    product (generalized problem K u = lambda M u, solved in symmetric
-    banded form by LAPACK bisection/inverse iteration)."""
+    product (generalized problem K u = lambda M u).
+
+    With S = M^{-1/2} K M^{-1/2}, S - sigma I has a Cholesky factor exactly
+    when sigma < lambda_min, so lambda_min is bisected between the
+    Gershgorin lower bound and the smallest diagonal entry (a Rayleigh
+    quotient) with one O(N) banded factorization per step.  Bisection stops
+    at a relative width of 1e-12, or at eps ||S|| below which the
+    factorization cannot tell two shifts apart.
+    """
     band, masses = second_variation_matrix(profile)
+    if not np.all(np.isfinite(band)):
+        raise EigenFailure("second variation has non-finite entries")
     scale = np.sqrt(masses)
-    ndof = band.shape[1]
-    sym = np.empty_like(band)
+    sym = np.zeros_like(band, order="F")  # LAPACK layout: factor in place
     sym[2] = band[2] / masses
     sym[1, 1:] = band[1, 1:] / (scale[1:] * scale[:-1])
     sym[0, 2:] = band[0, 2:] / (scale[2:] * scale[:-2])
-    sym[1, 0] = 0.0
-    sym[0, :2] = 0.0
-    try:
-        vals = eig_banded(sym, lower=False, eigvals_only=True,
-                          select="i", select_range=(0, 0))
-    except (LinAlgError, ValueError) as exc:
-        raise EigenFailure(f"banded eigensolve failed: {exc}") from exc
-    if vals.size != 1 or not np.isfinite(vals[0]):
-        raise EigenFailure("eigensolver returned no finite eigenvalue")
-    return float(vals[0])
+    radius = np.abs(sym[1]) + np.abs(sym[0])
+    radius[:-1] += np.abs(sym[1, 1:])
+    radius[:-2] += np.abs(sym[0, 2:])
+    lo = float(np.min(sym[2] - radius))
+    hi = float(np.min(sym[2]))
+    floor = np.finfo(float).eps * float(np.max(np.abs(sym[2]) + radius))
+    shifted = np.empty_like(sym)
+    while hi - lo > max(1e-12 * max(abs(lo), abs(hi)), floor):
+        sigma = 0.5 * (lo + hi)
+        shifted[:] = sym
+        shifted[2] -= sigma
+        _, info = dpbtrf(shifted, lower=0, overwrite_ab=1)
+        if info < 0:
+            raise EigenFailure(f"banded Cholesky rejected argument {-info}")
+        if info == 0:
+            lo = sigma
+        else:
+            hi = sigma
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

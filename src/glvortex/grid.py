@@ -32,9 +32,9 @@ class RadialGrid:
     """Mesh nodes r_0 = 0 < r_1 < ... < r_N = R_max with quadrature weights.
 
     weights implement the trapezoid rule for integrals of g(r) r dr; their
-    sum is exactly R_max^2 / 2 for any node distribution.  cell_masses are
-    the finite-volume masses of the dual cells under the same measure
-    (positive at every node, used as the discrete inner product).
+    sum is exactly R_max^2 / 2 for any node distribution.  Away from the
+    origin they are also the finite-volume masses r_i hbar_i that weight
+    the second variation's inner product.
     """
 
     nodes: np.ndarray
@@ -53,16 +53,6 @@ class RadialGrid:
     @property
     def spacings(self) -> np.ndarray:
         return np.diff(self.nodes)
-
-    @property
-    def cell_masses(self) -> np.ndarray:
-        r = self.nodes
-        mid = 0.5 * (r[:-1] + r[1:])
-        m = np.empty_like(r)
-        m[0] = 0.5 * mid[0] ** 2
-        m[1:-1] = 0.5 * (mid[1:] ** 2 - mid[:-1] ** 2)
-        m[-1] = 0.5 * (r[-1] ** 2 - mid[-1] ** 2)
-        return m
 
     def as_dict(self):
         return {"R_max": self.R_max, "N": self.N, "kind": self.kind,

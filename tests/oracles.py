@@ -3,9 +3,9 @@
 Everything here is deliberately written against the library's main solve
 path: the scalar profile comes from shooting (RK integration plus bisection
 on the core slope, matched to a nine-term asymptotic series at a fixed
-radius), and the scalar Hessian is assembled with plain loops and solved by
-a different LAPACK route.  None of it touches the package's Newton/banded
-machinery.
+radius), the scalar Hessian is assembled with plain loops and solved by
+a different LAPACK route, and the coupled Hessian band is assembled node by
+node.  None of it touches the package's Newton/banded machinery.
 """
 
 from fractions import Fraction
@@ -182,3 +182,68 @@ def scalar_hessian_min_eig(A, t, n, f, r_nodes):
     vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
                             eigvals_only=True)
     return float(vals[0])
+
+
+def hessian_band_loop(profile):
+    """Second variation of the energy assembled node by node, as
+    (upper band, masses) over the retained unknowns in the library's layout.
+
+    Plain loops over cells and nodes with dual-cell masses
+    (r_{i+1/2}^2 - r_{i-1/2}^2)/2; these equal the library's r_i hbar_i on
+    uniform grids, so there the two assemblies must agree to roundoff.
+    """
+    g, p, d = profile.grid, profile.params, profile.degrees
+    r = g.nodes
+    N = len(r) - 1
+    h = np.diff(r)
+    mid = 0.5 * (r[:-1] + r[1:])
+    m = np.empty(N + 1)
+    m[0] = 0.5 * mid[0] ** 2
+    m[1:-1] = 0.5 * (mid[1:] ** 2 - mid[:-1] ** 2)
+    m[-1] = 0.5 * (r[-1] ** 2 - mid[-1] ** 2)
+
+    # global index per (component, node); -1 marks a dropped unknown
+    gp = [-1] * (N + 1)
+    gm = [-1] * (N + 1)
+    ndof = 0
+    for i in range(N):
+        if not (i == 0 and d.n_plus != 0):
+            gp[i] = ndof
+            ndof += 1
+        if not (i == 0 and d.n_minus != 0):
+            gm[i] = ndof
+            ndof += 1
+
+    band = np.zeros((3, ndof))
+
+    def add(i, j, val):
+        if i < 0 or j < 0:
+            return
+        lo, hi = min(i, j), max(i, j)
+        band[2 - (hi - lo), hi] += val
+
+    fp, fm = profile.f_plus, profile.f_minus
+    pot = (p.A_plus * (3.0 * fp ** 2 - p.t_plus ** 2)
+           + p.B * (fm ** 2 - p.t_minus ** 2),
+           p.A_minus * (3.0 * fm ** 2 - p.t_minus ** 2)
+           + p.B * (fp ** 2 - p.t_plus ** 2))
+    for comp, gg, n in ((0, gp, d.n_plus), (1, gm, d.n_minus)):
+        for i in range(N):
+            w = mid[i] / h[i]
+            add(gg[i], gg[i], w)
+            add(gg[i + 1], gg[i + 1], w)
+            add(gg[i], gg[i + 1], -w)
+        for i in range(N):
+            if gg[i] >= 0:
+                cent = 0.0 if i == 0 else n * n / r[i] ** 2
+                add(gg[i], gg[i], m[i] * (cent + pot[comp][i]))
+    for i in range(N):
+        add(gp[i], gm[i], m[i] * 2.0 * p.B * fp[i] * fm[i])
+
+    masses = np.zeros(ndof)
+    for i in range(N):
+        if gp[i] >= 0:
+            masses[gp[i]] = m[i]
+        if gm[i] >= 0:
+            masses[gm[i]] = m[i]
+    return band, masses

@@ -177,6 +177,30 @@ def test_verify_flags_corrupted_profile(tmp_path, capsys):
     assert not checks["residual_norm"]["pass"]
 
 
+def test_verify_ignores_self_reported_tolerance(tmp_path, capsys):
+    # a corrupted file cannot pass by loosening its own report.tolerance
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "p.json"
+    run(capsys, "solve", "--config", str(cfg), "--out", str(out))
+    obj = json.loads(out.read_text())
+    for i in range(100, 140):
+        obj["f_plus"][i] += 5e-5
+    obj["report"]["tolerance"] = 1.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, stdout, _ = run(capsys, "verify", str(bad))
+    checks = {c["check"]: c for c in map(json.loads,
+                                         stdout.strip().splitlines())}
+    assert code == 3
+    assert [name for name, c in checks.items() if not c["pass"]] == [
+        "residual_norm"]
+    assert checks["residual_norm"]["tolerance"] == 1e-10
+    # only the verifier's own config may loosen the gate
+    loose = write_config(tmp_path / "loose.json", verify={"residual_tol": 1.0})
+    code, _, _ = run(capsys, "verify", str(bad), "--config", str(loose))
+    assert code == 0
+
+
 def test_verify_flags_truncated_tail(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        params={"A_plus": 1.0, "A_minus": 1.0, "B": 0.0,

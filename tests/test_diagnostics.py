@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 import glvortex as gv
-from glvortex.diagnostics import (quantization_rhs, second_variation_matrix,
-                                  _hessian_dofs)
+from glvortex.diagnostics import quantization_rhs, second_variation_matrix
 from glvortex.solver import Profile, SolveReport
 from conftest import case_inputs
-from oracles import scalar_gl_profile, scalar_hessian_min_eig
+from oracles import (hessian_band_loop, scalar_gl_profile,
+                     scalar_hessian_min_eig)
 
 
 def make_profile(grid, params, degrees, f_plus, f_minus):
@@ -174,14 +176,109 @@ def test_hessian_dof_layout():
     grid = gv.build_grid(20.0, 64)
     params = gv.CouplingParams(1, 1, 0.5, 1, 1)
     ones = np.ones(65)
+    origin_mass = grid.nodes[1] ** 2 / 8
     for degrees, expect in (((1, 1), 2 * 64 - 2), ((1, 0), 2 * 64 - 1),
-                            ((0, 0), 2 * 64)):
+                            ((0, 1), 2 * 64 - 1), ((0, 0), 2 * 64)):
         prof = make_profile(grid, params, gv.DegreePair(*degrees), ones, ones)
-        gp, gm, ndof = _hessian_dofs(prof)
-        assert ndof == expect
-        if degrees[0] != 0:
-            assert gp[0] == -1
-        assert gp[-1] == -1 and gm[-1] == -1
+        band, masses = second_variation_matrix(prof)
+        assert band.shape == (3, expect) and masses.shape == (expect,)
+        # origin unknowns survive only for zero winding, R_max never does
+        kept_origin = sum(n == 0 for n in degrees)
+        assert np.sum(masses == origin_mass) == kept_origin
+        assert np.all(masses[-2:] == grid.weights[-2])
+    # (0, 1): the dropped origin unknown of the minus component sits between
+    # the two plus unknowns it separates, which couple at offset one
+    prof = make_profile(grid, params, gv.DegreePair(0, 1), ones, ones)
+    band, _ = second_variation_matrix(prof)
+    assert band[1, 1] == pytest.approx(-0.5, rel=1e-14)  # -r_{1/2} / h_0
+    assert band[0, 2] == 0.0
+
+
+def _random_profile(grid, params, degrees, seed):
+    rng = np.random.default_rng(seed)
+    n = grid.N + 1
+    return make_profile(grid, params, gv.DegreePair(*degrees),
+                        params.t_plus * rng.uniform(0.05, 1.5, n),
+                        params.t_minus * rng.uniform(0.05, 1.5, n))
+
+
+@pytest.mark.parametrize("degrees", [(1, 1), (1, 0), (0, 1), (0, 0)])
+def test_hessian_matches_loop_assembly(degrees):
+    params = gv.CouplingParams(1.3, 0.8, -0.6, 1.1, 0.9)
+    for N in (40, 250):
+        prof = _random_profile(gv.build_grid(15.0, N), params, degrees, N)
+        band, masses = second_variation_matrix(prof)
+        ref_band, ref_masses = hessian_band_loop(prof)
+        assert band.shape == ref_band.shape
+        assert (np.max(np.abs(band - ref_band))
+                <= 1e-12 * np.max(np.abs(ref_band)))
+        assert np.allclose(masses, ref_masses, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind,stretch", [("uniform", None),
+                                          ("geometric", 1.03)])
+@pytest.mark.parametrize("degrees", [(1, 1), (1, 0), (0, 1), (0, 0)])
+def test_mass_weighted_jacobian_is_symmetric(kind, stretch, degrees):
+    # the lower band of diag(m) J mirrors the upper band the Hessian keeps
+    grid = gv.build_grid(20.0, 96, kind, stretch)
+    params = gv.CouplingParams(1.3, 0.8, 0.6, 1.1, 0.9)
+    prof = _random_profile(grid, params, degrees, 7)
+    _, masses = second_variation_matrix(prof)
+    ab = gv.jacobian(prof)
+    n = ab.shape[1]
+    J = np.zeros((n, n))
+    for k in range(-2, 3):  # ab[2 - k, j] = J[j - k, j]
+        cols = np.arange(max(k, 0), n + min(k, 0))
+        J[cols - k, cols] = ab[2 - k, cols]
+    keep = np.delete(np.arange(2 * grid.N),
+                     [c for c, w in enumerate(degrees) if w != 0])
+    K = masses[:, None] * J[np.ix_(keep, keep)]
+    assert np.max(np.abs(K - K.T)) <= 1e-12 * np.max(np.abs(K))
+
+
+@st.composite
+def admissible_profiles(draw):
+    """Admissible coefficients, windings 0-3, a uniform or geometric grid
+    and positive (generally unsolved, so possibly indefinite) arrays.
+
+    The smallest spacing stays above 0.03 so the Hessian's norm, which
+    sets the roundoff of both eigensolvers compared, stays near 1e4."""
+    A_plus = draw(st.floats(0.2, 4.0))
+    A_minus = draw(st.floats(0.2, 4.0))
+    B = draw(st.floats(-0.95, 0.95)) * np.sqrt(A_plus * A_minus)
+    params = gv.CouplingParams(A_plus, A_minus, B, draw(st.floats(0.3, 2.0)),
+                               draw(st.floats(0.3, 2.0)))
+    degrees = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    N = draw(st.integers(24, 160))
+    R_max = draw(st.floats(6.0, 30.0))
+    if draw(st.booleans()):
+        grid = gv.build_grid(R_max, N)
+    else:
+        grid = gv.build_grid(R_max, N, "geometric",
+                             draw(st.floats(1.001, 1.1)))
+    assume(grid.nodes[1] >= 0.03)
+    return _random_profile(grid, params, degrees,
+                           draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(prof=admissible_profiles(), where=st.floats(0.0, 1.0))
+def test_min_eig_matches_dense_eigh(prof, where):
+    band, masses = second_variation_matrix(prof)
+    K = np.diag(band[2])
+    for k in (1, 2):
+        K += np.diag(band[2 - k, k:], k) + np.diag(band[2 - k, k:], -k)
+    ref = scipy.linalg.eigh(K, np.diag(masses), eigvals_only=True,
+                            subset_by_index=[0, 0])[0]
+    lam = gv.second_variation_min_eig(prof)
+    assert abs(lam - ref) <= 1e-9 * max(1.0, abs(ref))
+    # sweep records an unusable profile through EigenFailure
+    bad = prof.f_plus.copy()
+    bad[1 + int(where * (prof.grid.N - 2))] = np.nan
+    with pytest.raises(gv.EigenFailure):
+        gv.second_variation_min_eig(
+            make_profile(prof.grid, prof.params, prof.degrees, bad,
+                         prof.f_minus))
 
 
 def test_monotonicity_classes(reference_profiles, coarse_grid):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import glvortex as gv
+from glvortex.diagnostics import second_variation_matrix
 from glvortex.grid import quadrature_upto
+from glvortex.solver import Profile, SolveReport
 
 
 def test_uniform_nodes():
@@ -144,9 +146,23 @@ def test_grid_roundtrip_dict():
 
 
 def test_cell_masses_positive_and_consistent():
-    g = gv.build_grid(10.0, 100)
-    m = g.cell_masses
-    assert np.all(m > 0)
-    assert np.sum(m) == pytest.approx(10.0 ** 2 / 2, rel=1e-12)
-    # interior masses coincide with the trapezoid weights on uniform grids
-    assert np.allclose(m[1:-1], g.weights[1:-1], rtol=1e-12)
+    # the second variation's finite-volume masses under r dr, read off the
+    # n = 0 component: the origin's half cell, then r_i hbar_i, which is the
+    # trapezoid weight on any grid; R_max carries no unknown
+    for g in (gv.build_grid(10.0, 100),
+              gv.build_grid(10.0, 100, "geometric", 1.02)):
+        ones = np.ones(101)
+        report = SolveReport(iterations=(0,), final_residual=0.0,
+                             tolerance=1e-10, converged=True, wall_time=0.0)
+        prof = Profile(grid=g, params=gv.CouplingParams(1, 1, 0, 1, 1),
+                       degrees=gv.DegreePair(0, 0), f_plus=ones,
+                       f_minus=ones, report=report)
+        m = second_variation_matrix(prof)[1][0::2]
+        assert m.shape == (100,)
+        assert np.all(m > 0)
+        assert m[0] == pytest.approx(g.nodes[1] ** 2 / 8, rel=1e-15)
+        assert np.allclose(m[1:], g.weights[1:-1], rtol=1e-12)
+        if g.kind == "uniform":
+            # the dual cells tile [0, R_max - h/2] exactly
+            assert np.sum(m) == pytest.approx((10.0 - 0.05) ** 2 / 2,
+                                              rel=1e-12)
