@@ -5,9 +5,10 @@ certified envelopes, second variation, monotonicity)."""
 
 from .asymptotics import (DefectSeries, EnvelopeSpec, IllConditionedFit,
                           SelectionFailed, TailExpansion, TailFit,
-                          derivative_tail_check, envelope_check,
-                          expand_defect_series, leading_coeffs, second_coeffs,
-                          select_envelope, tail_fit)
+                          derivative_tail_check, envelope_bounds,
+                          envelope_check, expand_defect_series,
+                          leading_coeffs, second_coeffs, select_envelope,
+                          tail_fit)
 from .diagnostics import (EigenFailure, IdentityReport, MonotonicityClass,
                           MonotonicityLabel, amplitude_bound_check,
                           identity_report, monotonicity_classify,

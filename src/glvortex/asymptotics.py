@@ -13,14 +13,23 @@ become super/subsolutions for r >= R once the defect
 
 has a definite sign on r >= R.  The M coefficients are polynomials in the
 inputs; with rational inputs the whole construction is carried out in exact
-rational arithmetic (fractions.Fraction), so the vanishing of M_2 and M_4 and
-the sign of the full series on (0, 1] (via Sturm root counting) are certified,
-not sampled.  Float inputs are converted to their exact binary rationals
-first, so the certificate is exact for the parameters as given.
+arithmetic, so the vanishing of M_2 and M_4 and the sign of the full series
+on (0, 1] (via Sturm root counting) are certified, not sampled.  Float inputs
+are converted to their exact binary rationals first, so the certificate is
+exact for the parameters as given.
+
+The amplitude enters only as c R^6 = +-kappa u with u = delta R^6, so each
+M_2k = C_k(u) / R^(2k) with C_k a cubic in u.  The envelope search expands
+the defect once per branch into these cubics (fractions.Fraction, then one
+common denominator) and evaluates them per candidate (delta, R) in int.  The
+Sturm chain is the primitive pseudo-remainder sequence over the integers,
+whose members are positive multiples of the rational chain's, so every sign
+it reports is the rational one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -118,72 +127,67 @@ def second_coeffs(params: CouplingParams, degrees: DegreePair) -> TailExpansion:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers (coefficient lists, ascending powers, Fractions)
+# exact sign certificates in integer arithmetic (coefficient lists,
+# ascending powers)
 
 
-def _poly_trim(p):
+def _over_common_denominator(values) -> tuple:
+    """(nums, den): integers and one positive denominator with
+    values[i] == nums[i] / den exactly."""
+    pairs = [(int(v.numerator), int(v.denominator))
+             for v in map(Fraction, values)]
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _primitive(p) -> list:
+    """p without zero top coefficients, divided by its positive content."""
+    p = list(p)
     while p and p[-1] == 0:
         p.pop()
-    return p
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
-    for i, pi in enumerate(p):
-        if pi == 0:
-            continue
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
-    return out
-
-
-def _poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deriv(p):
-    return [Fraction(k) * c for k, c in enumerate(p)][1:]
-
-
-def _poly_rem(num, den):
-    num = _poly_trim(list(num))
-    den = _poly_trim(list(den))
-    dn = len(den) - 1
-    lead = den[-1]
-    while num and len(num) - 1 >= dn:
-        k = len(num) - 1 - dn
-        factor = num[-1] / lead
-        for i, c in enumerate(den):
-            num[k + i] -= factor * c
+def _pseudo_remainder(num, den) -> list:
+    """|lc(den)|^k (num mod den) for integer polynomials: a positive
+    multiple of the remainder, so no sign of a Sturm chain changes."""
+    num = list(num)
+    scale, sgn = abs(den[-1]), (1 if den[-1] > 0 else -1)
+    while len(num) >= len(den):
+        f = sgn * num[-1]
+        k = len(num) - len(den)
+        num = [scale * c for c in num]
+        for i, d in enumerate(den):
+            num[k + i] -= f * d
         num.pop()
-        _poly_trim(num)
+        while num and num[-1] == 0:
+            num.pop()
     return num
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _sturm_roots_open_unit(p) -> int:
-    """Number of distinct real roots of p in the open interval (0, 1).
+    """Number of distinct real roots of the rational polynomial p in the
+    open interval (0, 1).
 
-    Requires p(0) != 0 and p(1) != 0.
+    Requires p(0) != 0 and p(1) != 0.  The chain is the primitive
+    pseudo-remainder sequence of p and p' (Collins 1967; Brown & Traub
+    1971): every member is a positive multiple of the member of the
+    classical Sturm sequence, so the sign variations at 0 (constant terms)
+    and at 1 (coefficient sums) are the same, and all of it stays in int.
     """
-    chain = [list(p), _poly_deriv(p)]
-    while len(chain[-1]) > 0:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return _sign_changes(chain, Fraction(0)) - _sign_changes(chain, Fraction(1))
+    chain = [_primitive(_over_common_denominator(p)[0])]
+    nxt = _primitive([k * c for k, c in enumerate(chain[0])][1:])
+    while nxt:
+        chain.append(nxt)
+        nxt = _primitive([-c for c in _pseudo_remainder(chain[-2], chain[-1])])
+    return (_variations([q[0] for q in chain])
+            - _variations([sum(q) for q in chain]))
 
 
 def _series_sign_definite(coeffs, required_sign: int) -> bool:
@@ -192,22 +196,28 @@ def _series_sign_definite(coeffs, required_sign: int) -> bool:
     A zero series counts as both nonnegative and nonpositive.  Otherwise the
     lowest nonzero coefficient, the value at s=1, and a Sturm root count on
     (0, 1) must all agree with required_sign (strict: no interior roots).
+    Any positive multiple of the coefficients gives the same answer.
     """
-    p = _poly_trim([Fraction(0)] + [Fraction(c) for c in coeffs])
+    p = _primitive(_over_common_denominator(coeffs)[0])
     if not p:
         return True
-    m = 0
-    while p[m] == 0:
-        m += 1
-    q = p[m:]
+    q = p[next(m for m, c in enumerate(p) if c):]
     if (q[0] > 0) != (required_sign > 0):
         return False
-    at_one = _poly_eval(q, Fraction(1))
+    at_one = sum(q)
     if at_one == 0 or (at_one > 0) != (required_sign > 0):
         return False
-    if len(q) > 1 and _sturm_roots_open_unit(q) > 0:
+    return len(q) == 1 or _sturm_roots_open_unit(q) == 0
+
+
+def _m6_dominates(m) -> bool:
+    """The selection inequalities on m[k-1] = M_2k (or any positive multiple
+    of the series): M_6 dominates the higher terms."""
+    m6 = abs(m[2])
+    if m6 == 0:
         return False
-    return True
+    return (all(20 * abs(m[k - 1]) <= m6 for k in (4, 5, 7, 8))
+            and all(5 * abs(m[k - 1]) <= m6 for k in (6, 9)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +247,84 @@ class DefectSeries:
 
     def dominance_ok(self) -> bool:
         """The selection inequalities: M_6 dominates the higher terms."""
-        m6 = abs(self.coefficient(3))
-        if m6 == 0:
-            return False
-        small = [abs(self.coefficient(k)) for k in (4, 5, 7, 8)]
-        mid = [abs(self.coefficient(6)), abs(self.coefficient(9))]
-        return (all(20 * s <= m6 for s in small)
-                and all(5 * s <= m6 for s in mid))
+        return _m6_dominates(self.coefficients)
 
     def sign_definite(self, required_sign: int) -> bool:
         return _series_sign_definite(self.coefficients, required_sign)
+
+
+def _cubic_basis(u: Fraction) -> tuple:
+    """(q^3, p q^2, p^2 q, p^3) for u = p/q: q^3 times (1, u, u^2, u^3)."""
+    p, q = int(u.numerator), int(u.denominator)
+    return q * q * q, p * q * q, p * p * q, p * p * p
+
+
+@dataclass(frozen=True)
+class _DefectCubics:
+    """The defect of one envelope component with its r^-6 amplitude left
+    free: the coefficient of x^k (x = 1/r^2) is the cubic
+    C_k(u) = sum_j num[k-1][j] u^j / den in u = delta R^6, k = 1..9, and
+    M_2k = C_k(u) / R^(2k).  den > 0."""
+
+    component: str
+    num: tuple
+    den: int
+
+    def scaled(self, basis: tuple, rows=range(9)) -> list:
+        """q^3 den C_k(u) for the given rows (k - 1), from _cubic_basis(u)."""
+        return [sum(c * v for c, v in zip(self.num[i], basis)) for i in rows]
+
+    def series(self, u: Fraction, R: Fraction) -> DefectSeries:
+        basis = _cubic_basis(u)
+        scale = self.den * basis[0]
+        return DefectSeries(
+            component=self.component, R=R,
+            coefficients=tuple(Fraction(c, scale) / R ** (2 * k)
+                               for k, c in enumerate(self.scaled(basis), 1)))
+
+
+def _mul_xu(p, q):
+    """Product of polynomials in (x, u) stored as rows p[i][j] of x^i u^j;
+    every product formed here stays below u^4."""
+    out = [[0] * 4 for _ in range(len(p) + len(q) - 1)]
+    for i, prow in enumerate(p):
+        for k, qrow in enumerate(q):
+            for j, pc in enumerate(prow):
+                for jj, qc in enumerate(qrow):
+                    if pc and qc:
+                        out[i + k][j + jj] += pc * qc
+    return out
+
+
+def _defect_cubics(params: CouplingParams, degrees: DegreePair,
+                   a: tuple, b: tuple, g: tuple) -> tuple:
+    """Expand the equation defect of the envelope pair
+
+        w_pm(r) = t_pm + a_pm/r^2 + b_pm/r^4 + g_pm u/r^6
+
+    once, as (_DefectCubics for plus, for minus) in the free amplitude u.
+    """
+    Ap, Am, B, tp, tm = _exact_params(params)
+    w = tuple([[t, 0, 0, 0], [_frac(ai), 0, 0, 0], [_frac(bi), 0, 0, 0],
+               [0, _frac(gi), 0, 0]]
+              for t, ai, bi, gi in zip((tp, tm), a, b, g))
+    sq = []                                  # w^2 - t^2 per component
+    for w_i, t in zip(w, (tp, tm)):
+        sq.append(_mul_xu(w_i, w_i))
+        sq[-1][0][0] -= t * t
+    out = []
+    for i, comp, A, n in ((0, "plus", Ap, degrees.n_plus),
+                          (1, "minus", Am, degrees.n_minus)):
+        bracket = [[A * s + B * o for s, o in zip(rs, ro)]
+                   for rs, ro in zip(sq[i], sq[1 - i])]
+        C = _mul_xu(bracket, w[i])
+        for k, row in enumerate(w[i]):      # -w'' - w'/r + (n^2/r^2) w
+            for j, c in enumerate(row):
+                C[k + 1][j] += (n * n - 4 * k * k) * c
+        nums, den = _over_common_denominator(c for row in C[1:] for c in row)
+        out.append(_DefectCubics(comp, tuple(
+            tuple(nums[4 * k:4 * k + 4]) for k in range(9)), den))
+    return tuple(out)
 
 
 def expand_defect_series(params: CouplingParams, degrees: DegreePair,
@@ -257,36 +335,34 @@ def expand_defect_series(params: CouplingParams, degrees: DegreePair,
 
     into (DefectSeries for plus, DefectSeries for minus).  All inputs are
     rationalized exactly; with a, b from the closed forms, M_2 = M_4 = 0
-    identically.
+    identically.  This is the selection's expansion at the single point
+    u = R^6.
     """
-    Ap, Am, B, tp, tm = _exact_params(params)
     R = _frac(R)
-    R6 = R ** 6
-    w_plus = [tp, _frac(a[0]), _frac(b[0]), _frac(c[0]) * R6]
-    w_minus = [tm, _frac(a[1]), _frac(b[1]), _frac(c[1]) * R6]
+    return tuple(cubics.series(R ** 6, R)
+                 for cubics in _defect_cubics(params, degrees, a, b, c))
 
-    out = []
-    for comp, w_self, w_other, A, t_self, t_other, n in (
-            ("plus", w_plus, w_minus, Ap, tp, tm, degrees.n_plus),
-            ("minus", w_minus, w_plus, Am, tm, tp, degrees.n_minus)):
-        C = [Fraction(0)] * 10
-        n2 = Fraction(n * n)
-        for k, p in enumerate(w_self):
-            if k >= 1:
-                C[k + 1] -= 4 * Fraction(k * k) * p   # -w'' - w'/r
-            C[k + 1] += n2 * p                        # (n^2/r^2) w
-        sq_self = _poly_mul(w_self, w_self)
-        sq_self[0] -= t_self * t_self
-        sq_other = _poly_mul(w_other, w_other)
-        sq_other[0] -= t_other * t_other
-        bracket = [A * u for u in sq_self]
-        for k, v in enumerate(sq_other):
-            bracket[k] += B * v
-        for k, v in enumerate(_poly_mul(bracket, w_self)):
-            C[k] += v
-        coeffs = tuple(C[k] / R ** (2 * k) for k in range(1, 10))
-        out.append(DefectSeries(component=comp, coefficients=coeffs, R=R))
-    return tuple(out)
+
+def _certified(tables, u: Fraction, R: Fraction) -> bool:
+    """Exact certificate of one candidate (delta, R), u = delta R^6, for
+    every (_DefectCubics, required defect sign) in tables: the sign of M_6,
+    then dominance of M_6, then sign definiteness of the whole series.
+
+    The series are compared as integers m_k = M_2k q^3 den R_num^18, a
+    positive multiple of M_2k, so every decision is the rational one.
+    """
+    basis = _cubic_basis(u)
+    for cubics, req in tables:
+        m6 = cubics.scaled(basis, rows=(2,))[0]
+        if m6 == 0 or (m6 > 0) != (req > 0):
+            return False
+    rn, rd = int(R.numerator), int(R.denominator)
+    r_scale = [rd ** (2 * k) * rn ** (18 - 2 * k) for k in range(1, 10)]
+    series = [[c * s for c, s in zip(cubics.scaled(basis), r_scale)]
+              for cubics, _ in tables]
+    return (all(_m6_dominates(m) for m in series)
+            and all(_series_sign_definite(m, req)
+                    for m, (_, req) in zip(series, tables)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +391,9 @@ class EnvelopeSpec:
     c_tilde_minus: float | None = None
     c_hat_plus: float | None = None
     c_hat_minus: float | None = None
+    # ((branch, (DefectSeries plus, DefectSeries minus)), ...): the series
+    # select_envelope certified at (delta, R); empty on a hand-built spec
+    series: tuple = ()
 
     def envelope_c(self, component: str, side: str) -> float:
         """Signed r^-6 amplitude (to be scaled by R^6) for one envelope."""
@@ -367,27 +446,27 @@ def _family_and_branches(params: CouplingParams, branch: str):
     return family, branches
 
 
+def _branch_tables(params: CouplingParams, degrees: DegreePair, a, b,
+                   kappa, branch: str) -> tuple:
+    """((_DefectCubics, required sign) for plus, for minus) of one branch,
+    with the signed base amplitudes +-kappa as the r^-6 direction."""
+    sp, sm, req_p, req_m = _branch_requirements(branch)
+    plus, minus = _defect_cubics(params, degrees, a, b,
+                                 (sp * kappa[0], sm * kappa[1]))
+    return (plus, req_p), (minus, req_m)
+
+
 def verify_envelope_pair(params: CouplingParams, degrees: DegreePair,
                          delta, R, branch: str) -> bool:
     """Exact certification of one envelope pair at the given (delta, R):
     dominance of M_6 plus sign definiteness of the full defect series."""
     family = "mixed" if params.B >= 0 else "hat"
-    kp, km = _envelope_bases(params, family)
-    sp, sm, req_p, req_m = _branch_requirements(branch)
-    delta = _frac(delta)
-    a = leading_coeffs_exact(params, degrees)
-    b = second_coeffs_exact(params, degrees)
-    c = (sp * delta * kp, sm * delta * km)
-    ser_p, ser_m = expand_defect_series(params, degrees, a, b, c, R)
-    for ser, req in ((ser_p, req_p), (ser_m, req_m)):
-        m6 = ser.coefficient(3)
-        if m6 == 0 or (m6 > 0) != (req > 0):
-            return False
-        if not ser.dominance_ok():
-            return False
-        if not ser.sign_definite(req):
-            return False
-    return True
+    tables = _branch_tables(params, degrees,
+                            leading_coeffs_exact(params, degrees),
+                            second_coeffs_exact(params, degrees),
+                            _envelope_bases(params, family), branch)
+    R = _frac(R)
+    return _certified(tables, _frac(delta) * R ** 6, R)
 
 
 def select_envelope(params: CouplingParams, degrees: DegreePair,
@@ -403,23 +482,33 @@ def select_envelope(params: CouplingParams, degrees: DegreePair,
     outward and delta downward from 1/2, so the first hit has the fattest
     envelope at the smallest workable R.  With branch="auto" both pairs of
     the applicable family are certified with the same (delta, R), which is
-    what the two-sided sandwich needs.
+    what the two-sided sandwich needs.  The defect is expanded once per
+    branch and evaluated per candidate.
     """
     validate(params)
     family, branches = _family_and_branches(params, branch)
     kp, km = _envelope_bases(params, family)
+    a = leading_coeffs_exact(params, degrees)
+    b = second_coeffs_exact(params, degrees)
+    tables = {br: _branch_tables(params, degrees, a, b, (kp, km), br)
+              for br in branches}
+    every = [t for br in branches for t in tables[br]]
     for R in r_candidates:
+        R_exact = _frac(R)
         for delta in delta_candidates:
-            if all(verify_envelope_pair(params, degrees, delta, R, br)
-                   for br in branches):
-                kwargs = {}
-                if family == "mixed":
-                    kwargs = {"c_tilde_plus": float(kp),
-                              "c_tilde_minus": float(-km)}
-                else:
-                    kwargs = {"c_hat_plus": float(kp), "c_hat_minus": float(km)}
-                return EnvelopeSpec(delta=float(delta), R=float(R),
-                                    family=family, **kwargs)
+            u = _frac(delta) * R_exact ** 6
+            if not _certified(every, u, R_exact):
+                continue
+            if family == "mixed":
+                kwargs = {"c_tilde_plus": float(kp),
+                          "c_tilde_minus": float(-km)}
+            else:
+                kwargs = {"c_hat_plus": float(kp), "c_hat_minus": float(km)}
+            series = tuple((br, tuple(cubics.series(u, R_exact)
+                                      for cubics, _ in tables[br]))
+                           for br in branches)
+            return EnvelopeSpec(delta=float(delta), R=float(R), family=family,
+                                series=series, **kwargs)
     raise SelectionFailed(
         f"no (delta, R) certified within the search budget for params={params}, "
         f"degrees={degrees}: either the budget is too small or a defect "
@@ -440,13 +529,19 @@ class EnvelopeCheck:
     nodes_checked: int
 
 
-def _envelope_values(spec: EnvelopeSpec, params, degrees, r, component, side):
+def envelope_bounds(spec: EnvelopeSpec, params: CouplingParams,
+                    degrees: DegreePair, r) -> dict:
+    """{component: (lower, upper)} envelope values at the radii r, from one
+    evaluation of the closed-form tail coefficients."""
     tail = second_coeffs(params, degrees)
-    t = params.t_plus if component == "plus" else params.t_minus
-    a = tail.a_plus if component == "plus" else tail.a_minus
-    b = tail.b_plus if component == "plus" else tail.b_minus
-    c = spec.envelope_c(component, side)
-    return t + a / r ** 2 + b / r ** 4 + c * spec.R ** 6 / r ** 6
+    out = {}
+    for comp, t, a, b in (("plus", params.t_plus, tail.a_plus, tail.b_plus),
+                          ("minus", params.t_minus, tail.a_minus,
+                           tail.b_minus)):
+        base = t + a / r ** 2 + b / r ** 4
+        out[comp] = tuple(base + spec.envelope_c(comp, side) * spec.R ** 6
+                          / r ** 6 for side in ("lower", "upper"))
+    return out
 
 
 def envelope_check(profile: "Profile", spec: EnvelopeSpec) -> EnvelopeCheck:
@@ -459,14 +554,11 @@ def envelope_check(profile: "Profile", spec: EnvelopeSpec) -> EnvelopeCheck:
     mask = r >= spec.R - 1e-12
     if not mask.any():
         raise ValueError(f"envelope radius R={spec.R} beyond the grid")
-    rr = r[mask]
+    bounds = envelope_bounds(spec, profile.params, profile.degrees, r[mask])
     margins = {}
     for comp, f in (("plus", profile.f_plus[mask]),
                     ("minus", profile.f_minus[mask])):
-        upper = _envelope_values(spec, profile.params, profile.degrees, rr,
-                                 comp, "upper")
-        lower = _envelope_values(spec, profile.params, profile.degrees, rr,
-                                 comp, "lower")
+        lower, upper = bounds[comp]
         margins[comp] = min(float(np.min(upper - f)), float(np.min(f - lower)))
     worst = min(margins.values())
     return EnvelopeCheck(passed=worst >= 0.0, worst_margin=worst,

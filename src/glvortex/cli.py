@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -280,9 +279,12 @@ def _verify_checks(profile: solver.Profile, vcfg: dict, fit_window=None):
         check(f"near_origin_order_{comp}", got, float(n),
               vcfg["origin_order_tol"], dev <= vcfg["origin_order_tol"])
 
-    eig = diagnostics.second_variation_min_eig(profile)
-    check("hessian_min_eig", eig, 0.0, vcfg["hessian_tol"],
-          eig >= -vcfg["hessian_tol"])
+    try:
+        eig = diagnostics.second_variation_min_eig(profile)
+        check("hessian_min_eig", eig, 0.0, vcfg["hessian_tol"],
+              eig >= -vcfg["hessian_tol"])
+    except diagnostics.EigenFailure as exc:
+        check("hessian_min_eig", str(exc), None, None, False)
 
     tail = asymptotics.second_coeffs(profile.params, profile.degrees)
     try:
@@ -362,21 +364,9 @@ def cmd_asymptotics(args) -> int:
         spec = asymptotics.select_envelope(params, degrees)
         out["delta"] = spec.delta
         out["R"] = spec.R
-        a = asymptotics.leading_coeffs_exact(params, degrees)
-        b = asymptotics.second_coeffs_exact(params, degrees)
-        m = {}
-        sides = (("upper_plus_lower_minus", "lower_plus_upper_minus")
-                 if params.B >= 0 else ("upper_both", "lower_both"))
-        for branch in sides:
-            sp, sm, _, _ = asymptotics._branch_requirements(branch)
-            kp, km = asymptotics._envelope_bases(params, spec.family)
-            delta = Fraction(spec.delta)
-            ser_p, ser_m = asymptotics.expand_defect_series(
-                params, degrees, a, b, (sp * delta * kp, sm * delta * km),
-                spec.R)
-            m[branch] = {"plus": ser_p.as_strings(),
-                         "minus": ser_m.as_strings()}
-        out["M_coefficients"] = m
+        out["M_coefficients"] = {
+            branch: {"plus": plus.as_strings(), "minus": minus.as_strings()}
+            for branch, (plus, minus) in spec.series}
     except asymptotics.SelectionFailed as exc:
         out["delta"] = None
         out["R"] = None
@@ -420,14 +410,10 @@ def _export_rows(profile: solver.Profile, what: str):
         rr = r[mask]
         header = ["r", "w_lower_plus", "f_plus", "w_upper_plus",
                   "w_lower_minus", "f_minus", "w_upper_minus"]
-        ev = asymptotics._envelope_values
-        cols = [rr,
-                ev(spec, profile.params, profile.degrees, rr, "plus", "lower"),
-                profile.f_plus[mask],
-                ev(spec, profile.params, profile.degrees, rr, "plus", "upper"),
-                ev(spec, profile.params, profile.degrees, rr, "minus", "lower"),
-                profile.f_minus[mask],
-                ev(spec, profile.params, profile.degrees, rr, "minus", "upper")]
+        bounds = asymptotics.envelope_bounds(spec, profile.params,
+                                             profile.degrees, rr)
+        cols = [rr, bounds["plus"][0], profile.f_plus[mask], bounds["plus"][1],
+                bounds["minus"][0], profile.f_minus[mask], bounds["minus"][1]]
         return header, cols
     else:
         raise ConfigError(f"unknown export kind {what!r}")

@@ -5,7 +5,10 @@ path: the scalar profile comes from shooting (RK integration plus bisection
 on the core slope, matched to a nine-term asymptotic series at a fixed
 radius), the scalar Hessian is assembled with plain loops and solved by
 a different LAPACK route, and the coupled Hessian band is assembled node by
-node.  None of it touches the package's Newton/banded machinery.
+node.  None of it touches the package's Newton/banded machinery.  The
+envelope search expands the whole defect in Fractions for every candidate
+and counts roots with a Fraction Sturm chain; it shares only the closed-form
+tail coefficients and the branch sign tables with the package.
 """
 
 from fractions import Fraction
@@ -13,6 +16,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
+
+from glvortex.asymptotics import (SelectionFailed, _branch_requirements,
+                                  _envelope_bases, _family_and_branches,
+                                  leading_coeffs_exact, second_coeffs_exact)
 
 
 def scalar_tail_coeffs(A, t, n, orders=9):
@@ -247,3 +254,159 @@ def hessian_band_loop(profile):
         if gm[i] >= 0:
             masses[gm[i]] = m[i]
     return band, masses
+
+
+# ---------------------------------------------------------------------------
+# envelope selection as first written: every (delta, R) candidate expands the
+# whole defect in Fractions, and sign definiteness uses a Fraction Sturm chain
+
+
+def _frac(x):
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, pi in enumerate(p):
+        if pi == 0:
+            continue
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
+
+
+def _poly_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_rem(num, den):
+    num = _poly_trim(list(num))
+    den = _poly_trim(list(den))
+    dn = len(den) - 1
+    lead = den[-1]
+    while num and len(num) - 1 >= dn:
+        k = len(num) - 1 - dn
+        factor = num[-1] / lead
+        for i, c in enumerate(den):
+            num[k + i] -= factor * c
+        num.pop()
+        _poly_trim(num)
+    return num
+
+
+def _sign_changes(chain, x):
+    signs = []
+    for p in chain:
+        v = _poly_eval(p, x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_roots_open_unit(p):
+    """Distinct real roots of p in (0, 1) from the Fraction Sturm chain;
+    requires p(0) != 0 and p(1) != 0."""
+    p = [Fraction(c) for c in p]
+    chain = [p, [Fraction(k) * c for k, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 0:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return _sign_changes(chain, Fraction(0)) - _sign_changes(chain, Fraction(1))
+
+
+def series_sign_definite(coeffs, required_sign):
+    p = _poly_trim([Fraction(0)] + [Fraction(c) for c in coeffs])
+    if not p:
+        return True
+    m = 0
+    while p[m] == 0:
+        m += 1
+    q = p[m:]
+    if (q[0] > 0) != (required_sign > 0):
+        return False
+    at_one = _poly_eval(q, Fraction(1))
+    if at_one == 0 or (at_one > 0) != (required_sign > 0):
+        return False
+    return not (len(q) > 1 and sturm_roots_open_unit(q) > 0)
+
+
+def defect_series(params, degrees, a, b, c, R):
+    """(M_2..M_18 for plus, for minus) of the envelope pair
+    w_pm = t_pm + a_pm/r^2 + b_pm/r^4 + c_pm R^6/r^6, one full expansion."""
+    Ap, Am, B, tp, tm = (_frac(params.A_plus), _frac(params.A_minus),
+                         _frac(params.B), _frac(params.t_plus),
+                         _frac(params.t_minus))
+    R = _frac(R)
+    R6 = R ** 6
+    w_plus = [tp, _frac(a[0]), _frac(b[0]), _frac(c[0]) * R6]
+    w_minus = [tm, _frac(a[1]), _frac(b[1]), _frac(c[1]) * R6]
+    out = []
+    for w_self, w_other, A, t_self, t_other, n in (
+            (w_plus, w_minus, Ap, tp, tm, degrees.n_plus),
+            (w_minus, w_plus, Am, tm, tp, degrees.n_minus)):
+        C = [Fraction(0)] * 10
+        for k, p in enumerate(w_self):
+            if k >= 1:
+                C[k + 1] -= 4 * Fraction(k * k) * p   # -w'' - w'/r
+            C[k + 1] += Fraction(n * n) * p           # (n^2/r^2) w
+        sq_self = _poly_mul(w_self, w_self)
+        sq_self[0] -= t_self * t_self
+        sq_other = _poly_mul(w_other, w_other)
+        sq_other[0] -= t_other * t_other
+        bracket = [A * u for u in sq_self]
+        for k, v in enumerate(sq_other):
+            bracket[k] += B * v
+        for k, v in enumerate(_poly_mul(bracket, w_self)):
+            C[k] += v
+        out.append(tuple(C[k] / R ** (2 * k) for k in range(1, 10)))
+    return tuple(out)
+
+
+def _dominance_ok(m):
+    m6 = abs(m[2])
+    if m6 == 0:
+        return False
+    return (all(20 * abs(m[k - 1]) <= m6 for k in (4, 5, 7, 8))
+            and all(5 * abs(m[k - 1]) <= m6 for k in (6, 9)))
+
+
+def verify_envelope_pair(params, degrees, delta, R, branch):
+    """One candidate, certified from scratch."""
+    kp, km = _envelope_bases(params, "mixed" if params.B >= 0 else "hat")
+    sp, sm, req_p, req_m = _branch_requirements(branch)
+    delta = _frac(delta)
+    series = defect_series(params, degrees,
+                           leading_coeffs_exact(params, degrees),
+                           second_coeffs_exact(params, degrees),
+                           (sp * delta * kp, sm * delta * km), R)
+    for m, req in zip(series, (req_p, req_m)):
+        if m[2] == 0 or (m[2] > 0) != (req > 0):
+            return False
+        if not _dominance_ok(m) or not series_sign_definite(m, req):
+            return False
+    return True
+
+
+def select_envelope(params, degrees, r_candidates=(2, 4, 8, 16, 32, 64),
+                    delta_candidates=tuple(Fraction(1, 2 ** k)
+                                           for k in range(1, 11))):
+    """(delta, R, family) of the first certified candidate, or
+    SelectionFailed, trying every branch of every candidate in full."""
+    family, branches = _family_and_branches(params, "auto")
+    for R in r_candidates:
+        for delta in delta_candidates:
+            if all(verify_envelope_pair(params, degrees, delta, R, br)
+                   for br in branches):
+                return float(delta), float(R), family
+    raise SelectionFailed("no (delta, R) certified within the search budget")

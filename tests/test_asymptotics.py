@@ -4,13 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import glvortex as gv
-from glvortex.asymptotics import (_series_sign_definite, envelope_check,
+import oracles
+from glvortex.asymptotics import (_branch_requirements, _envelope_bases,
+                                  _series_sign_definite,
+                                  _sturm_roots_open_unit, envelope_check,
                                   expand_defect_series, leading_coeffs_exact,
                                   second_coeffs_exact, select_envelope,
                                   tail_fit, verify_envelope_pair)
 from glvortex.solver import Profile, SolveReport
+from conftest import case_inputs
 
 
 def random_rational_params(rng, with_degrees=True):
@@ -171,13 +176,13 @@ def test_series_leading_term_approaches_envelope_value():
                                                      rel=1e-6)
 
 
-def test_sturm_count_against_numpy_roots():
-    from glvortex.asymptotics import _sturm_roots_open_unit
+SPARSE_POLY = [Fraction(1, 8), Fraction(-9, 4096), Fraction(0),
+               Fraction(3, 256), Fraction(0), Fraction(0), Fraction(1, 4096)]
 
+
+def test_sturm_count_against_numpy_roots():
     # sparse polynomial that once tripped the remainder reduction
-    h = [Fraction(1, 8), Fraction(-9, 4096), Fraction(0), Fraction(3, 256),
-         Fraction(0), Fraction(0), Fraction(1, 4096)]
-    assert _sturm_roots_open_unit(h) == 0
+    assert _sturm_roots_open_unit(SPARSE_POLY) == 0
 
     rng = np.random.default_rng(12)
     for _ in range(200):
@@ -199,6 +204,52 @@ def test_sturm_count_against_numpy_roots():
             continue
         assert _sturm_roots_open_unit(coeffs) == len(np.unique(
             np.round(inside, 9)))
+
+
+def from_roots(roots, lead=Fraction(1)):
+    """Ascending coefficients of lead * prod (s - root)."""
+    p = [Fraction(lead)]
+    for root in roots:
+        p = [(p[i - 1] if i else 0) - root * (p[i] if i < len(p) else 0)
+             for i in range(len(p) + 1)]
+    return p
+
+
+def test_integer_sturm_chain_matches_fraction_chain():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    known = [  # (polynomial, distinct roots in (0, 1))
+        (SPARSE_POLY, 0),
+        (from_roots([third, third, half]), 2),
+        (from_roots([Fraction(1, 4)] * 3, lead=-7), 1),
+        (from_roots([third, third, 2 * third, 2 * third, -1]), 2),
+        (from_roots([Fraction(1, 5), Fraction(1, 5), 3, 3, Fraction(7, 8)]), 2),
+        (from_roots([Fraction(-1, 2), Fraction(3, 2)] * 2), 0),
+        ([Fraction(1), Fraction(-1), Fraction(1)], 0),    # s^2 - s + 1
+    ]
+    for p, count in known:
+        assert _sturm_roots_open_unit(p) == count
+        assert oracles.sturm_roots_open_unit(p) == count
+
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 300:
+        if rng.random() < 0.5:
+            p = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+                 for _ in range(int(rng.integers(2, 10)))]
+        else:  # products with repeated rational factors
+            roots = [Fraction(int(rng.integers(-3, 12)), int(rng.integers(1, 9)))
+                     for _ in range(int(rng.integers(1, 4)))]
+            p = from_roots([roots[int(rng.integers(0, len(roots)))]
+                            for _ in range(int(rng.integers(2, 7)))],
+                           lead=int(rng.integers(1, 5) * rng.choice([-1, 1])))
+        if not any(p[1:]) or p[0] == 0 or sum(p) == 0:
+            continue
+        assert _sturm_roots_open_unit(p) == oracles.sturm_roots_open_unit(p)
+        for sign in (+1, -1):
+            series = [Fraction(0)] * int(rng.integers(0, 3)) + p
+            assert (_series_sign_definite(series, sign)
+                    == oracles.series_sign_definite(series, sign))
+        checked += 1
 
 
 def test_sign_definiteness_checker():
@@ -250,13 +301,10 @@ def test_envelope_boundary_ordering(reference_profiles):
     spec = select_envelope(prof.params, prof.degrees)
     r = prof.grid.nodes
     beyond = r >= spec.R
-    from glvortex.asymptotics import _envelope_values
-    for comp, f, t in (("plus", prof.f_plus, 1.0),
-                       ("minus", prof.f_minus, 1.0)):
-        upper_at_R = _envelope_values(spec, prof.params, prof.degrees,
-                                      np.array([spec.R]), comp, "upper")[0]
-        lower_at_R = _envelope_values(spec, prof.params, prof.degrees,
-                                      np.array([spec.R]), comp, "lower")[0]
+    bounds = gv.envelope_bounds(spec, prof.params, prof.degrees,
+                                np.array([spec.R]))
+    for comp, f in (("plus", prof.f_plus), ("minus", prof.f_minus)):
+        lower_at_R, upper_at_R = (side[0] for side in bounds[comp])
         assert upper_at_R > np.max(f[beyond])
         assert lower_at_R < f[beyond][0]
 
@@ -294,6 +342,64 @@ def test_selection_failed_when_budget_exhausted():
     with pytest.raises(gv.SelectionFailed):
         select_envelope(p, gv.DegreePair(1, 1), r_candidates=(2,),
                         delta_candidates=(Fraction(1, 2),))
+
+
+def test_candidate_decisions_match_oracle_per_branch():
+    # rejections too, not only the first certified pair
+    for name in ("bpos", "bneg"):
+        params, degrees = case_inputs(name)
+        branches = (("upper_plus_lower_minus", "lower_plus_upper_minus")
+                    if params.B >= 0 else ("upper_both", "lower_both"))
+        for R in (8, 32):
+            for k in range(1, 7):
+                for br in branches:
+                    delta = Fraction(1, 2 ** k)
+                    assert (verify_envelope_pair(params, degrees, delta, R, br)
+                            == oracles.verify_envelope_pair(
+                                params, degrees, delta, R, br)), (name, R, k)
+
+
+POSITIVE = st.one_of(st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)),
+                     st.floats(0.1, 10.0))
+
+
+@st.composite
+def admissible_inputs(draw):
+    """A+-, t+- > 0 rational or float, B / sqrt(A+ A-) in [-0.99, 0.99],
+    windings 0..5."""
+    Ap, Am, tp, tm = (draw(POSITIVE) for _ in range(4))
+    ratio = Fraction(draw(st.integers(-99, 99)), 100)
+    if isinstance(Ap * Am, Fraction):
+        B = ratio * Fraction(math.sqrt(Ap * Am)).limit_denominator(100)
+    else:
+        B = float(ratio) * math.sqrt(Ap * Am)
+    assume(B * B < Ap * Am)
+    degrees = gv.DegreePair(draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    return gv.CouplingParams(Ap, Am, B, tp, tm), degrees
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=admissible_inputs())
+def test_select_envelope_matches_oracle(case):
+    params, degrees = case
+    try:
+        want = oracles.select_envelope(params, degrees)
+    except gv.SelectionFailed:
+        with pytest.raises(gv.SelectionFailed):
+            select_envelope(params, degrees)
+        return
+    spec = select_envelope(params, degrees)
+    assert (spec.delta, spec.R, spec.family) == want
+    # the certified series are the full expansion at the chosen pair
+    kp, km = _envelope_bases(params, spec.family)
+    delta = Fraction(spec.delta)
+    a = leading_coeffs_exact(params, degrees)
+    b = second_coeffs_exact(params, degrees)
+    assert len(spec.series) == 2
+    for branch, (plus, minus) in spec.series:
+        sp, sm, _, _ = _branch_requirements(branch)
+        assert (plus.coefficients, minus.coefficients) == oracles.defect_series(
+            params, degrees, a, b, (sp * delta * kp, sm * delta * km), spec.R)
 
 
 # ---------------------------------------------------------------------------

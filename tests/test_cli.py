@@ -177,6 +177,26 @@ def test_verify_flags_corrupted_profile(tmp_path, capsys):
     assert not checks["residual_norm"]["pass"]
 
 
+def test_verify_reports_non_finite_node_as_failed_checks(tmp_path, capsys):
+    # a NaN node makes the Hessian unusable; verify records that as a failed
+    # check instead of crashing before it prints anything
+    cfg = write_config(tmp_path / "cfg.json", grid={"R_max": 40.0, "N": 400})
+    out = tmp_path / "p.json"
+    run(capsys, "solve", "--config", str(cfg), "--out", str(out))
+    obj = json.loads(out.read_text())
+    obj["f_plus"][100] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(obj))
+    code, stdout, stderr = run(capsys, "verify", str(bad))
+    assert code == 3
+    assert stderr == ""
+    checks = {c["check"]: c for c in map(json.loads,
+                                         stdout.strip().splitlines())}
+    assert checks["hessian_min_eig"]["pass"] is False
+    assert "non-finite" in checks["hessian_min_eig"]["value"]
+    assert "envelope_sandwich" in checks  # the checks after it still ran
+
+
 def test_verify_ignores_self_reported_tolerance(tmp_path, capsys):
     # a corrupted file cannot pass by loosening its own report.tolerance
     cfg = write_config(tmp_path / "cfg.json")
