@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -25,8 +27,8 @@ class ConfigError(ValueError):
 
 
 _DEFAULT_GRID = {"R_max": 80.0, "N": 4000, "kind": "uniform", "stretch": None}
-_DEFAULT_SOLVE = {"tolerance": 1e-10, "max_newton_iters": 50, "damping": 0.5,
-                  "continuation_steps": 8, "far_field": "robin"}
+# the solve defaults live on solver.SolveOptions alone
+_SOLVE_KEYS = {f.name for f in dataclasses.fields(solver.SolveOptions)}
 _DEFAULT_VERIFY = {"residual_tol": 1e-10, "quantization_tol": 0.01,
                    "pohozaev_tol": 0.01, "origin_order_tol": 0.05,
                    "bound_tol": 1e-8, "hessian_tol": 1e-8, "tail_a_rel": 0.01,
@@ -70,9 +72,8 @@ def load_config(path: str | None, args=None) -> dict:
     gdict = dict(_DEFAULT_GRID)
     _require_keys(raw.get("grid", {}), set(_DEFAULT_GRID), "grid")
     gdict.update(raw.get("grid", {}))
-    sdict = dict(_DEFAULT_SOLVE)
-    _require_keys(raw.get("solve", {}), set(_DEFAULT_SOLVE), "solve")
-    sdict.update(raw.get("solve", {}))
+    sdict = dict(raw.get("solve", {}))
+    _require_keys(sdict, _SOLVE_KEYS, "solve")
     vdict = dict(_DEFAULT_VERIFY)
     _require_keys(raw.get("verify", {}), set(_DEFAULT_VERIFY), "verify")
     vdict.update(raw.get("verify", {}))
@@ -248,6 +249,10 @@ def _verify_checks(profile: solver.Profile, vcfg: dict, fit_window=None):
     checks = []
 
     def check(name, value, target, tolerance, passed):
+        # strict JSON has no NaN or infinity: such a value is printed as its
+        # string ("nan", "inf", "-inf") and fails the check
+        if isinstance(value, float) and not math.isfinite(value):
+            value, passed = str(value), False
         checks.append({"check": name, "value": value, "target": target,
                        "tolerance": tolerance, "pass": bool(passed)})
 

@@ -2,15 +2,27 @@
 
 The discretized system interleaves the two components per node, so the exact
 Jacobian is banded with two sub/super-diagonals and a banded LU solve costs
-O(N).  Globalization is by backtracking on the residual sup-norm plus
-continuation in the interaction coefficient B, warm-starting from the
-decoupled system (B = 0), whose components are independent scalar
-Ginzburg-Landau profiles.  Positivity is not enforced during iteration, only
-verified at convergence: the continuum solution is strictly positive and
-projections would break Newton's local theory.
+O(N).  Each solve owns one LAPACK band buffer: every Newton iteration writes
+the Jacobian into it and factors it in place (`dgbtrf`), and the step is
+solved in place in one right-hand-side vector (`dgbtrs`).
 
-All inputs are immutable; a solve owns its output arrays, so independent
-solves can run concurrently.
+Globalization is by backtracking on the residual sup-norm plus continuation
+in the interaction coefficient B from the decoupled system (B = 0), whose
+components are independent scalar Ginzburg-Landau profiles.  The
+continuation first tries `continuation_steps` equal B-steps (one by
+default).  Each step starts from the tangent predictor f + ΔB·ḟ, where
+J ḟ = -∂G/∂B is solved on the LU of the previous step's last Newton
+iteration, so the predictor costs no extra factorization.  A step that
+fails is halved and retried from the last converged profile, and after a
+success the step length doubles again, up to the equal step; a step halved
+_MAX_HALVINGS times that still fails ends the solve.  The positive solution
+is unique on the admissible set, so the path and the direct step reach the
+same profile.  Positivity is not enforced during iteration, only verified at
+convergence: the continuum solution is strictly positive and projections
+would break Newton's local theory.
+
+All inputs are immutable; a solve owns its output arrays and its work
+buffers, so independent solves can run concurrently.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import asymptotics
 from .grid import RadialGrid, build_grid, radial_operator
@@ -41,7 +53,16 @@ class NoConvergence(RuntimeError):
 
 
 class SingularJacobian(RuntimeError):
-    """The banded LU factorization of the Jacobian broke down."""
+    """The banded LU factorization of the Jacobian broke down, or gave a
+    non-finite Newton step.  B_value is set when continuation_solve raises
+    it."""
+
+    B_value = None
+
+
+# A continuation step is halved at most this many times below the equal
+# step before the failure ends the solve.
+_MAX_HALVINGS = 6
 
 
 @dataclass(frozen=True)
@@ -49,7 +70,7 @@ class SolveOptions:
     tolerance: float = 1e-10           # sup-norm of the discrete residual
     max_newton_iters: int = 50
     damping: float = 0.5               # backtracking factor in (0, 1)
-    continuation_steps: int = 8
+    continuation_steps: int = 1        # equal B-steps tried first
     far_field: str = "robin"           # "robin" (tail-slope row) or "dirichlet"
 
     def __post_init__(self):
@@ -143,32 +164,74 @@ class _DiscreteSystem:
                    + self.masks[1] * v_minus * f_minus)
         return g_plus, g_minus
 
-    def jacobian_banded(self, f_plus, f_minus):
-        """Exact Jacobian in scipy solve_banded layout for (l, u) = (2, 2)."""
+    def residual_dB(self, f_plus, f_minus):
+        """Derivative of the residual with respect to B at fixed profiles."""
         p = self.params
-        n_total = 2 * (self.grid.N + 1)
-        ab = np.zeros((5, n_total))
-        diag_pot = (
+        return (self.masks[0] * (f_minus ** 2 - p.t_minus ** 2) * f_plus,
+                self.masks[1] * (f_plus ** 2 - p.t_plus ** 2) * f_minus)
+
+    def jacobian_banded(self, f_plus, f_minus, out=None):
+        """Exact Jacobian in scipy solve_banded layout for (l, u) = (2, 2).
+
+        Written into `out` (shape (5, 2N+2), every entry set) when given,
+        else into a new array."""
+        p = self.params
+        ab = np.empty((5, 2 * (self.grid.N + 1))) if out is None else out
+        (op_p, op_m), (mask_p, mask_m) = self.ops, self.masks
+        ab[2, 0::2] = op_p.diag + mask_p * (
             p.A_plus * (3.0 * f_plus ** 2 - p.t_plus ** 2)
-            + p.B * (f_minus ** 2 - p.t_minus ** 2),
+            + p.B * (f_minus ** 2 - p.t_minus ** 2))
+        ab[2, 1::2] = op_m.diag + mask_m * (
             p.A_minus * (3.0 * f_minus ** 2 - p.t_minus ** 2)
-            + p.B * (f_plus ** 2 - p.t_plus ** 2),
-        )
+            + p.B * (f_plus ** 2 - p.t_plus ** 2))
+        # sub/super within a component sit two scalar columns away; the
+        # first two columns of row 0 and the last two of row 4 lie outside
+        # the matrix
+        ab[0, :2] = 0.0
+        ab[0, 2::2] = op_p.upper[:-1]
+        ab[0, 3::2] = op_m.upper[:-1]
+        ab[4, -2:] = 0.0
+        ab[4, 0:-2:2] = op_p.lower[1:]
+        ab[4, 1:-2:2] = op_m.lower[1:]
+        # cross-component coupling is diagonal in the node index, so only
+        # every other entry of rows 1 and 3 is nonzero
         cross = 2.0 * p.B * f_plus * f_minus
-        for comp, offset in ((0, 0), (1, 1)):
-            op = self.ops[comp]
-            mask = self.masks[comp]
-            cols = np.arange(self.grid.N + 1) * 2 + offset
-            ab[2, cols] = op.diag + mask * diag_pot[comp]
-            # sub/super within the component sit two scalar columns away
-            ab[0, cols[1:]] = op.upper[:-1]
-            ab[4, cols[:-1]] = op.lower[1:]
-            # cross-component coupling is diagonal in the node index
-            if offset == 0:
-                ab[1, cols + 1] = mask * cross
-            else:
-                ab[3, cols - 1] = mask * cross
+        ab[1, 0::2] = 0.0
+        ab[1, 1::2] = mask_p * cross
+        ab[3, 0::2] = mask_m * cross
+        ab[3, 1::2] = 0.0
         return ab
+
+
+class _BandLU:
+    """The work buffers of one solve: a Fortran-ordered (7, 2N+2) band
+    holding the Jacobian in rows 2..6 and its LU fill-in in rows 0..1, as
+    LAPACK's `dgbtrf` wants it for (kl, ku) = (2, 2), and one right-hand
+    side that `dgbtrs` overwrites with the solution."""
+
+    def __init__(self, n_nodes: int):
+        self.ab = np.empty((7, 2 * n_nodes), order="F")
+        self.rhs = np.empty(2 * n_nodes)
+        self.ipiv = None            # None until a factorization succeeds
+
+    def factor(self, sys, f_plus, f_minus):
+        """Assemble the Jacobian at (f_plus, f_minus) and factor it in place."""
+        self.ipiv = None
+        sys.jacobian_banded(f_plus, f_minus, out=self.ab[2:])
+        _, ipiv, info = dgbtrf(self.ab, 2, 2, overwrite_ab=1)
+        if info != 0:
+            raise SingularJacobian(f"dgbtrf info {info} (zero pivot)")
+        self.ipiv = ipiv
+
+    def solve(self, g_plus, g_minus):
+        """Solve J x = (g_plus, g_minus) interleaved, on the last LU; x is
+        the rhs buffer, valid until the next solve."""
+        self.rhs[0::2] = g_plus
+        self.rhs[1::2] = g_minus
+        dgbtrs(self.ab, 2, 2, self.rhs, self.ipiv, overwrite_b=1)
+        if not np.all(np.isfinite(self.rhs)):
+            raise SingularJacobian("non-finite solution of the banded system")
+        return self.rhs
 
 
 def initial_guess(grid: RadialGrid, params: CouplingParams,
@@ -218,55 +281,59 @@ def newton_solve(f_plus0, f_minus0, grid: RadialGrid, params: CouplingParams,
 
     Backtracks the step by the damping factor whenever the residual sup-norm
     fails to decrease; raises NoConvergence (with the best iterate and the
-    residual history) after max_newton_iters or a stalled line search.
+    residual history) after max_newton_iters, a stalled line search, or a
+    converged iterate that is not positive.
     """
     validate(params)
     t0 = time.perf_counter()
     sys = _DiscreteSystem(grid, params, degrees, options.far_field)
     f_plus = np.array(f_plus0, dtype=float)
     f_minus = np.array(f_minus0, dtype=float)
-    iters, norm, history = _newton_loop(sys, f_plus, f_minus, options)
-    report = SolveReport(iterations=(iters,), final_residual=norm,
+    iters, norm = _newton(sys, _BandLU(grid.N + 1), f_plus, f_minus, options)
+    return _profile(sys, f_plus, f_minus, (iters,), norm, options, t0)
+
+
+def _profile(sys, f_plus, f_minus, iterations, norm, options, t0) -> Profile:
+    report = SolveReport(iterations=iterations, final_residual=norm,
                          tolerance=options.tolerance, converged=True,
                          wall_time=time.perf_counter() - t0)
-    profile = Profile(grid=grid, params=params, degrees=degrees,
-                      f_plus=f_plus, f_minus=f_minus, report=report,
-                      far_field=options.far_field)
-    _post_checks(profile)
-    return profile
+    return Profile(grid=sys.grid, params=sys.params, degrees=sys.degrees,
+                   f_plus=f_plus, f_minus=f_minus, report=report,
+                   far_field=options.far_field)
 
 
-def _newton_loop(sys, f_plus, f_minus, options):
-    """In-place Newton iteration; returns (iterations, norm, history)."""
-    n_nodes = sys.grid.N + 1
-    x = np.empty(2 * n_nodes)
+def _sup_norm(g_plus, g_minus) -> float:
+    return float(max(np.max(np.abs(g_plus)), np.max(np.abs(g_minus))))
+
+
+def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
+    """In-place Newton iteration on the LU buffers `lu`, followed by the
+    positivity check; returns (iterations, residual norm).  On success `lu`
+    holds the LU of the last iteration's Jacobian (none if no iteration
+    ran)."""
     history = []
-
-    def sup_norm(gp, gm):
-        return float(max(np.max(np.abs(gp)), np.max(np.abs(gm))))
-
     g_plus, g_minus = sys.residual(f_plus, f_minus)
-    norm = sup_norm(g_plus, g_minus)
+    norm = _sup_norm(g_plus, g_minus)
     history.append(norm)
-    for it in range(options.max_newton_iters):
-        if norm <= options.tolerance:
-            return it, norm, history
-        ab = sys.jacobian_banded(f_plus, f_minus)
-        x[0::2] = g_plus
-        x[1::2] = g_minus
+    it = 0
+    while not norm <= options.tolerance:        # a NaN residual never passes
+        if it == options.max_newton_iters:
+            raise NoConvergence(
+                f"no convergence after {options.max_newton_iters} iterations "
+                f"(residual {norm:.3e}, tolerance {options.tolerance:.1e})",
+                f_plus=f_plus.copy(), f_minus=f_minus.copy(), history=history)
         try:
-            step = solve_banded((2, 2), ab, -x)
-        except (LinAlgError, ValueError) as exc:
+            lu.factor(sys, f_plus, f_minus)
+            step = lu.solve(g_plus, g_minus)
+        except SingularJacobian as exc:
             raise SingularJacobian(
-                f"banded LU failed at iteration {it}: {exc}") from exc
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian(f"non-finite Newton step at iteration {it}")
+                f"Newton step failed at iteration {it}: {exc}") from exc
         alpha = 1.0
         while True:
-            cand_plus = f_plus + alpha * step[0::2]
-            cand_minus = f_minus + alpha * step[1::2]
+            cand_plus = f_plus - alpha * step[0::2]
+            cand_minus = f_minus - alpha * step[1::2]
             g_plus, g_minus = sys.residual(cand_plus, cand_minus)
-            cand_norm = sup_norm(g_plus, g_minus)
+            cand_norm = _sup_norm(g_plus, g_minus)
             if cand_norm < norm or cand_norm <= options.tolerance:
                 break
             alpha *= options.damping
@@ -279,21 +346,14 @@ def _newton_loop(sys, f_plus, f_minus, options):
         f_minus[:] = cand_minus
         norm = cand_norm
         history.append(norm)
-    if norm <= options.tolerance:
-        return options.max_newton_iters, norm, history
-    raise NoConvergence(
-        f"no convergence after {options.max_newton_iters} iterations "
-        f"(residual {norm:.3e}, tolerance {options.tolerance:.1e})",
-        f_plus=f_plus.copy(), f_minus=f_minus.copy(), history=history)
-
-
-def _post_checks(profile: Profile):
-    """Positivity is verified after convergence rather than enforced."""
-    low = min(float(np.min(profile.f_plus)), float(np.min(profile.f_minus)))
+        it += 1
+    # positivity is verified after convergence rather than enforced
+    low = min(float(np.min(f_plus)), float(np.min(f_minus)))
     if low < -1e-9:
         raise NoConvergence(
             f"converged iterate violates positivity (min value {low:.3e})",
-            f_plus=profile.f_plus, f_minus=profile.f_minus)
+            f_plus=f_plus.copy(), f_minus=f_minus.copy(), history=history)
+    return it, norm
 
 
 def continuation_solve(params: CouplingParams, degrees: DegreePair,
@@ -302,35 +362,72 @@ def continuation_solve(params: CouplingParams, degrees: DegreePair,
                        collect_path: bool = False):
     """Path-following solve: decoupled system first, then step B to the target.
 
-    Each intermediate solve warm-starts the next; the endpoint agrees with a
-    direct solve whenever the direct solve converges.  Failures propagate as
-    NoConvergence tagged with the failing B value.  With collect_path=True the
-    intermediate profiles are returned as well.
+    Tries `options.continuation_steps` equal B-steps, each from the tangent
+    predictor at the last converged profile; a failed step is halved and
+    retried from that profile, at most _MAX_HALVINGS times below the equal
+    step, and the step doubles again after each success.  The B = 0 solve is never retried.
+    Failures propagate as NoConvergence or SingularJacobian tagged with the
+    failing B value.  With collect_path=True the profiles at every converged
+    B are returned as well.
     """
     validate(params)
     t0 = time.perf_counter()
     if grid is None:
         grid = build_grid(80.0, 4000)
+    lu = _BandLU(grid.N + 1)
     f_plus, f_minus = initial_guess(grid, params, degrees)
-    b_values = [0.0]
-    if params.B != 0.0:
-        steps = options.continuation_steps
-        b_values += [params.B * k / steps for k in range(1, steps + 1)]
     path = []
-    profile = None
     iterations = []
-    for b in b_values:
-        step_params = replace(params, B=b)
+
+    def stage(b, f_plus, f_minus):
+        """Newton solve at B = b, whose profile takes over the arrays; then,
+        unless b is the target, the tangent there from the kept LU."""
+        t_stage = time.perf_counter()
+        sys = _DiscreteSystem(grid, replace(params, B=b), degrees,
+                              options.far_field)
+        tangent = None
         try:
-            profile = newton_solve(f_plus, f_minus, grid, step_params,
-                                   degrees, options)
-        except NoConvergence as exc:
+            iters, norm = _newton(sys, lu, f_plus, f_minus, options)
+            if b != params.B:
+                if lu.ipiv is None:     # no Newton iteration factored yet
+                    lu.factor(sys, f_plus, f_minus)
+                tangent = -lu.solve(*sys.residual_dB(f_plus, f_minus))
+        except (NoConvergence, SingularJacobian) as exc:
+            lu.ipiv = None      # the LU of a failed iterate predicts nothing
             exc.B_value = b
             raise
-        iterations.extend(profile.report.iterations)
-        f_plus, f_minus = profile.f_plus, profile.f_minus
+        iterations.append(iters)
+        profile = _profile(sys, f_plus, f_minus, (iters,), norm, options,
+                           t_stage)
         if collect_path:
             path.append(profile)
+        return profile, tangent
+
+    # the B = 0 solve (the whole solve when B is 0) is never retried
+    profile, tangent = stage(0.0, f_plus, f_minus)
+    # B advances in units of 2^-_MAX_HALVINGS equal steps; `size` is the
+    # length of the next step in those units
+    unit = 2 ** _MAX_HALVINGS
+    total = options.continuation_steps * unit if params.B != 0.0 else 0
+    pos, size = 0, unit
+    while pos < total:
+        size = min(size, total - pos)
+        b = (params.B if pos + size == total
+             else params.B * (pos + size) / total)
+        db = b - profile.params.B
+        try:
+            next_profile, next_tangent = stage(
+                b, profile.f_plus + db * tangent[0::2],
+                profile.f_minus + db * tangent[1::2])
+        except (NoConvergence, SingularJacobian):
+            if size == 1:
+                raise
+            size //= 2
+            continue
+        profile, tangent = next_profile, next_tangent
+        pos += size
+        size = min(2 * size, unit)
+
     report = replace(profile.report, iterations=tuple(iterations),
                      wall_time=time.perf_counter() - t0)
     profile = replace(profile, report=report)
@@ -403,8 +500,8 @@ def profile_to_json(profile: Profile) -> str:
         "degrees": profile.degrees.as_dict(),
         "grid": profile.grid.as_dict(),
         "far_field": profile.far_field,
-        "f_plus": [float(v) for v in profile.f_plus],
-        "f_minus": [float(v) for v in profile.f_minus],
+        "f_plus": profile.f_plus.tolist(),
+        "f_minus": profile.f_minus.tolist(),
         "report": profile.report.as_dict(),
     }
     return json.dumps(obj)

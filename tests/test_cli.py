@@ -190,8 +190,16 @@ def test_verify_reports_non_finite_node_as_failed_checks(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "verify", str(bad))
     assert code == 3
     assert stderr == ""
-    checks = {c["check"]: c for c in map(json.loads,
-                                         stdout.strip().splitlines())}
+
+    def no_constants(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    # every line is strict JSON: a non-finite value is printed as a string
+    checks = {c["check"]: c
+              for c in (json.loads(line, parse_constant=no_constants)
+                        for line in stdout.strip().splitlines())}
+    assert checks["residual_norm"]["value"] == "nan"
+    assert checks["residual_norm"]["pass"] is False
     assert checks["hessian_min_eig"]["pass"] is False
     assert "non-finite" in checks["hessian_min_eig"]["value"]
     assert "envelope_sandwich" in checks  # the checks after it still ran

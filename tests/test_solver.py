@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 import glvortex as gv
-from glvortex.solver import SolveOptions, _DiscreteSystem
+from glvortex import solver
+from glvortex.solver import SolveOptions, _BandLU, _DiscreteSystem
 from oracles import scalar_gl_profile
 
 
@@ -171,10 +174,14 @@ def test_continuation_near_hypothesis_boundary(coarse_grid):
 
 
 def test_continuation_path_monotone_for_negative_interaction(coarse_grid):
+    # eight equal steps, none of them halved: B = 0 and the 8 steps
     params = params_of(1, 1, -0.9, 1, 1)
     prof, path = gv.continuation_solve(params, gv.DegreePair(1, 1),
-                                       coarse_grid, collect_path=True)
+                                       coarse_grid,
+                                       SolveOptions(continuation_steps=8),
+                                       collect_path=True)
     assert len(path) == 9
+    assert [p.params.B for p in path] == [-0.9 * k / 8 for k in range(9)]
     for step in path:
         cls = gv.monotonicity_classify(step)
         assert cls.label is gv.MonotonicityLabel.BothNondecreasing
@@ -315,3 +322,159 @@ def test_solve_on_geometric_grid():
     interp = np.interp(geo.nodes, uni.nodes, prof_uni.f_plus)
     assert np.max(np.abs(prof_geo.f_plus - interp)) < 5e-4
     assert gv.quantization_check(prof_geo).relative_gap < 0.01
+
+
+@pytest.mark.parametrize("degrees", [(1, 1), (1, 0), (0, 1)])
+@pytest.mark.parametrize("kind", ["uniform", "geometric"])
+def test_band_lu_step_matches_solve_banded(degrees, kind):
+    # the in-place dgbtrf/dgbtrs step against scipy's solve_banded on the
+    # same Jacobians; the buffers start as NaN and are reused over several
+    # iterates, as in a solve, so every band entry must be rewritten
+    if kind == "uniform":
+        grid = gv.build_grid(30.0, 400)
+    else:
+        grid = gv.build_grid(30.0, 300, "geometric", 1.01)
+    params = params_of(1.3, 0.8, 0.6, 1.1, 0.9)
+    deg = gv.DegreePair(*degrees)
+    sys = _DiscreteSystem(grid, params, deg, "robin")
+    lu = _BandLU(grid.N + 1)
+    lu.ab[:] = np.nan
+    lu.rhs[:] = np.nan
+    rng = np.random.default_rng(11)
+    fp, fm = gv.initial_guess(grid, params, deg)
+    for _ in range(3):
+        fp = fp * (1.0 + 0.2 * rng.random(fp.shape))
+        fm = fm * (1.0 + 0.2 * rng.random(fm.shape))
+        gp, gm = sys.residual(fp, fm)
+        lu.factor(sys, fp, fm)
+        step = lu.solve(gp, gm)
+        rhs = np.empty(2 * (grid.N + 1))
+        rhs[0::2] = gp
+        rhs[1::2] = gm
+        ref = solve_banded((2, 2), sys.jacobian_banded(fp, fm), rhs)
+        assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_band_lu_failures_raise_singular_jacobian():
+    g = gv.build_grid(10.0, 20)
+    params = params_of(1, 1, 0, 1, 1)
+    deg = gv.DegreePair(1, 1)
+    sys = _DiscreteSystem(g, params, deg, "robin")
+    assemble = sys.jacobian_banded
+
+    def zero_column(f_plus, f_minus, out):
+        assemble(f_plus, f_minus, out)
+        out[:, 5] = 0.0     # the whole of matrix column 5
+
+    sys.jacobian_banded = zero_column
+    lu = _BandLU(g.N + 1)
+    with pytest.raises(gv.SingularJacobian, match="zero pivot"):
+        lu.factor(sys, np.ones(21), np.ones(21))
+    assert lu.ipiv is None
+    # a NaN start gives a non-finite Newton step
+    nan = np.full(21, np.nan)
+    with pytest.raises(gv.SingularJacobian, match="non-finite"):
+        gv.newton_solve(nan, nan, g, params, deg)
+
+
+def test_failed_step_is_halved_and_converges(coarse_grid):
+    # four Newton iterations do not reach B = 1.9 in one predicted step from
+    # B = 0, but do from B = 0.95
+    params = params_of(1, 4, 1.9, 1, 1)
+    deg = gv.DegreePair(1, 1)
+    prof, path = gv.continuation_solve(params, deg, coarse_grid,
+                                       SolveOptions(max_newton_iters=4),
+                                       collect_path=True)
+    assert path[1].params.B == 0.95
+    assert prof.params.B == 1.9
+    assert prof.report.final_residual <= 1e-10
+    assert len(prof.report.iterations) == len(path)
+    ref = gv.continuation_solve(params, deg, coarse_grid,
+                                SolveOptions(continuation_steps=8))
+    assert np.max(np.abs(prof.f_plus - ref.f_plus)) <= 1e-9
+    assert np.max(np.abs(prof.f_minus - ref.f_minus)) <= 1e-9
+
+
+def test_failure_at_zero_interaction_is_not_retried(coarse_grid, monkeypatch):
+    built = []
+
+    class Counting(_DiscreteSystem):
+        def __init__(self, grid, params, *args):
+            built.append(params.B)
+            super().__init__(grid, params, *args)
+
+    monkeypatch.setattr(solver, "_DiscreteSystem", Counting)
+    with pytest.raises(gv.NoConvergence) as info:
+        gv.continuation_solve(params_of(1, 4, 1.9, 1, 1), gv.DegreePair(1, 1),
+                              coarse_grid, SolveOptions(max_newton_iters=3))
+    assert info.value.B_value == 0.0
+    assert built == [0.0]
+    assert len(info.value.history) == 4
+
+
+@pytest.mark.parametrize("error", [gv.NoConvergence, gv.SingularJacobian])
+def test_step_halving_is_capped(coarse_grid, monkeypatch, error):
+    tried = []
+    newton = solver._newton
+
+    def fail_off_zero(sys, lu, f_plus, f_minus, options):
+        if sys.params.B != 0.0:
+            tried.append(sys.params.B)
+            raise error("forced")
+        return newton(sys, lu, f_plus, f_minus, options)
+
+    monkeypatch.setattr(solver, "_newton", fail_off_zero)
+    with pytest.raises(error) as info:
+        gv.continuation_solve(params_of(1, 1, 0.5, 1, 1), gv.DegreePair(1, 1),
+                              coarse_grid)
+    assert tried == [0.5 / 2 ** k for k in range(solver._MAX_HALVINGS + 1)]
+    assert info.value.B_value == tried[-1]
+
+
+def test_positivity_failure_carries_history():
+    # from a negative constant start Newton converges to the negative
+    # constant state, which the positivity check rejects
+    g = gv.build_grid(30.0, 300)
+    start = np.full(301, -0.8)
+    with pytest.raises(gv.NoConvergence, match="positivity") as info:
+        gv.newton_solve(start, start, g, params_of(1, 1, 0.5, 1, 1),
+                        gv.DegreePair(0, 0))
+    history = info.value.history
+    assert len(history) >= 2
+    assert history[-1] <= 1e-10 < history[0]
+    assert np.all(info.value.f_plus < 0)
+
+
+@st.composite
+def admissible_cases(draw):
+    """Admissible coefficients up to |B| = 0.99 sqrt(A+ A-), windings 0-5,
+    and a uniform grid of at most 600 nodes."""
+    A_plus = draw(st.floats(0.2, 4.0))
+    A_minus = draw(st.floats(0.2, 4.0))
+    B = draw(st.floats(-0.99, 0.99)) * np.sqrt(A_plus * A_minus)
+    params = gv.CouplingParams(A_plus, A_minus, B, draw(st.floats(0.3, 2.0)),
+                               draw(st.floats(0.3, 2.0)))
+    degrees = gv.DegreePair(draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    grid = gv.build_grid(draw(st.floats(10.0, 40.0)),
+                         draw(st.integers(100, 600)))
+    return params, degrees, grid
+
+
+def _solve_or_none(params, degrees, grid, options):
+    try:
+        return gv.continuation_solve(params, degrees, grid, options)
+    except (gv.NoConvergence, gv.SingularJacobian):
+        return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=admissible_cases())
+def test_predicted_step_matches_eight_steps(case):
+    # the positive solution is unique on the admissible set, so the default
+    # predicted step and eight equal steps reach the same profile
+    one = _solve_or_none(*case, SolveOptions())
+    eight = _solve_or_none(*case, SolveOptions(continuation_steps=8))
+    assert (one is None) == (eight is None)
+    if one is not None:
+        assert np.max(np.abs(one.f_plus - eight.f_plus)) <= 1e-8
+        assert np.max(np.abs(one.f_minus - eight.f_minus)) <= 1e-8
