@@ -21,8 +21,9 @@ from .model import (BecParams, CouplingParams, DegreePair, DerivedBounds,
                     HypothesisViolation, NonPositiveDensity, bec_to_gl,
                     derived_bounds, normalize_degrees, validate)
 from .solver import (NoConvergence, Profile, SingularJacobian, SolveOptions,
-                     SolveReport, continuation_solve, initial_guess, jacobian,
-                     newton_solve, profile_from_json, profile_to_json,
-                     residual, residual_norm, uniqueness_probe)
+                     SolveReport, continuation_solve, continuation_sweep,
+                     initial_guess, jacobian, newton_solve, profile_from_json,
+                     profile_to_json, residual, residual_norm,
+                     uniqueness_probe)
 
 __version__ = "0.1.0"

@@ -245,13 +245,6 @@ class DefectSeries:
         return {f"M_{2 * (k + 1)}": str(c)
                 for k, c in enumerate(self.coefficients)}
 
-    def dominance_ok(self) -> bool:
-        """The selection inequalities: M_6 dominates the higher terms."""
-        return _m6_dominates(self.coefficients)
-
-    def sign_definite(self, required_sign: int) -> bool:
-        return _series_sign_definite(self.coefficients, required_sign)
-
 
 def _cubic_basis(u: Fraction) -> tuple:
     """(q^3, p q^2, p^2 q, p^3) for u = p/q: q^3 times (1, u, u^2, u^3)."""

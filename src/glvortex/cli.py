@@ -4,7 +4,8 @@ Structured results go to stdout as JSON (one object per check for `verify`);
 plot data goes to CSV.  Exit codes: 0 success, 1 configuration/parse error,
 2 solver non-convergence, 3 verification failure.  Errors are emitted as a
 JSON object on stderr.  Configs are strict JSON: unknown keys are rejected so
-typos cannot silently change a scientific run.
+typos cannot silently change a scientific run.  The solver does the stepping:
+`solve` and `sweep` each make one solver call and format what it returns.
 """
 
 from __future__ import annotations
@@ -33,16 +34,48 @@ _DEFAULT_VERIFY = {"residual_tol": 1e-10, "quantization_tol": 0.01,
                    "pohozaev_tol": 0.01, "origin_order_tol": 0.05,
                    "bound_tol": 1e-8, "hessian_tol": 1e-8, "tail_a_rel": 0.01,
                    "tail_b_rel": 0.05}
+_ONE_PARAMS = "exactly one of params / bec_params must be present"
 
 
 def _require_keys(obj: dict, allowed: set, where: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false do not count."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _sweep_b_values(sweep: dict, params: model.CouplingParams) -> list:
+    """The B values of a sweep section, each checked against the hypothesis."""
+    _require_keys(sweep, {"b_start", "b_stop", "b_step"}, "sweep")
+    bounds = [sweep.get(k) for k in ("b_start", "b_stop", "b_step")]
+    if not all(map(_is_number, bounds)):
+        raise ConfigError("sweep needs finite numbers b_start, b_stop, b_step")
+    b_start, b_stop, b_step = map(float, bounds)
+    if not (b_start <= b_stop and b_step > 0):
+        raise ConfigError("sweep needs b_start <= b_stop and b_step > 0")
+    n = int(round((b_stop - b_start) / b_step))
+    vals = [b_start + k * b_step for k in range(n + 1)]
+    b_values = [round(v, 12) for v in vals if v <= b_stop + 1e-12]
+    for b in b_values:
+        if not b * b < params.A_plus * params.A_minus:
+            raise ConfigError(f"sweep value B={b} violates "
+                              "B^2 < A_plus*A_minus")
+    return b_values
+
+
 def load_config(path: str | None, args=None) -> dict:
-    """Read and validate a run configuration, applying flag overrides."""
+    """Read and validate a run configuration, applying flag overrides.
+
+    A config with neither params nor bec_params is a verify config: only
+    its verify tolerances and fit window are read.
+    """
     if path is None:
         raise ConfigError("--config is required for this command")
     with open(path) as fh:
@@ -51,10 +84,21 @@ def load_config(path: str | None, args=None) -> dict:
                         "solve", "sweep", "fit_window", "verify"}, "config")
     if raw.get("version") != 1:
         raise ConfigError(f"unsupported config version {raw.get('version')!r}")
-    if ("params" in raw) == ("bec_params" in raw):
-        raise ConfigError("exactly one of params / bec_params must be present")
+    if "params" in raw and "bec_params" in raw:
+        raise ConfigError(_ONE_PARAMS)
+    vdict = dict(_DEFAULT_VERIFY)
+    _require_keys(raw.get("verify", {}), set(_DEFAULT_VERIFY), "verify")
+    vdict.update(raw.get("verify", {}))
+    window = raw.get("fit_window")
+    if window is not None and not (
+            isinstance(window, list) and len(window) == 2
+            and all(map(_is_number, window)) and window[0] < window[1]):
+        raise ConfigError("fit_window must be [r_lo, r_hi] with finite "
+                          f"r_lo < r_hi, got {window!r}")
+    cfg = {"verify": vdict, "fit_window": window}
+    if "params" not in raw and "bec_params" not in raw:
+        return cfg
 
-    cfg = {}
     if "params" in raw:
         cfg["params"] = model.coupling_from_json(raw["params"])
         cfg["epsilon"] = None
@@ -72,32 +116,29 @@ def load_config(path: str | None, args=None) -> dict:
     gdict = dict(_DEFAULT_GRID)
     _require_keys(raw.get("grid", {}), set(_DEFAULT_GRID), "grid")
     gdict.update(raw.get("grid", {}))
+    _require_keys(raw.get("solve", {}), _SOLVE_KEYS, "solve")
     sdict = dict(raw.get("solve", {}))
-    _require_keys(sdict, _SOLVE_KEYS, "solve")
-    vdict = dict(_DEFAULT_VERIFY)
-    _require_keys(raw.get("verify", {}), set(_DEFAULT_VERIFY), "verify")
-    vdict.update(raw.get("verify", {}))
 
-    if args is not None:
-        if getattr(args, "grid_n", None) is not None:
-            gdict["N"] = args.grid_n
-        if getattr(args, "r_max", None) is not None:
-            gdict["R_max"] = args.r_max
-        if getattr(args, "tol", None) is not None:
-            sdict["tolerance"] = args.tol
-        if getattr(args, "far_field", None) is not None:
-            sdict["far_field"] = args.far_field
+    for flag, section, key in (("grid_n", gdict, "N"),
+                               ("r_max", gdict, "R_max"),
+                               ("tol", sdict, "tolerance"),
+                               ("far_field", sdict, "far_field")):
+        if getattr(args, flag, None) is not None:
+            section[key] = getattr(args, flag)
 
     cfg["grid"] = build_grid(gdict["R_max"], int(gdict["N"]), gdict["kind"],
                              gdict.get("stretch"))
     cfg["options"] = solver.SolveOptions(**sdict)
-    cfg["verify"] = vdict
-    cfg["fit_window"] = raw.get("fit_window")
     if "sweep" in raw:
-        sw = raw["sweep"]
-        _require_keys(sw, {"b_start", "b_stop", "b_step"}, "sweep")
-        cfg["sweep"] = (float(sw["b_start"]), float(sw["b_stop"]),
-                        float(sw["b_step"]))
+        cfg["sweep"] = _sweep_b_values(raw["sweep"], cfg["params"])
+    return cfg
+
+
+def _run_config(args) -> dict:
+    """The config of a command that solves: params are required."""
+    cfg = load_config(args.config, args)
+    if "params" not in cfg:
+        raise ConfigError(_ONE_PARAMS)
     return cfg
 
 
@@ -116,18 +157,14 @@ def _emit_error(exc: BaseException):
 
 def cmd_solve(args) -> int:
     try:
-        cfg = load_config(args.config, args)
-    except (ConfigError, OSError, ValueError, model.HypothesisViolation,
-            model.NonPositiveDensity, json.JSONDecodeError) as exc:
+        cfg = _run_config(args)
+    except (OSError, ValueError) as exc:
         _emit_error(exc)
         return 1
     try:
         profile = solver.continuation_solve(cfg["params"], cfg["degrees"],
                                             cfg["grid"], cfg["options"])
-    except solver.NoConvergence as exc:
-        _emit_error(exc)
-        return 2
-    except solver.SingularJacobian as exc:
+    except (solver.NoConvergence, solver.SingularJacobian) as exc:
         _emit_error(exc)
         return 2
     out = args.out or "profile.json"
@@ -136,7 +173,7 @@ def cmd_solve(args) -> int:
     q = diagnostics.quantization_check(profile)
     summary = {
         "out": out,
-        "converged": profile.report.converged,
+        "converged": True,
         "residual_norm": profile.report.final_residual,
         "iterations": list(profile.report.iterations),
         "wall_time": profile.report.wall_time,
@@ -153,69 +190,41 @@ def cmd_solve(args) -> int:
 # sweep
 
 
-def _sweep_b_values(b_start: float, b_stop: float, b_step: float):
-    if b_step <= 0:
-        raise ConfigError("b_step must be positive")
-    n = int(round((b_stop - b_start) / b_step))
-    vals = [b_start + k * b_step for k in range(n + 1)]
-    return [round(v, 12) for v in vals if v <= b_stop + 1e-12]
+def _sweep_record(params, degrees, b, result) -> dict:
+    """The record of one swept B: result is its profile or its failure."""
+    tail = asymptotics.leading_coeffs(dataclasses.replace(params, B=b),
+                                      degrees)
+    if isinstance(result, solver.Profile):
+        try:
+            return {"B": b, "converged": True,
+                    "class":
+                        diagnostics.monotonicity_classify(result).label.value,
+                    "a_plus": tail.a_plus, "a_minus": tail.a_minus,
+                    "quantization_gap":
+                        diagnostics.quantization_check(result).relative_gap,
+                    "hessian_min_eig":
+                        diagnostics.second_variation_min_eig(result)}
+        except diagnostics.EigenFailure as exc:
+            result = exc
+    return {"B": b, "converged": False, "class": None,
+            "a_plus": tail.a_plus, "a_minus": tail.a_minus,
+            "quantization_gap": None, "hessian_min_eig": None,
+            "error": str(result)}
 
 
 def cmd_sweep(args) -> int:
     try:
-        cfg = load_config(args.config, args)
+        cfg = _run_config(args)
         if "sweep" not in cfg:
             raise ConfigError("sweep command needs a sweep section")
-    except (ConfigError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         _emit_error(exc)
         return 1
-    base = cfg["params"]
-    b_values = _sweep_b_values(*cfg["sweep"])
-    for b in b_values:
-        if not b * b < base.A_plus * base.A_minus:
-            _emit_error(ConfigError(f"sweep value B={b} violates "
-                                    "B^2 < A_plus*A_minus"))
-            return 1
-
-    # warm-start chains: away from the decoupled system in both directions
-    records = {}
-    for chain in ([b for b in b_values if b >= 0.0],
-                  [b for b in b_values if b < 0.0]):
-        start = None
-        for b in sorted(chain, key=abs):
-            params = model.CouplingParams(base.A_plus, base.A_minus, b,
-                                          base.t_plus, base.t_minus)
-            tail = asymptotics.leading_coeffs(params, cfg["degrees"])
-            try:
-                if start is None:
-                    prof = solver.continuation_solve(params, cfg["degrees"],
-                                                     cfg["grid"], cfg["options"])
-                else:
-                    prof = solver.newton_solve(start[0], start[1], cfg["grid"],
-                                               params, cfg["degrees"],
-                                               cfg["options"])
-                start = (prof.f_plus, prof.f_minus)
-                records[b] = {
-                    "B": b,
-                    "converged": True,
-                    "class": diagnostics.monotonicity_classify(prof).label.value,
-                    "a_plus": tail.a_plus,
-                    "a_minus": tail.a_minus,
-                    "quantization_gap":
-                        diagnostics.quantization_check(prof).relative_gap,
-                    "hessian_min_eig":
-                        diagnostics.second_variation_min_eig(prof),
-                }
-            except (solver.NoConvergence, solver.SingularJacobian,
-                    diagnostics.EigenFailure) as exc:
-                start = None
-                records[b] = {"B": b, "converged": False,
-                              "class": None, "a_plus": tail.a_plus,
-                              "a_minus": tail.a_minus,
-                              "quantization_gap": None,
-                              "hessian_min_eig": None,
-                              "error": str(exc)}
-    ordered = [records[b] for b in b_values]
+    results = solver.continuation_sweep(cfg["params"], cfg["degrees"],
+                                        cfg["sweep"], cfg["grid"],
+                                        cfg["options"])
+    ordered = [_sweep_record(cfg["params"], cfg["degrees"], b, result)
+               for b, result in zip(cfg["sweep"], results)]
     nondecr = [r["B"] for r in ordered
                if r["converged"] and r["class"] == "BothNondecreasing"]
     result = {"records": ordered,
@@ -228,16 +237,14 @@ def cmd_sweep(args) -> int:
         csv_path = args.out.rsplit(".", 1)[0] + ".csv"
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["B", "converged", "class", "a_plus", "a_minus",
-                             "quantization_gap", "hessian_min_eig"])
+            numbers = ("a_plus", "a_minus", "quantization_gap",
+                       "hessian_min_eig")
+            writer.writerow(["B", "converged", "class", *numbers])
             for rec in ordered:
-                writer.writerow([
-                    _fmt(rec["B"]), rec["converged"], rec["class"] or "",
-                    _fmt(rec["a_plus"]), _fmt(rec["a_minus"]),
-                    "" if rec["quantization_gap"] is None
-                    else _fmt(rec["quantization_gap"]),
-                    "" if rec["hessian_min_eig"] is None
-                    else _fmt(rec["hessian_min_eig"])])
+                writer.writerow(
+                    [_fmt(rec["B"]), rec["converged"], rec["class"] or ""]
+                    + ["" if rec[k] is None else _fmt(rec[k])
+                       for k in numbers])
     return 0
 
 
@@ -318,34 +325,17 @@ def _verify_checks(profile: solver.Profile, vcfg: dict, fit_window=None):
     return checks
 
 
-def _load_verify_config(path: str):
-    """Tolerance overrides for verify: a full run config or just the
-    verify/fit_window sections."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    _require_keys(raw, {"version", "params", "bec_params", "degrees", "grid",
-                        "solve", "sweep", "fit_window", "verify"}, "config")
-    if raw.get("version") != 1:
-        raise ConfigError(f"unsupported config version {raw.get('version')!r}")
-    vdict = dict(_DEFAULT_VERIFY)
-    _require_keys(raw.get("verify", {}), set(_DEFAULT_VERIFY), "verify")
-    vdict.update(raw.get("verify", {}))
-    window = raw.get("fit_window")
-    return vdict, tuple(window) if window else None
-
-
 def cmd_verify(args) -> int:
-    vcfg = dict(_DEFAULT_VERIFY)
-    fit_window = None
+    cfg = {"verify": _DEFAULT_VERIFY, "fit_window": None}
     try:
         if args.config:
-            vcfg, fit_window = _load_verify_config(args.config)
+            cfg = load_config(args.config)
         with open(args.profile) as fh:
             profile = solver.profile_from_json(fh.read())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         _emit_error(exc)
         return 1
-    checks = _verify_checks(profile, vcfg, fit_window)
+    checks = _verify_checks(profile, cfg["verify"], cfg["fit_window"])
     for c in checks:
         print(json.dumps(c))
     return 0 if all(c["pass"] for c in checks) else 3
@@ -357,8 +347,8 @@ def cmd_verify(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     try:
-        cfg = load_config(args.config, args)
-    except (ConfigError, OSError, ValueError, json.JSONDecodeError) as exc:
+        cfg = _run_config(args)
+    except (OSError, ValueError) as exc:
         _emit_error(exc)
         return 1
     params, degrees = cfg["params"], cfg["degrees"]
@@ -373,10 +363,8 @@ def cmd_asymptotics(args) -> int:
             branch: {"plus": plus.as_strings(), "minus": minus.as_strings()}
             for branch, (plus, minus) in spec.series}
     except asymptotics.SelectionFailed as exc:
-        out["delta"] = None
-        out["R"] = None
-        out["M_coefficients"] = None
-        out["selection_error"] = str(exc)
+        out.update(delta=None, R=None, M_coefficients=None,
+                   selection_error=str(exc))
     print(json.dumps(out))
     return 0
 
@@ -388,16 +376,12 @@ def cmd_asymptotics(args) -> int:
 def _export_rows(profile: solver.Profile, what: str):
     r = profile.grid.nodes
     if what == "profiles":
-        header = ["r", "f_plus", "f_minus"]
-        cols = [r, profile.f_plus, profile.f_minus]
-        mask = np.ones_like(r, dtype=bool)
-    elif what == "slopes":
-        header = ["r", "df_plus", "df_minus"]
-        cols = [r,
-                np.gradient(profile.f_plus, r, edge_order=2),
-                np.gradient(profile.f_minus, r, edge_order=2)]
-        mask = np.ones_like(r, dtype=bool)
-    elif what == "tail":
+        return ["r", "f_plus", "f_minus"], [r, profile.f_plus, profile.f_minus]
+    if what == "slopes":
+        return ["r", "df_plus", "df_minus"], [
+            r, np.gradient(profile.f_plus, r, edge_order=2),
+            np.gradient(profile.f_minus, r, edge_order=2)]
+    if what == "tail":
         tail = asymptotics.leading_coeffs(profile.params, profile.degrees)
         mask = r > 0
         rr = r[mask]
@@ -409,7 +393,7 @@ def _export_rows(profile: solver.Profile, what: str):
                 (yp - tail.a_plus / rr ** 2) * rr ** 4,
                 (ym - tail.a_minus / rr ** 2) * rr ** 4]
         return header, cols
-    elif what == "envelope":
+    if what == "envelope":
         spec = asymptotics.select_envelope(profile.params, profile.degrees)
         mask = r >= spec.R
         rr = r[mask]
@@ -420,10 +404,7 @@ def _export_rows(profile: solver.Profile, what: str):
         cols = [rr, bounds["plus"][0], profile.f_plus[mask], bounds["plus"][1],
                 bounds["minus"][0], profile.f_minus[mask], bounds["minus"][1]]
         return header, cols
-    else:
-        raise ConfigError(f"unknown export kind {what!r}")
-    cols = [np.asarray(c)[mask] for c in cols]
-    return header, cols
+    raise ConfigError(f"unknown export kind {what!r}")
 
 
 def cmd_export(args) -> int:
@@ -437,7 +418,7 @@ def cmd_export(args) -> int:
             writer.writerow(header)
             for row in zip(*cols):
                 writer.writerow([_fmt(v) for v in row])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError,
+    except (OSError, ValueError, KeyError,
             asymptotics.SelectionFailed) as exc:
         _emit_error(exc)
         return 1

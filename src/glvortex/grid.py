@@ -98,27 +98,22 @@ def build_grid(R_max: float, N: int, kind: str = "uniform",
 
 def quadrature(grid: RadialGrid, samples: np.ndarray) -> float:
     """Trapezoid approximation of the integral of g(r) r dr over the mesh."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != grid.nodes.shape:
-        raise LengthMismatch(
-            f"expected {grid.nodes.shape[0]} samples, got {samples.shape}")
-    return float(np.dot(grid.weights, samples))
+    return quadrature_upto(grid, samples, grid.R_max)
 
 
 def quadrature_upto(grid: RadialGrid, samples: np.ndarray, R: float) -> float:
-    """Same as quadrature but truncated to nodes with r <= R."""
+    """Trapezoid approximation of the integral of g(r) r dr over the nodes
+    with r <= R."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape != grid.nodes.shape:
         raise LengthMismatch(
             f"expected {grid.nodes.shape[0]} samples, got {samples.shape}")
-    if R >= grid.R_max:
-        return quadrature(grid, samples)
     i = int(np.searchsorted(grid.nodes, R, side="right")) - 1
-    r = grid.nodes[:i + 1]
-    h = np.diff(r)
-    w = np.zeros_like(r)
-    w[:-1] += 0.5 * h * r[:-1]
-    w[1:] += 0.5 * h * r[1:]
+    w = grid.weights[:i + 1]
+    if 0 < i < grid.N:
+        # the cut node keeps only its left half-cell
+        w = w.copy()
+        w[-1] = 0.5 * (grid.nodes[i] - grid.nodes[i - 1]) * grid.nodes[i]
     return float(np.dot(w, samples[:i + 1]))
 
 
@@ -193,10 +188,6 @@ class RadialOperator:
             out[-1] = (-(flux_out - flux[-1]) / (r[-1] * hN)
                        + self.n ** 2 / r[-1] ** 2 * u[-1])
         return out
-
-    def interior_residual(self, u: np.ndarray) -> np.ndarray:
-        """Rows 1..N-1 of apply(u); kernel test helper."""
-        return self.apply(u)[1:-1]
 
 
 def radial_operator(grid: RadialGrid, n: int, bc_zero: str | None = None,

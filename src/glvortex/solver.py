@@ -2,24 +2,25 @@
 
 The discretized system interleaves the two components per node, so the exact
 Jacobian is banded with two sub/super-diagonals and a banded LU solve costs
-O(N).  Each solve owns one LAPACK band buffer: every Newton iteration writes
-the Jacobian into it and factors it in place (`dgbtrf`), and the step is
-solved in place in one right-hand-side vector (`dgbtrs`).
+O(N).  A solve or sweep owns one LAPACK band buffer: each Newton iteration
+writes the Jacobian into it and factors it in place (`dgbtrf`), and the
+step is solved in place in one right-hand-side vector (`dgbtrs`).
 
 Globalization is by backtracking on the residual sup-norm plus continuation
 in the interaction coefficient B from the decoupled system (B = 0), whose
-components are independent scalar Ginzburg-Landau profiles.  The
-continuation first tries `continuation_steps` equal B-steps (one by
-default).  Each step starts from the tangent predictor f + ΔB·ḟ, where
-J ḟ = -∂G/∂B is solved on the LU of the previous step's last Newton
-iteration, so the predictor costs no extra factorization.  A step that
-fails is halved and retried from the last converged profile, and after a
-success the step length doubles again, up to the equal step; a step halved
-_MAX_HALVINGS times that still fails ends the solve.  The positive solution
-is unique on the admissible set, so the path and the direct step reach the
-same profile.  Positivity is not enforced during iteration, only verified at
-convergence: the continuum solution is strictly positive and projections
-would break Newton's local theory.
+components are independent scalar Ginzburg-Landau profiles.  One engine,
+`continuation_sweep`, steps B for every caller; `continuation_solve` is its
+one-target call.  Each leg from a converged B to the next target first
+tries `continuation_steps` equal B-steps (one by default).  Each step
+starts from the tangent predictor f + ΔB·ḟ, where J ḟ = -∂G/∂B is solved on
+the LU of the previous step's last Newton iteration, so the predictor costs
+no extra factorization.  A step that fails is halved and retried from the
+last converged profile, and after a success the step length doubles again,
+up to the equal step; a step halved _MAX_HALVINGS times that still fails
+ends the leg.  The positive solution is unique on the admissible set, so
+every path reaches the same profile.  Positivity is not enforced during
+iteration, only verified at convergence: the continuum solution is strictly
+positive and projections would break Newton's local theory.
 
 All inputs are immutable; a solve owns its output arrays and its work
 buffers, so independent solves can run concurrently.
@@ -27,10 +28,11 @@ buffers, so independent solves can run concurrently.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -40,8 +42,10 @@ from .grid import RadialGrid, build_grid, radial_operator
 from .model import CouplingParams, DegreePair, validate
 
 
-class NoConvergence(RuntimeError):
-    """Newton failed; carries the best iterate and the residual history."""
+class _SolveFailure(RuntimeError):
+    """A failed solve attempt with the iterate it stopped at and its
+    residual history; B_value is set by the continuation, at the B where
+    the attempt failed."""
 
     def __init__(self, message, f_plus=None, f_minus=None, history=None,
                  B_value=None):
@@ -51,17 +55,23 @@ class NoConvergence(RuntimeError):
         self.history = history or []
         self.B_value = B_value
 
+    @property
+    def iterations(self) -> int:
+        """Newton iterations the attempt completed before it failed."""
+        return max(len(self.history) - 1, 0)
 
-class SingularJacobian(RuntimeError):
+
+class NoConvergence(_SolveFailure):
+    """Newton failed; carries the best iterate and the residual history."""
+
+
+class SingularJacobian(_SolveFailure):
     """The banded LU factorization of the Jacobian broke down, or gave a
-    non-finite Newton step.  B_value is set when continuation_solve raises
-    it."""
-
-    B_value = None
+    non-finite Newton step."""
 
 
 # A continuation step is halved at most this many times below the equal
-# step before the failure ends the solve.
+# step before the failure ends the leg.
 _MAX_HALVINGS = 6
 
 
@@ -70,7 +80,7 @@ class SolveOptions:
     tolerance: float = 1e-10           # sup-norm of the discrete residual
     max_newton_iters: int = 50
     damping: float = 0.5               # backtracking factor in (0, 1)
-    continuation_steps: int = 1        # equal B-steps tried first
+    continuation_steps: int = 1        # equal B-steps tried first per leg
     far_field: str = "robin"           # "robin" (tail-slope row) or "dirichlet"
 
     def __post_init__(self):
@@ -86,19 +96,13 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: tuple            # Newton iterations per continuation step
+    iterations: tuple            # Newton iterations per attempted stage
     final_residual: float
     tolerance: float
-    converged: bool
     wall_time: float
 
     def as_dict(self):
-        return {"iterations": list(self.iterations),
-                "final_residual": self.final_residual,
-                "tolerance": self.tolerance,
-                "converged": self.converged,
-                "wall_time": self.wall_time}
-
+        return asdict(self)
 
 @dataclass(frozen=True)
 class Profile:
@@ -260,8 +264,7 @@ def residual(profile: Profile):
 
 
 def residual_norm(profile: Profile) -> float:
-    g_plus, g_minus = residual(profile)
-    return float(max(np.max(np.abs(g_plus)), np.max(np.abs(g_minus))))
+    return _sup_norm(*residual(profile))
 
 
 def jacobian(profile: Profile):
@@ -295,7 +298,7 @@ def newton_solve(f_plus0, f_minus0, grid: RadialGrid, params: CouplingParams,
 
 def _profile(sys, f_plus, f_minus, iterations, norm, options, t0) -> Profile:
     report = SolveReport(iterations=iterations, final_residual=norm,
-                         tolerance=options.tolerance, converged=True,
+                         tolerance=options.tolerance,
                          wall_time=time.perf_counter() - t0)
     return Profile(grid=sys.grid, params=sys.params, degrees=sys.degrees,
                    f_plus=f_plus, f_minus=f_minus, report=report,
@@ -310,7 +313,8 @@ def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
     """In-place Newton iteration on the LU buffers `lu`, followed by the
     positivity check; returns (iterations, residual norm).  On success `lu`
     holds the LU of the last iteration's Jacobian (none if no iteration
-    ran)."""
+    ran).  A failure carries the residual history: the starting residual
+    and one entry per completed iteration."""
     history = []
     g_plus, g_minus = sys.residual(f_plus, f_minus)
     norm = _sup_norm(g_plus, g_minus)
@@ -326,8 +330,9 @@ def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
             lu.factor(sys, f_plus, f_minus)
             step = lu.solve(g_plus, g_minus)
         except SingularJacobian as exc:
-            raise SingularJacobian(
-                f"Newton step failed at iteration {it}: {exc}") from exc
+            exc.args = (f"Newton step failed at iteration {it}: {exc}",)
+            exc.history = history
+            raise
         alpha = 1.0
         while True:
             cand_plus = f_plus - alpha * step[0::2]
@@ -356,85 +361,119 @@ def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
     return it, norm
 
 
-def continuation_solve(params: CouplingParams, degrees: DegreePair,
+def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
                        grid: RadialGrid | None = None,
-                       options: SolveOptions = SolveOptions(),
-                       collect_path: bool = False):
-    """Path-following solve: decoupled system first, then step B to the target.
+                       options: SolveOptions = SolveOptions()) -> list:
+    """Solve at every B in b_values, the other coefficients taken from params.
 
-    Tries `options.continuation_steps` equal B-steps, each from the tangent
-    predictor at the last converged profile; a failed step is halved and
-    retried from that profile, at most _MAX_HALVINGS times below the equal
-    step, and the step doubles again after each success.  The B = 0 solve is never retried.
-    Failures propagate as NoConvergence or SingularJacobian tagged with the
-    failing B value.  With collect_path=True the profiles at every converged
-    B are returned as well.
+    Returns one entry per B, in input order: the Profile, or the
+    NoConvergence/SingularJacobian raised at that B.  B = 0 is solved once
+    and never retried, so its failure is every entry.  From it one chain
+    walks the values B >= 0 and another the values B < 0, each in order of
+    |B|, one leg per value; a failed leg sends its chain back to the B = 0
+    profile and tangent.  A profile's report lists the Newton iterations of
+    every stage attempted since the previous profile returned, failed
+    stages included, and the time they took.
     """
-    validate(params)
-    t0 = time.perf_counter()
+    for b in b_values:
+        validate(replace(params, B=b))
     if grid is None:
         grid = build_grid(80.0, 4000)
     lu = _BandLU(grid.N + 1)
-    f_plus, f_minus = initial_guess(grid, params, degrees)
-    path = []
-    iterations = []
+    stages = []                 # Newton iterations since the last profile out
+    t_out = time.perf_counter()
 
-    def stage(b, f_plus, f_minus):
+    def stage(b, f_plus, f_minus, want_tangent):
         """Newton solve at B = b, whose profile takes over the arrays; then,
-        unless b is the target, the tangent there from the kept LU."""
-        t_stage = time.perf_counter()
+        when wanted, the tangent there from the kept LU."""
         sys = _DiscreteSystem(grid, replace(params, B=b), degrees,
                               options.far_field)
-        tangent = None
+        iters, tangent = None, None
         try:
             iters, norm = _newton(sys, lu, f_plus, f_minus, options)
-            if b != params.B:
+            if want_tangent:
                 if lu.ipiv is None:     # no Newton iteration factored yet
                     lu.factor(sys, f_plus, f_minus)
                 tangent = -lu.solve(*sys.residual_dB(f_plus, f_minus))
-        except (NoConvergence, SingularJacobian) as exc:
+        except _SolveFailure as exc:
             lu.ipiv = None      # the LU of a failed iterate predicts nothing
             exc.B_value = b
+            stages.append(exc.iterations if iters is None else iters)
             raise
-        iterations.append(iters)
-        profile = _profile(sys, f_plus, f_minus, (iters,), norm, options,
-                           t_stage)
-        if collect_path:
-            path.append(profile)
+        stages.append(iters)
+        return (_profile(sys, f_plus, f_minus, (iters,), norm, options,
+                         t_out), tangent)
+
+    def leg(profile, tangent, target, want_tangent):
+        # B advances in units of 2^-_MAX_HALVINGS equal steps; `size` is the
+        # length of the next step in those units
+        unit = 2 ** _MAX_HALVINGS
+        total = options.continuation_steps * unit
+        b_start = profile.params.B
+        pos, size = 0, unit
+        while pos < total:
+            size = min(size, total - pos)
+            last = pos + size == total
+            b = (target if last
+                 else b_start + (target - b_start) * (pos + size) / total)
+            db = b - profile.params.B
+            try:
+                next_profile, next_tangent = stage(
+                    b, profile.f_plus + db * tangent[0::2],
+                    profile.f_minus + db * tangent[1::2],
+                    want_tangent or not last)
+            except _SolveFailure:
+                if size == 1:
+                    raise
+                size //= 2
+                continue
+            profile, tangent = next_profile, next_tangent
+            pos += size
+            size = min(2 * size, unit)
         return profile, tangent
 
-    # the B = 0 solve (the whole solve when B is 0) is never retried
-    profile, tangent = stage(0.0, f_plus, f_minus)
-    # B advances in units of 2^-_MAX_HALVINGS equal steps; `size` is the
-    # length of the next step in those units
-    unit = 2 ** _MAX_HALVINGS
-    total = options.continuation_steps * unit if params.B != 0.0 else 0
-    pos, size = 0, unit
-    while pos < total:
-        size = min(size, total - pos)
-        b = (params.B if pos + size == total
-             else params.B * (pos + size) / total)
-        db = b - profile.params.B
-        try:
-            next_profile, next_tangent = stage(
-                b, profile.f_plus + db * tangent[0::2],
-                profile.f_minus + db * tangent[1::2])
-        except (NoConvergence, SingularJacobian):
-            if size == 1:
-                raise
-            size //= 2
-            continue
-        profile, tangent = next_profile, next_tangent
-        pos += size
-        size = min(2 * size, unit)
+    # a failure is kept without its traceback, whose frames would pin the
+    # solve buffers and, through this frame, the results that hold it
+    try:
+        origin = stage(0.0, *initial_guess(grid, params, degrees),
+                       any(b != 0.0 for b in b_values))
+    except _SolveFailure as exc:
+        return [exc.with_traceback(None)] * len(b_values)
+    results = [None] * len(b_values)
+    for chain in ([i for i, b in enumerate(b_values) if b >= 0.0],
+                  [i for i, b in enumerate(b_values) if b < 0.0]):
+        chain.sort(key=lambda i: abs(b_values[i]))
+        profile, tangent = origin
+        for k, i in enumerate(chain):
+            try:
+                if b_values[i] != profile.params.B:
+                    profile, tangent = leg(profile, tangent, b_values[i],
+                                           k + 1 < len(chain))
+            except _SolveFailure as exc:
+                results[i] = exc.with_traceback(None)
+                profile, tangent = origin
+                continue
+            report = replace(profile.report, iterations=tuple(stages),
+                             wall_time=time.perf_counter() - t_out)
+            results[i] = replace(profile, report=report)
+            stages.clear()
+            t_out = time.perf_counter()
+    return results
 
-    report = replace(profile.report, iterations=tuple(iterations),
-                     wall_time=time.perf_counter() - t0)
-    profile = replace(profile, report=report)
-    if collect_path:
-        path[-1] = profile
-        return profile, path
-    return profile
+
+def continuation_solve(params: CouplingParams, degrees: DegreePair,
+                       grid: RadialGrid | None = None,
+                       options: SolveOptions = SolveOptions()) -> Profile:
+    """Path-following solve from the decoupled system to params.B: the
+    one-target call of continuation_sweep.  A failure propagates as the
+    NoConvergence or SingularJacobian tagged with the failing B value."""
+    result, = continuation_sweep(params, degrees, [params.B], grid, options)
+    if isinstance(result, Profile):
+        return result
+    try:
+        raise result
+    finally:
+        del result      # the traceback holds this frame
 
 
 def uniqueness_probe(params: CouplingParams, degrees: DegreePair,
@@ -473,20 +512,14 @@ def uniqueness_probe(params: CouplingParams, degrees: DegreePair,
         try:
             solutions.append(newton_solve(fp0, fm0, grid, params, degrees,
                                           options))
-        except (NoConvergence, SingularJacobian) as exc:
+        except _SolveFailure as exc:
             errors.append(exc)
     if len(solutions) < 2:
         raise NoConvergence(
             f"uniqueness probe: only {len(solutions)} of {seed_count} seeds "
             f"converged ({[str(e) for e in errors]})")
-    worst = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            d = max(
-                float(np.max(np.abs(solutions[i].f_plus - solutions[j].f_plus))),
-                float(np.max(np.abs(solutions[i].f_minus - solutions[j].f_minus))))
-            worst = max(worst, d)
-    return worst
+    return max(_sup_norm(a.f_plus - b.f_plus, a.f_minus - b.f_minus)
+               for a, b in itertools.combinations(solutions, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +550,6 @@ def profile_from_json(text: str) -> Profile:
     report = SolveReport(iterations=tuple(rep["iterations"]),
                          final_residual=rep["final_residual"],
                          tolerance=rep["tolerance"],
-                         converged=rep["converged"],
                          wall_time=rep["wall_time"])
     f_plus = np.asarray(obj["f_plus"], dtype=float)
     f_minus = np.asarray(obj["f_minus"], dtype=float)

@@ -41,7 +41,7 @@ def synthetic_profile(grid, params, degrees, tail):
     fp = params.t_plus + tail.a_plus / r ** 2 + tail.b_plus / r ** 4
     fm = params.t_minus + tail.a_minus / r ** 2 + tail.b_minus / r ** 4
     report = SolveReport(iterations=(0,), final_residual=0.0, tolerance=1e-10,
-                         converged=True, wall_time=0.0)
+                         wall_time=0.0)
     return Profile(grid=grid, params=params, degrees=degrees, f_plus=fp,
                    f_minus=fm, report=report)
 

@@ -111,6 +111,20 @@ def test_config_strictness(tmp_path, capsys):
     assert "exactly one" in json.loads(stderr)["message"]
 
 
+def test_config_sections_must_be_objects(tmp_path, capsys):
+    for section in ({"grid": 5}, {"solve": ["tolerance"]}, {"degrees": None},
+                    {"verify": 1e-10}):
+        cfg = write_config(tmp_path / "cfg.json", **section)
+        code, _, stderr = run(capsys, "solve", "--config", str(cfg))
+        assert code == 1
+        assert "must be a JSON object" in json.loads(stderr)["message"]
+    (tmp_path / "list.json").write_text("[1]")
+    code, _, stderr = run(capsys, "solve", "--config",
+                          str(tmp_path / "list.json"))
+    assert code == 1
+    assert json.loads(stderr)["error"] == "ConfigError"
+
+
 def test_bec_config_variant(tmp_path, capsys):
     cfg = {
         "version": 1,
@@ -291,6 +305,50 @@ def test_sweep_rejects_range_outside_hypothesis(tmp_path, capsys):
     code, _, stderr = run(capsys, "sweep", "--config", str(cfg))
     assert code == 1
     assert "violates" in json.loads(stderr)["message"]
+
+
+@pytest.mark.parametrize("sweep", [
+    {"b_start": -0.1, "b_stop": 0.1, "b_step": 0.0},
+    {"b_start": -0.1, "b_stop": 0.1, "b_step": float("nan")},
+    {"b_start": -0.1, "b_stop": float("inf"), "b_step": 0.1},
+    {"b_start": 0.1, "b_stop": -0.1, "b_step": 0.1},
+    {"b_start": -0.1, "b_stop": 0.1},
+    ["b_start", "b_stop", "b_step"],
+])
+def test_sweep_rejects_bad_range(tmp_path, capsys, sweep):
+    cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
+    code, stdout, stderr = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 1
+    assert stdout == ""
+    assert json.loads(stderr)["error"] == "ConfigError"
+
+
+def test_verify_config_without_params(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", grid={"R_max": 40.0, "N": 400})
+    prof = tmp_path / "p.json"
+    run(capsys, "solve", "--config", str(cfg), "--out", str(prof))
+    vcfg = tmp_path / "v.json"
+    vcfg.write_text(json.dumps({"version": 1, "fit_window": [10.0, 30.0],
+                                "verify": {"residual_tol": 1e-9}}))
+    code, stdout, _ = run(capsys, "verify", str(prof), "--config", str(vcfg))
+    checks = {c["check"]: c for c in map(json.loads,
+                                         stdout.strip().splitlines())}
+    assert code in (0, 3)
+    assert checks["residual_norm"]["tolerance"] == 1e-9
+    # the commands that solve need params
+    for command in ("solve", "sweep", "asymptotics"):
+        code, _, stderr = run(capsys, command, "--config", str(vcfg))
+        assert code == 1
+        assert "exactly one" in json.loads(stderr)["message"]
+    # a fit window must be two finite numbers in increasing order
+    for window in ([10.0], ["a", "b"], [30.0, 10.0], [10.0, float("nan")],
+                   [True, 30.0], 20.0):
+        vcfg.write_text(json.dumps({"version": 1, "fit_window": window}))
+        code, stdout, stderr = run(capsys, "verify", str(prof),
+                                   "--config", str(vcfg))
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(stderr)["error"] == "ConfigError"
 
 
 def test_asymptotics_report(tmp_path, capsys):

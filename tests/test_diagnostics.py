@@ -13,7 +13,7 @@ from oracles import (hessian_band_loop, scalar_gl_profile,
 
 def make_profile(grid, params, degrees, f_plus, f_minus):
     report = SolveReport(iterations=(0,), final_residual=0.0,
-                         tolerance=1e-10, converged=True, wall_time=0.0)
+                         tolerance=1e-10, wall_time=0.0)
     return Profile(grid=grid, params=params, degrees=degrees,
                    f_plus=np.asarray(f_plus, float),
                    f_minus=np.asarray(f_minus, float), report=report)

@@ -1,4 +1,6 @@
+import gc
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,7 +139,6 @@ def test_newton_converges_from_ansatz_within_ten_iterations(default_grid):
     deg = gv.DegreePair(1, 1)
     fp, fm = gv.initial_guess(default_grid, params, deg)
     prof = gv.newton_solve(fp, fm, default_grid, params, deg)
-    assert prof.report.converged
     assert prof.report.iterations[0] <= 10
     assert prof.report.final_residual <= 1e-10
 
@@ -174,18 +175,21 @@ def test_continuation_near_hypothesis_boundary(coarse_grid):
 
 
 def test_continuation_path_monotone_for_negative_interaction(coarse_grid):
-    # eight equal steps, none of them halved: B = 0 and the 8 steps
+    # the sweep through B = -0.9 k/8 walks the path of eight equal steps,
+    # none of them halved: B = 0 and the 8 steps
     params = params_of(1, 1, -0.9, 1, 1)
-    prof, path = gv.continuation_solve(params, gv.DegreePair(1, 1),
-                                       coarse_grid,
-                                       SolveOptions(continuation_steps=8),
-                                       collect_path=True)
-    assert len(path) == 9
-    assert [p.params.B for p in path] == [-0.9 * k / 8 for k in range(9)]
+    b_values = [-0.9 * k / 8 for k in range(9)]
+    path = gv.continuation_sweep(params, gv.DegreePair(1, 1), b_values,
+                                 coarse_grid)
+    assert [p.params.B for p in path] == b_values
     for step in path:
         cls = gv.monotonicity_classify(step)
         assert cls.label is gv.MonotonicityLabel.BothNondecreasing
+    prof = gv.continuation_solve(params, gv.DegreePair(1, 1), coarse_grid,
+                                 SolveOptions(continuation_steps=8))
     assert np.array_equal(path[-1].f_plus, prof.f_plus)
+    assert np.array_equal(path[-1].f_minus, prof.f_minus)
+    assert len(prof.report.iterations) == 9
 
 
 def test_amplitude_bound_holds_on_converged_profiles(coarse_grid):
@@ -285,6 +289,25 @@ def test_profile_json_roundtrip(coarse_grid):
     assert gv.profile_to_json(back) == text
 
 
+def test_profile_json_with_converged_field_loads(coarse_grid):
+    # files written while the report still carried its always-true
+    # "converged" field load to the same profile
+    params = params_of(1, 1, 0.5, 1, 1)
+    prof = gv.continuation_solve(params, gv.DegreePair(1, 1), coarse_grid)
+    obj = json.loads(gv.profile_to_json(prof))
+    rep = obj["report"]
+    assert list(rep) == ["iterations", "final_residual", "tolerance",
+                         "wall_time"]
+    obj["report"] = {"iterations": rep["iterations"],
+                     "final_residual": rep["final_residual"],
+                     "tolerance": rep["tolerance"], "converged": True,
+                     "wall_time": rep["wall_time"]}
+    back = gv.profile_from_json(json.dumps(obj))
+    assert back.report == prof.report
+    assert np.array_equal(back.f_plus, prof.f_plus)
+    assert np.array_equal(back.f_minus, prof.f_minus)
+
+
 def test_profile_json_rejects_mismatched_arrays(coarse_grid):
     params = params_of(1, 1, 0.5, 1, 1)
     prof = gv.continuation_solve(params, gv.DegreePair(1, 1), coarse_grid)
@@ -377,22 +400,96 @@ def test_band_lu_failures_raise_singular_jacobian():
         gv.newton_solve(nan, nan, g, params, deg)
 
 
-def test_failed_step_is_halved_and_converges(coarse_grid):
+def _spy_newton(monkeypatch):
+    """Record (B, iterations or None on failure) of every Newton run."""
+    runs = []
+    newton = solver._newton
+
+    def spy(sys, lu, f_plus, f_minus, options):
+        try:
+            iters, norm = newton(sys, lu, f_plus, f_minus, options)
+        except (gv.NoConvergence, gv.SingularJacobian) as exc:
+            runs.append((sys.params.B, None, exc.iterations))
+            raise
+        runs.append((sys.params.B, iters, iters))
+        return iters, norm
+
+    monkeypatch.setattr(solver, "_newton", spy)
+    return runs
+
+
+def test_failed_step_is_halved_and_converges(coarse_grid, monkeypatch):
     # four Newton iterations do not reach B = 1.9 in one predicted step from
     # B = 0, but do from B = 0.95
     params = params_of(1, 4, 1.9, 1, 1)
     deg = gv.DegreePair(1, 1)
-    prof, path = gv.continuation_solve(params, deg, coarse_grid,
-                                       SolveOptions(max_newton_iters=4),
-                                       collect_path=True)
-    assert path[1].params.B == 0.95
-    assert prof.params.B == 1.9
+    runs = _spy_newton(monkeypatch)
+    prof = gv.continuation_solve(params, deg, coarse_grid,
+                                 SolveOptions(max_newton_iters=4))
+    assert runs[1][:2] == (1.9, None)      # the full step fails
+    converged = [b for b, it, _ in runs if it is not None]
+    assert converged[:2] == [0.0, 0.95]
+    assert converged[-1] == prof.params.B == 1.9
     assert prof.report.final_residual <= 1e-10
-    assert len(prof.report.iterations) == len(path)
+    # one report entry per attempted stage, the failed one included
+    assert prof.report.iterations == tuple(n for _, _, n in runs)
     ref = gv.continuation_solve(params, deg, coarse_grid,
                                 SolveOptions(continuation_steps=8))
     assert np.max(np.abs(prof.f_plus - ref.f_plus)) <= 1e-9
     assert np.max(np.abs(prof.f_minus - ref.f_minus)) <= 1e-9
+
+
+def test_report_counts_iterations_of_failed_attempts(monkeypatch):
+    # the full step stalls in the line search after 20 iterations, the
+    # halved steps converge; the report lists all four stages
+    A_plus, A_minus = 2.0, 1.0
+    params = params_of(A_plus, A_minus, -0.99 * np.sqrt(A_plus * A_minus),
+                       1.0, 0.7)
+    runs = _spy_newton(monkeypatch)
+    prof = gv.continuation_solve(params, gv.DegreePair(5, 1),
+                                 gv.build_grid(80.0, 4000))
+    assert prof.report.iterations == (5, 20, 4, 9)
+    assert [it for _, it, _ in runs] == [5, None, 4, 9]
+    assert sum(prof.report.iterations) == sum(n for _, _, n in runs) == 38
+
+
+def test_sweep_failure_restarts_its_chain(coarse_grid, monkeypatch):
+    # every stage at B = 0.2 fails, so the leg to 0.2 fails after its
+    # halvings; the chain goes on from the B = 0 profile and tangent, which
+    # is exactly a fresh sweep, and the negative chain is untouched
+    params = params_of(1, 1, 0, 1, 1)
+    deg = gv.DegreePair(1, 1)
+    newton = solver._newton
+
+    def fail_at(sys, lu, f_plus, f_minus, options):
+        if sys.params.B == 0.2:
+            raise gv.NoConvergence("forced")
+        return newton(sys, lu, f_plus, f_minus, options)
+
+    monkeypatch.setattr(solver, "_newton", fail_at)
+    b_values = [0.4, 0.1, -0.1, 0.2, 0.3]
+    out = gv.continuation_sweep(params, deg, b_values, coarse_grid)
+    monkeypatch.setattr(solver, "_newton", newton)
+    assert isinstance(out[3], gv.NoConvergence)
+    assert out[3].B_value == 0.2
+    fresh = gv.continuation_sweep(params, deg, [0.3, 0.4], coarse_grid)
+    for got, want in ((out[4], fresh[0]), (out[0], fresh[1])):
+        assert np.array_equal(got.f_plus, want.f_plus)
+        assert np.array_equal(got.f_minus, want.f_minus)
+    for i in (0, 1, 2, 4):
+        ref = gv.continuation_solve(params_of(1, 1, b_values[i], 1, 1), deg,
+                                    coarse_grid)
+        assert out[i].params.B == b_values[i]
+        assert np.max(np.abs(out[i].f_plus - ref.f_plus)) <= 1e-8
+        assert np.max(np.abs(out[i].f_minus - ref.f_minus)) <= 1e-8
+
+
+def test_sweep_failure_at_zero_interaction_is_every_entry(coarse_grid):
+    out = gv.continuation_sweep(params_of(1, 4, 0, 1, 1), gv.DegreePair(1, 1),
+                                [0.5, -0.5, 0.0], coarse_grid,
+                                SolveOptions(max_newton_iters=3))
+    assert all(isinstance(r, gv.NoConvergence) for r in out)
+    assert out[0] is out[1] is out[2] and out[0].B_value == 0.0
 
 
 def test_failure_at_zero_interaction_is_not_retried(coarse_grid, monkeypatch):
@@ -429,6 +526,38 @@ def test_step_halving_is_capped(coarse_grid, monkeypatch, error):
                               coarse_grid)
     assert tried == [0.5 / 2 ** k for k in range(solver._MAX_HALVINGS + 1)]
     assert info.value.B_value == tried[-1]
+
+
+@pytest.mark.parametrize("error", [gv.NoConvergence, gv.SingularJacobian])
+def test_failures_leave_no_reference_cycles(coarse_grid, monkeypatch, error):
+    # a raised or returned failure must not pin the frames of the failed
+    # solve, and with them its buffers, until the cycle collector runs
+    newton = solver._newton
+
+    def fail_above(sys, lu, f_plus, f_minus, options):
+        if sys.params.B > 0.3:
+            raise error("forced")
+        return newton(sys, lu, f_plus, f_minus, options)
+
+    monkeypatch.setattr(solver, "_newton", fail_above)
+    params, deg = params_of(1, 1, 0.5, 1, 1), gv.DegreePair(1, 1)
+    caught = []
+    gc.collect()
+    gc.disable()
+    try:
+        for options in (SolveOptions(), SolveOptions(max_newton_iters=1)):
+            try:
+                gv.continuation_solve(params, deg, coarse_grid, options)
+            except (gv.NoConvergence, gv.SingularJacobian) as exc:
+                caught.append(type(exc))
+        out = gv.continuation_sweep(params, deg, [0.5, 0.2, -0.2],
+                                    coarse_grid)
+        caught.append(type(out[0]))
+        del out
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert caught == [error, gv.NoConvergence, error]
 
 
 def test_positivity_failure_carries_history():
@@ -478,3 +607,21 @@ def test_predicted_step_matches_eight_steps(case):
     if one is not None:
         assert np.max(np.abs(one.f_plus - eight.f_plus)) <= 1e-8
         assert np.max(np.abs(one.f_minus - eight.f_minus)) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=admissible_cases(),
+       ratios=st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=4))
+def test_sweep_matches_one_solve_per_value(case, ratios):
+    params, degrees, grid = case
+    b_values = [r * np.sqrt(params.A_plus * params.A_minus) for r in ratios]
+    swept = gv.continuation_sweep(params, degrees, b_values, grid)
+    assert len(swept) == len(b_values)
+    for b, got in zip(b_values, swept):
+        want = _solve_or_none(replace(params, B=b), degrees, grid,
+                              SolveOptions())
+        assert isinstance(got, gv.Profile) == (want is not None)
+        if want is not None:
+            assert got.params.B == b
+            assert np.max(np.abs(got.f_plus - want.f_plus)) <= 1e-8
+            assert np.max(np.abs(got.f_minus - want.f_minus)) <= 1e-8
