@@ -45,17 +45,11 @@ def _require_keys(obj: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number; true and false do not count."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _sweep_b_values(sweep: dict, params: model.CouplingParams) -> list:
     """The B values of a sweep section, each checked against the hypothesis."""
     _require_keys(sweep, {"b_start", "b_stop", "b_step"}, "sweep")
     bounds = [sweep.get(k) for k in ("b_start", "b_stop", "b_step")]
-    if not all(map(_is_number, bounds)):
+    if not all(map(model.is_number, bounds)):
         raise ConfigError("sweep needs finite numbers b_start, b_stop, b_step")
     b_start, b_stop, b_step = map(float, bounds)
     if not (b_start <= b_stop and b_step > 0):
@@ -92,7 +86,7 @@ def load_config(path: str | None, args=None) -> dict:
     window = raw.get("fit_window")
     if window is not None and not (
             isinstance(window, list) and len(window) == 2
-            and all(map(_is_number, window)) and window[0] < window[1]):
+            and all(map(model.is_number, window)) and window[0] < window[1]):
         raise ConfigError("fit_window must be [r_lo, r_hi] with finite "
                           f"r_lo < r_hi, got {window!r}")
     cfg = {"verify": vdict, "fit_window": window}

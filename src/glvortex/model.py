@@ -182,12 +182,23 @@ _COUPLING_KEYS = {"A_plus", "A_minus", "B", "t_plus", "t_minus"}
 _BEC_KEYS = {"m1", "m2", "g1", "g2", "g12", "mu1", "mu2", "hbar"}
 
 
+def is_number(value) -> bool:
+    """A finite JSON number; true and false do not count."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def coupling_from_json(obj: dict) -> CouplingParams:
-    """Parse coupling parameters from a JSON object (strict keys)."""
+    """Parse coupling parameters from a JSON object (strict keys, finite
+    numbers)."""
+    if not isinstance(obj, dict):
+        raise ValueError("coupling parameters must be a JSON object")
     keys = set(obj)
     if keys != _COUPLING_KEYS:
         raise ValueError(
             f"expected keys {sorted(_COUPLING_KEYS)}, got {sorted(keys)}")
+    if not all(is_number(obj[k]) for k in _COUPLING_KEYS):
+        raise ValueError("coupling parameters must be finite numbers")
     return validate(CouplingParams(**{k: float(obj[k]) for k in _COUPLING_KEYS}))
 
 

@@ -39,7 +39,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import asymptotics
 from .grid import RadialGrid, build_grid, radial_operator
-from .model import CouplingParams, DegreePair, validate
+from .model import (CouplingParams, DegreePair, coupling_from_json,
+                    is_number, validate)
 
 
 class _SolveFailure(RuntimeError):
@@ -74,6 +75,9 @@ class SingularJacobian(_SolveFailure):
 # step before the failure ends the leg.
 _MAX_HALVINGS = 6
 
+# far boundary rows: the tail-slope (Robin) row or f = t (Dirichlet)
+FAR_FIELDS = ("robin", "dirichlet")
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -90,7 +94,7 @@ class SolveOptions:
             raise ValueError("damping factor must lie in (0, 1)")
         if self.continuation_steps < 1:
             raise ValueError("continuation_steps must be >= 1")
-        if self.far_field not in ("robin", "dirichlet"):
+        if self.far_field not in FAR_FIELDS:
             raise ValueError(f"unknown far_field {self.far_field!r}")
 
 
@@ -540,21 +544,54 @@ def profile_to_json(profile: Profile) -> str:
     return json.dumps(obj)
 
 
+def _json_object(obj: dict, key: str) -> dict:
+    value = obj.get(key)
+    if not isinstance(value, dict):
+        raise ValueError(f"profile field {key!r} must be a JSON object")
+    return value
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def profile_from_json(text: str) -> Profile:
+    """Parse a profile file; every malformed field raises ValueError."""
     obj = json.loads(text)
-    params = validate(CouplingParams(**obj["params"]))
-    degrees = DegreePair(**obj["degrees"])
-    g = obj["grid"]
+    if not isinstance(obj, dict):
+        raise ValueError("a profile must be a JSON object")
+    raw = _json_object(obj, "params")
+    coupling_from_json(raw)  # strict keys, finite numbers, the hypothesis
+    params = CouplingParams(**raw)  # as written: a rewrite is byte-identical
+    deg = _json_object(obj, "degrees")
+    if not all(_is_count(deg.get(k)) for k in ("n_plus", "n_minus")):
+        raise ValueError("degrees must be nonnegative integers "
+                         "n_plus and n_minus")
+    degrees = DegreePair(deg["n_plus"], deg["n_minus"])
+    g = _json_object(obj, "grid")
+    if not (_is_count(g.get("N")) and is_number(g.get("R_max"))
+            and (g.get("stretch") is None or is_number(g["stretch"]))):
+        raise ValueError("grid needs an integer N, a number R_max and a "
+                         "number or null stretch")
+    f_plus = np.asarray(obj["f_plus"], dtype=float)
+    f_minus = np.asarray(obj["f_minus"], dtype=float)
+    if f_plus.shape != (g["N"] + 1,) or f_minus.shape != (g["N"] + 1,):
+        raise ValueError("profile arrays do not match the grid")
     grid = build_grid(g["R_max"], g["N"], g["kind"], g.get("stretch"))
-    rep = obj["report"]
-    report = SolveReport(iterations=tuple(rep["iterations"]),
+    far_field = obj.get("far_field", "robin")
+    if far_field not in FAR_FIELDS:
+        raise ValueError(f"unknown far_field {far_field!r}")
+    rep = _json_object(obj, "report")
+    iterations = rep.get("iterations")
+    if not (isinstance(iterations, list) and all(map(_is_count, iterations))
+            and all(is_number(rep.get(k)) for k in
+                    ("final_residual", "tolerance", "wall_time"))):
+        raise ValueError("report needs a list of iteration counts and "
+                         "numbers final_residual, tolerance, wall_time")
+    report = SolveReport(iterations=tuple(iterations),
                          final_residual=rep["final_residual"],
                          tolerance=rep["tolerance"],
                          wall_time=rep["wall_time"])
-    f_plus = np.asarray(obj["f_plus"], dtype=float)
-    f_minus = np.asarray(obj["f_minus"], dtype=float)
-    if len(f_plus) != grid.N + 1 or len(f_minus) != grid.N + 1:
-        raise ValueError("profile arrays do not match the grid")
     return Profile(grid=grid, params=params, degrees=degrees,
                    f_plus=f_plus, f_minus=f_minus, report=report,
-                   far_field=obj.get("far_field", "robin"))
+                   far_field=far_field)

@@ -6,6 +6,8 @@ on the core slope, matched to a nine-term asymptotic series at a fixed
 radius), the scalar Hessian is assembled with plain loops and solved by
 a different LAPACK route, and the coupled Hessian band is assembled node by
 node.  None of it touches the package's Newton/banded machinery.  The
+smallest Hessian eigenvalue is also bisected with one banded Cholesky
+factorization per halving, as the package first computed it.  The
 envelope search expands the whole defect in Fractions for every candidate
 and counts roots with a Fraction Sturm chain; it shares only the closed-form
 tail coefficients and the branch sign tables with the package.
@@ -16,10 +18,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpbtrf
 
 from glvortex.asymptotics import (SelectionFailed, _branch_requirements,
                                   _envelope_bases, _family_and_branches,
                                   leading_coeffs_exact, second_coeffs_exact)
+from glvortex.diagnostics import EigenFailure, second_variation_matrix
 
 
 def scalar_tail_coeffs(A, t, n, orders=9):
@@ -254,6 +258,46 @@ def hessian_band_loop(profile):
         if gm[i] >= 0:
             masses[gm[i]] = m[i]
     return band, masses
+
+
+def min_eig_bisection(profile):
+    """Smallest eigenvalue of the second variation in the r-weighted inner
+    product (generalized problem K u = lambda M u).
+
+    With S = M^{-1/2} K M^{-1/2}, S - sigma I has a Cholesky factor exactly
+    when sigma < lambda_min, so lambda_min is bisected between the
+    Gershgorin lower bound and the smallest diagonal entry (a Rayleigh
+    quotient) with one O(N) banded factorization per step.  Bisection stops
+    at a relative width of 1e-12, or at eps ||S|| below which the
+    factorization cannot tell two shifts apart.
+    """
+    band, masses = second_variation_matrix(profile)
+    if not np.all(np.isfinite(band)):
+        raise EigenFailure("second variation has non-finite entries")
+    scale = np.sqrt(masses)
+    sym = np.zeros_like(band, order="F")  # LAPACK layout: factor in place
+    sym[2] = band[2] / masses
+    sym[1, 1:] = band[1, 1:] / (scale[1:] * scale[:-1])
+    sym[0, 2:] = band[0, 2:] / (scale[2:] * scale[:-2])
+    radius = np.abs(sym[1]) + np.abs(sym[0])
+    radius[:-1] += np.abs(sym[1, 1:])
+    radius[:-2] += np.abs(sym[0, 2:])
+    lo = float(np.min(sym[2] - radius))
+    hi = float(np.min(sym[2]))
+    floor = np.finfo(float).eps * float(np.max(np.abs(sym[2]) + radius))
+    shifted = np.empty_like(sym)
+    while hi - lo > max(1e-12 * max(abs(lo), abs(hi)), floor):
+        sigma = 0.5 * (lo + hi)
+        shifted[:] = sym
+        shifted[2] -= sigma
+        _, info = dpbtrf(shifted, lower=0, overwrite_ab=1)
+        if info < 0:
+            raise EigenFailure(f"banded Cholesky rejected argument {-info}")
+        if info == 0:
+            lo = sigma
+        else:
+            hi = sigma
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,40 @@ def test_verify_parse_error(tmp_path, capsys):
     assert json.loads(stderr)["error"]
 
 
+@pytest.fixture(scope="module")
+def profile_text():
+    prof = gv.continuation_solve(gv.CouplingParams(1, 1, 0.5, 1, 1),
+                                 gv.DegreePair(1, 1), gv.build_grid(20.0, 200))
+    return gv.profile_to_json(prof)
+
+
+# each edit turns a valid profile file into a malformed one
+MALFORMED = {
+    "params_list": lambda o: o.update(params=list(o["params"].values())),
+    "grid_n_string": lambda o: o["grid"].update(N="200"),
+    "report_null": lambda o: o.update(report=None),
+    "far_field_neumann": lambda o: o.update(far_field="neumann"),
+    "fractional_winding": lambda o: o["degrees"].update(n_plus=1.5),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_profile_is_a_json_error(tmp_path, capsys, profile_text,
+                                           case, command):
+    obj = json.loads(profile_text)
+    MALFORMED[case](obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    extra = ["profiles", "--out", str(tmp_path / "out.csv")]
+    code, stdout, stderr = run(capsys, command, str(bad),
+                               *(extra if command == "export" else []))
+    assert code == 1
+    assert stdout == ""
+    (line,) = stderr.splitlines()
+    assert json.loads(line)["error"] == "ValueError"
+
+
 def test_sweep_records_and_empirical_threshold(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        grid={"R_max": 30.0, "N": 600},

@@ -4,10 +4,11 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import glvortex as gv
+from glvortex import diagnostics
 from glvortex.diagnostics import quantization_rhs, second_variation_matrix
 from glvortex.solver import Profile, SolveReport
 from conftest import case_inputs
-from oracles import (hessian_band_loop, scalar_gl_profile,
+from oracles import (hessian_band_loop, min_eig_bisection, scalar_gl_profile,
                      scalar_hessian_min_eig)
 
 
@@ -279,6 +280,68 @@ def test_min_eig_matches_dense_eigh(prof, where):
         gv.second_variation_min_eig(
             make_profile(prof.grid, prof.params, prof.degrees, bad,
                          prof.f_minus))
+
+
+def _agreement_tol(prof, lam):
+    """max(1e-11 |lambda|, 2 eps ||S||_inf) with S = M^{-1/2} K M^{-1/2}:
+    each eigensolver is accurate to roundoff in S."""
+    band, masses = second_variation_matrix(prof)
+    scale = np.sqrt(masses)
+    rows = np.abs(band[2]) / masses
+    for k in (1, 2):
+        off = np.abs(band[2 - k, k:]) / (scale[k:] * scale[:-k])
+        rows[k:] += off
+        rows[:-k] += off
+    return max(1e-11 * abs(lam), 2.0 * np.finfo(float).eps * np.max(rows))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(prof=admissible_profiles())
+def test_min_eig_matches_bisection(prof):
+    # the draws are unsolved arrays, so lambda_min may be negative and
+    # need not be an isolated bound state
+    lam = gv.second_variation_min_eig(prof)
+    assert abs(lam - min_eig_bisection(prof)) <= _agreement_tol(prof, lam)
+
+
+def _count_factorizations(monkeypatch):
+    """A list that grows by one entry per banded Cholesky factorization."""
+    calls = []
+    dpbtrf = diagnostics.dpbtrf
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return dpbtrf(*args, **kwargs)
+    monkeypatch.setattr(diagnostics, "dpbtrf", spy)
+    return calls
+
+
+def test_min_eig_factorization_count(reference_profiles, monkeypatch):
+    # bisection to the same width takes about 51 factorizations
+    calls = _count_factorizations(monkeypatch)
+    for prof in reference_profiles.values():
+        calls.clear()
+        lam = gv.second_variation_min_eig(prof)
+        assert len(calls) <= 12
+        assert abs(lam - min_eig_bisection(prof)) <= _agreement_tol(prof, lam)
+
+
+def test_min_eig_equal_coefficients(monkeypatch):
+    # equal coefficients and windings decouple f_+ + f_- from f_+ - f_-; a
+    # start vector with no weight on the lower of the two would leave the
+    # loop to bisect
+    params, degrees = case_inputs("bpos")
+    prof = gv.continuation_solve(params, degrees, gv.build_grid(20.0, 200))
+    band, masses = second_variation_matrix(prof)
+    K = np.diag(band[2])
+    for k in (1, 2):
+        K += np.diag(band[2 - k, k:], k) + np.diag(band[2 - k, k:], -k)
+    ref = scipy.linalg.eigh(K, np.diag(masses), eigvals_only=True,
+                            subset_by_index=[0, 0])[0]
+    calls = _count_factorizations(monkeypatch)
+    lam = gv.second_variation_min_eig(prof)
+    assert len(calls) <= 12
+    assert abs(lam - ref) <= _agreement_tol(prof, lam)
 
 
 def test_monotonicity_classes(reference_profiles, coarse_grid):

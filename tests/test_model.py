@@ -160,6 +160,15 @@ def test_json_parsers_strict():
         bec_from_json({**bec, "g13": 0})
 
 
+@pytest.mark.parametrize("value", [None, "0.5", True, float("nan"), [0.5]])
+def test_coupling_json_needs_finite_numbers(value):
+    obj = {"A_plus": 1, "A_minus": 1, "B": value, "t_plus": 1, "t_minus": 1}
+    with pytest.raises(ValueError, match="finite numbers"):
+        coupling_from_json(obj)
+    with pytest.raises(ValueError, match="JSON object"):
+        coupling_from_json(list(obj))
+
+
 def test_validate_exact_on_rational_inputs():
     # comparisons stay exact when fields are rationals
     p = gv.CouplingParams(Fraction(1), Fraction(1), Fraction(1, 2),
