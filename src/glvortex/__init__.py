@@ -9,12 +9,11 @@ from .asymptotics import (DefectSeries, EnvelopeSpec, IllConditionedFit,
                           envelope_check, expand_defect_series,
                           leading_coeffs, second_coeffs, select_envelope,
                           tail_fit)
-from .diagnostics import (EigenFailure, IdentityReport, MonotonicityClass,
-                          MonotonicityLabel, amplitude_bound_check,
-                          identity_report, monotonicity_classify,
+from .diagnostics import (EigenFailure, MonotonicityClass, MonotonicityLabel,
+                          amplitude_bound_check, monotonicity_classify,
                           near_origin_order, pohozaev_residual,
                           quantization_check, radial_energy,
-                          second_variation_min_eig)
+                          second_variation_min_eig, verify)
 from .grid import (BadBoundarySpec, BadGridSpec, LengthMismatch, RadialGrid,
                    RadialOperator, build_grid, quadrature, radial_operator)
 from .model import (BecParams, CouplingParams, DegreePair, DerivedBounds,

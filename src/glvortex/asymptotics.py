@@ -362,10 +362,6 @@ def _certified(tables, u: Fraction, R: Fraction) -> bool:
 # envelope selection
 
 
-_BRANCHES = ("upper_plus_lower_minus", "lower_plus_upper_minus",
-             "upper_both", "lower_both")
-
-
 @dataclass(frozen=True)
 class EnvelopeSpec:
     """A certified choice of r^-6 envelope amplitudes.
@@ -422,21 +418,10 @@ def _branch_requirements(branch: str):
     }[branch]
 
 
-def _family_and_branches(params: CouplingParams, branch: str):
+def _family_and_branches(params: CouplingParams):
     if params.B >= 0:
-        family = "mixed"
-        branches = ("upper_plus_lower_minus", "lower_plus_upper_minus")
-    else:
-        family = "hat"
-        branches = ("upper_both", "lower_both")
-    if branch != "auto":
-        if branch not in _BRANCHES:
-            raise ValueError(f"unknown branch {branch!r}")
-        if branch not in branches:
-            raise ValueError(
-                f"branch {branch!r} inconsistent with sign of B={params.B}")
-        branches = (branch,)
-    return family, branches
+        return "mixed", ("upper_plus_lower_minus", "lower_plus_upper_minus")
+    return "hat", ("upper_both", "lower_both")
 
 
 def _branch_tables(params: CouplingParams, degrees: DegreePair, a, b,
@@ -463,7 +448,6 @@ def verify_envelope_pair(params: CouplingParams, degrees: DegreePair,
 
 
 def select_envelope(params: CouplingParams, degrees: DegreePair,
-                    branch: str = "auto",
                     r_candidates=(2, 4, 8, 16, 32, 64),
                     delta_candidates=tuple(Fraction(1, 2 ** k)
                                            for k in range(1, 11))) -> EnvelopeSpec:
@@ -473,13 +457,13 @@ def select_envelope(params: CouplingParams, degrees: DegreePair,
     gives no constructive values; the search (budget: the candidate grid)
     turns "sufficiently large" into a falsifiable procedure.  R is scanned
     outward and delta downward from 1/2, so the first hit has the fattest
-    envelope at the smallest workable R.  With branch="auto" both pairs of
-    the applicable family are certified with the same (delta, R), which is
-    what the two-sided sandwich needs.  The defect is expanded once per
+    envelope at the smallest workable R.  Both pairs of the family that the
+    sign of B selects are certified with the same (delta, R), which is what
+    the two-sided sandwich needs.  The defect is expanded once per
     branch and evaluated per candidate.
     """
     validate(params)
-    family, branches = _family_and_branches(params, branch)
+    family, branches = _family_and_branches(params)
     kp, km = _envelope_bases(params, family)
     a = leading_coeffs_exact(params, degrees)
     b = second_coeffs_exact(params, degrees)

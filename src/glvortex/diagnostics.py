@@ -6,6 +6,9 @@ the quantization of the weighted potential integral by the winding numbers,
 the pointwise amplitude bound f_+^2 + f_-^2 <= Lambda^2, positivity of the
 second variation of the energy, and the monotonicity classification of the
 two components.  Everything is a pure function of an immutable Profile.
+`verify` runs them, with the tail and envelope checks of `asymptotics`, as
+one suite of pass/fail records; `sweep_report` and `plot_columns` hold the
+per-B sweep records and the plot data the command line writes.
 
 The second variation is the solver's Newton Jacobian weighted by the
 finite-volume masses.  Its smallest eigenvalue is bracketed by banded
@@ -16,15 +19,17 @@ against about 51 for bisection alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from . import asymptotics
 from .grid import quadrature, quadrature_upto
-from .model import derived_bounds
-from .solver import Profile, jacobian
+from .model import CouplingParams, DegreePair, derived_bounds
+from .solver import POSITIVITY_TOL, Profile, jacobian, residual_norm
 
 
 class EigenFailure(RuntimeError):
@@ -351,28 +356,146 @@ def near_origin_order(profile: Profile) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# aggregate report
+# the verification suite, sweep records and plot data
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    quantization_lhs: float
-    quantization_rhs: float
-    quantization_gap: float
-    pohozaev_at_R_max: float
-    energy_value: float
-    bound_margin: float
-    hessian_min_eig: float
+# the tolerances of `verify`, each overridable in a run config
+VERIFY_DEFAULTS = {"residual_tol": 1e-10, "quantization_tol": 0.01,
+                   "pohozaev_tol": 0.01, "origin_order_tol": 0.05,
+                   "bound_tol": 1e-8, "hessian_tol": 1e-8, "tail_a_rel": 0.01,
+                   "tail_b_rel": 0.05}
 
 
-def identity_report(profile: Profile) -> IdentityReport:
+def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS,
+           fit_window=None) -> list:
+    """The check suite: one {"check", "value", "target", "tolerance",
+    "pass"} record per check.  The residual is gated on residual_tol, never
+    on the file's own report.  A check that cannot be computed fails with
+    the error message as its value, and a non-finite value fails as its
+    string ("nan", "inf", "-inf"): strict JSON has neither."""
+    checks = []
+
+    def check(name, value, target, tolerance, passed):
+        if isinstance(value, float) and not math.isfinite(value):
+            value, passed = str(value), False
+        checks.append({"check": name, "value": value, "target": target,
+                       "tolerance": tolerance, "pass": bool(passed)})
+
+    tol = tolerances
+    resnorm = residual_norm(profile)
+    check("residual_norm", resnorm, 0.0, tol["residual_tol"],
+          resnorm <= tol["residual_tol"])
+
+    low = min(float(np.min(profile.f_plus)), float(np.min(profile.f_minus)))
+    check("positivity_min", low, 0.0, POSITIVITY_TOL, low >= -POSITIVITY_TOL)
+
+    margin = amplitude_bound_check(profile)
+    check("amplitude_bound_margin", margin, 0.0, tol["bound_tol"],
+          margin >= -tol["bound_tol"])
+
     q = quantization_check(profile)
-    return IdentityReport(
-        quantization_lhs=q.lhs,
-        quantization_rhs=q.rhs,
-        quantization_gap=q.relative_gap,
-        pohozaev_at_R_max=pohozaev_residual(profile),
-        energy_value=radial_energy(profile),
-        bound_margin=amplitude_bound_check(profile),
-        hessian_min_eig=second_variation_min_eig(profile),
-    )
+    check("quantization_gap", q.relative_gap, 0.0, tol["quantization_tol"],
+          q.relative_gap <= tol["quantization_tol"])
+
+    poh_rel = abs(pohozaev_residual(profile)) / max(q.rhs, 1.0)
+    check("pohozaev_at_R_max", poh_rel, 0.0, tol["pohozaev_tol"],
+          poh_rel <= tol["pohozaev_tol"])
+
+    orders = near_origin_order(profile)
+    for comp, got, n in (("plus", orders[0], profile.degrees.n_plus),
+                         ("minus", orders[1], profile.degrees.n_minus)):
+        check(f"near_origin_order_{comp}", got, float(n),
+              tol["origin_order_tol"], abs(got - n) <= tol["origin_order_tol"])
+
+    try:
+        eig = second_variation_min_eig(profile)
+        check("hessian_min_eig", eig, 0.0, tol["hessian_tol"],
+              eig >= -tol["hessian_tol"])
+    except EigenFailure as exc:
+        check("hessian_min_eig", str(exc), None, None, False)
+
+    p = profile.params
+    tail = asymptotics.second_coeffs(p, profile.degrees)
+    try:
+        fit = asymptotics.tail_fit(profile, fit_window)
+        # relative tolerances, floored for coefficients near zero
+        for coeff, rel, floor in (("a", tol["tail_a_rel"], 1e-4),
+                                  ("b", tol["tail_b_rel"], 1e-2)):
+            for comp, t in (("plus", p.t_plus), ("minus", p.t_minus)):
+                name = f"{coeff}_{comp}"
+                got, want = getattr(fit, name), getattr(tail, name)
+                bound = max(rel * abs(want), floor * t)
+                check(f"tail_{name}", got, want, bound, abs(got - want) <= bound)
+    except asymptotics.IllConditionedFit as exc:
+        check("tail_fit", str(exc), None, None, False)
+
+    try:
+        spec = asymptotics.select_envelope(p, profile.degrees)
+        env = asymptotics.envelope_check(profile, spec)
+        check("envelope_sandwich", env.worst_margin, 0.0, 0.0, env.passed)
+    except (asymptotics.SelectionFailed, ValueError) as exc:
+        # no certified radius, or the grid is too short to host one
+        check("envelope_sandwich", str(exc), None, None, False)
+    return checks
+
+
+def sweep_report(params: CouplingParams, degrees: DegreePair, b_values,
+                 results) -> dict:
+    """A record per B of continuation_sweep's results (a failed solve or
+    Hessian gives "converged": false and the error) and empirical_B0, the
+    largest B at which both components are nondecreasing."""
+    records = []
+    for b, result in zip(b_values, results):
+        tail = asymptotics.leading_coeffs(replace(params, B=b), degrees)
+        record = {"B": b, "converged": False, "class": None,
+                  "a_plus": tail.a_plus, "a_minus": tail.a_minus,
+                  "quantization_gap": None, "hessian_min_eig": None}
+        if isinstance(result, Profile):
+            try:
+                record.update({
+                    "converged": True,
+                    "class": monotonicity_classify(result).label.value,
+                    "quantization_gap": quantization_check(result).relative_gap,
+                    "hessian_min_eig": second_variation_min_eig(result)})
+            except EigenFailure as exc:
+                result = exc
+        if not record["converged"]:
+            record["error"] = str(result)
+        records.append(record)
+    nondecr = [r["B"] for r in records if r["class"] == "BothNondecreasing"]
+    return {"records": records,
+            "empirical_B0": max(nondecr) if nondecr else None}
+
+
+def plot_columns(profile: Profile, kind: str):
+    """(header, columns) of plot data: "profiles", "slopes", "tail" ((f - t)
+    r^2 -> a and (f - t - a/r^2) r^4 -> b) or "envelope" (the certified
+    sandwich on r >= R; raises SelectionFailed without one)."""
+    r = profile.grid.nodes
+    if kind == "profiles":
+        return ["r", "f_plus", "f_minus"], [r, profile.f_plus, profile.f_minus]
+    if kind == "slopes":
+        return ["r", "df_plus", "df_minus"], [r, *_derivatives(profile)]
+    if kind == "tail":
+        tail = asymptotics.leading_coeffs(profile.params, profile.degrees)
+        mask = r > 0
+        rr = r[mask]
+        yp = profile.f_plus[mask] - profile.params.t_plus
+        ym = profile.f_minus[mask] - profile.params.t_minus
+        return (["r", "tail2_plus", "tail2_minus", "resid4_plus",
+                 "resid4_minus"],
+                [rr, yp * rr ** 2, ym * rr ** 2,
+                 (yp - tail.a_plus / rr ** 2) * rr ** 4,
+                 (ym - tail.a_minus / rr ** 2) * rr ** 4])
+    if kind == "envelope":
+        spec = asymptotics.select_envelope(profile.params, profile.degrees)
+        mask = r >= spec.R
+        rr = r[mask]
+        bounds = asymptotics.envelope_bounds(spec, profile.params,
+                                             profile.degrees, rr)
+        return (["r", "w_lower_plus", "f_plus", "w_upper_plus",
+                 "w_lower_minus", "f_minus", "w_upper_minus"],
+                [rr, bounds["plus"][0], profile.f_plus[mask],
+                 bounds["plus"][1], bounds["minus"][0], profile.f_minus[mask],
+                 bounds["minus"][1]])
+    raise ValueError(f"unknown plot data kind {kind!r}")

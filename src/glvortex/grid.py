@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import is_integer, is_number, json_object
+
 
 class BadGridSpec(ValueError):
     """Mesh parameters out of range."""
@@ -96,6 +98,16 @@ def build_grid(R_max: float, N: int, kind: str = "uniform",
     return RadialGrid(nodes=nodes, weights=w, kind=kind, stretch=stretch)
 
 
+def grid_from_json(obj) -> RadialGrid:
+    """Build the grid of a JSON object {"R_max", "N", "kind", "stretch"}."""
+    json_object(obj, ("R_max", "N", "kind", "stretch"), "grid")
+    if not (is_integer(obj["N"]) and is_number(obj["R_max"])
+            and (obj["stretch"] is None or is_number(obj["stretch"]))):
+        raise ValueError("grid needs an integer N, a number R_max and a "
+                         "number or null stretch")
+    return build_grid(obj["R_max"], obj["N"], obj["kind"], obj["stretch"])
+
+
 def quadrature(grid: RadialGrid, samples: np.ndarray) -> float:
     """Trapezoid approximation of the integral of g(r) r dr over the mesh."""
     return quadrature_upto(grid, samples, grid.R_max)
@@ -139,11 +151,11 @@ def laplacian_coefficients(grid: RadialGrid):
 class RadialOperator:
     """Tridiagonal discretization of -(1/r)(r u')' + n^2/r^2 with boundary rows.
 
-    bc_zero is "dirichlet" (u(0) = 0, required when n != 0) or "neumann"
-    (u'(0) = 0, required when n = 0).  bc_far is "dirichlet" (row u(R) =
-    prescribed value) or "robin" (ghost-eliminated derivative row pinning
-    u'(R_max) = -2a/R_max^3 to the tail slope; the inhomogeneous part is
-    reported in rhs).
+    bc_zero is "dirichlet" (u(0) = 0) when n != 0 and "neumann" (u'(0) = 0)
+    when n = 0.  bc_far is "dirichlet" (row u(R) = prescribed value) or
+    "robin" (ghost-eliminated derivative row pinning u'(R_max) =
+    -2a/R_max^3 to the tail slope; the inhomogeneous part is reported in
+    rhs).
 
     lower/diag/upper hold the assembled row coefficients (for banded
     factorizations); apply() evaluates the same rows in divided-difference
@@ -190,24 +202,18 @@ class RadialOperator:
         return out
 
 
-def radial_operator(grid: RadialGrid, n: int, bc_zero: str | None = None,
-                    bc_far: str = "dirichlet", robin_a: float = 0.0,
+def radial_operator(grid: RadialGrid, n: int, bc_far: str = "dirichlet",
+                    robin_a: float = 0.0,
                     dirichlet_value: float = 0.0) -> RadialOperator:
     """Assemble -(1/r)(r u')' + n^2/r^2 with boundary encodings.
 
     The origin row is forced by the winding number: Dirichlet for n != 0
     (the n^2/r^2 term is singular), one-sided second-order Neumann for
-    n = 0 (the singular term is absent exactly then).  Passing an
-    incompatible explicit bc_zero raises BadBoundarySpec.
+    n = 0 (the singular term is absent exactly then).
     """
     if n < 0:
         raise BadBoundarySpec("winding number must be nonnegative")
-    required = "dirichlet" if n != 0 else "neumann"
-    if bc_zero is None:
-        bc_zero = required
-    if bc_zero != required:
-        raise BadBoundarySpec(
-            f"n={n} requires bc_zero={required!r}, got {bc_zero!r}")
+    bc_zero = "dirichlet" if n != 0 else "neumann"
     if bc_far not in ("dirichlet", "robin"):
         raise BadBoundarySpec(f"unknown far boundary {bc_far!r}")
 

@@ -11,7 +11,7 @@ positive asymptotic moduli t_plus, t_minus; validation here is strict
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class HypothesisViolation(ValueError):
@@ -32,15 +32,6 @@ class CouplingParams:
     t_plus: float
     t_minus: float
 
-    def as_dict(self):
-        return {
-            "A_plus": self.A_plus,
-            "A_minus": self.A_minus,
-            "B": self.B,
-            "t_plus": self.t_plus,
-            "t_minus": self.t_minus,
-        }
-
 
 @dataclass(frozen=True)
 class DegreePair:
@@ -53,9 +44,6 @@ class DegreePair:
         if self.n_plus < 0 or self.n_minus < 0:
             raise ValueError("degrees must be normalized to nonnegative; "
                              "use normalize_degrees")
-
-    def as_dict(self):
-        return {"n_plus": self.n_plus, "n_minus": self.n_minus}
 
 
 @dataclass(frozen=True)
@@ -178,8 +166,8 @@ def normalize_degrees(n_plus: int, n_minus: int) -> tuple[DegreePair, dict]:
     return DegreePair(abs(int(n_plus)), abs(int(n_minus))), flags
 
 
-_COUPLING_KEYS = {"A_plus", "A_minus", "B", "t_plus", "t_minus"}
-_BEC_KEYS = {"m1", "m2", "g1", "g2", "g12", "mu1", "mu2", "hbar"}
+# ---------------------------------------------------------------------------
+# strict JSON parsing, shared by run configs and profile files
 
 
 def is_number(value) -> bool:
@@ -188,23 +176,47 @@ def is_number(value) -> bool:
             and math.isfinite(value))
 
 
-def coupling_from_json(obj: dict) -> CouplingParams:
-    """Parse coupling parameters from a JSON object (strict keys, finite
-    numbers)."""
+def is_integer(value) -> bool:
+    """A JSON integer; true and false do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_object(obj, keys, where: str, exact: bool = True,
+                error: type = ValueError) -> dict:
+    """obj itself if it is a JSON object with exactly the given keys (only
+    keys among them unless exact); raises `error` otherwise."""
     if not isinstance(obj, dict):
-        raise ValueError("coupling parameters must be a JSON object")
-    keys = set(obj)
-    if keys != _COUPLING_KEYS:
-        raise ValueError(
-            f"expected keys {sorted(_COUPLING_KEYS)}, got {sorted(keys)}")
-    if not all(is_number(obj[k]) for k in _COUPLING_KEYS):
-        raise ValueError("coupling parameters must be finite numbers")
-    return validate(CouplingParams(**{k: float(obj[k]) for k in _COUPLING_KEYS}))
+        raise error(f"{where} must be a JSON object")
+    if not set(obj) <= set(keys) or (exact and len(obj) < len(keys)):
+        raise error(f"{where}: expected keys {sorted(keys)}, "
+                    f"got {sorted(obj)}")
+    return obj
 
 
-def bec_from_json(obj: dict) -> BecParams:
-    """Parse condensate parameters from a JSON object (strict keys)."""
-    keys = set(obj)
-    if keys != _BEC_KEYS:
-        raise ValueError(f"expected keys {sorted(_BEC_KEYS)}, got {sorted(keys)}")
-    return BecParams(**{k: float(obj[k]) for k in _BEC_KEYS})
+def _params_from_json(cls, obj, where: str):
+    """A parameter record from a JSON object of one number per field."""
+    keys = [f.name for f in fields(cls)]
+    json_object(obj, keys, where)
+    if not all(is_number(obj[k]) for k in keys):
+        raise ValueError(f"{where} must be finite numbers")
+    return cls(**{k: float(obj[k]) for k in keys})
+
+
+def coupling_from_json(obj) -> CouplingParams:
+    """Parse and validate the five coupling parameters."""
+    return validate(_params_from_json(CouplingParams, obj,
+                                      "coupling parameters"))
+
+
+def bec_from_json(obj) -> BecParams:
+    """Parse the eight condensate parameters, hbar included."""
+    return _params_from_json(BecParams, obj, "condensate parameters")
+
+
+def degrees_from_json(obj) -> tuple:
+    """The integer winding numbers (n_plus, n_minus) of a JSON object; the
+    caller decides what a negative one means."""
+    json_object(obj, ("n_plus", "n_minus"), "degrees")
+    if not all(map(is_integer, obj.values())):
+        raise ValueError("degrees must be integers n_plus and n_minus")
+    return obj["n_plus"], obj["n_minus"]

@@ -38,9 +38,9 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import asymptotics
-from .grid import RadialGrid, build_grid, radial_operator
+from .grid import RadialGrid, build_grid, grid_from_json, radial_operator
 from .model import (CouplingParams, DegreePair, coupling_from_json,
-                    is_number, validate)
+                    degrees_from_json, is_integer, is_number, validate)
 
 
 class _SolveFailure(RuntimeError):
@@ -78,6 +78,9 @@ _MAX_HALVINGS = 6
 # far boundary rows: the tail-slope (Robin) row or f = t (Dirichlet)
 FAR_FIELDS = ("robin", "dirichlet")
 
+# a converged profile may dip this far below zero and still count as positive
+POSITIVITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -105,8 +108,6 @@ class SolveReport:
     tolerance: float
     wall_time: float
 
-    def as_dict(self):
-        return asdict(self)
 
 @dataclass(frozen=True)
 class Profile:
@@ -358,7 +359,7 @@ def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
         it += 1
     # positivity is verified after convergence rather than enforced
     low = min(float(np.min(f_plus)), float(np.min(f_minus)))
-    if low < -1e-9:
+    if low < -POSITIVITY_TOL:
         raise NoConvergence(
             f"converged iterate violates positivity (min value {low:.3e})",
             f_plus=f_plus.copy(), f_minus=f_minus.copy(), history=history)
@@ -533,26 +534,15 @@ def uniqueness_probe(params: CouplingParams, degrees: DegreePair,
 def profile_to_json(profile: Profile) -> str:
     """Serialize a profile; float arrays round-trip losslessly (repr floats)."""
     obj = {
-        "params": profile.params.as_dict(),
-        "degrees": profile.degrees.as_dict(),
+        "params": asdict(profile.params),
+        "degrees": asdict(profile.degrees),
         "grid": profile.grid.as_dict(),
         "far_field": profile.far_field,
         "f_plus": profile.f_plus.tolist(),
         "f_minus": profile.f_minus.tolist(),
-        "report": profile.report.as_dict(),
+        "report": asdict(profile.report),
     }
     return json.dumps(obj)
-
-
-def _json_object(obj: dict, key: str) -> dict:
-    value = obj.get(key)
-    if not isinstance(value, dict):
-        raise ValueError(f"profile field {key!r} must be a JSON object")
-    return value
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def profile_from_json(text: str) -> Profile:
@@ -560,38 +550,32 @@ def profile_from_json(text: str) -> Profile:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("a profile must be a JSON object")
-    raw = _json_object(obj, "params")
-    coupling_from_json(raw)  # strict keys, finite numbers, the hypothesis
-    params = CouplingParams(**raw)  # as written: a rewrite is byte-identical
-    deg = _json_object(obj, "degrees")
-    if not all(_is_count(deg.get(k)) for k in ("n_plus", "n_minus")):
-        raise ValueError("degrees must be nonnegative integers "
-                         "n_plus and n_minus")
-    degrees = DegreePair(deg["n_plus"], deg["n_minus"])
-    g = _json_object(obj, "grid")
-    if not (_is_count(g.get("N")) and is_number(g.get("R_max"))
-            and (g.get("stretch") is None or is_number(g["stretch"]))):
-        raise ValueError("grid needs an integer N, a number R_max and a "
-                         "number or null stretch")
+    coupling_from_json(obj.get("params"))  # strict keys, numbers, hypothesis
+    params = CouplingParams(**obj["params"])  # as written: rewrites match
+    degrees = DegreePair(*degrees_from_json(obj.get("degrees")))
+    g = obj.get("grid")
+    n_nodes = g.get("N") if isinstance(g, dict) else None
     f_plus = np.asarray(obj["f_plus"], dtype=float)
     f_minus = np.asarray(obj["f_minus"], dtype=float)
-    if f_plus.shape != (g["N"] + 1,) or f_minus.shape != (g["N"] + 1,):
-        raise ValueError("profile arrays do not match the grid")
-    grid = build_grid(g["R_max"], g["N"], g["kind"], g.get("stretch"))
+    # checked before the grid is built, so a huge N allocates nothing
+    if not (is_integer(n_nodes)
+            and f_plus.shape == f_minus.shape == (n_nodes + 1,)):
+        raise ValueError("grid needs an integer N matching the arrays")
+    grid = grid_from_json(g)
     far_field = obj.get("far_field", "robin")
     if far_field not in FAR_FIELDS:
         raise ValueError(f"unknown far_field {far_field!r}")
-    rep = _json_object(obj, "report")
+    rep = obj.get("report")
+    if not isinstance(rep, dict):
+        raise ValueError("profile field 'report' must be a JSON object")
     iterations = rep.get("iterations")
-    if not (isinstance(iterations, list) and all(map(_is_count, iterations))
-            and all(is_number(rep.get(k)) for k in
-                    ("final_residual", "tolerance", "wall_time"))):
+    numbers = ("final_residual", "tolerance", "wall_time")
+    if not (isinstance(iterations, list)
+            and all(is_integer(i) and i >= 0 for i in iterations)
+            and all(is_number(rep.get(k)) for k in numbers)):
         raise ValueError("report needs a list of iteration counts and "
                          "numbers final_residual, tolerance, wall_time")
-    report = SolveReport(iterations=tuple(iterations),
-                         final_residual=rep["final_residual"],
-                         tolerance=rep["tolerance"],
-                         wall_time=rep["wall_time"])
+    report = SolveReport(tuple(iterations), *(rep[k] for k in numbers))
     return Profile(grid=grid, params=params, degrees=degrees,
                    f_plus=f_plus, f_minus=f_minus, report=report,
                    far_field=far_field)

@@ -447,7 +447,7 @@ def select_envelope(params, degrees, r_candidates=(2, 4, 8, 16, 32, 64),
                                            for k in range(1, 11))):
     """(delta, R, family) of the first certified candidate, or
     SelectionFailed, trying every branch of every candidate in full."""
-    family, branches = _family_and_branches(params, "auto")
+    family, branches = _family_and_branches(params)
     for R in r_candidates:
         for delta in delta_candidates:
             if all(verify_envelope_pair(params, degrees, delta, R, br)

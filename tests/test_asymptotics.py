@@ -329,14 +329,6 @@ def test_envelope_decoupled_case_both_families(reference_profiles):
     assert envelope_check(prof, spec).passed
 
 
-def test_select_envelope_branch_validation():
-    p = gv.CouplingParams(1, 1, 0.5, 1, 1)
-    with pytest.raises(ValueError, match="inconsistent"):
-        select_envelope(p, gv.DegreePair(1, 1), branch="upper_both")
-    with pytest.raises(ValueError, match="unknown branch"):
-        select_envelope(p, gv.DegreePair(1, 1), branch="sideways")
-
-
 def test_selection_failed_when_budget_exhausted():
     p = gv.CouplingParams(1, 1, 0.5, 1, 1)
     with pytest.raises(gv.SelectionFailed):

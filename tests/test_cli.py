@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import glvortex as gv
-from glvortex.cli import main
+from glvortex.cli import build_parser, main
 
 
 def write_config(path, **overrides):
@@ -123,6 +123,45 @@ def test_config_sections_must_be_objects(tmp_path, capsys):
                           str(tmp_path / "list.json"))
     assert code == 1
     assert json.loads(stderr)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("section", [
+    {"degrees": {"n_plus": 1.5, "n_minus": 1}},
+    {"degrees": {"n_plus": True, "n_minus": 1}},
+    {"grid": {"R_max": 40.0, "N": "200"}},
+])
+def test_config_windings_and_n_must_be_integers(tmp_path, capsys, section):
+    cfg = write_config(tmp_path / "cfg.json", **section)
+    out = tmp_path / "p.json"
+    code, stdout, stderr = run(capsys, "solve", "--config", str(cfg),
+                               "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert not out.exists()
+    (line,) = stderr.splitlines()
+    assert json.loads(line)["error"] == "ValueError"
+
+
+BEC_KEYS = ["m1", "m2", "g1", "g2", "g12", "mu1", "mu2", "hbar"]
+
+
+@pytest.mark.parametrize("command", ["solve", "asymptotics"])
+@pytest.mark.parametrize("bec", [
+    BEC_KEYS,
+    {**dict.fromkeys(BEC_KEYS, 1.0), "g12": 0.0, "m1": "1", "hbar": True},
+])
+def test_bec_params_must_be_an_object_of_numbers(tmp_path, capsys, command,
+                                                  bec):
+    raw = json.loads(write_config(tmp_path / "cfg.json").read_text())
+    del raw["params"]
+    raw["bec_params"] = bec
+    cfg = tmp_path / "bec.json"
+    cfg.write_text(json.dumps(raw))
+    code, stdout, stderr = run(capsys, command, "--config", str(cfg))
+    assert code == 1
+    assert stdout == ""
+    (line,) = stderr.splitlines()
+    assert json.loads(line)["error"] == "ValueError"
 
 
 def test_bec_config_variant(tmp_path, capsys):
@@ -324,6 +363,34 @@ def test_sweep_records_and_empirical_threshold(tmp_path, capsys):
     assert len(rows) == 6
 
 
+def test_sweep_csv_path_keeps_dotted_directories(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json",
+                       grid={"R_max": 30.0, "N": 400},
+                       sweep={"b_start": -0.1, "b_stop": 0.1, "b_step": 0.1})
+    (tmp_path / "run.v2").mkdir()
+    code, stdout, _ = run(capsys, "sweep", "--config", str(cfg),
+                          "--out", str(tmp_path / "run.v2" / "sweep"))
+    assert code == 0
+    assert (tmp_path / "run.v2" / "sweep").read_text() == stdout.strip()
+    rows = list(csv.reader((tmp_path / "run.v2" / "sweep.csv").open()))
+    assert len(rows) == 4
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_sweep_rejects_csv_out(tmp_path, capsys):
+    # the JSON would be written first and then overwritten by the CSV
+    cfg = write_config(tmp_path / "cfg.json",
+                       grid={"R_max": 30.0, "N": 400},
+                       sweep={"b_start": -0.1, "b_stop": 0.1, "b_step": 0.1})
+    out = tmp_path / "s.csv"
+    code, stdout, stderr = run(capsys, "sweep", "--config", str(cfg),
+                               "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert not out.exists()
+    assert json.loads(stderr)["error"] == "ConfigError"
+
+
 def test_sweep_is_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        grid={"R_max": 30.0, "N": 400},
@@ -471,3 +538,33 @@ def test_numeric_output_has_17_significant_digits(tmp_path, capsys):
     # values round-trip exactly through the CSV
     prof = gv.profile_from_json(prof_path.read_text())
     assert float(rows[5][1]) == prof.f_plus[4]
+
+
+OVERRIDES = [("--grid-n", "600"), ("--r-max", "30.0"), ("--tol", "1e-9"),
+             ("--far-field", "robin")]
+
+
+# flags that verify, export and asymptotics once parsed and ignored
+UNREAD = [*((["verify", "p.json"], f) for f in [("--out", "x"), *OVERRIDES]),
+          *((["export", "p.json", "tail"], f)
+            for f in [("--config", "c.json"), *OVERRIDES]),
+          *((["asymptotics", "--config", "c.json"], f)
+            for f in [("--out", "x"), *OVERRIDES])]
+
+
+@pytest.mark.parametrize("argv, flag", UNREAD,
+                         ids=[f"{argv[0]}{flag[0]}" for argv, flag in UNREAD])
+def test_commands_reject_flags_they_do_not_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_solving_commands_take_every_override(command):
+    args = build_parser().parse_args(
+        [command, "--config", "c.json", "--out", "o.json",
+         *(part for flag in OVERRIDES for part in flag)])
+    assert (args.grid_n, args.r_max, args.tol, args.far_field) == (
+        600, 30.0, 1e-9, "robin")

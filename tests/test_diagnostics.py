@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -49,6 +51,7 @@ def test_energy_decreases_toward_minimizer(reference_profiles):
     # and the converged profile lies below its initial ansatz
     prof = reference_profiles["bpos"]
     base = gv.radial_energy(prof)
+    assert base > 0
     rng = np.random.default_rng(17)
     for _ in range(5):
         vp = rng.normal(size=prof.f_plus.shape) * 1e-3
@@ -406,11 +409,24 @@ def test_quantization_gap_shrinks_with_domain():
     assert 2.2 <= gaps[0] / gaps[1] <= 4.5
 
 
-def test_identity_report_fields(reference_profiles):
-    rep = gv.identity_report(reference_profiles["bpos"])
-    assert rep.quantization_rhs == pytest.approx(2.0)
-    assert rep.quantization_gap < 0.01
-    assert abs(rep.pohozaev_at_R_max) < 0.01
-    assert rep.bound_margin >= -1e-8
-    assert rep.hessian_min_eig > 1e-4
-    assert rep.energy_value > 0
+def test_verify_suite_passes_and_flags_corruption(reference_profiles):
+    prof = reference_profiles["bpos"]
+    checks = diagnostics.verify(prof)
+    assert all(set(c) == {"check", "value", "target", "tolerance", "pass"}
+               for c in checks)
+    by_name = {c["check"]: c for c in checks}
+    assert all(c["pass"] for c in checks), checks
+    assert by_name["hessian_min_eig"]["value"] > 1e-4
+    assert by_name["residual_norm"]["tolerance"] == 1e-10
+
+    def failed(**arrays):
+        return {c["check"] for c in diagnostics.verify(replace(prof, **arrays))
+                if not c["pass"]}
+
+    # one node moved by 1e-6 leaves the discrete equation unsolved there
+    bumped = prof.f_plus.copy()
+    bumped[500] += 1e-6
+    assert failed(f_plus=bumped) == {"residual_norm"}
+    negative = prof.f_minus.copy()
+    negative[1] = -1e-3
+    assert {"residual_norm", "positivity_min"} <= failed(f_minus=negative)

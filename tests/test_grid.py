@@ -110,9 +110,7 @@ def test_operator_constant_in_kernel_when_n_zero():
 def test_boundary_spec_errors():
     g = gv.build_grid(8.0, 64)
     with pytest.raises(gv.BadBoundarySpec):
-        gv.radial_operator(g, 0, bc_zero="dirichlet")
-    with pytest.raises(gv.BadBoundarySpec):
-        gv.radial_operator(g, 1, bc_zero="neumann")
+        gv.radial_operator(g, -1)
     with pytest.raises(gv.BadBoundarySpec):
         gv.radial_operator(g, 1, bc_far="periodic")
 
