@@ -76,6 +76,9 @@ def load_config(path: str, args=None) -> dict:
     if "params" in raw and "bec_params" in raw:
         raise ConfigError(_ONE_PARAMS)
     verify = _section(raw, "verify", diagnostics.VERIFY_DEFAULTS)
+    bad = [k for k, v in verify.items() if not (model.is_number(v) and v >= 0)]
+    if bad:
+        raise ConfigError(f"verify values {bad} must be finite numbers >= 0")
     window = raw.get("fit_window")
     if window is not None and not (
             isinstance(window, list) and len(window) == 2
@@ -145,8 +148,11 @@ def cmd_solve(args) -> int:
     except (solver.NoConvergence, solver.SingularJacobian) as exc:
         return _error(exc, 2)
     out = args.out or "profile.json"
-    with open(out, "w") as fh:
-        fh.write(solver.profile_to_json(profile))
+    try:
+        with open(out, "w") as fh:
+            fh.write(solver.profile_to_json(profile))
+    except OSError as exc:
+        return _error(exc, 1)
     q = diagnostics.quantization_check(profile)
     summary = {
         "out": out,
@@ -182,20 +188,24 @@ def cmd_sweep(args) -> int:
     report = diagnostics.sweep_report(cfg["params"], cfg["degrees"],
                                       cfg["sweep"], results)
     text = json.dumps(report)
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+            with open(Path(args.out).with_suffix(".csv"), "w",
+                      newline="") as fh:
+                writer = csv.writer(fh)
+                numbers = ("a_plus", "a_minus", "quantization_gap",
+                           "hessian_min_eig")
+                writer.writerow(["B", "converged", "class", *numbers])
+                for rec in report["records"]:
+                    writer.writerow(
+                        [_fmt(rec["B"]), rec["converged"], rec["class"] or ""]
+                        + ["" if rec[k] is None else _fmt(rec[k])
+                           for k in numbers])
+    except OSError as exc:
+        return _error(exc, 1)
     print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        with open(Path(args.out).with_suffix(".csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            numbers = ("a_plus", "a_minus", "quantization_gap",
-                       "hessian_min_eig")
-            writer.writerow(["B", "converged", "class", *numbers])
-            for rec in report["records"]:
-                writer.writerow(
-                    [_fmt(rec["B"]), rec["converged"], rec["class"] or ""]
-                    + ["" if rec[k] is None else _fmt(rec[k])
-                       for k in numbers])
     return 0
 
 

@@ -1,16 +1,19 @@
-"""Radial meshes on [0, R_max] and discrete radial differential operators.
+"""Radial meshes on [0, R_max] and the discrete radial operator.
 
-All integrals carry the planar radial measure r dr.  The second-derivative
-stencil discretizes the conservative form -(1/r)(r u')' at half-nodes, which
-makes the operator self-adjoint in the r-weighted inner product; Hessian
-symmetry downstream is therefore automatic.  At r = 0 the removable
-singularity for zero winding is handled with a ghost-free one-sided stencil
-(the radial Laplacian of an even function tends to 2 u''(0)).
+All integrals carry the planar radial measure r dr.  `radial_operator`
+assembles the rows of -(1/r)(r u')' + n^2/r^2, conservative at half-nodes,
+which makes the operator self-adjoint in the r-weighted inner product.  The
+solver's residual evaluates these rows, its Jacobian reads their
+coefficients, and the Hessian is built from that Jacobian, so the three
+share one discretization.  At r = 0 the removable singularity for zero
+winding is handled with a ghost-free one-sided row (the radial Laplacian of
+an even function tends to 2 u''(0)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,10 +54,6 @@ class RadialGrid:
     @property
     def R_max(self) -> float:
         return float(self.nodes[-1])
-
-    @property
-    def spacings(self) -> np.ndarray:
-        return np.diff(self.nodes)
 
     def as_dict(self):
         return {"R_max": self.R_max, "N": self.N, "kind": self.kind,
@@ -126,132 +125,85 @@ def quadrature_upto(grid: RadialGrid, samples: np.ndarray, R: float) -> float:
         # the cut node keeps only its left half-cell
         w = w.copy()
         w[-1] = 0.5 * (grid.nodes[i] - grid.nodes[i - 1]) * grid.nodes[i]
-    return float(np.dot(w, samples[:i + 1]))
-
-
-def laplacian_coefficients(grid: RadialGrid):
-    """Stencil of the (negative) radial Laplacian -(1/r)(r u')' on interior
-    nodes, in conservative half-node form.
-
-    Returns (lower, diag, upper) for rows i = 1..N-1, where row i is
-        lower[i-1]*u[i-1] + diag[i-1]*u[i] + upper[i-1]*u[i+1].
-    """
-    r = grid.nodes
-    h = np.diff(r)
-    rm = 0.5 * (r[:-1] + r[1:])            # half nodes r_{i+1/2}
-    ri = r[1:-1]
-    hbar = 0.5 * (h[:-1] + h[1:])
-    lower = -rm[:-1] / (h[:-1] * ri * hbar)
-    upper = -rm[1:] / (h[1:] * ri * hbar)
-    diag = -(lower + upper)
-    return lower, diag, upper
+    # numpy sum, not BLAS dot: a threaded dot wakes its threads every call
+    return float(np.sum(w * samples[:i + 1]))
 
 
 @dataclass(frozen=True)
 class RadialOperator:
-    """Tridiagonal discretization of -(1/r)(r u')' + n^2/r^2 with boundary rows.
+    """The rows of -(1/r)(r u')' + n^2/r^2 on a mesh, boundary rows included.
 
-    bc_zero is "dirichlet" (u(0) = 0) when n != 0 and "neumann" (u'(0) = 0)
-    when n = 0.  bc_far is "dirichlet" (row u(R) = prescribed value) or
-    "robin" (ghost-eliminated derivative row pinning u'(R_max) =
-    -2a/R_max^3 to the tail slope; the inhomogeneous part is reported in
-    rhs).
-
-    lower/diag/upper hold the assembled row coefficients (for banded
-    factorizations); apply() evaluates the same rows in divided-difference
-    (flux) form, so constants and linear tails see exact cancellation
-    instead of h^-2-sized roundoff.
+    One set of rows for every use: row i reads
+        pot[i] u[i] + lower[i] (u[i-1] - u[i]) + upper[i] (u[i+1] - u[i])
+    = rhs[i], with lower[0] = upper[N] = 0, so its tridiagonal coefficients
+    are (lower, diag, upper) with diag = -(lower + upper) + pot.  pot is
+    n^2/r^2 on equation rows and 1 on the `pinned` rows, where a Dirichlet
+    condition u = rhs replaces the equation.
     """
 
-    grid: RadialGrid
-    n: int
-    bc_zero: str
-    bc_far: str
-    robin_a: float
     lower: np.ndarray = field(repr=False)
-    diag: np.ndarray = field(repr=False)
     upper: np.ndarray = field(repr=False)
+    pot: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
+    pinned: np.ndarray = field(repr=False)
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        return -(self.lower + self.upper) + self.pot
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Row evaluation including boundary rows (rhs not subtracted)."""
+        """The rows at u in difference form, rhs not subtracted: unlike a
+        product with diag, a constant u cancels exactly."""
         u = np.asarray(u, dtype=float)
-        if u.shape != self.grid.nodes.shape:
+        if u.shape != self.pot.shape:
             raise LengthMismatch("sample length does not match grid")
-        r = self.grid.nodes
-        h = self.grid.spacings
-        rm = 0.5 * (r[:-1] + r[1:])
-        flux = rm * (u[1:] - u[:-1]) / h          # r_{i+1/2} u' at half nodes
-        hbar = 0.5 * (h[:-1] + h[1:])
-        out = np.empty_like(u)
-        out[1:-1] = (-(flux[1:] - flux[:-1]) / (r[1:-1] * hbar)
-                     + self.n ** 2 / r[1:-1] ** 2 * u[1:-1])
-        if self.bc_zero == "dirichlet":
-            out[0] = u[0]
-        else:
-            out[0] = 4.0 / r[1] ** 2 * (u[0] - u[1])
-        if self.bc_far == "dirichlet":
-            out[-1] = u[-1]
-        else:
-            # homogeneous part of the ghost row; the prescribed-slope
-            # constant lives in rhs, so rows always read apply(u) - rhs
-            hN = h[-1]
-            flux_out = (r[-1] + 0.5 * hN) * (u[-2] - u[-1]) / hN
-            out[-1] = (-(flux_out - flux[-1]) / (r[-1] * hN)
-                       + self.n ** 2 / r[-1] ** 2 * u[-1])
+        du = np.diff(u)
+        out = self.pot * u
+        out[1:] -= self.lower[1:] * du
+        out[:-1] += self.upper[:-1] * du
         return out
 
 
 def radial_operator(grid: RadialGrid, n: int, bc_far: str = "dirichlet",
                     robin_a: float = 0.0,
                     dirichlet_value: float = 0.0) -> RadialOperator:
-    """Assemble -(1/r)(r u')' + n^2/r^2 with boundary encodings.
+    """Assemble -(1/r)(r u')' + n^2/r^2 with its boundary rows.
 
-    The origin row is forced by the winding number: Dirichlet for n != 0
-    (the n^2/r^2 term is singular), one-sided second-order Neumann for
-    n = 0 (the singular term is absent exactly then).
+    The origin row is forced by the winding number: pinned to u(0) = 0 for
+    n != 0 (the n^2/r^2 term is singular), one-sided second-order Neumann
+    for n = 0.  bc_far "dirichlet" pins u(R_max) = dirichlet_value; "robin"
+    is the ghost-eliminated row fixing the slope u'(R_max) = -2a/R_max^3 of
+    the tail t + a/r^2 (a = robin_a), with its constant part in rhs.
     """
     if n < 0:
         raise BadBoundarySpec("winding number must be nonnegative")
-    bc_zero = "dirichlet" if n != 0 else "neumann"
     if bc_far not in ("dirichlet", "robin"):
         raise BadBoundarySpec(f"unknown far boundary {bc_far!r}")
 
     r = grid.nodes
-    N = grid.N
-    lo, di, up = laplacian_coefficients(grid)
-    lower = np.zeros(N + 1)
-    diag = np.zeros(N + 1)
-    upper = np.zeros(N + 1)
-    rhs = np.zeros(N + 1)
+    h = np.diff(r)
+    lower, upper, pot, rhs = (np.zeros_like(r) for _ in range(4))
+    pinned = np.zeros(r.shape, dtype=bool)
+    pinned[0], pinned[-1] = n != 0, bc_far == "dirichlet"
 
-    lower[1:-1] = lo
-    diag[1:-1] = di + n * n / r[1:-1] ** 2
-    upper[1:-1] = up
-
-    if bc_zero == "dirichlet":
-        diag[0] = 1.0
-    else:
+    rm = 0.5 * (r[:-1] + r[1:])            # half nodes r_{i+1/2}
+    hbar = 0.5 * (h[:-1] + h[1:])
+    lower[1:-1] = -rm[:-1] / (h[:-1] * r[1:-1] * hbar)
+    upper[1:-1] = -rm[1:] / (h[1:] * r[1:-1] * hbar)
+    pot[1:] = n * n / r[1:] ** 2
+    pot[pinned] = 1.0
+    if n == 0:
         # limit row: -(1/r)(r u')'|_0 = -2 u''(0) ~ (4/r1^2)(u0 - u1)
-        h0 = r[1]
-        diag[0] = 4.0 / h0 ** 2
-        upper[0] = -4.0 / h0 ** 2
-
+        upper[0] = -4.0 / r[1] ** 2
     if bc_far == "dirichlet":
-        diag[-1] = 1.0
         rhs[-1] = dirichlet_value
     else:
         # ghost elimination: u_{N+1} = u_{N-1} + 2 h d with d = -2a/R^3,
         # keeping the interior stencil second order at the boundary
-        h = r[-1] - r[-2]
-        rp = r[-1] + 0.5 * h
-        rm = r[-1] - 0.5 * h
-        c_out = -rp / (h * r[-1] * h)
-        c_in = -rm / (h * r[-1] * h)
-        d = -2.0 * robin_a / grid.R_max ** 3
+        hN = h[-1]
+        c_out = -(r[-1] + 0.5 * hN) / (hN * r[-1] * hN)
+        c_in = -(r[-1] - 0.5 * hN) / (hN * r[-1] * hN)
         lower[-1] = c_in + c_out
-        diag[-1] = -(c_in + c_out) + n * n / r[-1] ** 2
-        rhs[-1] = -c_out * 2.0 * h * d
-    return RadialOperator(grid=grid, n=n, bc_zero=bc_zero, bc_far=bc_far,
-                          robin_a=robin_a, lower=lower, diag=diag,
-                          upper=upper, rhs=rhs)
+        rhs[-1] = -c_out * 2.0 * hN * (-2.0 * robin_a / grid.R_max ** 3)
+    return RadialOperator(lower=lower, upper=upper, pot=pot, rhs=rhs,
+                          pinned=pinned)

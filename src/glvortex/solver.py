@@ -75,6 +75,9 @@ class SingularJacobian(_SolveFailure):
 # step before the failure ends the leg.
 _MAX_HALVINGS = 6
 
+# the line search's backtracking factor
+_DAMPING = 0.5
+
 # far boundary rows: the tail-slope (Robin) row or f = t (Dirichlet)
 FAR_FIELDS = ("robin", "dirichlet")
 
@@ -86,17 +89,18 @@ POSITIVITY_TOL = 1e-9
 class SolveOptions:
     tolerance: float = 1e-10           # sup-norm of the discrete residual
     max_newton_iters: int = 50
-    damping: float = 0.5               # backtracking factor in (0, 1)
     continuation_steps: int = 1        # equal B-steps tried first per leg
     far_field: str = "robin"           # "robin" (tail-slope row) or "dirichlet"
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping factor must lie in (0, 1)")
-        if self.continuation_steps < 1:
-            raise ValueError("continuation_steps must be >= 1")
+        if not (is_number(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be a finite number > 0")
+        if not (is_integer(self.max_newton_iters)
+                and self.max_newton_iters >= 0):
+            raise ValueError("max_newton_iters must be an integer >= 0")
+        if not (is_integer(self.continuation_steps)
+                and self.continuation_steps >= 1):
+            raise ValueError("continuation_steps must be an integer >= 1")
         if self.far_field not in FAR_FIELDS:
             raise ValueError(f"unknown far_field {self.far_field!r}")
 
@@ -130,9 +134,9 @@ class _DiscreteSystem:
     """Linear scaffolding of the coupled residual on a fixed grid.
 
     Holds the two single-component operators (radial Laplacian + n^2/r^2 +
-    boundary rows) and the mask of rows where the nonlinear potential term is
-    active (interior rows, the one-sided origin row when n = 0, and the
-    ghost-eliminated far row under the Robin condition).
+    boundary rows) and, per component, the mask of rows where the nonlinear
+    potential term is active: every row its operator does not pin to a
+    Dirichlet value.
     """
 
     def __init__(self, grid: RadialGrid, params: CouplingParams,
@@ -153,13 +157,8 @@ class _DiscreteSystem:
                     "enlarge R_max or use the robin condition", stacklevel=3)
             op = radial_operator(grid, n, bc_far=far_field, robin_a=a,
                                  dirichlet_value=t)
-            mask = np.ones(grid.N + 1)
-            if n != 0:
-                mask[0] = 0.0
-            if far_field == "dirichlet":
-                mask[-1] = 0.0
             self.ops.append(op)
-            self.masks.append(mask)
+            self.masks.append(~op.pinned)
 
     def residual(self, f_plus, f_minus):
         p = self.params
@@ -287,7 +286,7 @@ def newton_solve(f_plus0, f_minus0, grid: RadialGrid, params: CouplingParams,
                  options: SolveOptions = SolveOptions()) -> Profile:
     """Damped Newton iteration from the given starting arrays.
 
-    Backtracks the step by the damping factor whenever the residual sup-norm
+    Backtracks the step by the factor _DAMPING whenever the residual sup-norm
     fails to decrease; raises NoConvergence (with the best iterate and the
     residual history) after max_newton_iters, a stalled line search, or a
     converged iterate that is not positive.
@@ -346,7 +345,7 @@ def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
             cand_norm = _sup_norm(g_plus, g_minus)
             if cand_norm < norm or cand_norm <= options.tolerance:
                 break
-            alpha *= options.damping
+            alpha *= _DAMPING
             if alpha < 1e-8:
                 raise NoConvergence(
                     f"line search stalled at residual {norm:.3e}",

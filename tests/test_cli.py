@@ -341,6 +341,52 @@ def test_malformed_profile_is_a_json_error(tmp_path, capsys, profile_text,
     assert json.loads(line)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("solve", [
+    {"tolerance": True},
+    {"tolerance": "1e-10"},
+    {"max_newton_iters": 2.5},
+    {"continuation_steps": 1.5},
+    {"damping": 0.5},
+])
+def test_solve_section_values_are_typed(tmp_path, capsys, solve):
+    cfg = write_config(tmp_path / "cfg.json", solve=solve,
+                       grid={"R_max": 20.0, "N": 200})
+    code, stdout, stderr = run(capsys, "solve", "--config", str(cfg),
+                               "--out", str(tmp_path / "p.json"))
+    assert code == 1
+    assert stdout == ""
+    (line,) = stderr.splitlines()
+    assert json.loads(line)["error"] in ("ValueError", "ConfigError")
+
+
+@pytest.mark.parametrize("value", ["x", True, -1.0, float("nan")])
+def test_verify_section_values_are_typed(tmp_path, capsys, profile_text,
+                                         value):
+    prof = tmp_path / "p.json"
+    prof.write_text(profile_text)
+    vcfg = tmp_path / "v.json"
+    vcfg.write_text(json.dumps({"version": 1,
+                                "verify": {"residual_tol": value}}))
+    code, stdout, stderr = run(capsys, "verify", str(prof),
+                               "--config", str(vcfg))
+    assert code == 1
+    assert stdout == ""
+    (line,) = stderr.splitlines()
+    assert json.loads(line)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_unwritable_out_is_a_json_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "cfg.json", grid={"R_max": 20.0, "N": 200},
+                       sweep={"b_start": 0.0, "b_stop": 0.1, "b_step": 0.1})
+    code, stdout, stderr = run(capsys, command, "--config", str(cfg),
+                               "--out", str(tmp_path / "no_dir" / "o.json"))
+    assert code == 1
+    assert stdout == ""
+    (line,) = stderr.splitlines()
+    assert json.loads(line)["error"] == "FileNotFoundError"
+
+
 def test_sweep_records_and_empirical_threshold(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        grid={"R_max": 30.0, "N": 600},

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import glvortex as gv
 from glvortex.diagnostics import second_variation_matrix
@@ -103,8 +104,31 @@ def test_operator_constant_in_kernel_when_n_zero():
     g = gv.build_grid(8.0, 64)
     op = gv.radial_operator(g, 0)
     u = np.full(65, 3.7)
-    # zero up to roundoff of the h^-2 stencil entries, origin row included
-    assert np.max(np.abs(op.apply(u)[:-1])) < 1e-11
+    # the difference form cancels a constant exactly, origin row included
+    assert np.max(np.abs(op.apply(u)[:-1])) == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(geometric=st.booleans(), stretch=st.floats(1.001, 1.1),
+       N=st.integers(16, 200), R_max=st.floats(1.0, 200.0),
+       n=st.integers(0, 5), bc_far=st.sampled_from(["robin", "dirichlet"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_apply_matches_tridiagonal_rows(geometric, stretch, N, R_max, n,
+                                        bc_far, seed):
+    # apply() and the assembled (lower, diag, upper) are one set of rows
+    g = (gv.build_grid(R_max, N, "geometric", stretch) if geometric
+         else gv.build_grid(R_max, N))
+    op = gv.radial_operator(g, n, bc_far=bc_far, robin_a=-0.5,
+                            dirichlet_value=1.0)
+    u = np.random.default_rng(seed).normal(size=N + 1)
+    dense = (np.diag(op.diag) + np.diag(op.lower[1:], -1)
+             + np.diag(op.upper[:-1], 1))
+    scale = (np.abs(op.lower) + np.abs(op.diag) + np.abs(op.upper)) \
+        * np.max(np.abs(u))
+    assert np.all(np.abs(op.apply(u) - dense @ u) <= 1e-12 * scale)
+    assert op.lower[0] == op.upper[-1] == 0.0
+    assert list(np.flatnonzero(op.pinned)) == (
+        [0] * (n != 0) + [N] * (bc_far == "dirichlet"))
 
 
 def test_boundary_spec_errors():

@@ -1,5 +1,6 @@
 import gc
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -68,11 +69,15 @@ def test_residual_matches_analytic_defect_of_ansatz():
     assert np.max(np.abs(gm[1:-1])) < 1e-14
 
 
-def test_jacobian_matches_finite_differences():
-    g = gv.build_grid(20.0, 96)
+@pytest.mark.parametrize("far_field", ["robin", "dirichlet"])
+@pytest.mark.parametrize("kind", ["uniform", "geometric"])
+def test_jacobian_matches_finite_differences(kind, far_field):
+    g = gv.build_grid(20.0, 96, kind, 1.02 if kind == "geometric" else None)
     params = params_of(1.2, 0.9, 0.4, 1.0, 0.8)
     deg = gv.DegreePair(1, 1)
-    sys = _DiscreteSystem(g, params, deg, "robin")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the truncated-tail warning
+        sys = _DiscreteSystem(g, params, deg, far_field)
     rng = np.random.default_rng(5)
     fp = np.abs(rng.normal(0.8, 0.1, 97))
     fm = np.abs(rng.normal(0.7, 0.1, 97))
@@ -263,14 +268,19 @@ def test_dirichlet_far_field_warns_when_tail_truncated():
 
 
 def test_solve_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(damping=1.0)
-    with pytest.raises(ValueError):
-        SolveOptions(continuation_steps=0)
-    with pytest.raises(ValueError):
-        SolveOptions(far_field="absorbing")
+    # values as a JSON config can spell them: booleans, strings and
+    # fractions are not numbers or counts
+    for bad in ({"tolerance": 0.0}, {"tolerance": True},
+                {"tolerance": "1e-10"}, {"tolerance": float("inf")},
+                {"max_newton_iters": 2.5}, {"max_newton_iters": -1},
+                {"max_newton_iters": True}, {"continuation_steps": 0},
+                {"continuation_steps": 1.0}, {"far_field": "absorbing"},
+                {"far_field": ["robin"]}):
+        with pytest.raises(ValueError):
+            SolveOptions(**bad)
+    with pytest.raises(TypeError):
+        SolveOptions(damping=0.5)       # the backtracking factor is fixed
+    assert SolveOptions(tolerance=1, max_newton_iters=0).tolerance == 1
 
 
 def test_profile_json_roundtrip(coarse_grid):
