@@ -6,9 +6,8 @@ certified envelopes, second variation, monotonicity)."""
 from .asymptotics import (DefectSeries, EnvelopeSpec, IllConditionedFit,
                           SelectionFailed, TailExpansion, TailFit,
                           derivative_tail_check, envelope_bounds,
-                          envelope_check, expand_defect_series,
-                          leading_coeffs, second_coeffs, select_envelope,
-                          tail_fit)
+                          envelope_check, leading_coeffs, second_coeffs,
+                          select_envelope, tail_fit)
 from .diagnostics import (EigenFailure, MonotonicityClass, MonotonicityLabel,
                           amplitude_bound_check, monotonicity_classify,
                           near_origin_order, pohozaev_residual,

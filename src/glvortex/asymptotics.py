@@ -5,7 +5,7 @@ b: they are the unique coefficients killing the r^-2 and r^-4 terms when the
 two-term tail is substituted into the coupled system.  Around that expansion,
 upper/lower comparison functions of the form
 
-    w(r) = t + a/r^2 + b/r^4 + c R^6/r^6
+    w(r) = t + a/r^2 + b/r^4 +- delta kappa R^6/r^6
 
 become super/subsolutions for r >= R once the defect
 
@@ -13,20 +13,21 @@ become super/subsolutions for r >= R once the defect
 
 has a definite sign on r >= R.  The M coefficients are polynomials in the
 inputs; with rational inputs the whole construction is carried out in exact
-arithmetic, so the vanishing of M_2 and M_4 and the sign of the full series
-on (0, 1] (via Sturm root counting) are certified, not sampled.  Float inputs
-are converted to their exact binary rationals first, so the certificate is
-exact for the parameters as given.
+arithmetic, so the certificate is exact, not sampled.  Float inputs are
+converted to their exact binary rationals first, so it holds for the
+parameters as given.  The certificate is M_2 = M_4 = 0 plus dominance of
+M_6: 20|M_2k| <= |M_6| for k = 4, 5, 7, 8 and 5|M_2k| <= |M_6| for k = 6, 9.
+Then the higher terms sum to at most 0.6 |M_6| (R/r)^8 < |M_6| (R/r)^6, so
+the sign of M_6 is the sign of the whole defect.
 
-The amplitude enters only as c R^6 = +-kappa u with u = delta R^6, so each
-M_2k = C_k(u) / R^(2k) with C_k a cubic in u.  The envelope search expands
-the defect once per branch into these cubics (fractions.Fraction, then one
-common denominator) and evaluates them per candidate (delta, R) in int.  The
-Sturm chain is the primitive pseudo-remainder sequence over the integers,
-whose members are positive multiples of the rational chain's, so every sign
-it reports is the rational one.
+The signs come from the comparison structure.  For B >= 0 the system is
+cooperative once f_- is reflected, so an upper f_+ envelope pairs with a
+lower f_- one; for B < 0 upper pairs with upper.  The amplitude enters only
+as +-kappa u with u = delta R^6, so each M_2k = C_k(u) / R^(2k) with C_k a
+cubic in u.  The envelope search expands the defect once per branch into
+these cubics (fractions.Fraction, then one common denominator) and evaluates
+them per candidate (delta, R) in int.
 """
-
 from __future__ import annotations
 
 import math
@@ -127,8 +128,7 @@ def second_coeffs(params: CouplingParams, degrees: DegreePair) -> TailExpansion:
 
 
 # ---------------------------------------------------------------------------
-# exact sign certificates in integer arithmetic (coefficient lists,
-# ascending powers)
+# defect series of an envelope candidate, in integer arithmetic
 
 
 def _over_common_denominator(values) -> tuple:
@@ -140,88 +140,12 @@ def _over_common_denominator(values) -> tuple:
     return [n * (den // d) for n, d in pairs], den
 
 
-def _primitive(p) -> list:
-    """p without zero top coefficients, divided by its positive content."""
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    g = math.gcd(*p)
-    return [c // g for c in p] if g > 1 else p
-
-
-def _pseudo_remainder(num, den) -> list:
-    """|lc(den)|^k (num mod den) for integer polynomials: a positive
-    multiple of the remainder, so no sign of a Sturm chain changes."""
-    num = list(num)
-    scale, sgn = abs(den[-1]), (1 if den[-1] > 0 else -1)
-    while len(num) >= len(den):
-        f = sgn * num[-1]
-        k = len(num) - len(den)
-        num = [scale * c for c in num]
-        for i, d in enumerate(den):
-            num[k + i] -= f * d
-        num.pop()
-        while num and num[-1] == 0:
-            num.pop()
-    return num
-
-
-def _variations(values) -> int:
-    signs = [v > 0 for v in values if v != 0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _sturm_roots_open_unit(p) -> int:
-    """Number of distinct real roots of the rational polynomial p in the
-    open interval (0, 1).
-
-    Requires p(0) != 0 and p(1) != 0.  The chain is the primitive
-    pseudo-remainder sequence of p and p' (Collins 1967; Brown & Traub
-    1971): every member is a positive multiple of the member of the
-    classical Sturm sequence, so the sign variations at 0 (constant terms)
-    and at 1 (coefficient sums) are the same, and all of it stays in int.
-    """
-    chain = [_primitive(_over_common_denominator(p)[0])]
-    nxt = _primitive([k * c for k, c in enumerate(chain[0])][1:])
-    while nxt:
-        chain.append(nxt)
-        nxt = _primitive([-c for c in _pseudo_remainder(chain[-2], chain[-1])])
-    return (_variations([q[0] for q in chain])
-            - _variations([sum(q) for q in chain]))
-
-
-def _series_sign_definite(coeffs, required_sign: int) -> bool:
-    """Exact check that sum_k coeffs[k-1] s^k keeps required_sign on (0, 1].
-
-    A zero series counts as both nonnegative and nonpositive.  Otherwise the
-    lowest nonzero coefficient, the value at s=1, and a Sturm root count on
-    (0, 1) must all agree with required_sign (strict: no interior roots).
-    Any positive multiple of the coefficients gives the same answer.
-    """
-    p = _primitive(_over_common_denominator(coeffs)[0])
-    if not p:
-        return True
-    q = p[next(m for m, c in enumerate(p) if c):]
-    if (q[0] > 0) != (required_sign > 0):
-        return False
-    at_one = sum(q)
-    if at_one == 0 or (at_one > 0) != (required_sign > 0):
-        return False
-    return len(q) == 1 or _sturm_roots_open_unit(q) == 0
-
-
 def _m6_dominates(m) -> bool:
     """The selection inequalities on m[k-1] = M_2k (or any positive multiple
     of the series): M_6 dominates the higher terms."""
     m6 = abs(m[2])
-    if m6 == 0:
-        return False
-    return (all(20 * abs(m[k - 1]) <= m6 for k in (4, 5, 7, 8))
+    return (m6 > 0 and all(20 * abs(m[k - 1]) <= m6 for k in (4, 5, 7, 8))
             and all(5 * abs(m[k - 1]) <= m6 for k in (6, 9)))
-
-
-# ---------------------------------------------------------------------------
-# defect series of an envelope candidate
 
 
 @dataclass(frozen=True)
@@ -236,10 +160,6 @@ class DefectSeries:
     component: str
     coefficients: tuple
     R: Fraction
-
-    def coefficient(self, k: int) -> Fraction:
-        """M_{2k} for k = 1..9."""
-        return self.coefficients[k - 1]
 
     def as_strings(self) -> dict:
         return {f"M_{2 * (k + 1)}": str(c)
@@ -263,9 +183,9 @@ class _DefectCubics:
     num: tuple
     den: int
 
-    def scaled(self, basis: tuple, rows=range(9)) -> list:
-        """q^3 den C_k(u) for the given rows (k - 1), from _cubic_basis(u)."""
-        return [sum(c * v for c, v in zip(self.num[i], basis)) for i in rows]
+    def scaled(self, basis: tuple) -> list:
+        """q^3 den C_k(u) for k = 1..9, from _cubic_basis(u)."""
+        return [sum(c * v for c, v in zip(row, basis)) for row in self.num]
 
     def series(self, u: Fraction, R: Fraction) -> DefectSeries:
         basis = _cubic_basis(u)
@@ -320,42 +240,23 @@ def _defect_cubics(params: CouplingParams, degrees: DegreePair,
     return tuple(out)
 
 
-def expand_defect_series(params: CouplingParams, degrees: DegreePair,
-                         a: tuple, b: tuple, c: tuple, R) -> tuple:
-    """Expand the equation defect of the envelope pair
-
-        w_pm(r) = t_pm + a_pm/r^2 + b_pm/r^4 + c_pm R^6/r^6
-
-    into (DefectSeries for plus, DefectSeries for minus).  All inputs are
-    rationalized exactly; with a, b from the closed forms, M_2 = M_4 = 0
-    identically.  This is the selection's expansion at the single point
-    u = R^6.
-    """
-    R = _frac(R)
-    return tuple(cubics.series(R ** 6, R)
-                 for cubics in _defect_cubics(params, degrees, a, b, c))
-
-
 def _certified(tables, u: Fraction, R: Fraction) -> bool:
     """Exact certificate of one candidate (delta, R), u = delta R^6, for
-    every (_DefectCubics, required defect sign) in tables: the sign of M_6,
-    then dominance of M_6, then sign definiteness of the whole series.
+    every (_DefectCubics, required defect sign) in tables: M_6 has the
+    required sign and dominates M_8 .. M_18.  With M_2 = M_4 = 0 that fixes
+    the sign of the whole defect on r >= R (see the module docstring).
 
     The series are compared as integers m_k = M_2k q^3 den R_num^18, a
     positive multiple of M_2k, so every decision is the rational one.
     """
     basis = _cubic_basis(u)
-    for cubics, req in tables:
-        m6 = cubics.scaled(basis, rows=(2,))[0]
-        if m6 == 0 or (m6 > 0) != (req > 0):
-            return False
     rn, rd = int(R.numerator), int(R.denominator)
     r_scale = [rd ** (2 * k) * rn ** (18 - 2 * k) for k in range(1, 10)]
-    series = [[c * s for c, s in zip(cubics.scaled(basis), r_scale)]
-              for cubics, _ in tables]
-    return (all(_m6_dominates(m) for m in series)
-            and all(_series_sign_definite(m, req)
-                    for m, (_, req) in zip(series, tables)))
+    for cubics, req in tables:
+        m = [c * s for c, s in zip(cubics.scaled(basis), r_scale)]
+        if (m[2] > 0) != (req > 0) or not _m6_dominates(m):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +267,15 @@ def _certified(tables, u: Fraction, R: Fraction) -> bool:
 class EnvelopeSpec:
     """A certified choice of r^-6 envelope amplitudes.
 
-    For B >= 0 the mixed family applies: c_tilde solves
-        A_+ t_+ c~_+ + B t_- c~_- = 1,   B t_+ c~_+ + A_- t_- c~_- = -1,
-    so c~_+ > 0 and c~_- < 0.  For B < 0 the hat family applies, with
-    right-hand side (1, 1) and c^_pm > 0.  The four envelope amplitudes are
-    +-delta times these; delta and R are the certified pair.
+    The envelopes of component pm are t + a/r^2 + b/r^4 +- delta kappa_pm
+    R^6/r^6, upper with +, lower with -.  kappa_pm > 0 comes from the sign
+    of B (see _kappas); delta and R are the certified pair.
     """
 
     delta: float
     R: float
-    family: str                      # "mixed" (B >= 0) or "hat" (B < 0)
-    c_tilde_plus: float | None = None
-    c_tilde_minus: float | None = None
-    c_hat_plus: float | None = None
-    c_hat_minus: float | None = None
+    kappa_plus: float
+    kappa_minus: float
     # ((branch, (DefectSeries plus, DefectSeries minus)), ...): the series
     # select_envelope certified at (delta, R); empty on a hand-built spec
     series: tuple = ()
@@ -387,64 +283,25 @@ class EnvelopeSpec:
     def envelope_c(self, component: str, side: str) -> float:
         """Signed r^-6 amplitude (to be scaled by R^6) for one envelope."""
         sgn = 1.0 if side == "upper" else -1.0
-        if self.family == "mixed":
-            base = self.c_tilde_plus if component == "plus" else self.c_tilde_minus
-            # c_tilde_minus < 0: +delta*c_tilde_minus is already the lower side
-            if component == "minus":
-                sgn = -sgn
-        else:
-            base = self.c_hat_plus if component == "plus" else self.c_hat_minus
-        return sgn * self.delta * base
+        kappa = self.kappa_plus if component == "plus" else self.kappa_minus
+        return sgn * self.delta * kappa
 
 
-def _envelope_bases(params: CouplingParams, family: str):
-    """Exact base amplitudes (kappa_plus, kappa_minus) of the family;
-    the signed envelope c's are +-delta*kappa with kappa > 0."""
+# (sign of the f_+ amplitude, sign of the f_- amplitude) of each envelope
+# pair, +1 upper / -1 lower.  An upper envelope needs a nonnegative defect
+# and a lower one a nonpositive defect, so the pair is also the pair of
+# required defect signs.  The flip s keeps the pairs with sign_- = s sign_+.
+_BRANCHES = {"upper_plus_lower_minus": (1, -1),
+             "lower_plus_upper_minus": (-1, 1),
+             "upper_both": (1, 1), "lower_both": (-1, -1)}
+
+
+def _kappas(params: CouplingParams) -> tuple:
+    """The flip s (-1 for B >= 0, +1 for B < 0) and the exact amplitudes
+    kappa_pm = (A_mp - s B) / ((A_+ A_- - B^2) t_pm) > 0."""
     Ap, Am, B, tp, tm = _exact_params(params)
-    D = Ap * Am - B * B
-    if family == "mixed":
-        return (Am + B) / (D * tp), (Ap + B) / (D * tm)
-    return (Am - B) / (D * tp), (Ap - B) / (D * tm)
-
-
-def _branch_requirements(branch: str):
-    """Map a branch to (sign of c_plus, sign of c_minus, required defect
-    signs for plus and minus) in units of +1 upper / -1 lower."""
-    return {
-        "upper_plus_lower_minus": (+1, -1, +1, -1),
-        "lower_plus_upper_minus": (-1, +1, -1, +1),
-        "upper_both": (+1, +1, +1, +1),
-        "lower_both": (-1, -1, -1, -1),
-    }[branch]
-
-
-def _family_and_branches(params: CouplingParams):
-    if params.B >= 0:
-        return "mixed", ("upper_plus_lower_minus", "lower_plus_upper_minus")
-    return "hat", ("upper_both", "lower_both")
-
-
-def _branch_tables(params: CouplingParams, degrees: DegreePair, a, b,
-                   kappa, branch: str) -> tuple:
-    """((_DefectCubics, required sign) for plus, for minus) of one branch,
-    with the signed base amplitudes +-kappa as the r^-6 direction."""
-    sp, sm, req_p, req_m = _branch_requirements(branch)
-    plus, minus = _defect_cubics(params, degrees, a, b,
-                                 (sp * kappa[0], sm * kappa[1]))
-    return (plus, req_p), (minus, req_m)
-
-
-def verify_envelope_pair(params: CouplingParams, degrees: DegreePair,
-                         delta, R, branch: str) -> bool:
-    """Exact certification of one envelope pair at the given (delta, R):
-    dominance of M_6 plus sign definiteness of the full defect series."""
-    family = "mixed" if params.B >= 0 else "hat"
-    tables = _branch_tables(params, degrees,
-                            leading_coeffs_exact(params, degrees),
-                            second_coeffs_exact(params, degrees),
-                            _envelope_bases(params, family), branch)
-    R = _frac(R)
-    return _certified(tables, _frac(delta) * R ** 6, R)
+    s, D = (-1 if B >= 0 else 1), Ap * Am - B * B
+    return s, ((Am - s * B) / (D * tp), (Ap - s * B) / (D * tm))
 
 
 def select_envelope(params: CouplingParams, degrees: DegreePair,
@@ -457,35 +314,35 @@ def select_envelope(params: CouplingParams, degrees: DegreePair,
     gives no constructive values; the search (budget: the candidate grid)
     turns "sufficiently large" into a falsifiable procedure.  R is scanned
     outward and delta downward from 1/2, so the first hit has the fattest
-    envelope at the smallest workable R.  Both pairs of the family that the
-    sign of B selects are certified with the same (delta, R), which is what
-    the two-sided sandwich needs.  The defect is expanded once per
-    branch and evaluated per candidate.
+    envelope at the smallest workable R.  Both pairs that the sign of B
+    selects are certified with the same (delta, R), which is what the
+    two-sided sandwich needs.  The defect is expanded once per branch, its
+    M_2 = M_4 = 0 checked once, and M_6 dominance evaluated per candidate.
     """
     validate(params)
-    family, branches = _family_and_branches(params)
-    kp, km = _envelope_bases(params, family)
+    s, kappa = _kappas(params)
     a = leading_coeffs_exact(params, degrees)
     b = second_coeffs_exact(params, degrees)
-    tables = {br: _branch_tables(params, degrees, a, b, (kp, km), br)
-              for br in branches}
-    every = [t for br in branches for t in tables[br]]
-    for R in r_candidates:
-        R_exact = _frac(R)
-        for delta in delta_candidates:
-            u = _frac(delta) * R_exact ** 6
-            if not _certified(every, u, R_exact):
-                continue
-            if family == "mixed":
-                kwargs = {"c_tilde_plus": float(kp),
-                          "c_tilde_minus": float(-km)}
-            else:
-                kwargs = {"c_hat_plus": float(kp), "c_hat_minus": float(km)}
-            series = tuple((br, tuple(cubics.series(u, R_exact)
-                                      for cubics, _ in tables[br]))
-                           for br in branches)
-            return EnvelopeSpec(delta=float(delta), R=float(R), family=family,
-                                series=series, **kwargs)
+    tables = {br: tuple(zip(_defect_cubics(params, degrees, a, b,
+                                           (sp * kappa[0], sm * kappa[1])),
+                            (sp, sm)))
+              for br, (sp, sm) in _BRANCHES.items() if sm == s * sp}
+    every = [t for pair in tables.values() for t in pair]
+    # the M_2 and M_4 rows do not involve u: one check covers every candidate
+    if not any(c for cub, _ in every for row in cub.num[:2] for c in row):
+        for R in r_candidates:
+            R_exact = _frac(R)
+            for delta in delta_candidates:
+                u = _frac(delta) * R_exact ** 6
+                if not _certified(every, u, R_exact):
+                    continue
+                series = tuple((br, tuple(cubics.series(u, R_exact)
+                                          for cubics, _ in pair))
+                               for br, pair in tables.items())
+                return EnvelopeSpec(delta=float(delta), R=float(R),
+                                    kappa_plus=float(kappa[0]),
+                                    kappa_minus=float(kappa[1]),
+                                    series=series)
     raise SelectionFailed(
         f"no (delta, R) certified within the search budget for params={params}, "
         f"degrees={degrees}: either the budget is too small or a defect "
@@ -563,6 +420,21 @@ class TailFit:
     nodes_used: int
 
 
+def _tail_window(profile: "Profile", fit_window) -> tuple:
+    """(r_lo, r_hi, node mask) of a tail window inside [0, R_max] holding
+    at least 20 nodes; the default is [R_max/4, 3 R_max/4]."""
+    R_max, r = profile.grid.R_max, profile.grid.nodes
+    r_lo, r_hi = (0.25 * R_max, 0.75 * R_max) if fit_window is None \
+        else fit_window
+    if r_hi > R_max + 1e-12:
+        raise IllConditionedFit(f"window end {r_hi} beyond R_max")
+    mask = (r >= r_lo) & (r <= r_hi)
+    if int(mask.sum()) < 20:
+        raise IllConditionedFit(f"window [{r_lo}, {r_hi}] holds only "
+                                f"{int(mask.sum())} nodes (need >= 20)")
+    return r_lo, r_hi, mask
+
+
 def tail_fit(profile: "Profile", fit_window: tuple | None = None) -> TailFit:
     """Fit (f - t) against {r^-2, r^-4} over the window by weighted least
     squares with weights proportional to r^6.
@@ -572,18 +444,8 @@ def tail_fit(profile: "Profile", fit_window: tuple | None = None) -> TailFit:
     fit runs in the scaled variable (f - t) r^6 = a r^4 + b r^2, which also
     keeps the design matrix well conditioned over windows like [R/4, 3R/4].
     """
-    r = profile.grid.nodes
-    if fit_window is None:
-        fit_window = (0.25 * profile.grid.R_max, 0.75 * profile.grid.R_max)
-    r_lo, r_hi = fit_window
-    if r_hi > profile.grid.R_max + 1e-12:
-        raise IllConditionedFit(f"window end {r_hi} beyond R_max")
-    mask = (r >= r_lo) & (r <= r_hi)
-    n_used = int(mask.sum())
-    if n_used < 20:
-        raise IllConditionedFit(f"window [{r_lo}, {r_hi}] holds only "
-                                f"{n_used} nodes (need >= 20)")
-    rr = r[mask]
+    r_lo, r_hi, mask = _tail_window(profile, fit_window)
+    rr = profile.grid.nodes[mask]
     out = {}
     for comp, f, t in (("plus", profile.f_plus[mask], profile.params.t_plus),
                        ("minus", profile.f_minus[mask], profile.params.t_minus)):
@@ -601,7 +463,8 @@ def tail_fit(profile: "Profile", fit_window: tuple | None = None) -> TailFit:
     return TailFit(a_plus=out["plus"][0], a_minus=out["minus"][0],
                    b_plus=out["plus"][1], b_minus=out["minus"][1],
                    c1_plus=out["plus"][2], c1_minus=out["minus"][2],
-                   window=(float(r_lo), float(r_hi)), nodes_used=n_used)
+                   window=(float(r_lo), float(r_hi)),
+                   nodes_used=int(mask.sum()))
 
 
 def derivative_tail_check(profile: "Profile",
@@ -609,11 +472,7 @@ def derivative_tail_check(profile: "Profile",
     """Empirical constants (C2_plus, C2_minus) of the derivative tail bound:
     max over the window of |f' + 2a/r^3| * r^5 with a from the closed form."""
     r = profile.grid.nodes
-    if fit_window is None:
-        fit_window = (0.25 * profile.grid.R_max, 0.75 * profile.grid.R_max)
-    mask = (r >= fit_window[0]) & (r <= fit_window[1])
-    if int(mask.sum()) < 20:
-        raise IllConditionedFit("derivative window holds fewer than 20 nodes")
+    _, _, mask = _tail_window(profile, fit_window)
     tail = leading_coeffs(profile.params, profile.degrees)
     out = []
     for f, a in ((profile.f_plus, tail.a_plus),

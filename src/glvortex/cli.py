@@ -33,6 +33,9 @@ _SOLVE_KEYS = {f.name for f in dataclasses.fields(solver.SolveOptions)}
 _CONFIG_KEYS = {"version", "params", "bec_params", "degrees", "grid", "solve",
                 "sweep", "fit_window", "verify"}
 _ONE_PARAMS = "exactly one of params / bec_params must be present"
+# each sweep value is one continuation stage (a few ms at N = 4000), so 10^4
+# values is minutes of work; the bound is checked before the list is built
+_MAX_SWEEP_VALUES = 10_000
 
 
 def _section(raw: dict, key: str, keys) -> dict:
@@ -50,7 +53,10 @@ def _sweep_b_values(sweep: dict, params: model.CouplingParams) -> list:
     b_start, b_stop, b_step = (float(sweep[k]) for k in keys)
     if not (b_start <= b_stop and b_step > 0):
         raise ConfigError("sweep needs b_start <= b_stop and b_step > 0")
-    n = int(round((b_stop - b_start) / b_step))
+    steps = (b_stop - b_start) / b_step   # inf when the span overflows
+    if not steps <= _MAX_SWEEP_VALUES - 1:
+        raise ConfigError(f"sweep holds more than {_MAX_SWEEP_VALUES} values")
+    n = int(round(steps))
     vals = [b_start + k * b_step for k in range(n + 1)]
     b_values = [round(v, 12) for v in vals if v <= b_stop + 1e-12]
     for b in b_values:

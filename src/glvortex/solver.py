@@ -554,8 +554,11 @@ def profile_from_json(text: str) -> Profile:
     degrees = DegreePair(*degrees_from_json(obj.get("degrees")))
     g = obj.get("grid")
     n_nodes = g.get("N") if isinstance(g, dict) else None
-    f_plus = np.asarray(obj["f_plus"], dtype=float)
-    f_minus = np.asarray(obj["f_minus"], dtype=float)
+    try:  # a dict, or a list holding one, is a TypeError to numpy
+        f_plus, f_minus = (np.asarray(obj[k], dtype=float)
+                           for k in ("f_plus", "f_minus"))
+    except TypeError as exc:
+        raise ValueError("f_plus and f_minus must be number lists") from exc
     # checked before the grid is built, so a huge N allocates nothing
     if not (is_integer(n_nodes)
             and f_plus.shape == f_minus.shape == (n_nodes + 1,)):

@@ -8,9 +8,12 @@ a different LAPACK route, and the coupled Hessian band is assembled node by
 node.  None of it touches the package's Newton/banded machinery.  The
 smallest Hessian eigenvalue is also bisected with one banded Cholesky
 factorization per halving, as the package first computed it.  The
-envelope search expands the whole defect in Fractions for every candidate
-and counts roots with a Fraction Sturm chain; it shares only the closed-form
-tail coefficients and the branch sign tables with the package.
+envelope search expands the whole defect in Fractions for every candidate,
+requires M_6 dominance and proves the sign of the whole series with a
+Fraction Sturm root count on (0, 1), where the package relies on
+M_2 = M_4 = 0 instead; it derives its own amplitudes and branch signs from
+the comparison systems and shares only the closed-form tail coefficients
+with the package.
 """
 
 from fractions import Fraction
@@ -20,9 +23,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpbtrf
 
-from glvortex.asymptotics import (SelectionFailed, _branch_requirements,
-                                  _envelope_bases, _family_and_branches,
-                                  leading_coeffs_exact, second_coeffs_exact)
+from glvortex.asymptotics import (SelectionFailed, leading_coeffs_exact,
+                                  second_coeffs_exact)
 from glvortex.diagnostics import EigenFailure, second_variation_matrix
 
 
@@ -425,16 +427,44 @@ def _dominance_ok(m):
             and all(5 * abs(m[k - 1]) <= m6 for k in (6, 9)))
 
 
+# per family: its branches as (name, sign of c_plus, sign of c_minus); the
+# defect of an upper (+1) envelope must be >= 0, of a lower (-1) one <= 0
+BRANCHES = {
+    "mixed": (("upper_plus_lower_minus", +1, -1),
+              ("lower_plus_upper_minus", -1, +1)),
+    "hat": (("upper_both", +1, +1), ("lower_both", -1, -1)),
+}
+
+
+def envelope_family(params):
+    return "mixed" if params.B >= 0 else "hat"
+
+
+def envelope_amplitudes(params):
+    """|c_plus|, |c_minus| per unit delta: the solution of
+    A_+ t_+ c_+ + B t_- c_- = 1,  B t_+ c_+ + A_- t_- c_- = -1 (mixed, B >= 0)
+    or = 1 (hat, B < 0), by Cramer's rule."""
+    Ap, Am, B, tp, tm = (_frac(params.A_plus), _frac(params.A_minus),
+                         _frac(params.B), _frac(params.t_plus),
+                         _frac(params.t_minus))
+    rhs_m = -1 if envelope_family(params) == "mixed" else 1
+    det = (Ap * tp) * (Am * tm) - (B * tm) * (B * tp)
+    c_plus = (Am * tm - B * tm * rhs_m) / det
+    c_minus = (Ap * tp * rhs_m - B * tp) / det
+    return abs(c_plus), abs(c_minus)
+
+
 def verify_envelope_pair(params, degrees, delta, R, branch):
     """One candidate, certified from scratch."""
-    kp, km = _envelope_bases(params, "mixed" if params.B >= 0 else "hat")
-    sp, sm, req_p, req_m = _branch_requirements(branch)
+    kp, km = envelope_amplitudes(params)
+    _, sp, sm = next(b for fam in BRANCHES.values() for b in fam
+                     if b[0] == branch)
     delta = _frac(delta)
     series = defect_series(params, degrees,
                            leading_coeffs_exact(params, degrees),
                            second_coeffs_exact(params, degrees),
                            (sp * delta * kp, sm * delta * km), R)
-    for m, req in zip(series, (req_p, req_m)):
+    for m, req in zip(series, (sp, sm)):
         if m[2] == 0 or (m[2] > 0) != (req > 0):
             return False
         if not _dominance_ok(m) or not series_sign_definite(m, req):
@@ -445,12 +475,13 @@ def verify_envelope_pair(params, degrees, delta, R, branch):
 def select_envelope(params, degrees, r_candidates=(2, 4, 8, 16, 32, 64),
                     delta_candidates=tuple(Fraction(1, 2 ** k)
                                            for k in range(1, 11))):
-    """(delta, R, family) of the first certified candidate, or
-    SelectionFailed, trying every branch of every candidate in full."""
-    family, branches = _family_and_branches(params)
+    """(delta, R, kappa_plus, kappa_minus) of the first certified candidate,
+    or SelectionFailed, trying every branch of every candidate in full."""
+    branches = [b[0] for b in BRANCHES[envelope_family(params)]]
+    kp, km = envelope_amplitudes(params)
     for R in r_candidates:
         for delta in delta_candidates:
             if all(verify_envelope_pair(params, degrees, delta, R, br)
                    for br in branches):
-                return float(delta), float(R), family
+                return float(delta), float(R), float(kp), float(km)
     raise SelectionFailed("no (delta, R) certified within the search budget")

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 import glvortex as gv
-from glvortex.asymptotics import (envelope_check, expand_defect_series,
-                                  leading_coeffs_exact, second_coeffs_exact,
-                                  select_envelope, tail_fit,
-                                  verify_envelope_pair, _envelope_bases)
+from glvortex.asymptotics import (envelope_check, leading_coeffs_exact,
+                                  second_coeffs_exact, select_envelope,
+                                  tail_fit)
 from glvortex.solver import SolveOptions
 from conftest import CASES, case_inputs
-from oracles import scalar_gl_profile
+from oracles import defect_series, envelope_amplitudes, scalar_gl_profile
 
 
 def report(name, detail):
@@ -97,15 +96,11 @@ def test_criterion_04_symbolic_vanishing():
                                 int(rng.integers(0, 4)))
         a = leading_coeffs_exact(params, degrees)
         b = second_coeffs_exact(params, degrees)
-        family = "mixed" if B >= 0 else "hat"
-        kp, km = _envelope_bases(params, family)
+        kp, km = envelope_amplitudes(params)
         c = (Fraction(1, 2) * kp, -Fraction(1, 2) * km)
-        ser_p, ser_m = expand_defect_series(params, degrees, a, b, c,
-                                            Fraction(int(rng.integers(2, 64))))
-        assert ser_p.coefficient(1) == 0
-        assert ser_p.coefficient(2) == 0
-        assert ser_m.coefficient(1) == 0
-        assert ser_m.coefficient(2) == 0
+        ser_p, ser_m = defect_series(params, degrees, a, b, c,
+                                     Fraction(int(rng.integers(2, 64))))
+        assert ser_p[:2] == ser_m[:2] == (0, 0)
         checked += 1
     report("4 symbolic vanishing",
            "M_2 = M_4 = 0 exactly for 100 random rational parameter sets")
@@ -130,11 +125,8 @@ def test_criterion_05_envelopes(reference_profiles):
     r_c = max(s.R for s in specs.values())
     for B in b_values:
         params = gv.CouplingParams(1, 1, B, 1, 1)
-        branches = (("upper_plus_lower_minus", "lower_plus_upper_minus")
-                    if B >= 0 else ("upper_both", "lower_both"))
-        for br in branches:
-            assert verify_envelope_pair(params, degrees, delta_c,
-                                        Fraction(r_c), br), (B, br)
+        # certified at the common pair alone, or SelectionFailed
+        select_envelope(params, degrees, (r_c,), (delta_c,))
         prof = gv.continuation_solve(params, degrees,
                                      reference_profiles["bpos"].grid)
         common = dataclasses.replace(specs[B], delta=float(delta_c), R=r_c)

@@ -8,12 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import glvortex as gv
 import oracles
-from glvortex.asymptotics import (_branch_requirements, _envelope_bases,
-                                  _series_sign_definite,
-                                  _sturm_roots_open_unit, envelope_check,
-                                  expand_defect_series, leading_coeffs_exact,
-                                  second_coeffs_exact, select_envelope,
-                                  tail_fit, verify_envelope_pair)
+from glvortex import asymptotics
+from glvortex.asymptotics import (_defect_cubics, envelope_check,
+                                  leading_coeffs_exact, second_coeffs_exact,
+                                  select_envelope, tail_fit)
 from glvortex.solver import Profile, SolveReport
 from conftest import case_inputs
 
@@ -135,6 +133,13 @@ def test_leading_sign_rule():
 # defect series
 
 
+def expand_defect_series(params, degrees, a, b, c, R):
+    """The package's defect series of w = t + a/r^2 + b/r^4 + c R^6/r^6."""
+    R = Fraction(R)
+    return tuple(cubics.series(R ** 6, R)
+                 for cubics in _defect_cubics(params, degrees, a, b, c))
+
+
 def test_series_vanishing_orders_exact():
     rng = np.random.default_rng(33)
     for _ in range(20):
@@ -143,9 +148,9 @@ def test_series_vanishing_orders_exact():
         b = second_coeffs_exact(params, degrees)
         c = (Fraction(1, 3), Fraction(-2, 7))
         ser_p, ser_m = expand_defect_series(params, degrees, a, b, c, 4)
-        assert ser_p.coefficient(1) == 0 and ser_p.coefficient(2) == 0
-        assert ser_m.coefficient(1) == 0 and ser_m.coefficient(2) == 0
-        assert isinstance(ser_p.coefficient(3), Fraction)
+        assert ser_p.coefficients[:2] == (0, 0)
+        assert ser_m.coefficients[:2] == (0, 0)
+        assert isinstance(ser_p.coefficients[2], Fraction)
 
 
 def test_series_zero_for_exact_constant():
@@ -168,8 +173,8 @@ def test_series_leading_term_approaches_envelope_value():
     gaps = []
     for R in (100, 1000):
         ser_p, ser_m = expand_defect_series(params, degrees, a, b, c, R)
-        gaps.append((abs(ser_p.coefficient(3) - 2 * delta),
-                     abs(ser_m.coefficient(3) + 2 * delta)))
+        gaps.append((abs(ser_p.coefficients[2] - 2 * delta),
+                     abs(ser_m.coefficients[2] + 2 * delta)))
     for i in range(2):
         assert float(gaps[0][i]) < 1e-8
         assert gaps[1][i] * 10 ** 6 == pytest.approx(float(gaps[0][i]),
@@ -182,7 +187,7 @@ SPARSE_POLY = [Fraction(1, 8), Fraction(-9, 4096), Fraction(0),
 
 def test_sturm_count_against_numpy_roots():
     # sparse polynomial that once tripped the remainder reduction
-    assert _sturm_roots_open_unit(SPARSE_POLY) == 0
+    assert oracles.sturm_roots_open_unit(SPARSE_POLY) == 0
 
     rng = np.random.default_rng(12)
     for _ in range(200):
@@ -202,7 +207,7 @@ def test_sturm_count_against_numpy_roots():
         if len(inside) and np.min(np.abs(np.subtract.outer(
                 inside, inside) + np.eye(len(inside)))) < 1e-6:
             continue
-        assert _sturm_roots_open_unit(coeffs) == len(np.unique(
+        assert oracles.sturm_roots_open_unit(coeffs) == len(np.unique(
             np.round(inside, 9)))
 
 
@@ -215,7 +220,7 @@ def from_roots(roots, lead=Fraction(1)):
     return p
 
 
-def test_integer_sturm_chain_matches_fraction_chain():
+def test_sturm_chain_known_roots():
     third, half = Fraction(1, 3), Fraction(1, 2)
     known = [  # (polynomial, distinct roots in (0, 1))
         (SPARSE_POLY, 0),
@@ -227,29 +232,41 @@ def test_integer_sturm_chain_matches_fraction_chain():
         ([Fraction(1), Fraction(-1), Fraction(1)], 0),    # s^2 - s + 1
     ]
     for p, count in known:
-        assert _sturm_roots_open_unit(p) == count
         assert oracles.sturm_roots_open_unit(p) == count
 
+    # products with repeated rational factors: the count is known exactly
     rng = np.random.default_rng(17)
-    checked = 0
-    while checked < 300:
-        if rng.random() < 0.5:
-            p = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
-                 for _ in range(int(rng.integers(2, 10)))]
-        else:  # products with repeated rational factors
-            roots = [Fraction(int(rng.integers(-3, 12)), int(rng.integers(1, 9)))
-                     for _ in range(int(rng.integers(1, 4)))]
-            p = from_roots([roots[int(rng.integers(0, len(roots)))]
-                            for _ in range(int(rng.integers(2, 7)))],
-                           lead=int(rng.integers(1, 5) * rng.choice([-1, 1])))
-        if not any(p[1:]) or p[0] == 0 or sum(p) == 0:
+    for _ in range(150):
+        roots = [Fraction(int(rng.integers(-3, 12)), int(rng.integers(1, 9)))
+                 for _ in range(int(rng.integers(1, 4)))]
+        chosen = [roots[int(rng.integers(0, len(roots)))]
+                  for _ in range(int(rng.integers(2, 7)))]
+        if 0 in chosen or 1 in chosen:
             continue
-        assert _sturm_roots_open_unit(p) == oracles.sturm_roots_open_unit(p)
-        for sign in (+1, -1):
-            series = [Fraction(0)] * int(rng.integers(0, 3)) + p
-            assert (_series_sign_definite(series, sign)
-                    == oracles.series_sign_definite(series, sign))
-        checked += 1
+        p = from_roots(chosen, lead=int(rng.integers(1, 5)
+                                        * rng.choice([-1, 1])))
+        assert oracles.sturm_roots_open_unit(p) == len(
+            {root for root in chosen if 0 < root < 1})
+
+
+def test_m6_dominance_fixes_the_series_sign():
+    # the package's certificate: with M_2 = M_4 = 0, the dominance bounds
+    # leave the whole series the sign of M_6 on (0, 1], which the oracle's
+    # Sturm chain confirms, also with every bound attained
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        m6 = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 9)))
+        m6 *= int(rng.choice([-1, 1]))
+        series = [Fraction(0), Fraction(0), m6]
+        for k in range(4, 10):
+            bound = abs(m6) / (5 if k in (6, 9) else 20)
+            frac = (1 if trial % 3 == 0
+                    else Fraction(int(rng.integers(0, 101)), 100))
+            series.append(bound * frac * int(rng.choice([-1, 1])))
+        assert asymptotics._m6_dominates(series)
+        sign = 1 if m6 > 0 else -1
+        assert oracles.series_sign_definite(series, sign)
+        assert not oracles.series_sign_definite(series, -sign)
 
 
 def test_sign_definiteness_checker():
@@ -259,15 +276,16 @@ def test_sign_definiteness_checker():
             out[k] = Fraction(v)
         return out
 
-    assert _series_sign_definite(series(0, 0, 1, 1), +1)       # s^3(1+s)
-    assert not _series_sign_definite(series(0, 0, 1, 1), -1)
-    assert not _series_sign_definite(series(0, 0, 1, -1), +1)  # root at s=1
-    assert not _series_sign_definite(series(0, 0, 1, -2), +1)  # crosses inside
-    assert _series_sign_definite(series(0, 0, -1, Fraction(1, 2)), -1)
-    assert _series_sign_definite(series(), +1)                 # zero series
-    assert _series_sign_definite(series(), -1)
+    definite = oracles.series_sign_definite
+    assert definite(series(0, 0, 1, 1), +1)       # s^3(1+s)
+    assert not definite(series(0, 0, 1, 1), -1)
+    assert not definite(series(0, 0, 1, -1), +1)  # root at s=1
+    assert not definite(series(0, 0, 1, -2), +1)  # crosses inside
+    assert definite(series(0, 0, -1, Fraction(1, 2)), -1)
+    assert definite(series(), +1)                 # zero series
+    assert definite(series(), -1)
     # no real roots in (0,1): s^2 - s + 1 scaled into the tail slots
-    assert _series_sign_definite(series(0, 1, -1, 1), +1)
+    assert definite(series(0, 1, -1, 1), +1)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +295,20 @@ def test_sign_definiteness_checker():
 def test_envelope_base_amplitudes():
     spec = select_envelope(gv.CouplingParams(1, 1, 0.5, 1, 1),
                            gv.DegreePair(1, 1))
-    assert spec.family == "mixed"
-    assert spec.c_tilde_plus == pytest.approx(2.0)
-    assert spec.c_tilde_minus == pytest.approx(-2.0)
+    assert (spec.kappa_plus, spec.kappa_minus) == pytest.approx((2.0, 2.0))
+    assert spec.envelope_c("minus", "upper") == spec.delta * 2.0
+    assert spec.envelope_c("minus", "lower") == -spec.delta * 2.0
+    assert [br for br, _ in spec.series] == ["upper_plus_lower_minus",
+                                             "lower_plus_upper_minus"]
     spec = select_envelope(gv.CouplingParams(1, 1, -0.5, 1, 1),
                            gv.DegreePair(1, 1))
-    assert spec.family == "hat"
-    assert spec.c_hat_plus == pytest.approx(2.0)
-    assert spec.c_hat_minus == pytest.approx(2.0)
+    assert (spec.kappa_plus, spec.kappa_minus) == pytest.approx((2.0, 2.0))
+    assert [br for br, _ in spec.series] == ["upper_both", "lower_both"]
+    spec = select_envelope(gv.CouplingParams(1, 4, 1.5, 1, 2),
+                           gv.DegreePair(1, 1))
+    # (A_mp + B) / ((A_+ A_- - B^2) t_pm) for B >= 0
+    assert (spec.kappa_plus, spec.kappa_minus) == pytest.approx(
+        (5.5 / 1.75, 2.5 / 3.5))
 
 
 def test_envelope_contains_profile(reference_profiles):
@@ -312,19 +336,23 @@ def test_envelope_boundary_ordering(reference_profiles):
 def test_envelope_check_fails_on_corrupted_spec(reference_profiles):
     prof = reference_profiles["bpos"]
     spec = select_envelope(prof.params, prof.degrees)
-    bad = dataclasses.replace(spec, c_tilde_plus=-spec.c_tilde_plus,
-                              c_tilde_minus=-spec.c_tilde_minus)
+    bad = dataclasses.replace(spec, kappa_plus=-spec.kappa_plus,
+                              kappa_minus=-spec.kappa_minus)
     chk = envelope_check(prof, bad)
     assert not chk.passed
     assert chk.worst_margin < 0
 
 
 def test_envelope_decoupled_case_both_families(reference_profiles):
-    # at zero interaction either branch family certifies and sandwiches
+    # at zero interaction both branches certify at one candidate and the
+    # envelopes sandwich
     prof = reference_profiles["classical"]
     for br in ("upper_plus_lower_minus", "lower_plus_upper_minus"):
-        assert verify_envelope_pair(prof.params, prof.degrees,
-                                    Fraction(1, 16), 32, br)
+        assert oracles.verify_envelope_pair(prof.params, prof.degrees,
+                                            Fraction(1, 16), 32, br)
+    spec = select_envelope(prof.params, prof.degrees, (32,),
+                           (Fraction(1, 16),))
+    assert envelope_check(prof, spec).passed
     spec = select_envelope(prof.params, prof.degrees)
     assert envelope_check(prof, spec).passed
 
@@ -337,18 +365,47 @@ def test_selection_failed_when_budget_exhausted():
 
 
 def test_candidate_decisions_match_oracle_per_branch():
-    # rejections too, not only the first certified pair
+    # rejections too, not only the first certified pair: the package's
+    # decision at one candidate is the oracle's Sturm-based decision on
+    # every branch of the family
+    decisions = set()
     for name in ("bpos", "bneg"):
         params, degrees = case_inputs(name)
-        branches = (("upper_plus_lower_minus", "lower_plus_upper_minus")
-                    if params.B >= 0 else ("upper_both", "lower_both"))
+        branches = [br for br, _, _ in
+                    oracles.BRANCHES[oracles.envelope_family(params)]]
         for R in (8, 32):
             for k in range(1, 7):
-                for br in branches:
-                    delta = Fraction(1, 2 ** k)
-                    assert (verify_envelope_pair(params, degrees, delta, R, br)
-                            == oracles.verify_envelope_pair(
-                                params, degrees, delta, R, br)), (name, R, k)
+                delta = Fraction(1, 2 ** k)
+                want = all(oracles.verify_envelope_pair(params, degrees,
+                                                        delta, R, br)
+                           for br in branches)
+                try:
+                    select_envelope(params, degrees, (R,), (delta,))
+                    got = True
+                except gv.SelectionFailed:
+                    got = False
+                assert got == want, (name, R, k)
+                decisions.add(got)
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_selection_fails_when_a_tail_coefficient_is_off(monkeypatch, order):
+    # a or b off by 1/1000 leaves M_2 or M_4 nonzero: no candidate may pass,
+    # although the same budget certifies the exact closed forms
+    params, degrees = case_inputs("bpos")
+    budget = ((32,), (Fraction(1, 32),))
+    select_envelope(params, degrees, *budget)
+    exact = (leading_coeffs_exact, second_coeffs_exact)[order]
+
+    def off(*args):
+        plus, minus = exact(*args)
+        return plus + Fraction(1, 1000), minus
+    monkeypatch.setattr(asymptotics, exact.__name__, off)
+    with pytest.raises(gv.SelectionFailed, match="inconsistent"):
+        select_envelope(params, degrees, *budget)
+    with pytest.raises(gv.SelectionFailed):
+        select_envelope(params, degrees)
 
 
 POSITIVE = st.one_of(st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)),
@@ -381,15 +438,17 @@ def test_select_envelope_matches_oracle(case):
             select_envelope(params, degrees)
         return
     spec = select_envelope(params, degrees)
-    assert (spec.delta, spec.R, spec.family) == want
+    assert (spec.delta, spec.R, spec.kappa_plus, spec.kappa_minus) == want
     # the certified series are the full expansion at the chosen pair
-    kp, km = _envelope_bases(params, spec.family)
+    kp, km = oracles.envelope_amplitudes(params)
+    signs = {br: (sp, sm) for fam in oracles.BRANCHES.values()
+             for br, sp, sm in fam}
     delta = Fraction(spec.delta)
     a = leading_coeffs_exact(params, degrees)
     b = second_coeffs_exact(params, degrees)
     assert len(spec.series) == 2
     for branch, (plus, minus) in spec.series:
-        sp, sm, _, _ = _branch_requirements(branch)
+        sp, sm = signs[branch]
         assert (plus.coefficients, minus.coefficients) == oracles.defect_series(
             params, degrees, a, b, (sp * delta * kp, sm * delta * km), spec.R)
 
@@ -446,6 +505,17 @@ def test_tail_fit_window_validation(reference_profiles):
         tail_fit(prof, (20.0, 100.0))
     with pytest.raises(gv.IllConditionedFit, match="close in"):
         tail_fit(prof, (0.5, 30.0))
+
+
+def test_derivative_tail_check_window_validation(reference_profiles):
+    # the same window rules as tail_fit: no silent clipping at R_max
+    prof = reference_profiles["classical"]
+    with pytest.raises(gv.IllConditionedFit, match="beyond"):
+        gv.derivative_tail_check(prof, (20.0, 100.0))
+    with pytest.raises(gv.IllConditionedFit, match="nodes"):
+        gv.derivative_tail_check(prof, (60.0, 60.2))
+    assert (gv.derivative_tail_check(prof)
+            == gv.derivative_tail_check(prof, (20.0, 60.0)))
 
 
 def test_derivative_tail_check_synthetic():

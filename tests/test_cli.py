@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import glvortex as gv
-from glvortex.cli import build_parser, main
+from glvortex.cli import ConfigError, build_parser, load_config, main
 
 
 def write_config(path, **overrides):
@@ -321,6 +321,8 @@ MALFORMED = {
     "report_null": lambda o: o.update(report=None),
     "far_field_neumann": lambda o: o.update(far_field="neumann"),
     "fractional_winding": lambda o: o["degrees"].update(n_plus=1.5),
+    "f_plus_object": lambda o: o.update(f_plus={}),
+    "f_plus_list_of_object": lambda o: o.update(f_plus=[{}]),
 }
 
 
@@ -468,6 +470,27 @@ def test_sweep_rejects_bad_range(tmp_path, capsys, sweep):
     assert code == 1
     assert stdout == ""
     assert json.loads(stderr)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("sweep", [
+    {"b_start": -1e308, "b_stop": 1e308, "b_step": 1.0},  # overflows to inf
+    {"b_start": -0.1, "b_stop": 0.1, "b_step": 1e-9},     # 2e8 values
+    {"b_start": -0.5, "b_stop": 0.5, "b_step": 1e-4},     # 10001 values
+])
+def test_sweep_value_count_is_bounded(tmp_path, capsys, sweep):
+    cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
+    with pytest.raises(ConfigError, match="more than 10000"):
+        load_config(str(cfg))
+    code, stdout, stderr = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 1
+    assert stdout == ""
+    assert json.loads(stderr)["error"] == "ConfigError"
+
+
+def test_sweep_value_count_at_the_bound(tmp_path):
+    sweep = {"b_start": -0.5, "b_stop": 0.4999, "b_step": 1e-4}
+    cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
+    assert len(load_config(str(cfg))["sweep"]) == 10_000
 
 
 def test_verify_config_without_params(tmp_path, capsys):
