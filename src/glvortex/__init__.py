@@ -5,14 +5,12 @@ certified envelopes, second variation, monotonicity)."""
 
 from .asymptotics import (DefectSeries, EnvelopeSpec, IllConditionedFit,
                           SelectionFailed, TailExpansion, TailFit,
-                          derivative_tail_check, envelope_bounds,
-                          envelope_check, leading_coeffs, second_coeffs,
-                          select_envelope, tail_fit)
+                          envelope_bounds, envelope_check, leading_coeffs,
+                          second_coeffs, select_envelope, tail_fit)
 from .diagnostics import (EigenFailure, MonotonicityClass, MonotonicityLabel,
                           amplitude_bound_check, monotonicity_classify,
                           near_origin_order, pohozaev_residual,
-                          quantization_check, radial_energy,
-                          second_variation_min_eig, verify)
+                          quantization_check, second_variation_min_eig, verify)
 from .grid import (BadBoundarySpec, BadGridSpec, LengthMismatch, RadialGrid,
                    RadialOperator, build_grid, quadrature, radial_operator)
 from .model import (BecParams, CouplingParams, DegreePair, DerivedBounds,
@@ -21,7 +19,6 @@ from .model import (BecParams, CouplingParams, DegreePair, DerivedBounds,
 from .solver import (NoConvergence, Profile, SingularJacobian, SolveOptions,
                      SolveReport, continuation_solve, continuation_sweep,
                      initial_guess, jacobian, newton_solve, profile_from_json,
-                     profile_to_json, residual, residual_norm,
-                     uniqueness_probe)
+                     profile_to_json, residual, residual_norm)
 
 __version__ = "0.1.0"

@@ -357,10 +357,6 @@ def select_envelope(params: CouplingParams, degrees: DegreePair,
 class EnvelopeCheck:
     passed: bool
     worst_margin: float
-    margin_plus: float
-    margin_minus: float
-    R: float
-    nodes_checked: int
 
 
 def envelope_bounds(spec: EnvelopeSpec, params: CouplingParams,
@@ -372,7 +368,8 @@ def envelope_bounds(spec: EnvelopeSpec, params: CouplingParams,
     for comp, t, a, b in (("plus", params.t_plus, tail.a_plus, tail.b_plus),
                           ("minus", params.t_minus, tail.a_minus,
                            tail.b_minus)):
-        base = t + a / r ** 2 + b / r ** 4
+        # float once: a Fraction t would make every array an object array
+        base = float(t) + a / r ** 2 + b / r ** 4
         out[comp] = tuple(base + spec.envelope_c(comp, side) * spec.R ** 6
                           / r ** 6 for side in ("lower", "upper"))
     return out
@@ -389,16 +386,11 @@ def envelope_check(profile: "Profile", spec: EnvelopeSpec) -> EnvelopeCheck:
     if not mask.any():
         raise ValueError(f"envelope radius R={spec.R} beyond the grid")
     bounds = envelope_bounds(spec, profile.params, profile.degrees, r[mask])
-    margins = {}
-    for comp, f in (("plus", profile.f_plus[mask]),
-                    ("minus", profile.f_minus[mask])):
-        lower, upper = bounds[comp]
-        margins[comp] = min(float(np.min(upper - f)), float(np.min(f - lower)))
-    worst = min(margins.values())
-    return EnvelopeCheck(passed=worst >= 0.0, worst_margin=worst,
-                         margin_plus=margins["plus"],
-                         margin_minus=margins["minus"],
-                         R=spec.R, nodes_checked=int(mask.sum()))
+    worst = min(min(float(np.min(bounds[comp][1] - f)),
+                    float(np.min(f - bounds[comp][0])))
+                for comp, f in (("plus", profile.f_plus[mask]),
+                                ("minus", profile.f_minus[mask])))
+    return EnvelopeCheck(passed=worst >= 0.0, worst_margin=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +408,11 @@ class TailFit:
     b_minus: float
     c1_plus: float
     c1_minus: float
-    window: tuple
-    nodes_used: int
 
 
-def _tail_window(profile: "Profile", fit_window) -> tuple:
-    """(r_lo, r_hi, node mask) of a tail window inside [0, R_max] holding
-    at least 20 nodes; the default is [R_max/4, 3 R_max/4]."""
+def _tail_window(profile: "Profile", fit_window) -> np.ndarray:
+    """Node mask of a tail window inside [0, R_max] holding at least 20
+    nodes; the default is [R_max/4, 3 R_max/4]."""
     R_max, r = profile.grid.R_max, profile.grid.nodes
     r_lo, r_hi = (0.25 * R_max, 0.75 * R_max) if fit_window is None \
         else fit_window
@@ -432,7 +422,7 @@ def _tail_window(profile: "Profile", fit_window) -> tuple:
     if int(mask.sum()) < 20:
         raise IllConditionedFit(f"window [{r_lo}, {r_hi}] holds only "
                                 f"{int(mask.sum())} nodes (need >= 20)")
-    return r_lo, r_hi, mask
+    return mask
 
 
 def tail_fit(profile: "Profile", fit_window: tuple | None = None) -> TailFit:
@@ -444,7 +434,7 @@ def tail_fit(profile: "Profile", fit_window: tuple | None = None) -> TailFit:
     fit runs in the scaled variable (f - t) r^6 = a r^4 + b r^2, which also
     keeps the design matrix well conditioned over windows like [R/4, 3R/4].
     """
-    r_lo, r_hi, mask = _tail_window(profile, fit_window)
+    mask = _tail_window(profile, fit_window)
     rr = profile.grid.nodes[mask]
     out = {}
     for comp, f, t in (("plus", profile.f_plus[mask], profile.params.t_plus),
@@ -462,22 +452,4 @@ def tail_fit(profile: "Profile", fit_window: tuple | None = None) -> TailFit:
         out[comp] = (a, b, float(np.max(np.abs(resid) * rr ** 6)))
     return TailFit(a_plus=out["plus"][0], a_minus=out["minus"][0],
                    b_plus=out["plus"][1], b_minus=out["minus"][1],
-                   c1_plus=out["plus"][2], c1_minus=out["minus"][2],
-                   window=(float(r_lo), float(r_hi)),
-                   nodes_used=int(mask.sum()))
-
-
-def derivative_tail_check(profile: "Profile",
-                          fit_window: tuple | None = None) -> tuple:
-    """Empirical constants (C2_plus, C2_minus) of the derivative tail bound:
-    max over the window of |f' + 2a/r^3| * r^5 with a from the closed form."""
-    r = profile.grid.nodes
-    _, _, mask = _tail_window(profile, fit_window)
-    tail = leading_coeffs(profile.params, profile.degrees)
-    out = []
-    for f, a in ((profile.f_plus, tail.a_plus),
-                 (profile.f_minus, tail.a_minus)):
-        df = np.gradient(f, r, edge_order=2)
-        dev = np.abs(df[mask] + 2.0 * a / r[mask] ** 3) * r[mask] ** 5
-        out.append(float(np.max(dev)))
-    return tuple(out)
+                   c1_plus=out["plus"][2], c1_minus=out["minus"][2])

@@ -1,14 +1,14 @@
 """Quantitative checks on solved profiles.
 
 Every identity or inequality a converged pair must satisfy is evaluated here
-at desk scale: the finite-ball energy, the scaling (Pohozaev-type) identity,
-the quantization of the weighted potential integral by the winding numbers,
-the pointwise amplitude bound f_+^2 + f_-^2 <= Lambda^2, positivity of the
-second variation of the energy, and the monotonicity classification of the
-two components.  Everything is a pure function of an immutable Profile.
-`verify` runs them, with the tail and envelope checks of `asymptotics`, as
-one suite of pass/fail records; `sweep_report` and `plot_columns` hold the
-per-B sweep records and the plot data the command line writes.
+at desk scale: the scaling (Pohozaev-type) identity, the quantization of the
+weighted potential integral by the winding numbers, the pointwise amplitude
+bound f_+^2 + f_-^2 <= Lambda^2, positivity of the second variation of the
+energy, and the monotonicity classification of the two components.
+Everything is a pure function of an immutable Profile.  `verify` runs them,
+with the tail and envelope checks of `asymptotics`, as one suite of
+pass/fail records; `sweep_report` and `plot_columns` hold the per-B sweep
+records and the plot data the command line writes.
 
 The second variation is the solver's Newton Jacobian weighted by the
 finite-volume masses.  Its smallest eigenvalue is bracketed by banded
@@ -37,7 +37,7 @@ class EigenFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# energies and integral identities
+# integral identities
 
 
 def _derivatives(profile: Profile):
@@ -51,31 +51,6 @@ def _potential_quartic(profile: Profile):
     x = profile.f_plus ** 2 - p.t_plus ** 2
     y = profile.f_minus ** 2 - p.t_minus ** 2
     return p.A_plus * x * x + 2.0 * p.B * x * y + p.A_minus * y * y
-
-
-def radial_energy(profile: Profile, R: float | None = None) -> float:
-    """Finite-ball energy
-
-        (1/2) int_0^R { |f'|^2 + (n^2/r^2) f^2 + (1/2) [quartic] } r dr
-
-    summed over both components.  The centrifugal term is integrable at the
-    origin because f vanishes like r^n there; the node at r = 0 carries zero
-    quadrature weight, so its integrand value is immaterial and set by limit.
-    """
-    g = profile.grid
-    if R is None:
-        R = g.R_max
-    if R > g.R_max + 1e-12:
-        raise ValueError(f"R={R} beyond the grid")
-    dfp, dfm = _derivatives(profile)
-    r = g.nodes
-    integrand = dfp ** 2 + dfm ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cent = (profile.degrees.n_plus ** 2 * profile.f_plus ** 2
-                + profile.degrees.n_minus ** 2 * profile.f_minus ** 2) / r ** 2
-    cent[0] = 0.0  # zero weight at r = 0; finite limit anyway
-    integrand = integrand + cent + 0.5 * _potential_quartic(profile)
-    return 0.5 * quadrature_upto(g, integrand, R)
 
 
 def quantization_rhs(profile: Profile) -> float:
@@ -104,32 +79,15 @@ def quantization_check(profile: Profile) -> QuantizationResult:
     return QuantizationResult(lhs=lhs, rhs=rhs, relative_gap=gap)
 
 
-def _slope_at(profile: Profile, i: int):
-    """Second-order derivative of both components at node i (one-sided at
-    the ends)."""
-    r, fp, fm = profile.grid.nodes, profile.f_plus, profile.f_minus
-    out = []
-    for f in (fp, fm):
-        if i == 0:
-            h = r[1] - r[0]
-            out.append((-3 * f[0] + 4 * f[1] - f[2]) / (2 * h))
-        elif i == len(r) - 1:
-            h = r[-1] - r[-2]
-            out.append((3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h))
-        else:
-            out.append((f[i + 1] - f[i - 1]) / (r[i + 1] - r[i - 1]))
-    return out
-
-
 def pohozaev_residual(profile: Profile, R: float | None = None) -> float:
     """Defect of the scaling identity on the ball of radius R:
 
         [R f_+'(R)]^2 + [R f_-'(R)]^2 + int_0^R [quartic] r dr
             - (n_+^2 t_+^2 + n_-^2 t_-^2).
 
-    R snaps to the nearest grid node; the boundary derivative uses central
-    differences at interior nodes and the one-sided second-order stencil at
-    R_max.
+    R snaps to the nearest grid node; the boundary derivative is the
+    np.gradient stencil of the slope export (edge_order=2), evaluated on the
+    at most five nodes around R.
     """
     g = profile.grid
     if R is None:
@@ -140,7 +98,9 @@ def pohozaev_residual(profile: Profile, R: float | None = None) -> float:
     R_node = float(g.nodes[i])
     if i == 0:
         raise ValueError("Pohozaev radius must be positive")
-    dfp, dfm = _slope_at(profile, i)
+    near = slice(max(i - 2, 0), i + 3)      # every node the stencil reads
+    dfp, dfm = (np.gradient(f[near], g.nodes[near], edge_order=2)
+                [i - near.start] for f in (profile.f_plus, profile.f_minus))
     boundary = (R_node * dfp) ** 2 + (R_node * dfm) ** 2
     bulk = quadrature_upto(g, _potential_quartic(profile), R_node)
     return float(boundary + bulk - quantization_rhs(profile))

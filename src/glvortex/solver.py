@@ -11,16 +11,16 @@ in the interaction coefficient B from the decoupled system (B = 0), whose
 components are independent scalar Ginzburg-Landau profiles.  One engine,
 `continuation_sweep`, steps B for every caller; `continuation_solve` is its
 one-target call.  Each leg from a converged B to the next target first
-tries `continuation_steps` equal B-steps (one by default).  Each step
-starts from the tangent predictor f + ΔB·ḟ, where J ḟ = -∂G/∂B is solved on
-the LU of the previous step's last Newton iteration, so the predictor costs
-no extra factorization.  A step that fails is halved and retried from the
-last converged profile, and after a success the step length doubles again,
-up to the equal step; a step halved _MAX_HALVINGS times that still fails
-ends the leg.  The positive solution is unique on the admissible set, so
-every path reaches the same profile.  Positivity is not enforced during
-iteration, only verified at convergence: the continuum solution is strictly
-positive and projections would break Newton's local theory.
+tries one direct step.  Each step starts from the tangent predictor
+f + ΔB·ḟ, where J ḟ = -∂G/∂B is solved on the LU of the previous step's
+last Newton iteration, so the predictor costs no extra factorization.  A
+step that fails is halved and retried from the last converged profile, and
+after a success the step length doubles again, up to the whole leg; a step
+halved _MAX_HALVINGS times that still fails ends the leg.  The positive
+solution is unique on the admissible set, so every path reaches the same
+profile.  Positivity is not enforced during iteration, only verified at
+convergence: the continuum solution is strictly positive and projections
+would break Newton's local theory.
 
 All inputs are immutable; a solve owns its output arrays and its work
 buffers, so independent solves can run concurrently.
@@ -28,7 +28,6 @@ buffers, so independent solves can run concurrently.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 import warnings
@@ -71,8 +70,8 @@ class SingularJacobian(_SolveFailure):
     non-finite Newton step."""
 
 
-# A continuation step is halved at most this many times below the equal
-# step before the failure ends the leg.
+# A continuation step is halved at most this many times below the whole
+# leg before the failure ends the leg.
 _MAX_HALVINGS = 6
 
 # the line search's backtracking factor
@@ -89,7 +88,6 @@ POSITIVITY_TOL = 1e-9
 class SolveOptions:
     tolerance: float = 1e-10           # sup-norm of the discrete residual
     max_newton_iters: int = 50
-    continuation_steps: int = 1        # equal B-steps tried first per leg
     far_field: str = "robin"           # "robin" (tail-slope row) or "dirichlet"
 
     def __post_init__(self):
@@ -98,9 +96,6 @@ class SolveOptions:
         if not (is_integer(self.max_newton_iters)
                 and self.max_newton_iters >= 0):
             raise ValueError("max_newton_iters must be an integer >= 0")
-        if not (is_integer(self.continuation_steps)
-                and self.continuation_steps >= 1):
-            raise ValueError("continuation_steps must be an integer >= 1")
         if self.far_field not in FAR_FIELDS:
             raise ValueError(f"unknown far_field {self.far_field!r}")
 
@@ -409,17 +404,16 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
                          t_out), tangent)
 
     def leg(profile, tangent, target, want_tangent):
-        # B advances in units of 2^-_MAX_HALVINGS equal steps; `size` is the
+        # B advances in units of 2^-_MAX_HALVINGS of the leg; `size` is the
         # length of the next step in those units
         unit = 2 ** _MAX_HALVINGS
-        total = options.continuation_steps * unit
         b_start = profile.params.B
         pos, size = 0, unit
-        while pos < total:
-            size = min(size, total - pos)
-            last = pos + size == total
+        while pos < unit:
+            size = min(size, unit - pos)
+            last = pos + size == unit
             b = (target if last
-                 else b_start + (target - b_start) * (pos + size) / total)
+                 else b_start + (target - b_start) * (pos + size) / unit)
             db = b - profile.params.B
             try:
                 next_profile, next_tangent = stage(
@@ -478,52 +472,6 @@ def continuation_solve(params: CouplingParams, degrees: DegreePair,
         raise result
     finally:
         del result      # the traceback holds this frame
-
-
-def uniqueness_probe(params: CouplingParams, degrees: DegreePair,
-                     grid: RadialGrid, options: SolveOptions = SolveOptions(),
-                     seed_count: int = 3, rng_seed: int = 0) -> float:
-    """Solve from several distinct initializations and return the maximum
-    pairwise sup-norm distance among the converged profiles.
-
-    Seeds: the standard ansatz, a piecewise-linear ramp, then randomized
-    positive perturbations of the ansatz (deterministic RNG).  Individual
-    failures are tolerated as long as at least two seeds converge.
-    """
-    if seed_count < 2:
-        raise ValueError("need at least two seeds")
-    rng = np.random.default_rng(rng_seed)
-    r = grid.nodes
-    ansatz = initial_guess(grid, params, degrees)
-
-    def ramp(n, t, A):
-        if n == 0:
-            return np.full_like(r, t)
-        r_c = max(1.0, n / np.sqrt(A) / t)
-        return t * np.minimum(r / r_c, 1.0)
-
-    seeds = [ansatz,
-             (ramp(degrees.n_plus, params.t_plus, params.A_plus),
-              ramp(degrees.n_minus, params.t_minus, params.A_minus))]
-    while len(seeds) < seed_count:
-        bump_p = 1.0 + 0.2 * rng.random(r.shape)
-        bump_m = 1.0 + 0.2 * rng.random(r.shape)
-        seeds.append((ansatz[0] * bump_p, ansatz[1] * bump_m))
-
-    solutions = []
-    errors = []
-    for fp0, fm0 in seeds[:seed_count]:
-        try:
-            solutions.append(newton_solve(fp0, fm0, grid, params, degrees,
-                                          options))
-        except _SolveFailure as exc:
-            errors.append(exc)
-    if len(solutions) < 2:
-        raise NoConvergence(
-            f"uniqueness probe: only {len(solutions)} of {seed_count} seeds "
-            f"converged ({[str(e) for e in errors]})")
-    return max(_sup_norm(a.f_plus - b.f_plus, a.f_minus - b.f_minus)
-               for a, b in itertools.combinations(solutions, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,13 @@ requires M_6 dominance and proves the sign of the whole series with a
 Fraction Sturm root count on (0, 1), where the package relies on
 M_2 = M_4 = 0 instead; it derives its own amplitudes and branch signs from
 the comparison systems and shares only the closed-form tail coefficients
-with the package.
+with the package.  The last section holds checks that no command runs: the
+finite-ball energy, the derivative tail constant and the uniqueness probe,
+which, unlike the references above, runs the package's own Newton
+iteration from several starts.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -23,9 +27,14 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpbtrf
 
-from glvortex.asymptotics import (SelectionFailed, leading_coeffs_exact,
+from glvortex.asymptotics import (SelectionFailed, _tail_window,
+                                  leading_coeffs, leading_coeffs_exact,
                                   second_coeffs_exact)
-from glvortex.diagnostics import EigenFailure, second_variation_matrix
+from glvortex.diagnostics import (EigenFailure, _derivatives,
+                                  _potential_quartic, second_variation_matrix)
+from glvortex.grid import quadrature_upto
+from glvortex.solver import (NoConvergence, SingularJacobian, initial_guess,
+                             newton_solve)
 
 
 def scalar_tail_coeffs(A, t, n, orders=9):
@@ -485,3 +494,71 @@ def select_envelope(params, degrees, r_candidates=(2, 4, 8, 16, 32, 64),
                    for br in branches):
                 return float(delta), float(R), float(kp), float(km)
     raise SelectionFailed("no (delta, R) certified within the search budget")
+
+
+# ---------------------------------------------------------------------------
+# checks that no command runs
+
+
+def radial_energy(profile, R=None):
+    """Finite-ball energy
+
+        (1/2) int_0^R { |f'|^2 + (n^2/r^2) f^2 + (1/2) [quartic] } r dr
+
+    summed over both components.  The centrifugal term is integrable at the
+    origin because f vanishes like r^n there; the node at r = 0 carries zero
+    quadrature weight, so its value is set to the limit."""
+    g, d = profile.grid, profile.degrees
+    R = g.R_max if R is None else R
+    if R > g.R_max + 1e-12:
+        raise ValueError(f"R={R} beyond the grid")
+    dfp, dfm = _derivatives(profile)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cent = (d.n_plus ** 2 * profile.f_plus ** 2
+                + d.n_minus ** 2 * profile.f_minus ** 2) / g.nodes ** 2
+    cent[0] = 0.0
+    integrand = dfp ** 2 + dfm ** 2 + cent + 0.5 * _potential_quartic(profile)
+    return 0.5 * quadrature_upto(g, integrand, R)
+
+
+def derivative_tail_check(profile, fit_window=None):
+    """Empirical constants (C2_plus, C2_minus) of the derivative tail bound:
+    max over tail_fit's window of |f' + 2a/r^3| r^5, a from the closed form."""
+    r = profile.grid.nodes
+    mask = _tail_window(profile, fit_window)
+    tail = leading_coeffs(profile.params, profile.degrees)
+    return tuple(float(np.max(np.abs(df[mask] + 2.0 * a / r[mask] ** 3)
+                              * r[mask] ** 5))
+                 for df, a in zip(_derivatives(profile),
+                                  (tail.a_plus, tail.a_minus)))
+
+
+def uniqueness_probe(params, degrees, grid, seed_count=3, rng_seed=0):
+    """Maximum pairwise sup-norm distance among the profiles Newton reaches
+    from distinct starts: the ansatz, a linear ramp to t, then the ansatz
+    times random factors in [1, 1.2) (seeded).  A start may fail as long as
+    two converge."""
+    r = grid.nodes
+    ansatz = initial_guess(grid, params, degrees)
+    ramp = tuple(np.full_like(r, t) if n == 0
+                 else t * np.minimum(r / max(1.0, n / np.sqrt(A) / t), 1.0)
+                 for n, t, A in ((degrees.n_plus, params.t_plus, params.A_plus),
+                                 (degrees.n_minus, params.t_minus,
+                                  params.A_minus)))
+    rng = np.random.default_rng(rng_seed)
+    starts = [ansatz, ramp] + [
+        (ansatz[0] * (1.0 + 0.2 * rng.random(r.shape)),
+         ansatz[1] * (1.0 + 0.2 * rng.random(r.shape)))
+        for _ in range(seed_count - 2)]
+    solutions, errors = [], []
+    for fp0, fm0 in starts:
+        try:
+            solutions.append(newton_solve(fp0, fm0, grid, params, degrees))
+        except (NoConvergence, SingularJacobian) as exc:
+            errors.append(str(exc))
+    if len(solutions) < 2:
+        raise NoConvergence(f"uniqueness probe: only {len(solutions)} of "
+                            f"{seed_count} starts converged ({errors})")
+    return max(float(max(np.max(np.abs(a.f_plus - b.f_plus)),
+                         np.max(np.abs(a.f_minus - b.f_minus))))
+               for a, b in itertools.combinations(solutions, 2))

@@ -17,7 +17,8 @@ from glvortex.asymptotics import (envelope_check, leading_coeffs_exact,
                                   tail_fit)
 from glvortex.solver import SolveOptions
 from conftest import CASES, case_inputs
-from oracles import defect_series, envelope_amplitudes, scalar_gl_profile
+from oracles import (defect_series, envelope_amplitudes, scalar_gl_profile,
+                     uniqueness_probe)
 
 
 def report(name, detail):
@@ -189,7 +190,7 @@ def test_criterion_08_uniqueness(default_grid):
     worst = 0.0
     for name in CASES:
         params, degrees = case_inputs(name)
-        d = gv.uniqueness_probe(params, degrees, default_grid, seed_count=3)
+        d = uniqueness_probe(params, degrees, default_grid, seed_count=3)
         assert d <= 1e-8, (name, d)
         worst = max(worst, d)
     report("8 uniqueness", f"3-seed max pairwise distance {worst:.2e} <= 1e-8")

@@ -333,6 +333,21 @@ def test_envelope_boundary_ordering(reference_profiles):
         assert lower_at_R < f[beyond][0]
 
 
+def test_envelope_bounds_float64_for_fraction_params():
+    # exact dyadic parameters: the same numbers as floats, so the same bounds
+    exact = gv.CouplingParams(1, 2, Fraction(1, 2), 1, Fraction(3, 4))
+    floats = gv.CouplingParams(1.0, 2.0, 0.5, 1.0, 0.75)
+    degrees = gv.DegreePair(1, 1)
+    r = np.linspace(8.0, 40.0, 9)
+    got = gv.envelope_bounds(select_envelope(exact, degrees), exact, degrees, r)
+    want = gv.envelope_bounds(select_envelope(floats, degrees), floats,
+                              degrees, r)
+    for comp in ("plus", "minus"):
+        for g, w in zip(got[comp], want[comp]):
+            assert g.dtype == np.float64
+            assert np.array_equal(g, w)
+
+
 def test_envelope_check_fails_on_corrupted_spec(reference_profiles):
     prof = reference_profiles["bpos"]
     spec = select_envelope(prof.params, prof.degrees)
@@ -511,11 +526,11 @@ def test_derivative_tail_check_window_validation(reference_profiles):
     # the same window rules as tail_fit: no silent clipping at R_max
     prof = reference_profiles["classical"]
     with pytest.raises(gv.IllConditionedFit, match="beyond"):
-        gv.derivative_tail_check(prof, (20.0, 100.0))
+        oracles.derivative_tail_check(prof, (20.0, 100.0))
     with pytest.raises(gv.IllConditionedFit, match="nodes"):
-        gv.derivative_tail_check(prof, (60.0, 60.2))
-    assert (gv.derivative_tail_check(prof)
-            == gv.derivative_tail_check(prof, (20.0, 60.0)))
+        oracles.derivative_tail_check(prof, (60.0, 60.2))
+    assert (oracles.derivative_tail_check(prof)
+            == oracles.derivative_tail_check(prof, (20.0, 60.0)))
 
 
 def test_derivative_tail_check_synthetic():
@@ -524,7 +539,7 @@ def test_derivative_tail_check_synthetic():
     degrees = gv.DegreePair(1, 0)
     closed = gv.second_coeffs(params, degrees)
     prof = synthetic_profile(grid, params, degrees, closed)
-    c2p, c2m = gv.derivative_tail_check(prof, (20.0, 60.0))
+    c2p, c2m = oracles.derivative_tail_check(prof, (20.0, 60.0))
     # d/dr of b/r^4 is -4b/r^5, so the empirical constant sits near 4|b|
     assert c2p == pytest.approx(4 * abs(closed.b_plus), rel=0.05)
     assert c2m < 1e-4  # a flat component, up to r^5-amplified roundoff
@@ -536,7 +551,7 @@ def test_derivative_tail_on_solved_profile(reference_profiles):
     df = np.gradient(prof.f_plus, r, edge_order=2)
     i = int(np.argmin(np.abs(r - 40.0)))
     assert df[i] * r[i] ** 3 == pytest.approx(1.0, rel=0.02)  # -2 a_plus
-    c2p, c2m = gv.derivative_tail_check(prof)
+    c2p, c2m = oracles.derivative_tail_check(prof)
     assert np.isfinite(c2p) and np.isfinite(c2m)
 
 
@@ -546,5 +561,5 @@ def test_derivative_tail_zero_degrees():
     degrees = gv.DegreePair(0, 0)
     prof = synthetic_profile(grid, params, degrees,
                              gv.TailExpansion(0.0, 0.0, 0.0, 0.0))
-    c2p, c2m = gv.derivative_tail_check(prof)
+    c2p, c2m = oracles.derivative_tail_check(prof)
     assert c2p < 1e-6 and c2m < 1e-6  # flat profiles, roundoff only

@@ -15,7 +15,6 @@ def write_config(path, **overrides):
                    "t_plus": 1.0, "t_minus": 1.0},
         "degrees": {"n_plus": 1, "n_minus": 1},
         "grid": {"R_max": 40.0, "N": 1000},
-        "solve": {"continuation_steps": 4},
     }
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
@@ -45,8 +44,7 @@ def test_solve_writes_profile_and_summary(tmp_path, capsys):
 
 def test_solve_exit_code_on_no_convergence(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
-                       solve={"max_newton_iters": 1, "tolerance": 1e-14,
-                              "continuation_steps": 1})
+                       solve={"max_newton_iters": 1, "tolerance": 1e-14})
     code, _, stderr = run(capsys, "solve", "--config", str(cfg))
     assert code == 2
     assert json.loads(stderr)["error"] == "NoConvergence"
@@ -349,6 +347,7 @@ def test_malformed_profile_is_a_json_error(tmp_path, capsys, profile_text,
     {"max_newton_iters": 2.5},
     {"continuation_steps": 1.5},
     {"damping": 0.5},
+    {"continuation_steps": 4},
 ])
 def test_solve_section_values_are_typed(tmp_path, capsys, solve):
     cfg = write_config(tmp_path / "cfg.json", solve=solve,
@@ -406,7 +405,7 @@ def test_sweep_records_and_empirical_threshold(tmp_path, capsys):
         assert rec["class"] == "BothNondecreasing"
     assert result["empirical_B0"] == pytest.approx(0.2)
     csv_path = tmp_path / "sweep.csv"
-    rows = list(csv.reader(csv_path.open()))
+    rows = list(csv.reader(csv_path.read_text().splitlines()))
     assert rows[0][0] == "B"
     assert len(rows) == 6
 
@@ -420,7 +419,8 @@ def test_sweep_csv_path_keeps_dotted_directories(tmp_path, capsys):
                           "--out", str(tmp_path / "run.v2" / "sweep"))
     assert code == 0
     assert (tmp_path / "run.v2" / "sweep").read_text() == stdout.strip()
-    rows = list(csv.reader((tmp_path / "run.v2" / "sweep.csv").open()))
+    csv_text = (tmp_path / "run.v2" / "sweep.csv").read_text()
+    rows = list(csv.reader(csv_text.splitlines()))
     assert len(rows) == 4
     assert not (tmp_path / "run.csv").exists()
 
@@ -543,7 +543,7 @@ def test_export_profiles_and_slopes(tmp_path, capsys):
     code, _, _ = run(capsys, "export", str(prof_path), "profiles",
                      "--out", str(out))
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["r", "f_plus", "f_minus"]
     assert len(rows) == 1 + 1001  # header + N+1 nodes
     code, _, _ = run(capsys, "export", str(prof_path), "slopes",
@@ -563,7 +563,7 @@ def test_export_tail_column_approaches_leading_coefficient(tmp_path, capsys):
     code, _, _ = run(capsys, "export", str(prof_path), "tail",
                      "--out", str(out))
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0][:3] == ["r", "tail2_plus", "tail2_minus"]
     last = rows[-1]
     assert float(last[1]) == pytest.approx(-0.5, rel=0.02)
@@ -577,7 +577,7 @@ def test_export_envelope_ordered(tmp_path, capsys):
     code, _, _ = run(capsys, "export", str(prof_path), "envelope",
                      "--out", str(out))
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     header = rows[0]
     assert header == ["r", "w_lower_plus", "f_plus", "w_upper_plus",
                       "w_lower_minus", "f_minus", "w_upper_minus"]
@@ -603,7 +603,7 @@ def test_numeric_output_has_17_significant_digits(tmp_path, capsys):
     run(capsys, "solve", "--config", str(cfg), "--out", str(prof_path))
     out = tmp_path / "profiles.csv"
     run(capsys, "export", str(prof_path), "profiles", "--out", str(out))
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     # values round-trip exactly through the CSV
     prof = gv.profile_from_json(prof_path.read_text())
     assert float(rows[5][1]) == prof.f_plus[4]

@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 import glvortex as gv
 from glvortex import diagnostics
 from glvortex.diagnostics import quantization_rhs, second_variation_matrix
+from glvortex.grid import quadrature_upto
 from glvortex.solver import Profile, SolveReport
 from conftest import case_inputs
-from oracles import (hessian_band_loop, min_eig_bisection, scalar_gl_profile,
-                     scalar_hessian_min_eig)
+from oracles import (hessian_band_loop, min_eig_bisection, radial_energy,
+                     scalar_gl_profile, scalar_hessian_min_eig)
 
 
 def make_profile(grid, params, degrees, f_plus, f_minus):
@@ -32,8 +33,8 @@ def ground_state():
 
 def test_energy_of_ground_state_is_zero(ground_state):
     # zero up to the squared roundoff of the derivative stencil weights
-    assert abs(gv.radial_energy(ground_state)) < 1e-25
-    assert abs(gv.radial_energy(ground_state, 10.0)) < 1e-25
+    assert abs(radial_energy(ground_state)) < 1e-25
+    assert abs(radial_energy(ground_state, 10.0)) < 1e-25
 
 
 def test_energy_grows_logarithmically(reference_profiles):
@@ -41,7 +42,7 @@ def test_energy_grows_logarithmically(reference_profiles):
     # linear fit of E against ln R over [20, 80] has slope 1/2
     prof = reference_profiles["classical"]
     radii = np.array([20.0, 30.0, 40.0, 60.0, 80.0])
-    energies = [gv.radial_energy(prof, R) for R in radii]
+    energies = [radial_energy(prof, R) for R in radii]
     slope = np.polyfit(np.log(radii), energies, 1)[0]
     assert slope == pytest.approx(0.5, rel=0.05)
 
@@ -50,7 +51,7 @@ def test_energy_decreases_toward_minimizer(reference_profiles):
     # local minimizer: random admissible perturbations raise the energy,
     # and the converged profile lies below its initial ansatz
     prof = reference_profiles["bpos"]
-    base = gv.radial_energy(prof)
+    base = radial_energy(prof)
     assert base > 0
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -59,10 +60,10 @@ def test_energy_decreases_toward_minimizer(reference_profiles):
         vp[0] = vm[0] = vp[-1] = vm[-1] = 0.0
         bumped = make_profile(prof.grid, prof.params, prof.degrees,
                               prof.f_plus + vp, prof.f_minus + vm)
-        assert gv.radial_energy(bumped) > base
+        assert radial_energy(bumped) > base
     fp0, fm0 = gv.initial_guess(prof.grid, prof.params, prof.degrees)
     ansatz = make_profile(prof.grid, prof.params, prof.degrees, fp0, fm0)
-    assert base < gv.radial_energy(ansatz)
+    assert base < radial_energy(ansatz)
 
 
 def test_pohozaev_zero_for_ground_state(ground_state):
@@ -90,6 +91,24 @@ def test_pohozaev_consistent_with_quantization(reference_profiles):
             df = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
             flux += (r[-1] * df) ** 2
         assert poh - flux == pytest.approx(q.lhs - q.rhs, abs=1e-10)
+
+
+def test_pohozaev_boundary_slope_on_geometric_grid():
+    # f = 1 - c exp(-r/L) on a coarse stretched grid: the boundary term
+    # misses the exact [R f'(R)]^2 only by the error d of the quadratic
+    # one-sided stencil, |d| <= max|f'''| h2 (h1 + h2) / 6 over its nodes
+    grid = gv.build_grid(40.0, 200, "geometric", 1.01)
+    r, L, c = grid.nodes, 10.0, (1.0, 0.5)
+    fp, fm = (1 - ci * np.exp(-r / L) for ci in c)
+    prof = make_profile(grid, gv.CouplingParams(1, 1, 0.5, 1, 1),
+                        gv.DegreePair(1, 1), fp, fm)
+    R, h1, h2 = r[-1], r[-2] - r[-3], r[-1] - r[-2]
+    slope = np.array(c) * np.exp(-R / L) / L
+    d = np.array(c) * np.exp(-r[-3] / L) / L ** 3 * h2 * (h1 + h2) / 6
+    bulk = quadrature_upto(grid, diagnostics._potential_quartic(prof), R)
+    exact = np.sum((R * slope) ** 2) + bulk - quantization_rhs(prof)
+    tol = np.sum(R ** 2 * (2 * slope * d + d ** 2))
+    assert abs(gv.pohozaev_residual(prof) - exact) <= tol
 
 
 def test_quantization_rhs_values(ground_state):

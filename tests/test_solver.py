@@ -11,11 +11,19 @@ from scipy.linalg import solve_banded
 import glvortex as gv
 from glvortex import solver
 from glvortex.solver import SolveOptions, _BandLU, _DiscreteSystem
-from oracles import scalar_gl_profile
+from oracles import scalar_gl_profile, uniqueness_probe
 
 
 def params_of(*vals):
     return gv.CouplingParams(*vals)
+
+
+def eight_steps(params, degrees, grid):
+    """The profile at params.B reached through eight equal B-steps, or None
+    if any step fails."""
+    path = gv.continuation_sweep(params, degrees,
+                                 [params.B * k / 8 for k in range(1, 9)], grid)
+    return None if any(isinstance(p, Exception) for p in path) else path[-1]
 
 
 def test_initial_guess_shapes():
@@ -181,20 +189,20 @@ def test_continuation_near_hypothesis_boundary(coarse_grid):
 
 def test_continuation_path_monotone_for_negative_interaction(coarse_grid):
     # the sweep through B = -0.9 k/8 walks the path of eight equal steps,
-    # none of them halved: B = 0 and the 8 steps
+    # none of them halved: B = 0 and the 8 steps, one stage each
     params = params_of(1, 1, -0.9, 1, 1)
     b_values = [-0.9 * k / 8 for k in range(9)]
     path = gv.continuation_sweep(params, gv.DegreePair(1, 1), b_values,
                                  coarse_grid)
     assert [p.params.B for p in path] == b_values
+    assert [len(p.report.iterations) for p in path] == [1] * 9
     for step in path:
         cls = gv.monotonicity_classify(step)
         assert cls.label is gv.MonotonicityLabel.BothNondecreasing
-    prof = gv.continuation_solve(params, gv.DegreePair(1, 1), coarse_grid,
-                                 SolveOptions(continuation_steps=8))
-    assert np.array_equal(path[-1].f_plus, prof.f_plus)
-    assert np.array_equal(path[-1].f_minus, prof.f_minus)
-    assert len(prof.report.iterations) == 9
+    # one direct predicted step reaches the same profile
+    prof = gv.continuation_solve(params, gv.DegreePair(1, 1), coarse_grid)
+    assert np.max(np.abs(path[-1].f_plus - prof.f_plus)) <= 1e-9
+    assert np.max(np.abs(path[-1].f_minus - prof.f_minus)) <= 1e-9
 
 
 def test_amplitude_bound_holds_on_converged_profiles(coarse_grid):
@@ -228,18 +236,18 @@ def test_grid_refinement_second_order():
 
 
 def test_uniqueness_probe_cases(coarse_grid):
-    d = gv.uniqueness_probe(params_of(1, 1, 0, 1, 1), gv.DegreePair(1, 0),
-                            coarse_grid, seed_count=3)
+    d = uniqueness_probe(params_of(1, 1, 0, 1, 1), gv.DegreePair(1, 0),
+                         coarse_grid, seed_count=3)
     assert d <= 1e-8
-    d = gv.uniqueness_probe(params_of(2, 1, 0.8, 1, 0.7), gv.DegreePair(1, 1),
-                            coarse_grid, seed_count=3)
+    d = uniqueness_probe(params_of(2, 1, 0.8, 1, 0.7), gv.DegreePair(1, 1),
+                         coarse_grid, seed_count=3)
     assert d <= 1e-8
 
 
 def test_uniqueness_probe_zero_degrees(coarse_grid):
     params = params_of(1, 1, 0.3, 1, 1)
-    d = gv.uniqueness_probe(params, gv.DegreePair(0, 0), coarse_grid,
-                            seed_count=3)
+    d = uniqueness_probe(params, gv.DegreePair(0, 0), coarse_grid,
+                         seed_count=3)
     assert d <= 1e-10
 
 
@@ -273,13 +281,14 @@ def test_solve_options_validation():
     for bad in ({"tolerance": 0.0}, {"tolerance": True},
                 {"tolerance": "1e-10"}, {"tolerance": float("inf")},
                 {"max_newton_iters": 2.5}, {"max_newton_iters": -1},
-                {"max_newton_iters": True}, {"continuation_steps": 0},
-                {"continuation_steps": 1.0}, {"far_field": "absorbing"},
+                {"max_newton_iters": True}, {"far_field": "absorbing"},
                 {"far_field": ["robin"]}):
         with pytest.raises(ValueError):
             SolveOptions(**bad)
-    with pytest.raises(TypeError):
-        SolveOptions(damping=0.5)       # the backtracking factor is fixed
+    # the backtracking factor is fixed, and a leg first tries one step
+    for gone in ({"damping": 0.5}, {"continuation_steps": 1}):
+        with pytest.raises(TypeError):
+            SolveOptions(**gone)
     assert SolveOptions(tolerance=1, max_newton_iters=0).tolerance == 1
 
 
@@ -443,8 +452,7 @@ def test_failed_step_is_halved_and_converges(coarse_grid, monkeypatch):
     assert prof.report.final_residual <= 1e-10
     # one report entry per attempted stage, the failed one included
     assert prof.report.iterations == tuple(n for _, _, n in runs)
-    ref = gv.continuation_solve(params, deg, coarse_grid,
-                                SolveOptions(continuation_steps=8))
+    ref = eight_steps(params, deg, coarse_grid)
     assert np.max(np.abs(prof.f_plus - ref.f_plus)) <= 1e-9
     assert np.max(np.abs(prof.f_minus - ref.f_minus)) <= 1e-9
 
@@ -612,7 +620,7 @@ def test_predicted_step_matches_eight_steps(case):
     # the positive solution is unique on the admissible set, so the default
     # predicted step and eight equal steps reach the same profile
     one = _solve_or_none(*case, SolveOptions())
-    eight = _solve_or_none(*case, SolveOptions(continuation_steps=8))
+    eight = eight_steps(*case)
     assert (one is None) == (eight is None)
     if one is not None:
         assert np.max(np.abs(one.f_plus - eight.f_plus)) <= 1e-8
