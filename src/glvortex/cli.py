@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import asymptotics, diagnostics, model, solver
-from .grid import grid_from_json
+from .grid import FAR_FIELDS, grid_from_json
 
 
 class ConfigError(ValueError):
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r-max", dest="r_max", type=float)
         p.add_argument("--tol", type=float)
         p.add_argument("--far-field", dest="far_field",
-                       choices=solver.FAR_FIELDS)
+                       choices=FAR_FIELDS)
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run the check suite on a profile")

@@ -7,7 +7,8 @@ solver's residual evaluates these rows, its Jacobian reads their
 coefficients, and the Hessian is built from that Jacobian, so the three
 share one discretization.  At r = 0 the removable singularity for zero
 winding is handled with a ghost-free one-sided row (the radial Laplacian of
-an even function tends to 2 u''(0)).
+an even function tends to 2 u''(0)).  No row holds boundary data: the far
+row's rhs is the column of a unit datum, which the solver scales.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from .model import is_integer, is_number, json_object
+
+# far boundary rows: the slope (Robin) row or a pinned value (Dirichlet)
+FAR_FIELDS = ("robin", "dirichlet")
 
 
 class BadGridSpec(ValueError):
@@ -135,10 +139,10 @@ class RadialOperator:
 
     One set of rows for every use: row i reads
         pot[i] u[i] + lower[i] (u[i-1] - u[i]) + upper[i] (u[i+1] - u[i])
-    = rhs[i], with lower[0] = upper[N] = 0, so its tridiagonal coefficients
-    are (lower, diag, upper) with diag = -(lower + upper) + pot.  pot is
-    n^2/r^2 on equation rows and 1 on the `pinned` rows, where a Dirichlet
-    condition u = rhs replaces the equation.
+    = d rhs[i] for a far datum d, with lower[0] = upper[N] = 0, so its
+    tridiagonal coefficients are (lower, diag, upper) with
+    diag = -(lower + upper) + pot.  pot is n^2/r^2 on equation rows and 1 on
+    the `pinned` rows, where a Dirichlet condition replaces the equation.
     """
 
     lower: np.ndarray = field(repr=False)
@@ -164,20 +168,19 @@ class RadialOperator:
         return out
 
 
-def radial_operator(grid: RadialGrid, n: int, bc_far: str = "dirichlet",
-                    robin_a: float = 0.0,
-                    dirichlet_value: float = 0.0) -> RadialOperator:
+def radial_operator(grid: RadialGrid, n: int,
+                    bc_far: str = "dirichlet") -> RadialOperator:
     """Assemble -(1/r)(r u')' + n^2/r^2 with its boundary rows.
 
     The origin row is forced by the winding number: pinned to u(0) = 0 for
     n != 0 (the n^2/r^2 term is singular), one-sided second-order Neumann
-    for n = 0.  bc_far "dirichlet" pins u(R_max) = dirichlet_value; "robin"
-    is the ghost-eliminated row fixing the slope u'(R_max) = -2a/R_max^3 of
-    the tail t + a/r^2 (a = robin_a), with its constant part in rhs.
+    for n = 0.  bc_far "dirichlet" pins u(R_max) = d; "robin" is the
+    ghost-eliminated row fixing the slope u'(R_max) = d.  rhs is the far
+    row's column for d = 1.
     """
     if n < 0:
         raise BadBoundarySpec("winding number must be nonnegative")
-    if bc_far not in ("dirichlet", "robin"):
+    if bc_far not in FAR_FIELDS:
         raise BadBoundarySpec(f"unknown far boundary {bc_far!r}")
 
     r = grid.nodes
@@ -196,14 +199,14 @@ def radial_operator(grid: RadialGrid, n: int, bc_far: str = "dirichlet",
         # limit row: -(1/r)(r u')'|_0 = -2 u''(0) ~ (4/r1^2)(u0 - u1)
         upper[0] = -4.0 / r[1] ** 2
     if bc_far == "dirichlet":
-        rhs[-1] = dirichlet_value
+        rhs[-1] = 1.0
     else:
-        # ghost elimination: u_{N+1} = u_{N-1} + 2 h d with d = -2a/R^3,
-        # keeping the interior stencil second order at the boundary
+        # ghost elimination: u_{N+1} = u_{N-1} + 2 h d, keeping the
+        # interior stencil second order at the boundary
         hN = h[-1]
         c_out = -(r[-1] + 0.5 * hN) / (hN * r[-1] * hN)
         c_in = -(r[-1] - 0.5 * hN) / (hN * r[-1] * hN)
         lower[-1] = c_in + c_out
-        rhs[-1] = -c_out * 2.0 * hN * (-2.0 * robin_a / grid.R_max ** 3)
+        rhs[-1] = -c_out * 2.0 * hN
     return RadialOperator(lower=lower, upper=upper, pot=pot, rhs=rhs,
                           pinned=pinned)

@@ -2,9 +2,9 @@
 
 The discretized system interleaves the two components per node, so the exact
 Jacobian is banded with two sub/super-diagonals and a banded LU solve costs
-O(N).  A solve or sweep owns one LAPACK band buffer: each Newton iteration
-writes the Jacobian into it and factors it in place (`dgbtrf`), and the
-step is solved in place in one right-hand-side vector (`dgbtrs`).
+O(N).  A solve or sweep owns one discrete system, re-coupled at each B, and
+one LAPACK band buffer: each Newton iteration writes the Jacobian into it,
+factors it in place (`dgbtrf`) and solves in one right-hand side (`dgbtrs`).
 
 Globalization is by backtracking on the residual sup-norm plus continuation
 in the interaction coefficient B from the decoupled system (B = 0), whose
@@ -37,7 +37,8 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import asymptotics
-from .grid import RadialGrid, build_grid, grid_from_json, radial_operator
+from .grid import (FAR_FIELDS, RadialGrid, build_grid, grid_from_json,
+                   radial_operator)
 from .model import (CouplingParams, DegreePair, coupling_from_json,
                     degrees_from_json, is_integer, is_number, validate)
 
@@ -76,9 +77,6 @@ _MAX_HALVINGS = 6
 
 # the line search's backtracking factor
 _DAMPING = 0.5
-
-# far boundary rows: the tail-slope (Robin) row or f = t (Dirichlet)
-FAR_FIELDS = ("robin", "dirichlet")
 
 # a converged profile may dip this far below zero and still count as positive
 POSITIVITY_TOL = 1e-9
@@ -126,34 +124,40 @@ class Profile:
 
 
 class _DiscreteSystem:
-    """Linear scaffolding of the coupled residual on a fixed grid.
+    """The coupled residual on a fixed grid, degree pair and far field.
 
     Holds the two single-component operators (radial Laplacian + n^2/r^2 +
-    boundary rows) and, per component, the mask of rows where the nonlinear
-    potential term is active: every row its operator does not pin to a
-    Dirichlet value.
+    boundary rows), assembled once, and per component the mask of rows
+    where the nonlinear potential term is active: every row its operator
+    does not pin.  `couple` sets the coefficients, B among them.
     """
 
     def __init__(self, grid: RadialGrid, params: CouplingParams,
                  degrees: DegreePair, far_field: str):
         self.grid = grid
-        self.params = params
         self.degrees = degrees
         self.far_field = far_field
-        tail = asymptotics.leading_coeffs(params, degrees)
-        self.ops = []
-        self.masks = []
-        for n, t, a in ((degrees.n_plus, params.t_plus, tail.a_plus),
-                        (degrees.n_minus, params.t_minus, tail.a_minus)):
-            if far_field == "dirichlet" and abs(a) / grid.R_max ** 2 > 1e-6:
+        self.ops = [radial_operator(grid, n, far_field)
+                    for n in (degrees.n_plus, degrees.n_minus)]
+        self.masks = [~op.pinned for op in self.ops]
+        self.couple(params)
+
+    def couple(self, params: CouplingParams):
+        """Set the coefficients and each far datum: t on a Dirichlet row,
+        the slope -2a/R_max^3 of the tail t + a/r^2 on a Robin row."""
+        self.params = params
+        tail = asymptotics.leading_coeffs(params, self.degrees)
+        R = self.grid.R_max
+        dirichlet = self.far_field == "dirichlet"
+        self.rhs = []
+        for op, t, a in ((self.ops[0], params.t_plus, tail.a_plus),
+                         (self.ops[1], params.t_minus, tail.a_minus)):
+            if dirichlet and abs(a) / R ** 2 > 1e-6:
                 warnings.warn(
                     "Dirichlet far field truncates a tail of size "
-                    f"|a|/R_max^2 = {abs(a) / grid.R_max ** 2:.2e}; "
-                    "enlarge R_max or use the robin condition", stacklevel=3)
-            op = radial_operator(grid, n, bc_far=far_field, robin_a=a,
-                                 dirichlet_value=t)
-            self.ops.append(op)
-            self.masks.append(~op.pinned)
+                    f"|a|/R_max^2 = {abs(a) / R ** 2:.2e}; "
+                    "enlarge R_max or use the robin condition", stacklevel=4)
+            self.rhs.append(op.rhs * (t if dirichlet else -2.0 * a / R ** 3))
 
     def residual(self, f_plus, f_minus):
         p = self.params
@@ -161,14 +165,15 @@ class _DiscreteSystem:
                   + p.B * (f_minus ** 2 - p.t_minus ** 2))
         v_minus = (p.A_minus * (f_minus ** 2 - p.t_minus ** 2)
                    + p.B * (f_plus ** 2 - p.t_plus ** 2))
-        g_plus = (self.ops[0].apply(f_plus) - self.ops[0].rhs
+        g_plus = (self.ops[0].apply(f_plus) - self.rhs[0]
                   + self.masks[0] * v_plus * f_plus)
-        g_minus = (self.ops[1].apply(f_minus) - self.ops[1].rhs
+        g_minus = (self.ops[1].apply(f_minus) - self.rhs[1]
                    + self.masks[1] * v_minus * f_minus)
         return g_plus, g_minus
 
     def residual_dB(self, f_plus, f_minus):
-        """Derivative of the residual with respect to B at fixed profiles."""
+        """Derivative of the residual with respect to B at fixed profiles
+        and far data: it leaves out the Robin datum's motion with a(B)."""
         p = self.params
         return (self.masks[0] * (f_minus ** 2 - p.t_minus ** 2) * f_plus,
                 self.masks[1] * (f_plus ** 2 - p.t_plus ** 2) * f_minus)
@@ -225,13 +230,17 @@ class _BandLU:
         if info != 0:
             raise SingularJacobian(f"dgbtrf info {info} (zero pivot)")
         self.ipiv = ipiv
+        self.pinned = np.flatnonzero(~np.column_stack(sys.masks))
 
     def solve(self, g_plus, g_minus):
         """Solve J x = (g_plus, g_minus) interleaved, on the last LU; x is
         the rhs buffer, valid until the next solve."""
         self.rhs[0::2] = g_plus
         self.rhs[1::2] = g_minus
+        # pinned rows are identity rows of J: exact entries, not LU roundoff
+        pinned = self.rhs[self.pinned]
         dgbtrs(self.ab, 2, 2, self.rhs, self.ipiv, overwrite_b=1)
+        self.rhs[self.pinned] = pinned
         if not np.all(np.isfinite(self.rhs)):
             raise SingularJacobian("non-finite solution of the banded system")
         return self.rhs
@@ -379,14 +388,16 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
     if grid is None:
         grid = build_grid(80.0, 4000)
     lu = _BandLU(grid.N + 1)
+    sys = _DiscreteSystem(grid, replace(params, B=0.0), degrees,
+                          options.far_field)
     stages = []                 # Newton iterations since the last profile out
     t_out = time.perf_counter()
 
     def stage(b, f_plus, f_minus, want_tangent):
         """Newton solve at B = b, whose profile takes over the arrays; then,
         when wanted, the tangent there from the kept LU."""
-        sys = _DiscreteSystem(grid, replace(params, B=b), degrees,
-                              options.far_field)
+        if b != sys.params.B:
+            sys.couple(replace(params, B=b))
         iters, tangent = None, None
         try:
             iters, norm = _newton(sys, lu, f_plus, f_minus, options)

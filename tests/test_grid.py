@@ -118,8 +118,7 @@ def test_apply_matches_tridiagonal_rows(geometric, stretch, N, R_max, n,
     # apply() and the assembled (lower, diag, upper) are one set of rows
     g = (gv.build_grid(R_max, N, "geometric", stretch) if geometric
          else gv.build_grid(R_max, N))
-    op = gv.radial_operator(g, n, bc_far=bc_far, robin_a=-0.5,
-                            dirichlet_value=1.0)
+    op = gv.radial_operator(g, n, bc_far=bc_far)
     u = np.random.default_rng(seed).normal(size=N + 1)
     dense = (np.diag(op.diag) + np.diag(op.lower[1:], -1)
              + np.diag(op.upper[:-1], 1))
@@ -129,6 +128,9 @@ def test_apply_matches_tridiagonal_rows(geometric, stretch, N, R_max, n,
     assert op.lower[0] == op.upper[-1] == 0.0
     assert list(np.flatnonzero(op.pinned)) == (
         [0] * (n != 0) + [N] * (bc_far == "dirichlet"))
+    # rhs is the far row's column for a unit datum, no boundary data
+    assert list(np.flatnonzero(op.rhs)) == [N]
+    assert (op.rhs[-1] == 1.0) == (bc_far == "dirichlet")
 
 
 def test_boundary_spec_errors():
@@ -148,12 +150,12 @@ def test_robin_row_consistency():
     t, a, n = 1.0, -0.5, 1
     for N in (200, 400):
         g = gv.build_grid(40.0, N)
-        op = gv.radial_operator(g, n, bc_far="robin", robin_a=a)
+        op = gv.radial_operator(g, n, bc_far="robin")
         u = t + a / np.maximum(g.nodes, 1e-30) ** 2
         u[0] = 0.0  # origin row is Dirichlet for n != 0
         R = g.R_max
         expected = n ** 2 * (t + a / R ** 2) / R ** 2 - 4 * a / R ** 4
-        got = op.apply(u)[-1] - op.rhs[-1]
+        got = op.apply(u)[-1] - op.rhs[-1] * (-2.0 * a / R ** 3)
         h = 40.0 / N
         uppp = -24.0 * a / R ** 5
         assert abs(got - expected) == pytest.approx(h * abs(uppp) / 3,

@@ -10,6 +10,7 @@ from scipy.linalg import solve_banded
 
 import glvortex as gv
 from glvortex import solver
+from glvortex.grid import FAR_FIELDS
 from glvortex.solver import SolveOptions, _BandLU, _DiscreteSystem
 from oracles import scalar_gl_profile, uniqueness_probe
 
@@ -371,7 +372,9 @@ def test_solve_on_geometric_grid():
 def test_band_lu_step_matches_solve_banded(degrees, kind):
     # the in-place dgbtrf/dgbtrs step against scipy's solve_banded on the
     # same Jacobians; the buffers start as NaN and are reused over several
-    # iterates, as in a solve, so every band entry must be rewritten
+    # iterates, as in a solve, so every band entry must be rewritten.  A
+    # pinned row is an identity row, so its entry is the rhs's exactly,
+    # where the pivoted reference carries roundoff
     if kind == "uniform":
         grid = gv.build_grid(30.0, 400)
     else:
@@ -379,6 +382,8 @@ def test_band_lu_step_matches_solve_banded(degrees, kind):
     params = params_of(1.3, 0.8, 0.6, 1.1, 0.9)
     deg = gv.DegreePair(*degrees)
     sys = _DiscreteSystem(grid, params, deg, "robin")
+    pinned = np.column_stack([op.pinned for op in sys.ops]).ravel()
+    assert pinned.any()
     lu = _BandLU(grid.N + 1)
     lu.ab[:] = np.nan
     lu.rhs[:] = np.nan
@@ -394,7 +399,9 @@ def test_band_lu_step_matches_solve_banded(degrees, kind):
         rhs[0::2] = gp
         rhs[1::2] = gm
         ref = solve_banded((2, 2), sys.jacobian_banded(fp, fm), rhs)
-        assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(step[pinned], rhs[pinned])
+        assert (np.max(np.abs(step - ref)[~pinned])
+                <= 1e-13 * np.max(np.abs(ref)))
 
 
 def test_band_lu_failures_raise_singular_jacobian():
@@ -417,6 +424,40 @@ def test_band_lu_failures_raise_singular_jacobian():
     nan = np.full(21, np.nan)
     with pytest.raises(gv.SingularJacobian, match="non-finite"):
         gv.newton_solve(nan, nan, g, params, deg)
+
+
+def test_pinned_origin_values_are_exact(reference_profiles):
+    # u(0) = 0 is an identity row of J, so every Newton step keeps it exact
+    for prof in reference_profiles.values():
+        for n, f in ((prof.degrees.n_plus, prof.f_plus),
+                     (prof.degrees.n_minus, prof.f_minus)):
+            if n != 0:
+                assert f[0] == 0.0
+
+
+def test_operators_assembled_once_per_solve_and_sweep(coarse_grid,
+                                                      monkeypatch):
+    # B is a coefficient of one discrete system: a sweep, and a solve whose
+    # first step is halved, each assemble the two operators once
+    built = []
+    assemble = solver.radial_operator
+
+    def spy(grid, n, *args, **kwargs):
+        built.append(n)
+        return assemble(grid, n, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "radial_operator", spy)
+    b_values = [round(-0.9 + 0.1 * k, 12) for k in range(19)]
+    out = gv.continuation_sweep(params_of(1, 1, 0.5, 1, 1),
+                                gv.DegreePair(1, 1), b_values, coarse_grid)
+    assert all(isinstance(p, gv.Profile) for p in out)
+    assert built == [1, 1]
+    built.clear()
+    prof = gv.continuation_solve(params_of(1, 4, 1.9, 1, 1),
+                                 gv.DegreePair(1, 1), coarse_grid,
+                                 SolveOptions(max_newton_iters=4))
+    assert len(prof.report.iterations) > 2
+    assert built == [1, 1]
 
 
 def _spy_newton(monkeypatch):
@@ -593,14 +634,20 @@ def test_positivity_failure_carries_history():
 
 
 @st.composite
-def admissible_cases(draw):
-    """Admissible coefficients up to |B| = 0.99 sqrt(A+ A-), windings 0-5,
-    and a uniform grid of at most 600 nodes."""
+def admissible_params(draw):
+    """Admissible coefficients up to |B| = 0.99 sqrt(A+ A-)."""
     A_plus = draw(st.floats(0.2, 4.0))
     A_minus = draw(st.floats(0.2, 4.0))
     B = draw(st.floats(-0.99, 0.99)) * np.sqrt(A_plus * A_minus)
-    params = gv.CouplingParams(A_plus, A_minus, B, draw(st.floats(0.3, 2.0)),
-                               draw(st.floats(0.3, 2.0)))
+    return gv.CouplingParams(A_plus, A_minus, B, draw(st.floats(0.3, 2.0)),
+                             draw(st.floats(0.3, 2.0)))
+
+
+@st.composite
+def admissible_cases(draw):
+    """Admissible coefficients, windings 0-5, and a uniform grid of at most
+    600 nodes."""
+    params = draw(admissible_params())
     degrees = gv.DegreePair(draw(st.integers(0, 5)), draw(st.integers(0, 5)))
     grid = gv.build_grid(draw(st.floats(10.0, 40.0)),
                          draw(st.integers(100, 600)))
@@ -643,3 +690,34 @@ def test_sweep_matches_one_solve_per_value(case, ratios):
             assert got.params.B == b
             assert np.max(np.abs(got.f_plus - want.f_plus)) <= 1e-8
             assert np.max(np.abs(got.f_minus - want.f_minus)) <= 1e-8
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(start=admissible_params(), target=admissible_params(),
+       far_field=st.sampled_from(FAR_FIELDS),
+       degrees=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       R_max=st.floats(5.0, 2000.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_recoupled_system_matches_a_new_one(start, target, far_field,
+                                            degrees, R_max, seed):
+    # re-coupling a system built at `start` gives, bit for bit, the system
+    # built at `target`, and the same truncation warnings
+    grid = gv.build_grid(R_max, 64)
+    deg = gv.DegreePair(*degrees)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sys = _DiscreteSystem(grid, start, deg, far_field)
+    with warnings.catch_warnings(record=True) as recoupled:
+        warnings.simplefilter("always")
+        sys.couple(target)
+    with warnings.catch_warnings(record=True) as built:
+        warnings.simplefilter("always")
+        new = _DiscreteSystem(grid, target, deg, far_field)
+    assert ([str(w.message) for w in recoupled]
+            == [str(w.message) for w in built])
+    fp, fm = np.random.default_rng(seed).uniform(0.0, 2.0, (2, 65))
+    for got, want in zip(
+            (*sys.residual(fp, fm), *sys.residual_dB(fp, fm),
+             sys.jacobian_banded(fp, fm)),
+            (*new.residual(fp, fm), *new.residual_dB(fp, fm),
+             new.jacobian_banded(fp, fm))):
+        assert got.tobytes() == want.tobytes()
