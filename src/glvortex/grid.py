@@ -7,8 +7,8 @@ solver's residual evaluates these rows, its Jacobian reads their
 coefficients, and the Hessian is built from that Jacobian, so the three
 share one discretization.  At r = 0 the removable singularity for zero
 winding is handled with a ghost-free one-sided row (the radial Laplacian of
-an even function tends to 2 u''(0)).  No row holds boundary data: the far
-row's rhs is the column of a unit datum, which the solver scales.
+an even function tends to 2 u''(0)).  No row holds boundary data, only the
+far row's unit-datum column rhs, so a grid assembles each set of rows once.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ class RadialGrid:
     weights: np.ndarray
     kind: str
     stretch: float | None = None
+    # radial_operator's rows on this mesh, by (n, bc_far)
+    _operators: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def N(self) -> int:
@@ -87,7 +90,13 @@ def build_grid(R_max: float, N: int, kind: str = "uniform",
                 f"geometric stretch ratio must lie in (1, 1.1], got {stretch}")
         # spacings h0 * q^i with h0 fixed by the endpoint
         q = float(stretch)
-        h0 = R_max * (q - 1.0) / (q ** N - 1.0)
+        try:  # the first interior row divides by h0 r1 hbar1 ~ h0^3
+            h0 = R_max * (q - 1.0) / (q ** N - 1.0)
+        except OverflowError:
+            h0 = 0.0
+        if not h0 ** 3 >= np.finfo(float).tiny:
+            raise BadGridSpec(f"geometric stretch {stretch} over {N} cells "
+                              "leaves a degenerate first cell")
         nodes = np.concatenate(([0.0], np.cumsum(h0 * q ** np.arange(N))))
         nodes[-1] = R_max
     else:
@@ -153,7 +162,9 @@ class RadialOperator:
 
     @cached_property
     def diag(self) -> np.ndarray:
-        return -(self.lower + self.upper) + self.pot
+        diag = -(self.lower + self.upper) + self.pot
+        diag.flags.writeable = False
+        return diag
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The rows at u in difference form, rhs not subtracted: unlike a
@@ -170,19 +181,21 @@ class RadialOperator:
 
 def radial_operator(grid: RadialGrid, n: int,
                     bc_far: str = "dirichlet") -> RadialOperator:
-    """Assemble -(1/r)(r u')' + n^2/r^2 with its boundary rows.
+    """The rows of -(1/r)(r u')' + n^2/r^2 on grid, with its boundary rows.
 
     The origin row is forced by the winding number: pinned to u(0) = 0 for
     n != 0 (the n^2/r^2 term is singular), one-sided second-order Neumann
     for n = 0.  bc_far "dirichlet" pins u(R_max) = d; "robin" is the
     ghost-eliminated row fixing the slope u'(R_max) = d.  rhs is the far
-    row's column for d = 1.
+    row's column for d = 1.  The grid object keeps the rows of the first
+    request, read-only, for every later caller; grids built apart share none.
     """
     if n < 0:
         raise BadBoundarySpec("winding number must be nonnegative")
     if bc_far not in FAR_FIELDS:
         raise BadBoundarySpec(f"unknown far boundary {bc_far!r}")
-
+    if (n, bc_far) in grid._operators:
+        return grid._operators[n, bc_far]
     r = grid.nodes
     h = np.diff(r)
     lower, upper, pot, rhs = (np.zeros_like(r) for _ in range(4))
@@ -208,5 +221,8 @@ def radial_operator(grid: RadialGrid, n: int,
         c_in = -(r[-1] - 0.5 * hN) / (hN * r[-1] * hN)
         lower[-1] = c_in + c_out
         rhs[-1] = -c_out * 2.0 * hN
-    return RadialOperator(lower=lower, upper=upper, pot=pot, rhs=rhs,
-                          pinned=pinned)
+    for rows in (lower, upper, pot, rhs, pinned):
+        rows.flags.writeable = False
+    op = grid._operators[n, bc_far] = RadialOperator(
+        lower=lower, upper=upper, pot=pot, rhs=rhs, pinned=pinned)
+    return op

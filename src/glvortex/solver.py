@@ -2,9 +2,10 @@
 
 The discretized system interleaves the two components per node, so the exact
 Jacobian is banded with two sub/super-diagonals and a banded LU solve costs
-O(N).  A solve or sweep owns one discrete system, re-coupled at each B, and
-one LAPACK band buffer: each Newton iteration writes the Jacobian into it,
-factors it in place (`dgbtrf`) and solves in one right-hand side (`dgbtrs`).
+O(N).  Each B gets its own discrete system on operator rows the grid
+holds, and a solve or sweep owns one LAPACK band buffer: each Newton
+iteration writes the Jacobian into it, factors it in place (`dgbtrf`) and
+solves in one right-hand side (`dgbtrs`).
 
 Globalization is by backtracking on the residual sup-norm plus continuation
 in the interaction coefficient B from the decoupled system (B = 0), whose
@@ -124,31 +125,26 @@ class Profile:
 
 
 class _DiscreteSystem:
-    """The coupled residual on a fixed grid, degree pair and far field.
+    """The coupled residual at fixed grid, coefficients, degrees and far field.
 
     Holds the two single-component operators (radial Laplacian + n^2/r^2 +
-    boundary rows), assembled once, and per component the mask of rows
-    where the nonlinear potential term is active: every row its operator
-    does not pin.  `couple` sets the coefficients, B among them.
+    boundary rows), shared with every system on the grid, the interleaved
+    indices of their pinned rows, and per component the mask of rows where
+    the nonlinear potential term is active (every row not pinned) and the
+    far datum: t on a Dirichlet row, the slope -2a/R_max^3 of the tail
+    t + a/r^2 on a Robin row.
     """
 
     def __init__(self, grid: RadialGrid, params: CouplingParams,
                  degrees: DegreePair, far_field: str):
-        self.grid = grid
-        self.degrees = degrees
-        self.far_field = far_field
+        self.grid, self.params, self.degrees = grid, params, degrees
         self.ops = [radial_operator(grid, n, far_field)
                     for n in (degrees.n_plus, degrees.n_minus)]
         self.masks = [~op.pinned for op in self.ops]
-        self.couple(params)
-
-    def couple(self, params: CouplingParams):
-        """Set the coefficients and each far datum: t on a Dirichlet row,
-        the slope -2a/R_max^3 of the tail t + a/r^2 on a Robin row."""
-        self.params = params
-        tail = asymptotics.leading_coeffs(params, self.degrees)
-        R = self.grid.R_max
-        dirichlet = self.far_field == "dirichlet"
+        self.pinned = np.flatnonzero(~np.column_stack(self.masks))
+        tail = asymptotics.leading_coeffs(params, degrees)
+        R = grid.R_max
+        dirichlet = far_field == "dirichlet"
         self.rhs = []
         for op, t, a in ((self.ops[0], params.t_plus, tail.a_plus),
                          (self.ops[1], params.t_minus, tail.a_minus)):
@@ -156,7 +152,7 @@ class _DiscreteSystem:
                 warnings.warn(
                     "Dirichlet far field truncates a tail of size "
                     f"|a|/R_max^2 = {abs(a) / R ** 2:.2e}; "
-                    "enlarge R_max or use the robin condition", stacklevel=4)
+                    "enlarge R_max or use the robin condition", stacklevel=3)
             self.rhs.append(op.rhs * (t if dirichlet else -2.0 * a / R ** 3))
 
     def residual(self, f_plus, f_minus):
@@ -230,7 +226,7 @@ class _BandLU:
         if info != 0:
             raise SingularJacobian(f"dgbtrf info {info} (zero pivot)")
         self.ipiv = ipiv
-        self.pinned = np.flatnonzero(~np.column_stack(sys.masks))
+        self.pinned = sys.pinned
 
     def solve(self, g_plus, g_minus):
         """Solve J x = (g_plus, g_minus) interleaved, on the last LU; x is
@@ -388,16 +384,14 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
     if grid is None:
         grid = build_grid(80.0, 4000)
     lu = _BandLU(grid.N + 1)
-    sys = _DiscreteSystem(grid, replace(params, B=0.0), degrees,
-                          options.far_field)
     stages = []                 # Newton iterations since the last profile out
     t_out = time.perf_counter()
 
     def stage(b, f_plus, f_minus, want_tangent):
         """Newton solve at B = b, whose profile takes over the arrays; then,
         when wanted, the tangent there from the kept LU."""
-        if b != sys.params.B:
-            sys.couple(replace(params, B=b))
+        sys = _DiscreteSystem(grid, replace(params, B=b), degrees,
+                              options.far_field)
         iters, tangent = None, None
         try:
             iters, norm = _newton(sys, lu, f_plus, f_minus, options)

@@ -341,6 +341,31 @@ def test_malformed_profile_is_a_json_error(tmp_path, capsys, profile_text,
     assert json.loads(line)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("N", [4000, 8000])
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify", "export"])
+def test_degenerate_geometric_grid_is_a_json_error(tmp_path, capsys,
+                                                   profile_text, command, N):
+    # stretch 1.1 over N cells: q^N overflows at 8000, h0^3 underflows at
+    # 4000; configs and hand-written profile files reach the same check
+    spec = {"R_max": 80.0, "N": N, "kind": "geometric", "stretch": 1.1}
+    if command in ("solve", "sweep"):
+        path = write_config(tmp_path / "cfg.json", grid=spec, sweep={
+            "b_start": 0.0, "b_stop": 0.5, "b_step": 0.5})
+        argv = ["--config", str(path)]
+    else:
+        obj = json.loads(profile_text)
+        obj.update(grid=spec, f_plus=[1.0] * (N + 1), f_minus=[1.0] * (N + 1))
+        path = tmp_path / "hand.json"
+        path.write_text(json.dumps(obj))
+        argv = [str(path)] + (["profiles", "--out", str(tmp_path / "o.csv")]
+                              if command == "export" else [])
+    code, stdout, stderr = run(capsys, command, *argv)
+    assert code == 1
+    assert stdout == ""
+    (line,) = stderr.splitlines()
+    assert json.loads(line)["error"] == "BadGridSpec"
+
+
 @pytest.mark.parametrize("solve", [
     {"tolerance": True},
     {"tolerance": "1e-10"},

@@ -76,6 +76,10 @@ def test_quadrature_length_mismatch():
     (10.0, 100, "geometric", 1.2),
     (10.0, 100, "geometric", 1.0),
     (10.0, 100, "chebyshev", None),
+    # stretch^N overflows a float
+    (80.0, 8000, "geometric", 1.1),
+    # h0 = 2e-165: the first interior row would divide by h0 r1 hbar1 ~ 0
+    (80.0, 4000, "geometric", 1.1),
 ])
 def test_bad_grid_specs(args):
     with pytest.raises(gv.BadGridSpec):

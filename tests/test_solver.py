@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 import glvortex as gv
-from glvortex import solver
+from glvortex import diagnostics, solver
 from glvortex.grid import FAR_FIELDS
 from glvortex.solver import SolveOptions, _BandLU, _DiscreteSystem
 from oracles import scalar_gl_profile, uniqueness_probe
@@ -435,29 +435,38 @@ def test_pinned_origin_values_are_exact(reference_profiles):
                 assert f[0] == 0.0
 
 
-def test_operators_assembled_once_per_solve_and_sweep(coarse_grid,
-                                                      monkeypatch):
-    # B is a coefficient of one discrete system: a sweep, and a solve whose
-    # first step is halved, each assemble the two operators once
+def test_operators_assembled_once_per_solve_and_sweep(monkeypatch):
+    # the rows belong to the grid object, counted here on fresh grids (a
+    # fixture grid carries rows between tests): a (1, 1) sweep assembles
+    # one operator for all its B and both components and its records none,
+    # a (1, 0) solve two, and verify of a profile read back from JSON, on
+    # a grid of its own, one per distinct winding
     built = []
-    assemble = solver.radial_operator
+    construct = gv.RadialOperator
 
-    def spy(grid, n, *args, **kwargs):
-        built.append(n)
-        return assemble(grid, n, *args, **kwargs)
+    def spy(*args, **kwargs):
+        built.append(1)
+        return construct(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "radial_operator", spy)
+    monkeypatch.setattr("glvortex.grid.RadialOperator", spy)
+    params, deg = params_of(1, 1, 0.5, 1, 1), gv.DegreePair(1, 1)
     b_values = [round(-0.9 + 0.1 * k, 12) for k in range(19)]
-    out = gv.continuation_sweep(params_of(1, 1, 0.5, 1, 1),
-                                gv.DegreePair(1, 1), b_values, coarse_grid)
+    out = gv.continuation_sweep(params, deg, b_values,
+                                gv.build_grid(40.0, 1200))
     assert all(isinstance(p, gv.Profile) for p in out)
-    assert built == [1, 1]
-    built.clear()
+    assert len(built) == 1
+    diagnostics.sweep_report(params, deg, b_values, out)
+    assert len(built) == 1
     prof = gv.continuation_solve(params_of(1, 4, 1.9, 1, 1),
-                                 gv.DegreePair(1, 1), coarse_grid,
+                                 gv.DegreePair(1, 0),
+                                 gv.build_grid(40.0, 1200),
                                  SolveOptions(max_newton_iters=4))
-    assert len(prof.report.iterations) > 2
-    assert built == [1, 1]
+    assert len(prof.report.iterations) > 2      # halved steps
+    assert len(built) == 3
+    for profile, windings in ((out[-1], 1), (prof, 2)):
+        built.clear()
+        diagnostics.verify(gv.profile_from_json(gv.profile_to_json(profile)))
+        assert len(built) == windings
 
 
 def _spy_newton(monkeypatch):
@@ -697,22 +706,24 @@ def test_sweep_matches_one_solve_per_value(case, ratios):
        far_field=st.sampled_from(FAR_FIELDS),
        degrees=st.tuples(st.integers(0, 3), st.integers(0, 3)),
        R_max=st.floats(5.0, 2000.0), seed=st.integers(0, 2 ** 32 - 1))
-def test_recoupled_system_matches_a_new_one(start, target, far_field,
-                                            degrees, R_max, seed):
-    # re-coupling a system built at `start` gives, bit for bit, the system
-    # built at `target`, and the same truncation warnings
-    grid = gv.build_grid(R_max, 64)
+def test_system_on_cached_rows_matches_a_fresh_grid(start, target, far_field,
+                                                    degrees, R_max, seed):
+    # a system on rows its grid already holds (from a system at `start`)
+    # gives, bit for bit, the system on a fresh grid of the same spec, with
+    # the same truncation warnings; the two grids share no rows, and shared
+    # rows are read-only
+    grid, fresh = gv.build_grid(R_max, 64), gv.build_grid(R_max, 64)
     deg = gv.DegreePair(*degrees)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sys = _DiscreteSystem(grid, start, deg, far_field)
-    with warnings.catch_warnings(record=True) as recoupled:
+        first = _DiscreteSystem(grid, start, deg, far_field)
+    with warnings.catch_warnings(record=True) as cached:
         warnings.simplefilter("always")
-        sys.couple(target)
+        sys = _DiscreteSystem(grid, target, deg, far_field)
     with warnings.catch_warnings(record=True) as built:
         warnings.simplefilter("always")
-        new = _DiscreteSystem(grid, target, deg, far_field)
-    assert ([str(w.message) for w in recoupled]
+        new = _DiscreteSystem(fresh, target, deg, far_field)
+    assert ([str(w.message) for w in cached]
             == [str(w.message) for w in built])
     fp, fm = np.random.default_rng(seed).uniform(0.0, 2.0, (2, 65))
     for got, want in zip(
@@ -721,3 +732,24 @@ def test_recoupled_system_matches_a_new_one(start, target, far_field,
             (*new.residual(fp, fm), *new.residual_dB(fp, fm),
              new.jacobian_banded(fp, fm))):
         assert got.tobytes() == want.tobytes()
+    assert all(a is b for a, b in zip(sys.ops, first.ops))
+    assert (sys.ops[0] is sys.ops[1]) == (deg.n_plus == deg.n_minus)
+    for op, other in zip(sys.ops, new.ops):
+        for rows in ("lower", "upper", "pot", "rhs", "pinned", "diag"):
+            assert not np.shares_memory(getattr(op, rows),
+                                        getattr(other, rows))
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(op, rows)[-1] = 0
+    # the truncation warning points at the caller of each public entry
+    prof = gv.Profile(grid, target, deg, fp, fm,
+                      solver.SolveReport((0,), 0.0, 1e-10, 0.0), far_field)
+    with warnings.catch_warnings(record=True) as calls:
+        warnings.simplefilter("always")
+        with pytest.raises(gv.NoConvergence):
+            gv.newton_solve(fp, fm, grid, target, deg,
+                            SolveOptions(max_newton_iters=0,
+                                         far_field=far_field))
+        gv.residual(prof)
+        gv.jacobian(prof)
+    assert len(calls) == 3 * len(built)
+    assert all(w.filename == __file__ for w in calls)
