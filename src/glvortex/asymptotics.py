@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import CouplingParams, DegreePair, validate
+from .model import CouplingParams, DegreePair
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Profile
@@ -113,14 +113,12 @@ def second_coeffs_exact(params: CouplingParams, degrees: DegreePair):
 
 def leading_coeffs(params: CouplingParams, degrees: DegreePair) -> TailExpansion:
     """Closed-form leading tail coefficients a_pm (b fields left at zero)."""
-    validate(params)
     a_plus, a_minus = leading_coeffs_exact(params, degrees)
     return TailExpansion(a_plus=float(a_plus), a_minus=float(a_minus))
 
 
 def second_coeffs(params: CouplingParams, degrees: DegreePair) -> TailExpansion:
     """Closed-form tail coefficients with both orders filled."""
-    validate(params)
     a_plus, a_minus = leading_coeffs_exact(params, degrees)
     b_plus, b_minus = second_coeffs_exact(params, degrees)
     return TailExpansion(a_plus=float(a_plus), a_minus=float(a_minus),
@@ -319,7 +317,6 @@ def select_envelope(params: CouplingParams, degrees: DegreePair,
     two-sided sandwich needs.  The defect is expanded once per branch, its
     M_2 = M_4 = 0 checked once, and M_6 dominance evaluated per candidate.
     """
-    validate(params)
     s, kappa = _kappas(params)
     a = leading_coeffs_exact(params, degrees)
     b = second_coeffs_exact(params, degrees)

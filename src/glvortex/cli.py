@@ -2,8 +2,9 @@
 
 Structured results go to stdout as JSON (one object per check for `verify`);
 plot data goes to CSV.  Exit codes: 0 success, 1 configuration/parse error,
-2 solver non-convergence, 3 verification failure.  Errors are emitted as a
-JSON object on stderr.  Configs are strict JSON: unknown keys are rejected so
+2 solver non-convergence, 3 verification failure; `main` alone maps
+exceptions to them.  Stderr holds JSON lines only: one per distinct warning,
+then at most one error.  Configs are strict JSON: unknown keys are rejected so
 typos cannot silently change a scientific run.  This module does I/O only:
 `solver` solves and steps B, `diagnostics` and `asymptotics` compute every
 check, record and column it prints, and `model` and `grid` parse the JSON
@@ -17,6 +18,7 @@ import csv
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import asymptotics, diagnostics, model, solver
@@ -128,15 +130,20 @@ def _run_config(args) -> dict:
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_csv(path, header, rows) -> None:
+    """Header, then rows: floats at round-trip precision, None as empty."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [format(float(v), ".17g") if isinstance(v, float)
+             else "" if v is None else v for v in row] for row in rows)
 
 
-def _error(exc: BaseException, code: int) -> int:
-    """Report exc on stderr as one JSON line; returns the exit code."""
-    sys.stderr.write(json.dumps({"error": type(exc).__name__,
-                                 "message": str(exc)}) + "\n")
-    return code
+def _error(exc: BaseException) -> str:
+    """exc as one JSON line for stderr."""
+    return json.dumps({"error": type(exc).__name__,
+                       "message": str(exc)}) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +151,12 @@ def _error(exc: BaseException, code: int) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        cfg = _run_config(args)
-    except (OSError, ValueError) as exc:
-        return _error(exc, 1)
-    try:
-        profile = solver.continuation_solve(cfg["params"], cfg["degrees"],
-                                            cfg["grid"], cfg["options"])
-    except (solver.NoConvergence, solver.SingularJacobian) as exc:
-        return _error(exc, 2)
+    cfg = _run_config(args)
+    profile = solver.continuation_solve(cfg["params"], cfg["degrees"],
+                                        cfg["grid"], cfg["options"])
     out = args.out or "profile.json"
-    try:
-        with open(out, "w") as fh:
-            fh.write(solver.profile_to_json(profile))
-    except OSError as exc:
-        return _error(exc, 1)
+    with open(out, "w") as fh:
+        fh.write(solver.profile_to_json(profile))
     q = diagnostics.quantization_check(profile)
     summary = {
         "out": out,
@@ -180,37 +178,24 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _run_config(args)
-        if "sweep" not in cfg:
-            raise ConfigError("sweep command needs a sweep section")
-        if args.out and Path(args.out).suffix.lower() == ".csv":
-            raise ConfigError("--out must name the JSON file, not the CSV")
-    except (OSError, ValueError) as exc:
-        return _error(exc, 1)
+    cfg = _run_config(args)
+    if "sweep" not in cfg:
+        raise ConfigError("sweep command needs a sweep section")
+    if args.out and Path(args.out).suffix.lower() == ".csv":
+        raise ConfigError("--out must name the JSON file, not the CSV")
     results = solver.continuation_sweep(cfg["params"], cfg["degrees"],
                                         cfg["sweep"], cfg["grid"],
                                         cfg["options"])
     report = diagnostics.sweep_report(cfg["params"], cfg["degrees"],
                                       cfg["sweep"], results)
     text = json.dumps(report)
-    try:
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            with open(Path(args.out).with_suffix(".csv"), "w",
-                      newline="") as fh:
-                writer = csv.writer(fh)
-                numbers = ("a_plus", "a_minus", "quantization_gap",
-                           "hessian_min_eig")
-                writer.writerow(["B", "converged", "class", *numbers])
-                for rec in report["records"]:
-                    writer.writerow(
-                        [_fmt(rec["B"]), rec["converged"], rec["class"] or ""]
-                        + ["" if rec[k] is None else _fmt(rec[k])
-                           for k in numbers])
-    except OSError as exc:
-        return _error(exc, 1)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+        header = ["B", "converged", "class", "a_plus", "a_minus",
+                  "quantization_gap", "hessian_min_eig"]
+        _write_csv(Path(args.out).with_suffix(".csv"), header,
+                   ([rec[k] for k in header] for rec in report["records"]))
     print(text)
     return 0
 
@@ -221,14 +206,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     tolerances, window = diagnostics.VERIFY_DEFAULTS, None
-    try:
-        if args.config:
-            cfg = load_config(args.config)
-            tolerances, window = cfg["verify"], cfg["fit_window"]
-        with open(args.profile) as fh:
-            profile = solver.profile_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
-        return _error(exc, 1)
+    if args.config:
+        cfg = load_config(args.config)
+        tolerances, window = cfg["verify"], cfg["fit_window"]
+    with open(args.profile) as fh:
+        profile = solver.profile_from_json(fh.read())
     checks = diagnostics.verify(profile, tolerances, window)
     for c in checks:
         print(json.dumps(c))
@@ -240,10 +222,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    try:
-        cfg = _run_config(args)
-    except (OSError, ValueError) as exc:
-        return _error(exc, 1)
+    cfg = _run_config(args)
     params, degrees = cfg["params"], cfg["degrees"]
     tail = asymptotics.second_coeffs(params, degrees)
     out = {"a_plus": tail.a_plus, "a_minus": tail.a_minus,
@@ -267,19 +246,10 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        with open(args.profile) as fh:
-            profile = solver.profile_from_json(fh.read())
-        header, cols = diagnostics.plot_columns(profile, args.what)
-        out = args.out or f"{args.what}.csv"
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in zip(*cols):
-                writer.writerow([_fmt(v) for v in row])
-    except (OSError, ValueError, KeyError,
-            asymptotics.SelectionFailed) as exc:
-        return _error(exc, 1)
+    with open(args.profile) as fh:
+        profile = solver.profile_from_json(fh.read())
+    header, cols = diagnostics.plot_columns(profile, args.what)
+    _write_csv(args.out or f"{args.what}.csv", header, zip(*cols))
     return 0
 
 
@@ -324,8 +294,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: the exit-code table, and stderr's JSON lines (each
+    distinct UserWarning, then the error); other warnings pass through."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # the lines, not the exception: its traceback would pin the command's
+    # frames, and through them its grid and arrays, until a gc pass
+    notes, error = {}, ""           # notes: the distinct warning lines
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+        def note(message, category, *rest, **kwargs):
+            if not issubclass(category, UserWarning):
+                return show(message, category, *rest, **kwargs)
+            notes[json.dumps({"warning": category.__name__,
+                              "message": str(message)}) + "\n"] = None
+        warnings.showwarning = note
+        try:
+            code = args.func(args)
+        except (solver.NoConvergence, solver.SingularJacobian) as exc:
+            code, error = 2, _error(exc)
+        except (OSError, ValueError, asymptotics.SelectionFailed) as exc:
+            code, error = 1, _error(exc)
+    sys.stderr.write("".join(notes) + error)
+    return code
 
 
 if __name__ == "__main__":

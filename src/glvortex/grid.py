@@ -179,8 +179,7 @@ class RadialOperator:
         return out
 
 
-def radial_operator(grid: RadialGrid, n: int,
-                    bc_far: str = "dirichlet") -> RadialOperator:
+def radial_operator(grid: RadialGrid, n: int, bc_far: str) -> RadialOperator:
     """The rows of -(1/r)(r u')' + n^2/r^2 on grid, with its boundary rows.
 
     The origin row is forced by the winding number: pinned to u(0) = 0 for

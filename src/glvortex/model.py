@@ -4,8 +4,8 @@ The system couples two complex order parameters through a quartic potential
 with coefficients (A_plus, A_minus, B, t_plus, t_minus).  Everything downstream
 (well-posedness, the a priori amplitude bound, the tail expansion) requires the
 coupling matrix [[A_plus, B], [B, A_minus]] to be positive definite with
-positive asymptotic moduli t_plus, t_minus; validation here is strict
-(B^2 < A_plus*A_minus, equality rejected).
+positive asymptotic moduli t_plus, t_minus; constructing a CouplingParams
+checks this, strictly (B^2 < A_plus*A_minus, equality rejected).
 """
 
 from __future__ import annotations
@@ -24,13 +24,16 @@ class NonPositiveDensity(ValueError):
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """The five dimensionless coefficients of the coupled system."""
+    """The five coefficients of the coupled system; construction validates."""
 
     A_plus: float
     A_minus: float
     B: float
     t_plus: float
     t_minus: float
+
+    def __post_init__(self):
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def derived_bounds(params: CouplingParams) -> DerivedBounds:
     A_minus*t_minus^2 + B*t_plus^2) and Lambda^2 = min(2M/lambda_s,
     t_plus^2 + t_minus^2).
     """
-    p = validate(params)
+    p = params
     disc = math.sqrt((p.A_plus - p.A_minus) ** 2 + 4.0 * p.B * p.B)
     lambda_s = 0.5 * (p.A_plus + p.A_minus - disc)
     tp2 = p.t_plus * p.t_plus
@@ -153,7 +156,7 @@ def bec_to_gl(bec: BecParams) -> tuple[CouplingParams, float]:
         t_minus=math.sqrt(tm2),
     )
     epsilon = bec.hbar / (bec.m1 * bec.m2) ** 0.25
-    return validate(params), epsilon
+    return params, epsilon
 
 
 def normalize_degrees(n_plus: int, n_minus: int) -> tuple[DegreePair, dict]:
@@ -203,9 +206,8 @@ def _params_from_json(cls, obj, where: str):
 
 
 def coupling_from_json(obj) -> CouplingParams:
-    """Parse and validate the five coupling parameters."""
-    return validate(_params_from_json(CouplingParams, obj,
-                                      "coupling parameters"))
+    """Parse the five coupling parameters; construction validates them."""
+    return _params_from_json(CouplingParams, obj, "coupling parameters")
 
 
 def bec_from_json(obj) -> BecParams:

@@ -38,10 +38,9 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import asymptotics
-from .grid import (FAR_FIELDS, RadialGrid, build_grid, grid_from_json,
-                   radial_operator)
+from .grid import FAR_FIELDS, RadialGrid, grid_from_json, radial_operator
 from .model import (CouplingParams, DegreePair, coupling_from_json,
-                    degrees_from_json, is_integer, is_number, validate)
+                    degrees_from_json, is_integer, is_number)
 
 
 class _SolveFailure(RuntimeError):
@@ -291,7 +290,6 @@ def newton_solve(f_plus0, f_minus0, grid: RadialGrid, params: CouplingParams,
     residual history) after max_newton_iters, a stalled line search, or a
     converged iterate that is not positive.
     """
-    validate(params)
     t0 = time.perf_counter()
     sys = _DiscreteSystem(grid, params, degrees, options.far_field)
     f_plus = np.array(f_plus0, dtype=float)
@@ -366,9 +364,10 @@ def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
 
 
 def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
-                       grid: RadialGrid | None = None,
+                       grid: RadialGrid,
                        options: SolveOptions = SolveOptions()) -> list:
-    """Solve at every B in b_values, the other coefficients taken from params.
+    """Solve on grid at every B in b_values, the other coefficients taken
+    from params.
 
     Returns one entry per B, in input order: the Profile, or the
     NoConvergence/SingularJacobian raised at that B.  B = 0 is solved once
@@ -379,10 +378,8 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
     every stage attempted since the previous profile returned, failed
     stages included, and the time they took.
     """
-    for b in b_values:
-        validate(replace(params, B=b))
-    if grid is None:
-        grid = build_grid(80.0, 4000)
+    for b in b_values:      # an inadmissible B fails before any solve
+        replace(params, B=b)
     lu = _BandLU(grid.N + 1)
     stages = []                 # Newton iterations since the last profile out
     t_out = time.perf_counter()
@@ -465,7 +462,7 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
 
 
 def continuation_solve(params: CouplingParams, degrees: DegreePair,
-                       grid: RadialGrid | None = None,
+                       grid: RadialGrid,
                        options: SolveOptions = SolveOptions()) -> Profile:
     """Path-following solve from the decoupled system to params.B: the
     one-target call of continuation_sweep.  A failure propagates as the
@@ -507,9 +504,11 @@ def profile_from_json(text: str) -> Profile:
     degrees = DegreePair(*degrees_from_json(obj.get("degrees")))
     g = obj.get("grid")
     n_nodes = g.get("N") if isinstance(g, dict) else None
-    try:  # a dict, or a list holding one, is a TypeError to numpy
-        f_plus, f_minus = (np.asarray(obj[k], dtype=float)
-                           for k in ("f_plus", "f_minus"))
+    arrays = [obj.get(k) for k in ("f_plus", "f_minus")]
+    if not all(isinstance(a, list) and None not in a for a in arrays):
+        raise ValueError("f_plus and f_minus must be lists, without null")
+    try:  # a list holding a dict is a TypeError to numpy
+        f_plus, f_minus = (np.asarray(a, dtype=float) for a in arrays)
     except TypeError as exc:
         raise ValueError("f_plus and f_minus must be number lists") from exc
     # checked before the grid is built, so a huge N allocates nothing

@@ -50,6 +50,33 @@ def test_solve_exit_code_on_no_convergence(tmp_path, capsys):
     assert json.loads(stderr)["error"] == "NoConvergence"
 
 
+def test_dirichlet_truncation_warnings_are_json_lines(tmp_path, capsys):
+    # a failing Dirichlet solve and a converging Dirichlet sweep both warn
+    # that the tail is truncated: stderr is JSON lines only, one per
+    # distinct warning, and the solve's error line comes last
+    grid = {"R_max": 20.0, "N": 400}
+    solve = write_config(tmp_path / "solve.json", grid=grid, solve={
+        "far_field": "dirichlet", "max_newton_iters": 1})
+    sweep = write_config(tmp_path / "sweep.json", grid=grid,
+                         solve={"far_field": "dirichlet"}, sweep={
+                             "b_start": 0.0, "b_stop": 0.4, "b_step": 0.1})
+    code, stdout, stderr = run(capsys, "solve", "--config", str(solve),
+                               "--out", str(tmp_path / "p.json"))
+    assert code == 2
+    assert stdout == ""
+    *warned, last = map(json.loads, stderr.splitlines())
+    assert last["error"] == "NoConvergence"
+    assert warned and {w["warning"] for w in warned} == {"UserWarning"}
+    code, stdout, stderr = run(capsys, "sweep", "--config", str(sweep))
+    assert code == 0
+    assert len(json.loads(stdout)["records"]) == 5
+    warned = [json.loads(line) for line in stderr.splitlines()]
+    assert warned and {w["warning"] for w in warned} == {"UserWarning"}
+    messages = [w["message"] for w in warned]
+    assert len(set(messages)) == len(messages)
+    assert all("Dirichlet far field" in m for m in messages)
+
+
 def test_solve_rejects_bad_hypothesis(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        params={"A_plus": 1.0, "A_minus": 1.0, "B": 1.0,
@@ -321,6 +348,10 @@ MALFORMED = {
     "fractional_winding": lambda o: o["degrees"].update(n_plus=1.5),
     "f_plus_object": lambda o: o.update(f_plus={}),
     "f_plus_list_of_object": lambda o: o.update(f_plus=[{}]),
+    "f_plus_missing": lambda o: o.pop("f_plus"),
+    "f_minus_missing": lambda o: o.pop("f_minus"),
+    # numpy would read null as NaN; a NaN token itself loads and fails verify
+    "f_plus_null_entry": lambda o: o["f_plus"].__setitem__(1, None),
 }
 
 

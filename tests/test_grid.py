@@ -91,13 +91,13 @@ def test_operator_annihilates_power_solutions():
     # reproduces that exactly for n <= 2 and to second order for n = 3
     g = gv.build_grid(8.0, 256)
     for n in (0, 1, 2):
-        op = gv.radial_operator(g, n)
+        op = gv.radial_operator(g, n, "dirichlet")
         res = op.apply(g.nodes ** n)[1:-1]
         assert np.max(np.abs(res)) < 1e-10
     sups = []
     for N in (256, 512):
         gN = gv.build_grid(8.0, N)
-        op = gv.radial_operator(gN, 3)
+        op = gv.radial_operator(gN, 3, "dirichlet")
         res = op.apply(gN.nodes ** 3)[1:-1]
         away = gN.nodes[1:-1] >= 1.0
         sups.append(np.max(np.abs(res[away])))
@@ -106,7 +106,7 @@ def test_operator_annihilates_power_solutions():
 
 def test_operator_constant_in_kernel_when_n_zero():
     g = gv.build_grid(8.0, 64)
-    op = gv.radial_operator(g, 0)
+    op = gv.radial_operator(g, 0, "dirichlet")
     u = np.full(65, 3.7)
     # the difference form cancels a constant exactly, origin row included
     assert np.max(np.abs(op.apply(u)[:-1])) == 0.0
@@ -140,7 +140,7 @@ def test_apply_matches_tridiagonal_rows(geometric, stretch, N, R_max, n,
 def test_boundary_spec_errors():
     g = gv.build_grid(8.0, 64)
     with pytest.raises(gv.BadBoundarySpec):
-        gv.radial_operator(g, -1)
+        gv.radial_operator(g, -1, "dirichlet")
     with pytest.raises(gv.BadBoundarySpec):
         gv.radial_operator(g, 1, bc_far="periodic")
 

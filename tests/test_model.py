@@ -1,8 +1,11 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import glvortex as gv
 from glvortex.model import bec_from_json, coupling_from_json
@@ -177,3 +180,72 @@ def test_validate_exact_on_rational_inputs():
     with pytest.raises(gv.HypothesisViolation):
         gv.validate(gv.CouplingParams(Fraction(1), Fraction(1), Fraction(1),
                                       Fraction(1), Fraction(1)))
+
+
+def _admissible(A_plus, A_minus, B, t_plus, t_minus) -> bool:
+    return (A_plus > 0 and A_minus > 0 and t_plus > 0 and t_minus > 0
+            and B * B < A_plus * A_minus)
+
+
+_F = Fraction
+_RATIONALS = st.fractions(-3, 3, max_denominator=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(A_plus=_RATIONALS, A_minus=_RATIONALS, B=_RATIONALS, t_plus=_RATIONALS,
+       t_minus=_RATIONALS, on_boundary=st.booleans())
+@example(_F(0), _F(1), _F(0), _F(1), _F(1), False)
+@example(_F(1), _F(1), _F(0), _F(1), _F(0), False)
+@example(_F(1), _F(-1), _F(0), _F(1), _F(1), False)
+@example(_F(1), _F(1), _F(0), _F(-1, 2), _F(1), False)
+@example(_F(2), _F(0), _F(-3, 2), _F(1), _F(1), True)
+@example(_F(4, 3), _F(0), _F(2, 3), _F(1, 5), _F(2), True)
+def test_construction_succeeds_exactly_on_admissible_set(
+        A_plus, A_minus, B, t_plus, t_minus, on_boundary):
+    if on_boundary and A_plus != 0:
+        A_minus = B * B / A_plus        # B^2 = A_plus*A_minus exactly
+    values = (A_plus, A_minus, B, t_plus, t_minus)
+    if _admissible(*values):
+        p = gv.CouplingParams(*values)
+        assert dataclasses.astuple(p) == values
+    else:
+        with pytest.raises(gv.HypothesisViolation):
+            gv.CouplingParams(*values)
+
+
+_ADMISSIBLE = {"A_plus": 1.0, "A_minus": 1.0, "B": 0.5,
+               "t_plus": 1.0, "t_minus": 1.0}
+
+
+def _profile_text(coupling: dict) -> str:
+    """A well-formed profile file but for its coupling parameters."""
+    n = 16
+    return json.dumps({
+        "params": coupling, "degrees": {"n_plus": 1, "n_minus": 1},
+        "grid": {"R_max": 8.0, "N": n, "kind": "uniform", "stretch": None},
+        "f_plus": [1.0] * (n + 1), "f_minus": [1.0] * (n + 1),
+        "report": {"iterations": [0], "final_residual": 0.0,
+                   "tolerance": 1e-10, "wall_time": 0.0}})
+
+
+# every way a coefficient record is made, from the five coupling values;
+# the condensate map takes them at unit masses, where A_pm = g_1,2 and
+# B = g12, with chemical potentials that give t_pm = 1 at the admissible set
+_MAKERS = {
+    "direct": lambda c: gv.CouplingParams(**c),
+    "replace": lambda c: dataclasses.replace(
+        gv.CouplingParams(**_ADMISSIBLE), **c),
+    "coupling_from_json": coupling_from_json,
+    "bec_to_gl": lambda c: gv.bec_to_gl(gv.BecParams(
+        1, 1, c["A_plus"], c["A_minus"], c["B"], 1.5, 1.5)),
+    "profile_from_json": lambda c: gv.profile_from_json(_profile_text(c)),
+}
+
+
+@pytest.mark.parametrize("change", [{"B": 1.0}, {"B": -1.5},
+                                    {"A_minus": -1.0}])
+@pytest.mark.parametrize("way", sorted(_MAKERS))
+def test_every_way_of_making_params_enforces_hypothesis(way, change):
+    _MAKERS[way](_ADMISSIBLE)
+    with pytest.raises(gv.HypothesisViolation):
+        _MAKERS[way]({**_ADMISSIBLE, **change})
