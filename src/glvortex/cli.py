@@ -46,8 +46,9 @@ def _section(raw: dict, key: str, keys) -> dict:
                              error=ConfigError)
 
 
-def _sweep_b_values(sweep: dict, params: model.CouplingParams) -> list:
-    """The B values of a sweep section, each checked against the hypothesis."""
+def _sweep_b_values(sweep: dict) -> list:
+    """The B values of a sweep section; continuation_sweep checks each
+    against the hypothesis before it solves."""
     keys = ("b_start", "b_stop", "b_step")
     model.json_object(sweep, keys, "sweep", error=ConfigError)
     if not all(model.is_number(sweep[k]) for k in keys):
@@ -60,12 +61,7 @@ def _sweep_b_values(sweep: dict, params: model.CouplingParams) -> list:
         raise ConfigError(f"sweep holds more than {_MAX_SWEEP_VALUES} values")
     n = int(round(steps))
     vals = [b_start + k * b_step for k in range(n + 1)]
-    b_values = [round(v, 12) for v in vals if v <= b_stop + 1e-12]
-    for b in b_values:
-        if not b * b < params.A_plus * params.A_minus:
-            raise ConfigError(f"sweep value B={b} violates "
-                              "B^2 < A_plus*A_minus")
-    return b_values
+    return [round(v, 12) for v in vals if v <= b_stop + 1e-12]
 
 
 def load_config(path: str, args=None) -> dict:
@@ -118,7 +114,7 @@ def load_config(path: str, args=None) -> dict:
     cfg["grid"] = grid_from_json(gdict)
     cfg["options"] = solver.SolveOptions(**sdict)
     if "sweep" in raw:
-        cfg["sweep"] = _sweep_b_values(raw["sweep"], cfg["params"])
+        cfg["sweep"] = _sweep_b_values(raw["sweep"])
     return cfg
 
 

@@ -505,12 +505,16 @@ def profile_from_json(text: str) -> Profile:
     g = obj.get("grid")
     n_nodes = g.get("N") if isinstance(g, dict) else None
     arrays = [obj.get(k) for k in ("f_plus", "f_minus")]
-    if not all(isinstance(a, list) and None not in a for a in arrays):
-        raise ValueError("f_plus and f_minus must be lists, without null")
-    try:  # a list holding a dict is a TypeError to numpy
+    # exact types: numpy would read "0.5" and true (a bool is an int) as
+    # numbers and null as NaN
+    if not all(isinstance(a, list) and set(map(type, a)) <= {int, float}
+               for a in arrays):
+        raise ValueError("f_plus and f_minus must be lists of numbers")
+    try:
         f_plus, f_minus = (np.asarray(a, dtype=float) for a in arrays)
-    except TypeError as exc:
-        raise ValueError("f_plus and f_minus must be number lists") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError("f_plus and f_minus hold an integer beyond the "
+                         "float range") from exc
     # checked before the grid is built, so a huge N allocates nothing
     if not (is_integer(n_nodes)
             and f_plus.shape == f_minus.shape == (n_nodes + 1,)):

@@ -352,6 +352,11 @@ MALFORMED = {
     "f_minus_missing": lambda o: o.pop("f_minus"),
     # numpy would read null as NaN; a NaN token itself loads and fails verify
     "f_plus_null_entry": lambda o: o["f_plus"].__setitem__(1, None),
+    # numpy would read "0.5" as 0.5 and true as 1.0
+    "f_plus_string_entry": lambda o: o["f_plus"].__setitem__(1, "0.5"),
+    "f_plus_bool_entry": lambda o: o["f_plus"].__setitem__(1, True),
+    # an OverflowError to numpy
+    "f_plus_huge_int_entry": lambda o: o["f_plus"].__setitem__(1, 10 ** 400),
 }
 
 
@@ -509,7 +514,9 @@ def test_sweep_rejects_range_outside_hypothesis(tmp_path, capsys):
                        sweep={"b_start": 0.0, "b_stop": 1.5, "b_step": 0.5})
     code, _, stderr = run(capsys, "sweep", "--config", str(cfg))
     assert code == 1
-    assert "violates" in json.loads(stderr)["message"]
+    error = json.loads(stderr)
+    assert error["error"] == "HypothesisViolation"
+    assert "B^2 < A_plus*A_minus fails" in error["message"]
 
 
 @pytest.mark.parametrize("sweep", [

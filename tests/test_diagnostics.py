@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,9 +261,10 @@ def test_mass_weighted_jacobian_is_symmetric(kind, stretch, degrees):
 
 
 @st.composite
-def admissible_profiles(draw):
-    """Admissible coefficients, windings 0-3, a uniform or geometric grid
-    and positive (generally unsolved, so possibly indefinite) arrays.
+def admissible_profiles(draw, max_winding=3):
+    """Admissible coefficients, windings 0-max_winding, a uniform or
+    geometric grid and positive (generally unsolved, so possibly indefinite)
+    arrays.
 
     The smallest spacing stays above 0.03 so the Hessian's norm, which
     sets the roundoff of both eigensolvers compared, stays near 1e4."""
@@ -271,7 +273,8 @@ def admissible_profiles(draw):
     B = draw(st.floats(-0.95, 0.95)) * np.sqrt(A_plus * A_minus)
     params = gv.CouplingParams(A_plus, A_minus, B, draw(st.floats(0.3, 2.0)),
                                draw(st.floats(0.3, 2.0)))
-    degrees = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    degrees = (draw(st.integers(0, max_winding)),
+               draw(st.integers(0, max_winding)))
     N = draw(st.integers(24, 160))
     R_max = draw(st.floats(6.0, 30.0))
     if draw(st.booleans()):
@@ -304,17 +307,25 @@ def test_min_eig_matches_dense_eigh(prof, where):
                          prof.f_minus))
 
 
+def _scaled_band(prof):
+    """S = M^{-1/2} K M^{-1/2} in upper banded storage, and ||S||_inf."""
+    band, masses = second_variation_matrix(prof)
+    scale = np.sqrt(masses)
+    sym = band / masses
+    for k in (1, 2):
+        sym[2 - k, k:] = band[2 - k, k:] / (scale[k:] * scale[:-k])
+    rows = np.abs(sym[2])
+    for k in (1, 2):
+        rows[k:] += np.abs(sym[2 - k, k:])
+        rows[:-k] += np.abs(sym[2 - k, k:])
+    return sym, float(np.max(rows))
+
+
 def _agreement_tol(prof, lam):
     """max(1e-11 |lambda|, 2 eps ||S||_inf) with S = M^{-1/2} K M^{-1/2}:
     each eigensolver is accurate to roundoff in S."""
-    band, masses = second_variation_matrix(prof)
-    scale = np.sqrt(masses)
-    rows = np.abs(band[2]) / masses
-    for k in (1, 2):
-        off = np.abs(band[2 - k, k:]) / (scale[k:] * scale[:-k])
-        rows[k:] += off
-        rows[:-k] += off
-    return max(1e-11 * abs(lam), 2.0 * np.finfo(float).eps * np.max(rows))
+    eps = np.finfo(float).eps
+    return max(1e-11 * abs(lam), 2.0 * eps * _scaled_band(prof)[1])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -324,6 +335,73 @@ def test_min_eig_matches_bisection(prof):
     # need not be an isolated bound state
     lam = gv.second_variation_min_eig(prof)
     assert abs(lam - min_eig_bisection(prof)) <= _agreement_tol(prof, lam)
+
+
+def _dense(sym):
+    S = np.diag(sym[2])
+    for k in (1, 2):
+        S += np.diag(sym[2 - k, k:], k) + np.diag(sym[2 - k, k:], -k)
+    return S
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(prof=admissible_profiles(max_winding=5))
+def test_quotient_bounds_bracket_dense_eigh(prof):
+    # positive arrays make D S D a Z-matrix, so min (D S u)/(D u) <= lambda
+    # <= max (D S u)/(D u) for every D u > 0; high windings make the lowest
+    # mode, the sharpest such u, steep near the origin
+    sym, norm = _scaled_band(prof)
+    minus = diagnostics._retained_unknowns(prof) % 2 == 1
+    flip = np.where(minus & (prof.params.B > 0), -1.0, 1.0)
+    for k in (1, 2):
+        assert np.all(sym[2 - k, k:] * flip[k:] * flip[:-k] <= 0)
+    lams, vecs = scipy.linalg.eigh(_dense(sym))
+    lam = lams[0]
+    slack = 2.0 * np.finfo(float).eps * norm
+    seen = []
+    cw = diagnostics._collatz_wielandt
+
+    def spy(*args):
+        seen.append(cw(*args))
+        return seen[-1]
+    with mock.patch.object(diagnostics, "_collatz_wielandt", spy):
+        gv.second_variation_min_eig(prof)
+    assert seen and seen[0] is not None  # the start vector is positive
+    mode = flip * np.abs(vecs[:, 0])
+    seen.append(cw(flip, mode, diagnostics._band_matvec(sym, mode)))
+    for bounds in filter(None, seen):
+        assert bounds[0] <= lam + slack
+        assert bounds[1] >= lam - slack
+
+
+@pytest.mark.parametrize("case", ["bpos", "bneg", "asym"])
+def test_min_eig_without_z_pattern(case):
+    # f_- -> -f_- leaves the energy and the spectrum alone but turns the
+    # coupling entries of D S D positive: the bracket moves by
+    # factorizations only
+    params, degrees = case_inputs(case)
+    prof = gv.continuation_solve(params, degrees, gv.build_grid(20.0, 200))
+    prof = make_profile(prof.grid, params, degrees, prof.f_plus,
+                        -prof.f_minus)
+    ref = scipy.linalg.eigvalsh(_dense(_scaled_band(prof)[0]))[0]
+    with mock.patch.object(diagnostics, "_collatz_wielandt",
+                           wraps=diagnostics._collatz_wielandt) as cw:
+        lam = gv.second_variation_min_eig(prof)
+    cw.assert_not_called()
+    assert abs(lam - ref) <= _agreement_tol(prof, lam)
+
+
+def test_sweep_report_min_eig_matches_bisection():
+    params, degrees = case_inputs("bpos")
+    b_values = [0.0, 0.2, 0.4, 0.6, 0.8]
+    results = gv.continuation_sweep(params, degrees, b_values,
+                                    gv.build_grid(40.0, 800))
+    records = diagnostics.sweep_report(params, degrees, b_values,
+                                       results)["records"]
+    for rec, prof in zip(records, results):
+        assert rec["converged"]
+        lam = rec["hessian_min_eig"]
+        assert abs(lam - min_eig_bisection(prof)) <= _agreement_tol(prof, lam)
 
 
 def _count_factorizations(monkeypatch):
@@ -344,7 +422,7 @@ def test_min_eig_factorization_count(reference_profiles, monkeypatch):
     for prof in reference_profiles.values():
         calls.clear()
         lam = gv.second_variation_min_eig(prof)
-        assert len(calls) <= 12
+        assert len(calls) <= 8
         assert abs(lam - min_eig_bisection(prof)) <= _agreement_tol(prof, lam)
 
 
@@ -362,7 +440,7 @@ def test_min_eig_equal_coefficients(monkeypatch):
                             subset_by_index=[0, 0])[0]
     calls = _count_factorizations(monkeypatch)
     lam = gv.second_variation_min_eig(prof)
-    assert len(calls) <= 12
+    assert len(calls) <= 8
     assert abs(lam - ref) <= _agreement_tol(prof, lam)
 
 
