@@ -30,11 +30,13 @@ buffers, so independent solves can run concurrently.
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+import orjson
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import asymptotics
@@ -481,7 +483,13 @@ def continuation_solve(params: CouplingParams, degrees: DegreePair,
 
 
 def profile_to_json(profile: Profile) -> str:
-    """Serialize a profile; float arrays round-trip losslessly (repr floats)."""
+    """Serialize a profile as compact strict JSON.
+
+    Floats are written in their shortest round-trip form, so the arrays load
+    back bit for bit.  A non-finite number raises ValueError: strict JSON
+    has no token for it, and orjson would write null, which
+    profile_from_json rejects.
+    """
     obj = {
         "params": asdict(profile.params),
         "degrees": asdict(profile.degrees),
@@ -491,11 +499,23 @@ def profile_to_json(profile: Profile) -> str:
         "f_minus": profile.f_minus.tolist(),
         "report": asdict(profile.report),
     }
-    return json.dumps(obj)
+    rep = obj["report"]
+    scalars = (*obj["params"].values(), profile.grid.R_max,
+               rep["final_residual"], rep["tolerance"], rep["wall_time"])
+    if not (np.isfinite(profile.f_plus).all()
+            and np.isfinite(profile.f_minus).all()
+            and all(map(math.isfinite, scalars))):
+        raise ValueError("a profile file holds finite numbers only")
+    # the numpy option takes a numpy.float64 final_residual; .tolist() keeps
+    # the arrays off orjson's numpy path, which needs C-contiguous arrays and
+    # would write float32 entries in float32's shortest form
+    return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def profile_from_json(text: str) -> Profile:
     """Parse a profile file; every malformed field raises ValueError."""
+    # stdlib json, not orjson, which rejects a NaN token: such a file loads
+    # and then fails verify
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("a profile must be a JSON object")

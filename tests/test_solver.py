@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 import glvortex as gv
@@ -307,6 +307,67 @@ def test_profile_json_roundtrip(coarse_grid):
     assert np.array_equal(back.grid.nodes, prof.grid.nodes)
     # a second serialization is byte-identical
     assert gv.profile_to_json(back) == text
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+def _small_profile(f_plus, f_minus):
+    return gv.Profile(grid=gv.build_grid(8.0, 16),
+                      params=params_of(1, 1, 0.5, 1, 1),
+                      degrees=gv.DegreePair(1, 1), f_plus=f_plus,
+                      f_minus=f_minus,
+                      report=gv.SolveReport((3, 2), 4.5e-13, 1e-10, 0.25))
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e-05, 1e16,
+                0.1, 1e15, 123456789012345680.0]
+_finite_arrays = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=17, max_size=17)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(f_plus=_finite_arrays, f_minus=_finite_arrays)
+@example(f_plus=_EDGE_FLOATS + [1.0] * 5,
+         f_minus=_EDGE_FLOATS[::-1] + [2.0] * 5)
+def test_profile_json_floats_roundtrip_bit_for_bit(f_plus, f_minus):
+    prof = _small_profile(np.array(f_plus), np.array(f_minus))
+    text = gv.profile_to_json(prof)
+    back = gv.profile_from_json(text)
+    for a, b in ((back.f_plus, prof.f_plus), (back.f_minus, prof.f_minus)):
+        assert a.tobytes() == b.tobytes()
+    assert back.report == prof.report and back.params == prof.params
+    # strict JSON that the stdlib reads to the same values
+    obj = json.loads(text, parse_constant=_refuse_constant)
+    for key in ("f_plus", "f_minus"):
+        assert np.array(obj[key]).tobytes() == getattr(prof, key).tobytes()
+    # the stdlib's own text form (", " separators, 1e-05 exponents) loads to
+    # the same profile, which serializes to the same text
+    legacy = gv.profile_from_json(json.dumps(obj))
+    assert legacy.f_plus.tobytes() == prof.f_plus.tobytes()
+    assert legacy.f_minus.tobytes() == prof.f_minus.tobytes()
+    assert gv.profile_to_json(legacy) == text
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_profile_json_refuses_non_finite_numbers(bad):
+    ok = np.ones(17)
+    hole = ok.copy()
+    hole[5] = bad
+    prof = _small_profile(ok, ok)
+    gv.profile_to_json(prof)
+    grid = prof.grid
+    for broken in (replace(prof, f_plus=hole), replace(prof, f_minus=hole),
+                   replace(prof, report=replace(prof.report,
+                                                final_residual=bad)),
+                   replace(prof, report=replace(prof.report, wall_time=bad)),
+                   replace(prof, params=replace(prof.params, t_plus=np.inf)),
+                   replace(prof, grid=replace(grid, nodes=np.append(
+                       grid.nodes[:-1], np.inf)))):
+        with pytest.raises(ValueError, match="finite"):
+            gv.profile_to_json(broken)
 
 
 def test_profile_json_with_converged_field_loads(coarse_grid):
