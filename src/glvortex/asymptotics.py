@@ -12,24 +12,24 @@ become super/subsolutions for r >= R once the defect
     LHS(w) = sum_{k=1..9} M_{2k} (R/r)^{2k}
 
 has a definite sign on r >= R.  The M coefficients are polynomials in the
-inputs; with rational inputs the whole construction is carried out in exact
-arithmetic, so the certificate is exact, not sampled.  Float inputs are
-converted to their exact binary rationals first, so it holds for the
-parameters as given.  The certificate is M_2 = M_4 = 0 plus dominance of
-M_6: 20|M_2k| <= |M_6| for k = 4, 5, 7, 8 and 5|M_2k| <= |M_6| for k = 6, 9.
-Then the higher terms sum to at most 0.6 |M_6| (R/r)^8 < |M_6| (R/r)^6, so
-the sign of M_6 is the sign of the whole defect.
+inputs, computed in exact arithmetic (a float input as its exact binary
+rational), so the certificate is exact, not sampled.  It is M_2 = M_4 = 0
+plus dominance of M_6: 20|M_2k| <= |M_6| for k = 4, 5, 7, 8 and
+5|M_2k| <= |M_6| for k = 6, 9.  Then the higher terms sum to at most
+0.6 |M_6| (R/r)^8 < |M_6| (R/r)^6, so the sign of M_6 is the sign of the
+whole defect.
 
 The signs come from the comparison structure.  For B >= 0 the system is
 cooperative once f_- is reflected, so an upper f_+ envelope pairs with a
 lower f_- one; for B < 0 upper pairs with upper.  The amplitude enters only
-as +-kappa u with u = delta R^6, so each M_2k = C_k(u) / R^(2k) with C_k a
-cubic in u.  The envelope search expands the defect once per branch into
-these cubics (fractions.Fraction, then one common denominator) and evaluates
-them per candidate (delta, R) in int.
+as +-kappa u with u = delta R^6, so M_2k = C_k(u) / R^(2k) with C_k a cubic
+in u, expanded once per branch.  C_3 is linear, so the sign of M_6 bounds u
+from below, and beyond that bound each dominance inequality bounds R from
+below: select_envelope computes the radius instead of searching for it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class SelectionFailed(RuntimeError):
-    """No (delta, R) pair within the search budget certified the envelope."""
+    """M_2 or M_4 of the defect is nonzero, or M_6 has its required sign for
+    no amplitude: an inconsistent expansion, never an admissible input."""
 
 
 class IllConditionedFit(ValueError):
@@ -66,11 +67,8 @@ class TailExpansion:
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    return Fraction(float(x))
+    exact = isinstance(x, (Fraction, int, np.integer))
+    return Fraction(x) if exact else Fraction(float(x))
 
 
 def _exact_params(params: CouplingParams):
@@ -86,8 +84,7 @@ def leading_coeffs_exact(params: CouplingParams, degrees: DegreePair):
     giving a_pm = (B n_mp^2 - A_mp n_pm^2) / (2 (A_+ A_- - B^2) t_pm).
     """
     Ap, Am, B, tp, tm = _exact_params(params)
-    np2 = Fraction(degrees.n_plus ** 2)
-    nm2 = Fraction(degrees.n_minus ** 2)
+    np2, nm2 = degrees.n_plus ** 2, degrees.n_minus ** 2
     D = Ap * Am - B * B
     a_plus = (B * nm2 - Am * np2) / (2 * D * tp)
     a_minus = (B * np2 - Ap * nm2) / (2 * D * tm)
@@ -129,21 +126,15 @@ def second_coeffs(params: CouplingParams, degrees: DegreePair) -> TailExpansion:
 # defect series of an envelope candidate, in integer arithmetic
 
 
-def _over_common_denominator(values) -> tuple:
-    """(nums, den): integers and one positive denominator with
-    values[i] == nums[i] / den exactly."""
-    pairs = [(int(v.numerator), int(v.denominator))
-             for v in map(Fraction, values)]
-    den = math.lcm(*(d for _, d in pairs))
-    return [n * (den // d) for n, d in pairs], den
+# the dominance inequalities c |M_2k| <= |M_6| as (k, c)
+_DOMINANCE = ((4, 20), (5, 20), (6, 5), (7, 20), (8, 20), (9, 5))
 
 
 def _m6_dominates(m) -> bool:
     """The selection inequalities on m[k-1] = M_2k (or any positive multiple
     of the series): M_6 dominates the higher terms."""
     m6 = abs(m[2])
-    return (m6 > 0 and all(20 * abs(m[k - 1]) <= m6 for k in (4, 5, 7, 8))
-            and all(5 * abs(m[k - 1]) <= m6 for k in (6, 9)))
+    return m6 > 0 and all(c * abs(m[k - 1]) <= m6 for k, c in _DOMINANCE)
 
 
 @dataclass(frozen=True)
@@ -187,11 +178,9 @@ class _DefectCubics:
 
     def series(self, u: Fraction, R: Fraction) -> DefectSeries:
         basis = _cubic_basis(u)
-        scale = self.den * basis[0]
-        return DefectSeries(
-            component=self.component, R=R,
-            coefficients=tuple(Fraction(c, scale) / R ** (2 * k)
-                               for k, c in enumerate(self.scaled(basis), 1)))
+        return DefectSeries(self.component, tuple(
+            Fraction(c, self.den * basis[0]) / R ** (2 * k)
+            for k, c in enumerate(self.scaled(basis), 1)), R)
 
 
 def _mul_xu(p, q):
@@ -232,21 +221,19 @@ def _defect_cubics(params: CouplingParams, degrees: DegreePair,
         for k, row in enumerate(w[i]):      # -w'' - w'/r + (n^2/r^2) w
             for j, c in enumerate(row):
                 C[k + 1][j] += (n * n - 4 * k * k) * c
-        nums, den = _over_common_denominator(c for row in C[1:] for c in row)
+        den = math.lcm(*(Fraction(c).denominator
+                         for c in itertools.chain(*C[1:])))
         out.append(_DefectCubics(comp, tuple(
-            tuple(nums[4 * k:4 * k + 4]) for k in range(9)), den))
+            tuple(int(c * den) for c in row) for row in C[1:]), den))
     return tuple(out)
 
 
 def _certified(tables, u: Fraction, R: Fraction) -> bool:
-    """Exact certificate of one candidate (delta, R), u = delta R^6, for
-    every (_DefectCubics, required defect sign) in tables: M_6 has the
-    required sign and dominates M_8 .. M_18.  With M_2 = M_4 = 0 that fixes
-    the sign of the whole defect on r >= R (see the module docstring).
-
-    The series are compared as integers m_k = M_2k q^3 den R_num^18, a
-    positive multiple of M_2k, so every decision is the rational one.
-    """
+    """Exact certificate of (delta, R), u = delta R^6, for every
+    (_DefectCubics, required defect sign) in tables: M_6 has the required
+    sign and dominates M_8 .. M_18, which with M_2 = M_4 = 0 fixes the sign
+    of the defect on r >= R.  The series are compared as the integers
+    m_k = M_2k q^3 den R_num^18, so every decision is the rational one."""
     basis = _cubic_basis(u)
     rn, rd = int(R.numerator), int(R.denominator)
     r_scale = [rd ** (2 * k) * rn ** (18 - 2 * k) for k in range(1, 10)]
@@ -267,15 +254,14 @@ class EnvelopeSpec:
 
     The envelopes of component pm are t + a/r^2 + b/r^4 +- delta kappa_pm
     R^6/r^6, upper with +, lower with -.  kappa_pm > 0 comes from the sign
-    of B (see _kappas); delta and R are the certified pair.
+    of B (see _envelope_tables); delta and R are the certified pair.
     """
 
     delta: float
     R: float
     kappa_plus: float
     kappa_minus: float
-    # ((branch, (DefectSeries plus, DefectSeries minus)), ...): the series
-    # select_envelope certified at (delta, R); empty on a hand-built spec
+    # ((branch, (plus, minus DefectSeries)), ...) certified; () if hand-built
     series: tuple = ()
 
     def envelope_c(self, component: str, side: str) -> float:
@@ -285,65 +271,73 @@ class EnvelopeSpec:
         return sgn * self.delta * kappa
 
 
-# (sign of the f_+ amplitude, sign of the f_- amplitude) of each envelope
-# pair, +1 upper / -1 lower.  An upper envelope needs a nonnegative defect
-# and a lower one a nonpositive defect, so the pair is also the pair of
-# required defect signs.  The flip s keeps the pairs with sign_- = s sign_+.
+# (sign of the f_+ amplitude, of the f_- amplitude) per envelope pair, +1
+# upper / -1 lower: also the required defect signs, since an upper envelope
+# needs a defect >= 0, a lower one <= 0.  The flip s keeps sign_- = s sign_+.
 _BRANCHES = {"upper_plus_lower_minus": (1, -1),
              "lower_plus_upper_minus": (-1, 1),
              "upper_both": (1, 1), "lower_both": (-1, -1)}
 
 
-def _kappas(params: CouplingParams) -> tuple:
-    """The flip s (-1 for B >= 0, +1 for B < 0) and the exact amplitudes
-    kappa_pm = (A_mp - s B) / ((A_+ A_- - B^2) t_pm) > 0."""
+def _envelope_tables(params: CouplingParams, degrees: DegreePair) -> tuple:
+    """(kappa, {branch: ((plus cubics, sign), (minus cubics, sign))}) for the
+    branches of the flip s (-1 for B >= 0, +1 for B < 0), with the exact
+    amplitudes kappa_pm = (A_mp - s B) / ((A_+ A_- - B^2) t_pm) > 0."""
     Ap, Am, B, tp, tm = _exact_params(params)
     s, D = (-1 if B >= 0 else 1), Ap * Am - B * B
-    return s, ((Am - s * B) / (D * tp), (Ap - s * B) / (D * tm))
-
-
-def select_envelope(params: CouplingParams, degrees: DegreePair,
-                    r_candidates=(2, 4, 8, 16, 32, 64),
-                    delta_candidates=tuple(Fraction(1, 2 ** k)
-                                           for k in range(1, 11))) -> EnvelopeSpec:
-    """Search dyadic delta and doubling R for a certified envelope.
-
-    The theory guarantees some (delta, R) works for admissible parameters but
-    gives no constructive values; the search (budget: the candidate grid)
-    turns "sufficiently large" into a falsifiable procedure.  R is scanned
-    outward and delta downward from 1/2, so the first hit has the fattest
-    envelope at the smallest workable R.  Both pairs that the sign of B
-    selects are certified with the same (delta, R), which is what the
-    two-sided sandwich needs.  The defect is expanded once per branch, its
-    M_2 = M_4 = 0 checked once, and M_6 dominance evaluated per candidate.
-    """
-    s, kappa = _kappas(params)
+    kp, km = (Am - s * B) / (D * tp), (Ap - s * B) / (D * tm)
     a = leading_coeffs_exact(params, degrees)
     b = second_coeffs_exact(params, degrees)
-    tables = {br: tuple(zip(_defect_cubics(params, degrees, a, b,
-                                           (sp * kappa[0], sm * kappa[1])),
-                            (sp, sm)))
-              for br, (sp, sm) in _BRANCHES.items() if sm == s * sp}
+    return (kp, km), {br: tuple(zip(_defect_cubics(params, degrees, a, b,
+                                                   (sp * kp, sm * km)),
+                                    (sp, sm)))
+                      for br, (sp, sm) in _BRANCHES.items() if sm == s * sp}
+
+
+def _radii(every, base: Fraction) -> dict:
+    """{u: least integer R >= 1 with R^(2k-6) >= c |C_k(u)| / |C_3(u)| for
+    every (k, c) in _DOMINANCE} over u = base 2^j, j = 1..48, in float on
+    the tables as cubics in 2^j over their largest coefficient."""
+    basis, tables = _cubic_basis(base), []
+    for cubics, _ in every:
+        rows = [c * v for row in cubics.num for c, v in zip(row, basis)]
+        big = max(map(abs, rows))
+        tables.append([c / big for c in rows])
+    y = 2.0 ** np.arange(1, 49)
+    C = np.abs(np.reshape(tables, (-1, 9, 4)) @ [y ** 0, y, y * y, y ** 3])
+    bound = np.max([(c * C[:, k - 1] / C[:, 2]) ** (1 / (2 * k - 6))
+                    for k, c in _DOMINANCE], axis=(0, 1))
+    return {base * 2 ** j: max(1, math.ceil(b))
+            for j, b in enumerate(bound, 1)}
+
+
+def select_envelope(params: CouplingParams, degrees: DegreePair) -> EnvelopeSpec:
+    """The certified envelope pair (delta, R) of smallest R over u = delta R^6.
+
+    M_6 = C_3(u) / R^6 has its required sign on every table exactly for
+    u > u_0, and each such u certifies at every R above its dominance bounds
+    (_radii).  Of u = u_0 2^j (base 1 when u_0 <= 0) the smallest R wins,
+    then the largest u; delta = u / R^6 as a float, and the exact _certified
+    confirms the pair, R rising by 1 until it does.  Both branches that the
+    sign of B selects share (delta, R), as the two-sided sandwich needs."""
+    kappa, tables = _envelope_tables(params, degrees)
     every = [t for pair in tables.values() for t in pair]
-    # the M_2 and M_4 rows do not involve u: one check covers every candidate
-    if not any(c for cub, _ in every for row in cub.num[:2] for c in row):
-        for R in r_candidates:
-            R_exact = _frac(R)
-            for delta in delta_candidates:
-                u = _frac(delta) * R_exact ** 6
-                if not _certified(every, u, R_exact):
-                    continue
-                series = tuple((br, tuple(cubics.series(u, R_exact)
-                                          for cubics, _ in pair))
-                               for br, pair in tables.items())
-                return EnvelopeSpec(delta=float(delta), R=float(R),
-                                    kappa_plus=float(kappa[0]),
-                                    kappa_minus=float(kappa[1]),
-                                    series=series)
-    raise SelectionFailed(
-        f"no (delta, R) certified within the search budget for params={params}, "
-        f"degrees={degrees}: either the budget is too small or a defect "
-        "coefficient is inconsistent")
+    if any(c for cub, _ in every for row in cub.num[:2] for c in row) or any(
+            cub.num[2][1] * req <= 0 for cub, req in every):
+        raise SelectionFailed(f"inconsistent defect for {params}, {degrees}: "
+                              "M_2 or M_4 nonzero, or M_6 never of its sign")
+    u0 = max(Fraction(-cub.num[2][0], cub.num[2][1]) for cub, _ in every)
+    radii = _radii(every, u0 if u0 > 0 else Fraction(1))
+    u = min(radii, key=lambda u: (radii[u], -u))
+    for R in itertools.count(radii[u]):     # the float bound may fall short
+        delta = Fraction(float(u / R ** 6))
+        if _certified(every, delta * R ** 6, Fraction(R)):
+            break
+    series = tuple((br, tuple(cubics.series(delta * R ** 6, Fraction(R))
+                              for cubics, _ in pair))
+                   for br, pair in tables.items())
+    return EnvelopeSpec(float(delta), float(R), float(kappa[0]),
+                        float(kappa[1]), series)
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +366,27 @@ def envelope_bounds(spec: EnvelopeSpec, params: CouplingParams,
     return out
 
 
+def envelope_sandwich(profile: "Profile", spec: EnvelopeSpec) -> tuple:
+    """(r, {component: (w_lower, f, w_upper)}) on the nodes r >= R; raises
+    ValueError when no node reaches R."""
+    r = profile.grid.nodes
+    mask = r >= spec.R - 1e-12
+    if not mask.any():
+        raise ValueError(f"envelope radius R={spec.R} beyond the grid")
+    bounds = envelope_bounds(spec, profile.params, profile.degrees, r[mask])
+    return r[mask], {comp: (bounds[comp][0], f[mask], bounds[comp][1])
+                     for comp, f in (("plus", profile.f_plus),
+                                     ("minus", profile.f_minus))}
+
+
 def envelope_check(profile: "Profile", spec: EnvelopeSpec) -> EnvelopeCheck:
     """Check the two-sided sandwich w_lower <= f <= w_upper on nodes >= R.
 
     Failure is a reported outcome (passed=False with the offending margin),
     not an error.
     """
-    r = profile.grid.nodes
-    mask = r >= spec.R - 1e-12
-    if not mask.any():
-        raise ValueError(f"envelope radius R={spec.R} beyond the grid")
-    bounds = envelope_bounds(spec, profile.params, profile.degrees, r[mask])
-    worst = min(min(float(np.min(bounds[comp][1] - f)),
-                    float(np.min(f - bounds[comp][0])))
-                for comp, f in (("plus", profile.f_plus[mask]),
-                                ("minus", profile.f_minus[mask])))
+    worst = min(min(float(np.min(hi - f)), float(np.min(f - lo)))
+                for lo, f, hi in envelope_sandwich(profile, spec)[1].values())
     return EnvelopeCheck(passed=worst >= 0.0, worst_margin=worst)
 
 

@@ -436,7 +436,7 @@ def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS,
         env = asymptotics.envelope_check(profile, spec)
         check("envelope_sandwich", env.worst_margin, 0.0, 0.0, env.passed)
     except (asymptotics.SelectionFailed, ValueError) as exc:
-        # no certified radius, or the grid is too short to host one
+        # an inconsistent expansion, or a grid that ends before R
         check("envelope_sandwich", str(exc), None, None, False)
     return checks
 
@@ -472,7 +472,8 @@ def sweep_report(params: CouplingParams, degrees: DegreePair, b_values,
 def plot_columns(profile: Profile, kind: str):
     """(header, columns) of plot data: "profiles", "slopes", "tail" ((f - t)
     r^2 -> a and (f - t - a/r^2) r^4 -> b) or "envelope" (the certified
-    sandwich on r >= R; raises SelectionFailed without one)."""
+    sandwich on the nodes r >= R that envelope_check judges; ValueError when
+    no node reaches R)."""
     r = profile.grid.nodes
     if kind == "profiles":
         return ["r", "f_plus", "f_minus"], [r, profile.f_plus, profile.f_minus]
@@ -491,13 +492,8 @@ def plot_columns(profile: Profile, kind: str):
                  (ym - tail.a_minus / rr ** 2) * rr ** 4])
     if kind == "envelope":
         spec = asymptotics.select_envelope(profile.params, profile.degrees)
-        mask = r >= spec.R
-        rr = r[mask]
-        bounds = asymptotics.envelope_bounds(spec, profile.params,
-                                             profile.degrees, rr)
+        rr, sandwich = asymptotics.envelope_sandwich(profile, spec)
         return (["r", "w_lower_plus", "f_plus", "w_upper_plus",
                  "w_lower_minus", "f_minus", "w_upper_minus"],
-                [rr, bounds["plus"][0], profile.f_plus[mask],
-                 bounds["plus"][1], bounds["minus"][0], profile.f_minus[mask],
-                 bounds["minus"][1]])
+                [rr, *sandwich["plus"], *sandwich["minus"]])
     raise ValueError(f"unknown plot data kind {kind!r}")

@@ -133,7 +133,8 @@ class _DiscreteSystem:
     indices of their pinned rows, and per component the mask of rows where
     the nonlinear potential term is active (every row not pinned) and the
     far datum: t on a Dirichlet row, the slope -2a/R_max^3 of the tail
-    t + a/r^2 on a Robin row.
+    t + a/r^2 on a Robin row.  `truncated` lists |a|/R_max^2 of each tail
+    above 1e-6 that a Dirichlet row cuts off; only the solves warn of it.
     """
 
     def __init__(self, grid: RadialGrid, params: CouplingParams,
@@ -146,15 +147,20 @@ class _DiscreteSystem:
         tail = asymptotics.leading_coeffs(params, degrees)
         R = grid.R_max
         dirichlet = far_field == "dirichlet"
-        self.rhs = []
+        self.rhs, self.truncated = [], []
         for op, t, a in ((self.ops[0], params.t_plus, tail.a_plus),
                          (self.ops[1], params.t_minus, tail.a_minus)):
             if dirichlet and abs(a) / R ** 2 > 1e-6:
-                warnings.warn(
-                    "Dirichlet far field truncates a tail of size "
-                    f"|a|/R_max^2 = {abs(a) / R ** 2:.2e}; "
-                    "enlarge R_max or use the robin condition", stacklevel=3)
+                self.truncated.append(abs(a) / R ** 2)
             self.rhs.append(op.rhs * (t if dirichlet else -2.0 * a / R ** 3))
+
+    def warn_truncated(self):
+        """One UserWarning per truncated tail, pointing at the caller of the
+        solve that calls this."""
+        for size in self.truncated:
+            warnings.warn("Dirichlet far field truncates a tail of size "
+                          f"|a|/R_max^2 = {size:.2e}; enlarge R_max or use "
+                          "the robin condition", stacklevel=3)
 
     def residual(self, f_plus, f_minus):
         p = self.params
@@ -294,6 +300,7 @@ def newton_solve(f_plus0, f_minus0, grid: RadialGrid, params: CouplingParams,
     """
     t0 = time.perf_counter()
     sys = _DiscreteSystem(grid, params, degrees, options.far_field)
+    sys.warn_truncated()
     f_plus = np.array(f_plus0, dtype=float)
     f_minus = np.array(f_minus0, dtype=float)
     iters, norm = _newton(sys, _BandLU(grid.N + 1), f_plus, f_minus, options)
@@ -391,6 +398,7 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
         when wanted, the tangent there from the kept LU."""
         sys = _DiscreteSystem(grid, replace(params, B=b), degrees,
                               options.far_field)
+        sys.warn_truncated()
         iters, tangent = None, None
         try:
             iters, norm = _newton(sys, lu, f_plus, f_minus, options)

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,14 @@ CASES = {
 def case_inputs(name):
     p, d = CASES[name]
     return gv.CouplingParams(*p), gv.DegreePair(*d)
+
+
+def package_certifies(params, degrees, u, R):
+    """The package's exact decision at u = delta R^6 and radius R, on the
+    tables select_envelope builds."""
+    _, tables = gv.asymptotics._envelope_tables(params, degrees)
+    every = [t for pair in tables.values() for t in pair]
+    return gv.asymptotics._certified(every, Fraction(u), Fraction(R))
 
 
 @pytest.fixture(scope="session")

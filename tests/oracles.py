@@ -8,7 +8,7 @@ a different LAPACK route, and the coupled Hessian band is assembled node by
 node.  None of it touches the package's Newton/banded machinery.  The
 smallest Hessian eigenvalue is also bisected with one banded Cholesky
 factorization per halving, as the package first computed it.  The
-envelope search expands the whole defect in Fractions for every candidate,
+envelope proof expands the whole defect in Fractions for one (delta, R),
 requires M_6 dominance and proves the sign of the whole series with a
 Fraction Sturm root count on (0, 1), where the package relies on
 M_2 = M_4 = 0 instead; it derives its own amplitudes and branch signs from
@@ -27,9 +27,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpbtrf
 
-from glvortex.asymptotics import (SelectionFailed, _tail_window,
-                                  leading_coeffs, leading_coeffs_exact,
-                                  second_coeffs_exact)
+from glvortex.asymptotics import (_tail_window, leading_coeffs,
+                                  leading_coeffs_exact, second_coeffs_exact)
 from glvortex.diagnostics import (EigenFailure, _derivatives,
                                   _potential_quartic, second_variation_matrix)
 from glvortex.grid import quadrature_upto
@@ -479,21 +478,6 @@ def verify_envelope_pair(params, degrees, delta, R, branch):
         if not _dominance_ok(m) or not series_sign_definite(m, req):
             return False
     return True
-
-
-def select_envelope(params, degrees, r_candidates=(2, 4, 8, 16, 32, 64),
-                    delta_candidates=tuple(Fraction(1, 2 ** k)
-                                           for k in range(1, 11))):
-    """(delta, R, kappa_plus, kappa_minus) of the first certified candidate,
-    or SelectionFailed, trying every branch of every candidate in full."""
-    branches = [b[0] for b in BRANCHES[envelope_family(params)]]
-    kp, km = envelope_amplitudes(params)
-    for R in r_candidates:
-        for delta in delta_candidates:
-            if all(verify_envelope_pair(params, degrees, delta, R, br)
-                   for br in branches):
-                return float(delta), float(R), float(kp), float(km)
-    raise SelectionFailed("no (delta, R) certified within the search budget")
 
 
 # ---------------------------------------------------------------------------

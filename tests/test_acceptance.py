@@ -16,7 +16,7 @@ from glvortex.asymptotics import (envelope_check, leading_coeffs_exact,
                                   second_coeffs_exact, select_envelope,
                                   tail_fit)
 from glvortex.solver import SolveOptions
-from conftest import CASES, case_inputs
+from conftest import CASES, case_inputs, package_certifies
 from oracles import (defect_series, envelope_amplitudes, scalar_gl_profile,
                      uniqueness_probe)
 
@@ -126,8 +126,9 @@ def test_criterion_05_envelopes(reference_profiles):
     r_c = max(s.R for s in specs.values())
     for B in b_values:
         params = gv.CouplingParams(1, 1, B, 1, 1)
-        # certified at the common pair alone, or SelectionFailed
-        select_envelope(params, degrees, (r_c,), (delta_c,))
+        # the exact certificate holds at the common pair
+        assert package_certifies(params, degrees, delta_c * Fraction(r_c) ** 6,
+                                 r_c), B
         prof = gv.continuation_solve(params, degrees,
                                      reference_profiles["bpos"].grid)
         common = dataclasses.replace(specs[B], delta=float(delta_c), R=r_c)

@@ -13,7 +13,7 @@ from glvortex.asymptotics import (_defect_cubics, envelope_check,
                                   leading_coeffs_exact, second_coeffs_exact,
                                   select_envelope, tail_fit)
 from glvortex.solver import Profile, SolveReport
-from conftest import case_inputs
+from conftest import case_inputs, package_certifies
 
 
 def random_rational_params(rng, with_degrees=True):
@@ -359,29 +359,21 @@ def test_envelope_check_fails_on_corrupted_spec(reference_profiles):
 
 
 def test_envelope_decoupled_case_both_families(reference_profiles):
-    # at zero interaction both branches certify at one candidate and the
-    # envelopes sandwich
+    # at zero interaction both branches certify at one hand-picked pair,
+    # (1/16, 32), and the envelopes sandwich there as at the selected pair
     prof = reference_profiles["classical"]
     for br in ("upper_plus_lower_minus", "lower_plus_upper_minus"):
         assert oracles.verify_envelope_pair(prof.params, prof.degrees,
                                             Fraction(1, 16), 32, br)
-    spec = select_envelope(prof.params, prof.degrees, (32,),
-                           (Fraction(1, 16),))
-    assert envelope_check(prof, spec).passed
     spec = select_envelope(prof.params, prof.degrees)
     assert envelope_check(prof, spec).passed
-
-
-def test_selection_failed_when_budget_exhausted():
-    p = gv.CouplingParams(1, 1, 0.5, 1, 1)
-    with pytest.raises(gv.SelectionFailed):
-        select_envelope(p, gv.DegreePair(1, 1), r_candidates=(2,),
-                        delta_candidates=(Fraction(1, 2),))
+    by_hand = dataclasses.replace(spec, delta=1 / 16, R=32.0, series=())
+    assert envelope_check(prof, by_hand).passed
 
 
 def test_candidate_decisions_match_oracle_per_branch():
-    # rejections too, not only the first certified pair: the package's
-    # decision at one candidate is the oracle's Sturm-based decision on
+    # rejections too, not only the selected pair: the package's exact
+    # decision at one (delta, R) is the oracle's Sturm-based decision on
     # every branch of the family
     decisions = set()
     for name in ("bpos", "bneg"):
@@ -394,11 +386,7 @@ def test_candidate_decisions_match_oracle_per_branch():
                 want = all(oracles.verify_envelope_pair(params, degrees,
                                                         delta, R, br)
                            for br in branches)
-                try:
-                    select_envelope(params, degrees, (R,), (delta,))
-                    got = True
-                except gv.SelectionFailed:
-                    got = False
+                got = package_certifies(params, degrees, delta * R ** 6, R)
                 assert got == want, (name, R, k)
                 decisions.add(got)
     assert decisions == {True, False}
@@ -406,11 +394,10 @@ def test_candidate_decisions_match_oracle_per_branch():
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_selection_fails_when_a_tail_coefficient_is_off(monkeypatch, order):
-    # a or b off by 1/1000 leaves M_2 or M_4 nonzero: no candidate may pass,
-    # although the same budget certifies the exact closed forms
+    # a or b off by 1/1000 leaves M_2 or M_4 nonzero: selection refuses the
+    # expansion as inconsistent, although it certifies the exact closed forms
     params, degrees = case_inputs("bpos")
-    budget = ((32,), (Fraction(1, 32),))
-    select_envelope(params, degrees, *budget)
+    select_envelope(params, degrees)
     exact = (leading_coeffs_exact, second_coeffs_exact)[order]
 
     def off(*args):
@@ -418,9 +405,18 @@ def test_selection_fails_when_a_tail_coefficient_is_off(monkeypatch, order):
         return plus + Fraction(1, 1000), minus
     monkeypatch.setattr(asymptotics, exact.__name__, off)
     with pytest.raises(gv.SelectionFailed, match="inconsistent"):
-        select_envelope(params, degrees, *budget)
-    with pytest.raises(gv.SelectionFailed):
         select_envelope(params, degrees)
+
+
+def test_envelope_sandwich_near_the_hypothesis_boundary(default_grid):
+    # at B = 0.9 the smallest certified radius lies between 64 and
+    # R_max = 80, and the solved profile lies inside that sandwich
+    params = gv.CouplingParams(1.0, 1.0, 0.9, 1.0, 1.0)
+    degrees = gv.DegreePair(1, 0)
+    assert 64 < select_envelope(params, degrees).R < 80
+    prof = gv.continuation_solve(params, degrees, default_grid)
+    checks = {c["check"]: c for c in gv.verify(prof)}
+    assert checks["envelope_sandwich"]["pass"], checks["envelope_sandwich"]
 
 
 POSITIVE = st.one_of(st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)),
@@ -445,20 +441,21 @@ def admissible_inputs(draw):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(case=admissible_inputs())
 def test_select_envelope_matches_oracle(case):
+    # selection never fails on the admissible set; the oracle's Sturm chain
+    # proves the selected (delta, R) on both branches of the family, and the
+    # package's exact certificate rejects the same u = delta R^6 at R - 1
     params, degrees = case
-    try:
-        want = oracles.select_envelope(params, degrees)
-    except gv.SelectionFailed:
-        with pytest.raises(gv.SelectionFailed):
-            select_envelope(params, degrees)
-        return
     spec = select_envelope(params, degrees)
-    assert (spec.delta, spec.R, spec.kappa_plus, spec.kappa_minus) == want
-    # the certified series are the full expansion at the chosen pair
+    delta, R = Fraction(spec.delta), int(spec.R)
+    assert R == spec.R >= 1 and delta > 0
+    for br, _, _ in oracles.BRANCHES[oracles.envelope_family(params)]:
+        assert oracles.verify_envelope_pair(params, degrees, delta, R, br)
+    assert not package_certifies(params, degrees, delta * R ** 6, R - 1)
     kp, km = oracles.envelope_amplitudes(params)
+    assert (spec.kappa_plus, spec.kappa_minus) == (float(kp), float(km))
+    # the certified series are the full expansion at the chosen pair
     signs = {br: (sp, sm) for fam in oracles.BRANCHES.values()
              for br, sp, sm in fam}
-    delta = Fraction(spec.delta)
     a = leading_coeffs_exact(params, degrees)
     b = second_coeffs_exact(params, degrees)
     assert len(spec.series) == 2

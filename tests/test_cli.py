@@ -650,6 +650,27 @@ def test_export_envelope_ordered(tmp_path, capsys):
         assert vals[4] <= vals[5] <= vals[6]
 
 
+def test_export_envelope_beyond_the_grid(tmp_path, capsys):
+    # bpos certifies its envelope at R = 28: a grid ending at R_max = 20
+    # holds no node of the sandwich, so export fails as verify's
+    # envelope_sandwich check does, with one JSON error line and no file
+    cfg = write_config(tmp_path / "cfg.json", grid={"R_max": 20.0, "N": 1000})
+    prof_path = tmp_path / "p.json"
+    run(capsys, "solve", "--config", str(cfg), "--out", str(prof_path))
+    out = tmp_path / "env.csv"
+    code, stdout, stderr = run(capsys, "export", str(prof_path), "envelope",
+                               "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    [line] = stderr.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message":
+                                "envelope radius R=28.0 beyond the grid"}
+    assert not out.exists()
+    code, stdout, _ = run(capsys, "verify", str(prof_path))
+    checks = {c["check"]: c for c in map(json.loads, stdout.splitlines())}
+    assert checks["envelope_sandwich"]["value"] == json.loads(line)["message"]
+
+
 def test_export_write_failure(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     prof_path = tmp_path / "p.json"

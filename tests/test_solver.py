@@ -771,21 +771,17 @@ def test_system_on_cached_rows_matches_a_fresh_grid(start, target, far_field,
                                                     degrees, R_max, seed):
     # a system on rows its grid already holds (from a system at `start`)
     # gives, bit for bit, the system on a fresh grid of the same spec, with
-    # the same truncation warnings; the two grids share no rows, and shared
-    # rows are read-only
+    # the same truncated tails; the two grids share no rows, and shared
+    # rows are read-only; building a system never warns
     grid, fresh = gv.build_grid(R_max, 64), gv.build_grid(R_max, 64)
     deg = gv.DegreePair(*degrees)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        first = _DiscreteSystem(grid, start, deg, far_field)
-    with warnings.catch_warnings(record=True) as cached:
-        warnings.simplefilter("always")
-        sys = _DiscreteSystem(grid, target, deg, far_field)
     with warnings.catch_warnings(record=True) as built:
         warnings.simplefilter("always")
+        first = _DiscreteSystem(grid, start, deg, far_field)
+        sys = _DiscreteSystem(grid, target, deg, far_field)
         new = _DiscreteSystem(fresh, target, deg, far_field)
-    assert ([str(w.message) for w in cached]
-            == [str(w.message) for w in built])
+    assert built == []
+    assert sys.truncated == new.truncated
     fp, fm = np.random.default_rng(seed).uniform(0.0, 2.0, (2, 65))
     for got, want in zip(
             (*sys.residual(fp, fm), *sys.residual_dB(fp, fm),
@@ -801,7 +797,8 @@ def test_system_on_cached_rows_matches_a_fresh_grid(start, target, far_field,
                                         getattr(other, rows))
             with pytest.raises(ValueError, match="read-only"):
                 getattr(op, rows)[-1] = 0
-    # the truncation warning points at the caller of each public entry
+    # a solve warns once per truncated tail, at its caller; evaluating a
+    # profile does not warn
     prof = gv.Profile(grid, target, deg, fp, fm,
                       solver.SolveReport((0,), 0.0, 1e-10, 0.0), far_field)
     with warnings.catch_warnings(record=True) as calls:
@@ -812,5 +809,8 @@ def test_system_on_cached_rows_matches_a_fresh_grid(start, target, far_field,
                                          far_field=far_field))
         gv.residual(prof)
         gv.jacobian(prof)
-    assert len(calls) == 3 * len(built)
+    assert [str(w.message) for w in calls] == [
+        "Dirichlet far field truncates a tail of size "
+        f"|a|/R_max^2 = {size:.2e}; enlarge R_max or use the robin condition"
+        for size in new.truncated]
     assert all(w.filename == __file__ for w in calls)
