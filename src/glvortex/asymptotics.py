@@ -23,15 +23,20 @@ The signs come from the comparison structure.  For B >= 0 the system is
 cooperative once f_- is reflected, so an upper f_+ envelope pairs with a
 lower f_- one; for B < 0 upper pairs with upper.  The amplitude enters only
 as +-kappa u with u = delta R^6, so M_2k = C_k(u) / R^(2k) with C_k a cubic
-in u, expanded once per branch.  C_3 is linear, so the sign of M_6 bounds u
-from below, and beyond that bound each dominance inequality bounds R from
-below: select_envelope computes the radius instead of searching for it.
+in u.  The cubics are expanded once per parameter set, in integers over one
+common denominator; the second branch flips every amplitude sign, so its
+cubics are the first branch's read at -u.  C_3 is linear, so the sign of M_6
+bounds u from below, and beyond that bound each dominance inequality bounds
+R from below: select_envelope computes the radius instead of searching for
+it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -91,16 +96,17 @@ def leading_coeffs_exact(params: CouplingParams, degrees: DegreePair):
     return a_plus, a_minus
 
 
-def second_coeffs_exact(params: CouplingParams, degrees: DegreePair):
+def second_coeffs_exact(params: CouplingParams, degrees: DegreePair, a=None):
     """b_plus, b_minus as exact rationals.
 
     (b_plus, b_minus) solve the same 2x2 system with right-hand sides
     q_pm = 2 a_pm / t_pm - (A_pm a_pm^2 + B a_mp^2)/2, which cancels the
-    r^-4 defect once the r^-2 relation already holds.
+    r^-4 defect once the r^-2 relation already holds.  a is
+    leading_coeffs_exact(params, degrees), computed here when not given.
     """
     Ap, Am, B, tp, tm = _exact_params(params)
     D = Ap * Am - B * B
-    a_plus, a_minus = leading_coeffs_exact(params, degrees)
+    a_plus, a_minus = leading_coeffs_exact(params, degrees) if a is None else a
     q_plus = 2 * a_plus / tp - (Ap * a_plus ** 2 + B * a_minus ** 2) / 2
     q_minus = 2 * a_minus / tm - (Am * a_minus ** 2 + B * a_plus ** 2) / 2
     b_plus = (Am * q_plus - B * q_minus) / (D * tp)
@@ -116,8 +122,8 @@ def leading_coeffs(params: CouplingParams, degrees: DegreePair) -> TailExpansion
 
 def second_coeffs(params: CouplingParams, degrees: DegreePair) -> TailExpansion:
     """Closed-form tail coefficients with both orders filled."""
-    a_plus, a_minus = leading_coeffs_exact(params, degrees)
-    b_plus, b_minus = second_coeffs_exact(params, degrees)
+    a_plus, a_minus = a = leading_coeffs_exact(params, degrees)
+    b_plus, b_minus = second_coeffs_exact(params, degrees, a)
     return TailExpansion(a_plus=float(a_plus), a_minus=float(a_minus),
                          b_plus=float(b_plus), b_minus=float(b_minus))
 
@@ -182,17 +188,20 @@ class _DefectCubics:
             Fraction(c, self.den * basis[0]) / R ** (2 * k)
             for k, c in enumerate(self.scaled(basis), 1)), R)
 
+    def mirrored(self) -> _DefectCubics:
+        """The cubics C_k(-u): the defect with the amplitude's sign flipped."""
+        return _DefectCubics(self.component, tuple(
+            tuple(-c if j % 2 else c for j, c in enumerate(row))
+            for row in self.num), self.den)
 
-def _mul_xu(p, q):
-    """Product of polynomials in (x, u) stored as rows p[i][j] of x^i u^j;
-    every product formed here stays below u^4."""
-    out = [[0] * 4 for _ in range(len(p) + len(q) - 1)]
-    for i, prow in enumerate(p):
-        for k, qrow in enumerate(q):
-            for j, pc in enumerate(prow):
-                for jj, qc in enumerate(qrow):
-                    if pc and qc:
-                        out[i + k][j + jj] += pc * qc
+
+def _mul_xu(p: dict, q: dict) -> dict:
+    """Product of integer polynomials in (x, u) stored as {(i, j): the
+    coefficient of x^i u^j}."""
+    out = {}
+    for (i, j), c in p.items():
+        for (k, m), d in q.items():
+            out[i + k, j + m] = out.get((i + k, j + m), 0) + c * d
     return out
 
 
@@ -203,28 +212,34 @@ def _defect_cubics(params: CouplingParams, degrees: DegreePair,
         w_pm(r) = t_pm + a_pm/r^2 + b_pm/r^4 + g_pm u/r^6
 
     once, as (_DefectCubics for plus, for minus) in the free amplitude u.
-    """
-    Ap, Am, B, tp, tm = _exact_params(params)
-    w = tuple([[t, 0, 0, 0], [_frac(ai), 0, 0, 0], [_frac(bi), 0, 0, 0],
-               [0, _frac(gi), 0, 0]]
-              for t, ai, bi, gi in zip((tp, tm), a, b, g))
-    sq = []                                  # w^2 - t^2 per component
+
+    The expansion runs in integers: every input is scaled by the least
+    common denominator L, so the cubic terms carry L^4 and the Laplacian
+    terms L, raised to L^4 by L^3; dividing by the gcd of L^4 and the
+    coefficients leaves each table reduced, as over the rationals."""
+    exact = (*_exact_params(params), *map(_frac, (*a, *b, *g)))
+    L = math.lcm(*(x.denominator for x in exact))
+    Ap, Am, B, tp, tm, ap, am, bp, bm, gp, gm = (
+        x.numerator * (L // x.denominator) for x in exact)
+    w = tuple({(0, 0): t, (1, 0): ai, (2, 0): bi, (3, 1): gi}
+              for t, ai, bi, gi in ((tp, ap, bp, gp), (tm, am, bm, gm)))
+    sq = []                                  # L^2 (w^2 - t^2) per component
     for w_i, t in zip(w, (tp, tm)):
         sq.append(_mul_xu(w_i, w_i))
-        sq[-1][0][0] -= t * t
+        sq[-1][0, 0] -= t * t
+    L3, L4 = L ** 3, L ** 4
     out = []
     for i, comp, A, n in ((0, "plus", Ap, degrees.n_plus),
                           (1, "minus", Am, degrees.n_minus)):
-        bracket = [[A * s + B * o for s, o in zip(rs, ro)]
-                   for rs, ro in zip(sq[i], sq[1 - i])]
+        bracket = {key: A * c + B * sq[1 - i][key]  # the same terms in both
+                   for key, c in sq[i].items()}
         C = _mul_xu(bracket, w[i])
-        for k, row in enumerate(w[i]):      # -w'' - w'/r + (n^2/r^2) w
-            for j, c in enumerate(row):
-                C[k + 1][j] += (n * n - 4 * k * k) * c
-        den = math.lcm(*(Fraction(c).denominator
-                         for c in itertools.chain(*C[1:])))
+        for (k, j), c in w[i].items():       # -w'' - w'/r + (n^2/r^2) w
+            C[k + 1, j] = C.get((k + 1, j), 0) + (n * n - 4 * k * k) * L3 * c
+        rows = [[C.get((k, j), 0) for j in range(4)] for k in range(1, 10)]
+        G = math.gcd(L4, *itertools.chain(*rows))
         out.append(_DefectCubics(comp, tuple(
-            tuple(int(c * den) for c in row) for row in C[1:]), den))
+            tuple(c // G for c in row) for row in rows), L4 // G))
     return tuple(out)
 
 
@@ -248,6 +263,26 @@ def _certified(tables, u: Fraction, R: Fraction) -> bool:
 # envelope selection
 
 
+class _CertifiedSeries(Sequence):
+    """EnvelopeSpec.series of a selected pair, expanded on first read:
+    ((branch, (plus, minus DefectSeries)), ...) in the order of the tables."""
+
+    def __init__(self, tables: dict, u: Fraction, R: Fraction):
+        self._args = tables, u, R
+
+    @functools.cached_property
+    def _items(self) -> tuple:
+        tables, u, R = self._args
+        return tuple((br, tuple(cubics.series(u, R) for cubics, _ in pair))
+                     for br, pair in tables.items())
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
 @dataclass(frozen=True)
 class EnvelopeSpec:
     """A certified choice of r^-6 envelope amplitudes.
@@ -261,8 +296,9 @@ class EnvelopeSpec:
     R: float
     kappa_plus: float
     kappa_minus: float
-    # ((branch, (plus, minus DefectSeries)), ...) certified; () if hand-built
-    series: tuple = ()
+    # ((branch, (plus, minus DefectSeries)), ...) certified; () if hand-built.
+    # It follows from the other fields and the inputs, so it is not compared.
+    series: Sequence = field(default=(), compare=False, repr=False)
 
     def envelope_c(self, component: str, side: str) -> float:
         """Signed r^-6 amplitude (to be scaled by R^6) for one envelope."""
@@ -282,33 +318,39 @@ _BRANCHES = {"upper_plus_lower_minus": (1, -1),
 def _envelope_tables(params: CouplingParams, degrees: DegreePair) -> tuple:
     """(kappa, {branch: ((plus cubics, sign), (minus cubics, sign))}) for the
     branches of the flip s (-1 for B >= 0, +1 for B < 0), with the exact
-    amplitudes kappa_pm = (A_mp - s B) / ((A_+ A_- - B^2) t_pm) > 0."""
+    amplitudes kappa_pm = (A_mp - s B) / ((A_+ A_- - B^2) t_pm) > 0.  The
+    second branch is the first with every sign flipped, i.e. at -u, so one
+    expansion gives both."""
     Ap, Am, B, tp, tm = _exact_params(params)
     s, D = (-1 if B >= 0 else 1), Ap * Am - B * B
     kp, km = (Am - s * B) / (D * tp), (Ap - s * B) / (D * tm)
     a = leading_coeffs_exact(params, degrees)
-    b = second_coeffs_exact(params, degrees)
-    return (kp, km), {br: tuple(zip(_defect_cubics(params, degrees, a, b,
-                                                   (sp * kp, sm * km)),
-                                    (sp, sm)))
-                      for br, (sp, sm) in _BRANCHES.items() if sm == s * sp}
+    b = second_coeffs_exact(params, degrees, a)
+    first, second = (br for br, (sp, sm) in _BRANCHES.items() if sm == s * sp)
+    sp, sm = _BRANCHES[first]
+    plus, minus = _defect_cubics(params, degrees, a, b, (sp * kp, sm * km))
+    return (kp, km), {first: ((plus, sp), (minus, sm)),
+                      second: ((plus.mirrored(), -sp),
+                               (minus.mirrored(), -sm))}
 
 
-def _radii(every, base: Fraction) -> dict:
-    """{u: least integer R >= 1 with R^(2k-6) >= c |C_k(u)| / |C_3(u)| for
-    every (k, c) in _DOMINANCE} over u = base 2^j, j = 1..48, in float on
-    the tables as cubics in 2^j over their largest coefficient."""
+def _radii(pair, base: Fraction) -> list:
+    """[least integer R >= 1 with R^(2k-6) >= c |C_k(u)| / |C_3(u)| for
+    every (k, c) in _DOMINANCE] at u = base 2^j, j = 1..48, in float on
+    the tables as cubics in 2^j over their largest coefficient.  pair is
+    one branch's (plus, minus) tables; the other branch's, at -u, are the
+    same floats with the odd powers of u negated."""
     basis, tables = _cubic_basis(base), []
-    for cubics, _ in every:
+    for cubics, _ in pair:
         rows = [c * v for row in cubics.num for c, v in zip(row, basis)]
         big = max(map(abs, rows))
         tables.append([c / big for c in rows])
+    tables += [[-c if j % 2 else c for j, c in enumerate(t)] for t in tables]
     y = 2.0 ** np.arange(1, 49)
     C = np.abs(np.reshape(tables, (-1, 9, 4)) @ [y ** 0, y, y * y, y ** 3])
     bound = np.max([(c * C[:, k - 1] / C[:, 2]) ** (1 / (2 * k - 6))
                     for k, c in _DOMINANCE], axis=(0, 1))
-    return {base * 2 ** j: max(1, math.ceil(b))
-            for j, b in enumerate(bound, 1)}
+    return [max(1, math.ceil(b)) for b in bound]
 
 
 def select_envelope(params: CouplingParams, degrees: DegreePair) -> EnvelopeSpec:
@@ -327,17 +369,17 @@ def select_envelope(params: CouplingParams, degrees: DegreePair) -> EnvelopeSpec
         raise SelectionFailed(f"inconsistent defect for {params}, {degrees}: "
                               "M_2 or M_4 nonzero, or M_6 never of its sign")
     u0 = max(Fraction(-cub.num[2][0], cub.num[2][1]) for cub, _ in every)
-    radii = _radii(every, u0 if u0 > 0 else Fraction(1))
-    u = min(radii, key=lambda u: (radii[u], -u))
-    for R in itertools.count(radii[u]):     # the float bound may fall short
+    base = u0 if u0 > 0 else Fraction(1)
+    radii = _radii(every[:2], base)
+    j = min(range(1, 49), key=lambda j: (radii[j - 1], -j))
+    u = base * 2 ** j
+    for R in itertools.count(radii[j - 1]):  # the float bound may fall short
         delta = Fraction(float(u / R ** 6))
         if _certified(every, delta * R ** 6, Fraction(R)):
             break
-    series = tuple((br, tuple(cubics.series(delta * R ** 6, Fraction(R))
-                              for cubics, _ in pair))
-                   for br, pair in tables.items())
     return EnvelopeSpec(float(delta), float(R), float(kappa[0]),
-                        float(kappa[1]), series)
+                        float(kappa[1]),
+                        _CertifiedSeries(tables, delta * R ** 6, Fraction(R)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import glvortex as gv
 import oracles
@@ -423,11 +423,20 @@ POSITIVE = st.one_of(st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
                      st.floats(0.1, 10.0))
 
 
+# non-dyadic floats and rationals with odd denominators: inputs whose exact
+# values carry long denominators through the expansion
+NON_DYADIC = st.one_of(
+    st.sampled_from([0.1, 0.7]),
+    st.builds(Fraction, st.integers(1, 40), st.integers(0, 6).map(
+        lambda k: 2 * k + 1)),
+    st.floats(0.1, 10.0))
+
+
 @st.composite
-def admissible_inputs(draw):
+def admissible_inputs(draw, positive=POSITIVE):
     """A+-, t+- > 0 rational or float, B / sqrt(A+ A-) in [-0.99, 0.99],
     windings 0..5."""
-    Ap, Am, tp, tm = (draw(POSITIVE) for _ in range(4))
+    Ap, Am, tp, tm = (draw(positive) for _ in range(4))
     ratio = Fraction(draw(st.integers(-99, 99)), 100)
     if isinstance(Ap * Am, Fraction):
         B = ratio * Fraction(math.sqrt(Ap * Am)).limit_denominator(100)
@@ -463,6 +472,58 @@ def test_select_envelope_matches_oracle(case):
         sp, sm = signs[branch]
         assert (plus.coefficients, minus.coefficients) == oracles.defect_series(
             params, degrees, a, b, (sp * delta * kp, sm * delta * km), spec.R)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=admissible_inputs(NON_DYADIC),
+       u=st.fractions(-1000, 1000, max_denominator=99),
+       R=st.fractions(1, 300, max_denominator=9))
+@example(case=case_inputs("asym"), u=Fraction(7, 3), R=Fraction(41))
+@example(case=(gv.CouplingParams(Fraction(5, 3), 0.7, Fraction(-5, 7), 0.1,
+                                 Fraction(11, 9)), gv.DegreePair(0, 5)),
+         u=Fraction(-2, 5), R=Fraction(13, 3))
+def test_envelope_tables_match_the_oracle_expansion(case, u, R):
+    # the package's integer tables, read as series at any (u, R), are the
+    # oracle's Fraction expansion on both branches of the family; the
+    # second branch's tables are the first's read at -u, so this pins that
+    # mirror for either sign of B
+    params, degrees = case
+    kappa, tables = asymptotics._envelope_tables(params, degrees)
+    kp, km = oracles.envelope_amplitudes(params)
+    assert kappa == (kp, km)
+    family = oracles.BRANCHES[oracles.envelope_family(params)]
+    assert list(tables) == [br for br, _, _ in family]
+    a = leading_coeffs_exact(params, degrees)
+    b = second_coeffs_exact(params, degrees)
+    for br, sp, sm in family:
+        (plus, req_plus), (minus, req_minus) = tables[br]
+        assert (req_plus, req_minus) == (sp, sm)
+        for cubics in (plus, minus):        # reduced, as over the rationals
+            assert cubics.den > 0
+            assert math.gcd(cubics.den, *sum(cubics.num, ())) == 1
+        delta = u / R ** 6
+        want = oracles.defect_series(params, degrees, a, b,
+                                     (sp * delta * kp, sm * delta * km), R)
+        got = tuple(cubics.series(u, R).coefficients
+                    for cubics in (plus, minus))
+        assert got == want
+
+
+def test_one_defect_expansion_per_selection(monkeypatch):
+    # both branches come from one expansion, and reading the certified
+    # series expands nothing again
+    calls = []
+    expand = asymptotics._defect_cubics
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+    monkeypatch.setattr(asymptotics, "_defect_cubics", counted)
+    for name in ("bpos", "bneg", "asym"):
+        spec = select_envelope(*case_inputs(name))
+        assert len(spec.series) == 2
+        assert len(calls) == 1, name
+        calls.clear()
 
 
 # ---------------------------------------------------------------------------
