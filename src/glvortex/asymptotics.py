@@ -67,65 +67,56 @@ class TailExpansion:
 
     a_plus: float
     a_minus: float
-    b_plus: float = 0.0
-    b_minus: float = 0.0
+    b_plus: float
+    b_minus: float
 
 
-def _frac(x) -> Fraction:
-    exact = isinstance(x, (Fraction, int, np.integer))
-    return Fraction(x) if exact else Fraction(float(x))
+def _exact_params(params: CouplingParams) -> tuple:
+    """(A_+, A_-, B, t_+, t_-) as exact rationals (a float as its exact
+    binary rational): the one conversion every exact computation reads."""
+    return tuple(Fraction(v) if isinstance(v, (Fraction, int, np.integer))
+                 else Fraction(float(v)) for v in (
+                     params.A_plus, params.A_minus, params.B, params.t_plus,
+                     params.t_minus))
 
 
-def _exact_params(params: CouplingParams):
-    return (_frac(params.A_plus), _frac(params.A_minus), _frac(params.B),
-            _frac(params.t_plus), _frac(params.t_minus))
-
-
-def leading_coeffs_exact(params: CouplingParams, degrees: DegreePair):
-    """a_plus, a_minus as exact rationals.
-
-    (a_plus, a_minus) solve the 2x2 linear system that cancels the r^-2
-    defect:  A_+ t_+ a_+ + B t_- a_- = -n_+^2 / 2  (and the mirrored row),
-    giving a_pm = (B n_mp^2 - A_mp n_pm^2) / (2 (A_+ A_- - B^2) t_pm).
-    """
-    Ap, Am, B, tp, tm = _exact_params(params)
+def _leading_exact(x, degrees: DegreePair) -> tuple:
+    """(a_plus, a_minus) from the exact inputs x = _exact_params(params):
+    the solution of A_+ t_+ a_+ + B t_- a_- = -n_+^2 / 2 (and the mirrored
+    row), the 2x2 linear system that cancels the r^-2 defect."""
+    Ap, Am, B, tp, tm = x
     np2, nm2 = degrees.n_plus ** 2, degrees.n_minus ** 2
     D = Ap * Am - B * B
-    a_plus = (B * nm2 - Am * np2) / (2 * D * tp)
-    a_minus = (B * np2 - Ap * nm2) / (2 * D * tm)
-    return a_plus, a_minus
+    return ((B * nm2 - Am * np2) / (2 * D * tp),
+            (B * np2 - Ap * nm2) / (2 * D * tm))
 
 
-def second_coeffs_exact(params: CouplingParams, degrees: DegreePair, a=None):
-    """b_plus, b_minus as exact rationals.
-
-    (b_plus, b_minus) solve the same 2x2 system with right-hand sides
-    q_pm = 2 a_pm / t_pm - (A_pm a_pm^2 + B a_mp^2)/2, which cancels the
-    r^-4 defect once the r^-2 relation already holds.  a is
-    leading_coeffs_exact(params, degrees), computed here when not given.
+def second_coeffs_exact(x, degrees: DegreePair) -> tuple:
+    """(a_plus, a_minus, b_plus, b_minus) from the exact inputs x: b solves
+    a's 2x2 system with right-hand sides q_pm = 2 a_pm / t_pm - (A_pm a_pm^2
+    + B a_mp^2)/2, which cancels the r^-4 defect once the r^-2 one is gone.
     """
-    Ap, Am, B, tp, tm = _exact_params(params)
+    Ap, Am, B, tp, tm = x
     D = Ap * Am - B * B
-    a_plus, a_minus = leading_coeffs_exact(params, degrees) if a is None else a
+    a_plus, a_minus = _leading_exact(x, degrees)
     q_plus = 2 * a_plus / tp - (Ap * a_plus ** 2 + B * a_minus ** 2) / 2
     q_minus = 2 * a_minus / tm - (Am * a_minus ** 2 + B * a_plus ** 2) / 2
-    b_plus = (Am * q_plus - B * q_minus) / (D * tp)
-    b_minus = (Ap * q_minus - B * q_plus) / (D * tm)
-    return b_plus, b_minus
+    return (a_plus, a_minus, (Am * q_plus - B * q_minus) / (D * tp),
+            (Ap * q_minus - B * q_plus) / (D * tm))
 
 
-def leading_coeffs(params: CouplingParams, degrees: DegreePair) -> TailExpansion:
-    """Closed-form leading tail coefficients a_pm (b fields left at zero)."""
-    a_plus, a_minus = leading_coeffs_exact(params, degrees)
-    return TailExpansion(a_plus=float(a_plus), a_minus=float(a_minus))
+def leading_coeffs(params: CouplingParams, degrees: DegreePair) -> tuple:
+    """Closed-form (a_plus, a_minus) as floats: the Robin datum, the sweep
+    records and the tail export need no b."""
+    a_plus, a_minus = _leading_exact(_exact_params(params), degrees)
+    return float(a_plus), float(a_minus)
 
 
 def second_coeffs(params: CouplingParams, degrees: DegreePair) -> TailExpansion:
-    """Closed-form tail coefficients with both orders filled."""
-    a_plus, a_minus = a = leading_coeffs_exact(params, degrees)
-    b_plus, b_minus = second_coeffs_exact(params, degrees, a)
-    return TailExpansion(a_plus=float(a_plus), a_minus=float(a_minus),
-                         b_plus=float(b_plus), b_minus=float(b_minus))
+    """Closed-form tail coefficients of both orders as floats.  An
+    EnvelopeSpec carries the same values as its tail."""
+    return TailExpansion(*map(float, second_coeffs_exact(
+        _exact_params(params), degrees)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +143,7 @@ class DefectSeries:
     preserves that parity.
     """
 
-    component: str
     coefficients: tuple
-    R: Fraction
 
     def as_strings(self) -> dict:
         return {f"M_{2 * (k + 1)}": str(c)
@@ -174,7 +163,6 @@ class _DefectCubics:
     C_k(u) = sum_j num[k-1][j] u^j / den in u = delta R^6, k = 1..9, and
     M_2k = C_k(u) / R^(2k).  den > 0."""
 
-    component: str
     num: tuple
     den: int
 
@@ -184,13 +172,13 @@ class _DefectCubics:
 
     def series(self, u: Fraction, R: Fraction) -> DefectSeries:
         basis = _cubic_basis(u)
-        return DefectSeries(self.component, tuple(
+        return DefectSeries(tuple(
             Fraction(c, self.den * basis[0]) / R ** (2 * k)
-            for k, c in enumerate(self.scaled(basis), 1)), R)
+            for k, c in enumerate(self.scaled(basis), 1)))
 
     def mirrored(self) -> _DefectCubics:
         """The cubics C_k(-u): the defect with the amplitude's sign flipped."""
-        return _DefectCubics(self.component, tuple(
+        return _DefectCubics(tuple(
             tuple(-c if j % 2 else c for j, c in enumerate(row))
             for row in self.num), self.den)
 
@@ -205,22 +193,23 @@ def _mul_xu(p: dict, q: dict) -> dict:
     return out
 
 
-def _defect_cubics(params: CouplingParams, degrees: DegreePair,
-                   a: tuple, b: tuple, g: tuple) -> tuple:
+def _defect_cubics(x, degrees: DegreePair, tail: tuple, g: tuple) -> tuple:
     """Expand the equation defect of the envelope pair
 
         w_pm(r) = t_pm + a_pm/r^2 + b_pm/r^4 + g_pm u/r^6
 
-    once, as (_DefectCubics for plus, for minus) in the free amplitude u.
+    once, as (_DefectCubics for plus, for minus) in the free amplitude u,
+    from the exact inputs x = _exact_params(params), tail = (a_+, a_-, b_+,
+    b_-) and g = (g_+, g_-), each an int or a Fraction.
 
     The expansion runs in integers: every input is scaled by the least
     common denominator L, so the cubic terms carry L^4 and the Laplacian
     terms L, raised to L^4 by L^3; dividing by the gcd of L^4 and the
     coefficients leaves each table reduced, as over the rationals."""
-    exact = (*_exact_params(params), *map(_frac, (*a, *b, *g)))
-    L = math.lcm(*(x.denominator for x in exact))
+    exact = (*x, *tail, *g)
+    L = math.lcm(*(v.denominator for v in exact))
     Ap, Am, B, tp, tm, ap, am, bp, bm, gp, gm = (
-        x.numerator * (L // x.denominator) for x in exact)
+        v.numerator * (L // v.denominator) for v in exact)
     w = tuple({(0, 0): t, (1, 0): ai, (2, 0): bi, (3, 1): gi}
               for t, ai, bi, gi in ((tp, ap, bp, gp), (tm, am, bm, gm)))
     sq = []                                  # L^2 (w^2 - t^2) per component
@@ -229,8 +218,7 @@ def _defect_cubics(params: CouplingParams, degrees: DegreePair,
         sq[-1][0, 0] -= t * t
     L3, L4 = L ** 3, L ** 4
     out = []
-    for i, comp, A, n in ((0, "plus", Ap, degrees.n_plus),
-                          (1, "minus", Am, degrees.n_minus)):
+    for i, A, n in ((0, Ap, degrees.n_plus), (1, Am, degrees.n_minus)):
         bracket = {key: A * c + B * sq[1 - i][key]  # the same terms in both
                    for key, c in sq[i].items()}
         C = _mul_xu(bracket, w[i])
@@ -238,7 +226,7 @@ def _defect_cubics(params: CouplingParams, degrees: DegreePair,
             C[k + 1, j] = C.get((k + 1, j), 0) + (n * n - 4 * k * k) * L3 * c
         rows = [[C.get((k, j), 0) for j in range(4)] for k in range(1, 10)]
         G = math.gcd(L4, *itertools.chain(*rows))
-        out.append(_DefectCubics(comp, tuple(
+        out.append(_DefectCubics(tuple(
             tuple(c // G for c in row) for row in rows), L4 // G))
     return tuple(out)
 
@@ -285,17 +273,23 @@ class _CertifiedSeries(Sequence):
 
 @dataclass(frozen=True)
 class EnvelopeSpec:
-    """A certified choice of r^-6 envelope amplitudes.
+    """A certified envelope pair and the far-field expansion it certifies.
 
-    The envelopes of component pm are t + a/r^2 + b/r^4 +- delta kappa_pm
-    R^6/r^6, upper with +, lower with -.  kappa_pm > 0 comes from the sign
-    of B (see _envelope_tables); delta and R are the certified pair.
+    The envelopes of component pm are t_pm + a_pm/r^2 + b_pm/r^4 +- delta
+    kappa_pm R^6/r^6, upper with +, lower with -.  t_pm and tail (a_pm and
+    b_pm, equal to second_coeffs) are the floats of the exact expansion the
+    certificate was proved around, so the spec alone gives the envelopes
+    and the closed-form tail.  kappa_pm > 0 comes from the sign of B (see
+    _envelope_tables); delta and R are the certified pair.
     """
 
     delta: float
     R: float
     kappa_plus: float
     kappa_minus: float
+    t_plus: float
+    t_minus: float
+    tail: TailExpansion
     # ((branch, (plus, minus DefectSeries)), ...) certified; () if hand-built.
     # It follows from the other fields and the inputs, so it is not compared.
     series: Sequence = field(default=(), compare=False, repr=False)
@@ -316,22 +310,23 @@ _BRANCHES = {"upper_plus_lower_minus": (1, -1),
 
 
 def _envelope_tables(params: CouplingParams, degrees: DegreePair) -> tuple:
-    """(kappa, {branch: ((plus cubics, sign), (minus cubics, sign))}) for the
-    branches of the flip s (-1 for B >= 0, +1 for B < 0), with the exact
-    amplitudes kappa_pm = (A_mp - s B) / ((A_+ A_- - B^2) t_pm) > 0.  The
-    second branch is the first with every sign flipped, i.e. at -u, so one
-    expansion gives both."""
-    Ap, Am, B, tp, tm = _exact_params(params)
+    """(tail, kappa, {branch: ((plus cubics, sign), (minus cubics, sign))})
+    from one exact conversion of the inputs: tail is second_coeffs_exact,
+    the tables are for the branches of the flip s (-1 for B >= 0, +1 for
+    B < 0), with the exact amplitudes kappa_pm = (A_mp - s B) /
+    ((A_+ A_- - B^2) t_pm) > 0.  The second branch is the first with every
+    sign flipped, i.e. at -u, so one expansion gives both."""
+    x = _exact_params(params)
+    Ap, Am, B, tp, tm = x
     s, D = (-1 if B >= 0 else 1), Ap * Am - B * B
     kp, km = (Am - s * B) / (D * tp), (Ap - s * B) / (D * tm)
-    a = leading_coeffs_exact(params, degrees)
-    b = second_coeffs_exact(params, degrees, a)
+    tail = second_coeffs_exact(x, degrees)
     first, second = (br for br, (sp, sm) in _BRANCHES.items() if sm == s * sp)
     sp, sm = _BRANCHES[first]
-    plus, minus = _defect_cubics(params, degrees, a, b, (sp * kp, sm * km))
-    return (kp, km), {first: ((plus, sp), (minus, sm)),
-                      second: ((plus.mirrored(), -sp),
-                               (minus.mirrored(), -sm))}
+    plus, minus = _defect_cubics(x, degrees, tail, (sp * kp, sm * km))
+    return tail, (kp, km), {first: ((plus, sp), (minus, sm)),
+                            second: ((plus.mirrored(), -sp),
+                                     (minus.mirrored(), -sm))}
 
 
 def _radii(pair, base: Fraction) -> list:
@@ -362,7 +357,7 @@ def select_envelope(params: CouplingParams, degrees: DegreePair) -> EnvelopeSpec
     then the largest u; delta = u / R^6 as a float, and the exact _certified
     confirms the pair, R rising by 1 until it does.  Both branches that the
     sign of B selects share (delta, R), as the two-sided sandwich needs."""
-    kappa, tables = _envelope_tables(params, degrees)
+    tail, kappa, tables = _envelope_tables(params, degrees)
     every = [t for pair in tables.values() for t in pair]
     if any(c for cub, _ in every for row in cub.num[:2] for c in row) or any(
             cub.num[2][1] * req <= 0 for cub, req in every):
@@ -377,8 +372,9 @@ def select_envelope(params: CouplingParams, degrees: DegreePair) -> EnvelopeSpec
         delta = Fraction(float(u / R ** 6))
         if _certified(every, delta * R ** 6, Fraction(R)):
             break
-    return EnvelopeSpec(float(delta), float(R), float(kappa[0]),
-                        float(kappa[1]),
+    return EnvelopeSpec(float(delta), float(R), *map(float, kappa),
+                        float(params.t_plus), float(params.t_minus),
+                        TailExpansion(*map(float, tail)),
                         _CertifiedSeries(tables, delta * R ** 6, Fraction(R)))
 
 
@@ -392,17 +388,13 @@ class EnvelopeCheck:
     worst_margin: float
 
 
-def envelope_bounds(spec: EnvelopeSpec, params: CouplingParams,
-                    degrees: DegreePair, r) -> dict:
-    """{component: (lower, upper)} envelope values at the radii r, from one
-    evaluation of the closed-form tail coefficients."""
-    tail = second_coeffs(params, degrees)
-    out = {}
-    for comp, t, a, b in (("plus", params.t_plus, tail.a_plus, tail.b_plus),
-                          ("minus", params.t_minus, tail.a_minus,
-                           tail.b_minus)):
-        # float once: a Fraction t would make every array an object array
-        base = float(t) + a / r ** 2 + b / r ** 4
+def envelope_bounds(spec: EnvelopeSpec, r) -> dict:
+    """{component: (lower, upper)} envelope values at the radii r, around
+    the expansion the spec certifies."""
+    tail, out = spec.tail, {}
+    for comp, t, a, b in (("plus", spec.t_plus, tail.a_plus, tail.b_plus),
+                          ("minus", spec.t_minus, tail.a_minus, tail.b_minus)):
+        base = t + a / r ** 2 + b / r ** 4
         out[comp] = tuple(base + spec.envelope_c(comp, side) * spec.R ** 6
                           / r ** 6 for side in ("lower", "upper"))
     return out
@@ -415,7 +407,7 @@ def envelope_sandwich(profile: "Profile", spec: EnvelopeSpec) -> tuple:
     mask = r >= spec.R - 1e-12
     if not mask.any():
         raise ValueError(f"envelope radius R={spec.R} beyond the grid")
-    bounds = envelope_bounds(spec, profile.params, profile.degrees, r[mask])
+    bounds = envelope_bounds(spec, r[mask])
     return r[mask], {comp: (bounds[comp][0], f[mask], bounds[comp][1])
                      for comp, f in (("plus", profile.f_plus),
                                      ("minus", profile.f_minus))}

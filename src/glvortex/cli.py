@@ -220,20 +220,18 @@ def cmd_verify(args) -> int:
 def cmd_asymptotics(args) -> int:
     cfg = _run_config(args)
     params, degrees = cfg["params"], cfg["degrees"]
-    tail = asymptotics.second_coeffs(params, degrees)
-    out = {"a_plus": tail.a_plus, "a_minus": tail.a_minus,
-           "b_plus": tail.b_plus, "b_minus": tail.b_minus}
-    try:
+    try:    # the closed-form tail comes with the certified envelope
         spec = asymptotics.select_envelope(params, degrees)
-        out["delta"] = spec.delta
-        out["R"] = spec.R
-        out["M_coefficients"] = {
-            branch: {"plus": plus.as_strings(), "minus": minus.as_strings()}
-            for branch, (plus, minus) in spec.series}
+        tail, envelope = spec.tail, {
+            "delta": spec.delta, "R": spec.R, "M_coefficients": {
+                branch: {"plus": plus.as_strings(),
+                         "minus": minus.as_strings()}
+                for branch, (plus, minus) in spec.series}}
     except asymptotics.SelectionFailed as exc:
-        out.update(delta=None, R=None, M_coefficients=None,
-                   selection_error=str(exc))
-    print(json.dumps(out))
+        tail = asymptotics.second_coeffs(params, degrees)
+        envelope = {"delta": None, "R": None, "M_coefficients": None,
+                    "selection_error": str(exc)}
+    print(json.dumps({**dataclasses.asdict(tail), **envelope}))
     return 0
 
 

@@ -124,7 +124,8 @@ def amplitude_bound_check(profile: Profile) -> float:
 
 def _retained_unknowns(profile: Profile):
     """Interleaved (+, -) indices of the unknowns the second variation
-    keeps: a component with nonzero winding loses its origin unknown."""
+    keeps: arange(2N) leaves out both R_max unknowns (2N and 2N + 1), and a
+    component with nonzero winding also loses its origin unknown."""
     dropped = [c for c, n in enumerate((profile.degrees.n_plus,
                                         profile.degrees.n_minus)) if n != 0]
     return np.delete(np.arange(2 * profile.grid.N), dropped)
@@ -417,7 +418,16 @@ def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS,
         check("hessian_min_eig", str(exc), None, None, False)
 
     p = profile.params
-    tail = asymptotics.second_coeffs(p, profile.degrees)
+    try:    # the closed-form tail comes with the certified envelope
+        spec = asymptotics.select_envelope(p, profile.degrees)
+        tail = spec.tail
+        env = asymptotics.envelope_check(profile, spec)
+        sandwich = (env.worst_margin, 0.0, 0.0, env.passed)
+    except asymptotics.SelectionFailed as exc:  # no admissible input
+        tail = asymptotics.second_coeffs(p, profile.degrees)
+        sandwich = (str(exc), None, None, False)
+    except ValueError as exc:                   # a grid that ends before R
+        sandwich = (str(exc), None, None, False)
     try:
         fit = asymptotics.tail_fit(profile, fit_window)
         # relative tolerances, floored for coefficients near zero
@@ -431,13 +441,7 @@ def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS,
     except asymptotics.IllConditionedFit as exc:
         check("tail_fit", str(exc), None, None, False)
 
-    try:
-        spec = asymptotics.select_envelope(p, profile.degrees)
-        env = asymptotics.envelope_check(profile, spec)
-        check("envelope_sandwich", env.worst_margin, 0.0, 0.0, env.passed)
-    except (asymptotics.SelectionFailed, ValueError) as exc:
-        # an inconsistent expansion, or a grid that ends before R
-        check("envelope_sandwich", str(exc), None, None, False)
+    check("envelope_sandwich", *sandwich)
     return checks
 
 
@@ -448,9 +452,9 @@ def sweep_report(params: CouplingParams, degrees: DegreePair, b_values,
     largest B at which both components are nondecreasing."""
     records = []
     for b, result in zip(b_values, results):
-        tail = asymptotics.leading_coeffs(replace(params, B=b), degrees)
+        a = asymptotics.leading_coeffs(replace(params, B=b), degrees)
         record = {"B": b, "converged": False, "class": None,
-                  "a_plus": tail.a_plus, "a_minus": tail.a_minus,
+                  "a_plus": a[0], "a_minus": a[1],
                   "quantization_gap": None, "hessian_min_eig": None}
         if isinstance(result, Profile):
             try:
@@ -480,7 +484,7 @@ def plot_columns(profile: Profile, kind: str):
     if kind == "slopes":
         return ["r", "df_plus", "df_minus"], [r, *_derivatives(profile)]
     if kind == "tail":
-        tail = asymptotics.leading_coeffs(profile.params, profile.degrees)
+        a = asymptotics.leading_coeffs(profile.params, profile.degrees)
         mask = r > 0
         rr = r[mask]
         yp = profile.f_plus[mask] - profile.params.t_plus
@@ -488,8 +492,8 @@ def plot_columns(profile: Profile, kind: str):
         return (["r", "tail2_plus", "tail2_minus", "resid4_plus",
                  "resid4_minus"],
                 [rr, yp * rr ** 2, ym * rr ** 2,
-                 (yp - tail.a_plus / rr ** 2) * rr ** 4,
-                 (ym - tail.a_minus / rr ** 2) * rr ** 4])
+                 (yp - a[0] / rr ** 2) * rr ** 4,
+                 (ym - a[1] / rr ** 2) * rr ** 4])
     if kind == "envelope":
         spec = asymptotics.select_envelope(profile.params, profile.degrees)
         rr, sandwich = asymptotics.envelope_sandwich(profile, spec)

@@ -73,7 +73,8 @@ def build_grid(R_max: float, N: int, kind: str = "uniform",
 
     kind "uniform" spaces nodes evenly; kind "geometric" grows spacings by a
     fixed ratio in (1, 1.1], concentrating nodes near the origin where the
-    profiles vary like r^n.
+    profiles vary like r^n.  Either kind is BadGridSpec when its first cell
+    h0 has h0^3 below the smallest normal double, or when R_max^6 overflows.
     """
     if not R_max > 0:
         raise BadGridSpec(f"R_max must be positive, got {R_max}")
@@ -82,25 +83,29 @@ def build_grid(R_max: float, N: int, kind: str = "uniform",
     if kind == "uniform":
         if stretch is not None and stretch != 1.0:
             raise BadGridSpec("uniform grid takes no stretch ratio")
-        nodes = np.linspace(0.0, R_max, N + 1)
         stretch = None
     elif kind == "geometric":
         if stretch is None or not (1.0 < stretch <= 1.1):
             raise BadGridSpec(
                 f"geometric stretch ratio must lie in (1, 1.1], got {stretch}")
-        # spacings h0 * q^i with h0 fixed by the endpoint
-        q = float(stretch)
-        try:  # the first interior row divides by h0 r1 hbar1 ~ h0^3
-            h0 = R_max * (q - 1.0) / (q ** N - 1.0)
-        except OverflowError:
-            h0 = 0.0
-        if not h0 ** 3 >= np.finfo(float).tiny:
-            raise BadGridSpec(f"geometric stretch {stretch} over {N} cells "
-                              "leaves a degenerate first cell")
-        nodes = np.concatenate(([0.0], np.cumsum(h0 * q ** np.arange(N))))
-        nodes[-1] = R_max
     else:
         raise BadGridSpec(f"unknown grid kind {kind!r}")
+    # spacings h0 q^i with h0 fixed by the endpoint; the first interior row
+    # divides by h0 r1 hbar1 ~ h0^3, and tail_fit and envelope_bounds take r^6
+    q = float(stretch or 1.0)
+    try:
+        h0 = R_max / N if q == 1.0 else R_max * (q - 1.0) / (q ** N - 1.0)
+        normal = h0 ** 3 >= np.finfo(float).tiny and float(R_max) ** 6 < np.inf
+    except OverflowError:       # q^N or R_max^6
+        normal = False
+    if not normal:
+        raise BadGridSpec(f"{N} {kind} cells on [0, {R_max}]: h0^3 underflows "
+                          "or R_max^6 overflows")
+    if stretch is None:
+        nodes = np.linspace(0.0, R_max, N + 1)
+    else:
+        nodes = np.concatenate(([0.0], np.cumsum(h0 * q ** np.arange(N))))
+        nodes[-1] = R_max
 
     # trapezoid weights for the integrand g(r)*r
     h = np.diff(nodes)

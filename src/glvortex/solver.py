@@ -144,12 +144,11 @@ class _DiscreteSystem:
                     for n in (degrees.n_plus, degrees.n_minus)]
         self.masks = [~op.pinned for op in self.ops]
         self.pinned = np.flatnonzero(~np.column_stack(self.masks))
-        tail = asymptotics.leading_coeffs(params, degrees)
         R = grid.R_max
         dirichlet = far_field == "dirichlet"
         self.rhs, self.truncated = [], []
-        for op, t, a in ((self.ops[0], params.t_plus, tail.a_plus),
-                         (self.ops[1], params.t_minus, tail.a_minus)):
+        for op, t, a in zip(self.ops, (params.t_plus, params.t_minus),
+                            asymptotics.leading_coeffs(params, degrees)):
             if dirichlet and abs(a) / R ** 2 > 1e-6:
                 self.truncated.append(abs(a) / R ** 2)
             self.rhs.append(op.rhs * (t if dirichlet else -2.0 * a / R ** 3))

@@ -26,7 +26,7 @@ def case_inputs(name):
 def package_certifies(params, degrees, u, R):
     """The package's exact decision at u = delta R^6 and radius R, on the
     tables select_envelope builds."""
-    _, tables = gv.asymptotics._envelope_tables(params, degrees)
+    *_, tables = gv.asymptotics._envelope_tables(params, degrees)
     every = [t for pair in tables.values() for t in pair]
     return gv.asymptotics._certified(every, Fraction(u), Fraction(R))
 

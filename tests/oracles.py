@@ -28,7 +28,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpbtrf
 
 from glvortex.asymptotics import (_tail_window, leading_coeffs,
-                                  leading_coeffs_exact, second_coeffs_exact)
+                                  second_coeffs_exact)
 from glvortex.diagnostics import (EigenFailure, _derivatives,
                                   _potential_quartic, second_variation_matrix)
 from glvortex.grid import quadrature_upto
@@ -319,6 +319,19 @@ def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def exact_inputs(params):
+    """(A_+, A_-, B, t_+, t_-) as exact rationals."""
+    return tuple(map(_frac, (params.A_plus, params.A_minus, params.B,
+                             params.t_plus, params.t_minus)))
+
+
+def closed_form_tail(params, degrees):
+    """((a_+, a_-), (b_+, b_-)) exact: the package's closed forms, the one
+    thing the envelope proof below shares with it."""
+    ap, am, bp, bm = second_coeffs_exact(exact_inputs(params), degrees)
+    return (ap, am), (bp, bm)
+
+
 def _poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
@@ -398,9 +411,7 @@ def series_sign_definite(coeffs, required_sign):
 def defect_series(params, degrees, a, b, c, R):
     """(M_2..M_18 for plus, for minus) of the envelope pair
     w_pm = t_pm + a_pm/r^2 + b_pm/r^4 + c_pm R^6/r^6, one full expansion."""
-    Ap, Am, B, tp, tm = (_frac(params.A_plus), _frac(params.A_minus),
-                         _frac(params.B), _frac(params.t_plus),
-                         _frac(params.t_minus))
+    Ap, Am, B, tp, tm = exact_inputs(params)
     R = _frac(R)
     R6 = R ** 6
     w_plus = [tp, _frac(a[0]), _frac(b[0]), _frac(c[0]) * R6]
@@ -452,9 +463,7 @@ def envelope_amplitudes(params):
     """|c_plus|, |c_minus| per unit delta: the solution of
     A_+ t_+ c_+ + B t_- c_- = 1,  B t_+ c_+ + A_- t_- c_- = -1 (mixed, B >= 0)
     or = 1 (hat, B < 0), by Cramer's rule."""
-    Ap, Am, B, tp, tm = (_frac(params.A_plus), _frac(params.A_minus),
-                         _frac(params.B), _frac(params.t_plus),
-                         _frac(params.t_minus))
+    Ap, Am, B, tp, tm = exact_inputs(params)
     rhs_m = -1 if envelope_family(params) == "mixed" else 1
     det = (Ap * tp) * (Am * tm) - (B * tm) * (B * tp)
     c_plus = (Am * tm - B * tm * rhs_m) / det
@@ -468,9 +477,7 @@ def verify_envelope_pair(params, degrees, delta, R, branch):
     _, sp, sm = next(b for fam in BRANCHES.values() for b in fam
                      if b[0] == branch)
     delta = _frac(delta)
-    series = defect_series(params, degrees,
-                           leading_coeffs_exact(params, degrees),
-                           second_coeffs_exact(params, degrees),
+    series = defect_series(params, degrees, *closed_form_tail(params, degrees),
                            (sp * delta * kp, sm * delta * km), R)
     for m, req in zip(series, (sp, sm)):
         if m[2] == 0 or (m[2] > 0) != (req > 0):
@@ -510,11 +517,11 @@ def derivative_tail_check(profile, fit_window=None):
     max over tail_fit's window of |f' + 2a/r^3| r^5, a from the closed form."""
     r = profile.grid.nodes
     mask = _tail_window(profile, fit_window)
-    tail = leading_coeffs(profile.params, profile.degrees)
     return tuple(float(np.max(np.abs(df[mask] + 2.0 * a / r[mask] ** 3)
                               * r[mask] ** 5))
                  for df, a in zip(_derivatives(profile),
-                                  (tail.a_plus, tail.a_minus)))
+                                  leading_coeffs(profile.params,
+                                                 profile.degrees)))
 
 
 def uniqueness_probe(params, degrees, grid, seed_count=3, rng_seed=0):

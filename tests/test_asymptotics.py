@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ import glvortex as gv
 import oracles
 from glvortex import asymptotics
 from glvortex.asymptotics import (_defect_cubics, envelope_check,
-                                  leading_coeffs_exact, second_coeffs_exact,
                                   select_envelope, tail_fit)
+from glvortex.cli import main
 from glvortex.solver import Profile, SolveReport
 from conftest import case_inputs, package_certifies
 
@@ -50,12 +51,10 @@ def synthetic_profile(grid, params, degrees, tail):
 
 def test_leading_coeffs_examples():
     p = gv.CouplingParams(1, 1, 0, 1, 1)
-    t = gv.leading_coeffs(p, gv.DegreePair(1, 1))
-    assert (t.a_plus, t.a_minus) == (-0.5, -0.5)
-    t = gv.leading_coeffs(p, gv.DegreePair(1, 0))
-    assert (t.a_plus, t.a_minus) == (-0.5, 0.0)
-    a_plus, a_minus = leading_coeffs_exact(gv.CouplingParams(1, 4, 1.5, 1, 1),
-                                           gv.DegreePair(1, 1))
+    assert gv.leading_coeffs(p, gv.DegreePair(1, 1)) == (-0.5, -0.5)
+    assert gv.leading_coeffs(p, gv.DegreePair(1, 0)) == (-0.5, 0.0)
+    (a_plus, a_minus), _ = oracles.closed_form_tail(
+        gv.CouplingParams(1, 4, 1.5, 1, 1), gv.DegreePair(1, 1))
     assert a_plus == Fraction(-5, 7)
     assert a_minus == Fraction(1, 7)
 
@@ -90,8 +89,7 @@ def test_tail_coefficients_satisfy_the_equations_symbolically():
     rng = np.random.default_rng(9)
     for _ in range(5):
         params, degrees = random_rational_params(rng)
-        a = leading_coeffs_exact(params, degrees)
-        b = second_coeffs_exact(params, degrees)
+        a, b = oracles.closed_form_tail(params, degrees)
         vals = [sympy.Rational(x.numerator, x.denominator)
                 for x in (*a, *b)]
         tp, tm = (sympy.Rational(params.t_plus.numerator,
@@ -123,7 +121,7 @@ def test_leading_sign_rule():
     rng = np.random.default_rng(21)
     for _ in range(60):
         params, degrees = random_rational_params(rng)
-        a_plus, a_minus = leading_coeffs_exact(params, degrees)
+        (a_plus, a_minus), _ = oracles.closed_form_tail(params, degrees)
         np2, nm2 = degrees.n_plus ** 2, degrees.n_minus ** 2
         assert (a_plus > 0) == (params.B * nm2 > params.A_minus * np2)
         assert (a_minus > 0) == (params.B * np2 > params.A_plus * nm2)
@@ -137,15 +135,15 @@ def expand_defect_series(params, degrees, a, b, c, R):
     """The package's defect series of w = t + a/r^2 + b/r^4 + c R^6/r^6."""
     R = Fraction(R)
     return tuple(cubics.series(R ** 6, R)
-                 for cubics in _defect_cubics(params, degrees, a, b, c))
+                 for cubics in _defect_cubics(oracles.exact_inputs(params),
+                                              degrees, (*a, *b), c))
 
 
 def test_series_vanishing_orders_exact():
     rng = np.random.default_rng(33)
     for _ in range(20):
         params, degrees = random_rational_params(rng)
-        a = leading_coeffs_exact(params, degrees)
-        b = second_coeffs_exact(params, degrees)
+        a, b = oracles.closed_form_tail(params, degrees)
         c = (Fraction(1, 3), Fraction(-2, 7))
         ser_p, ser_m = expand_defect_series(params, degrees, a, b, c, 4)
         assert ser_p.coefficients[:2] == (0, 0)
@@ -166,8 +164,7 @@ def test_series_leading_term_approaches_envelope_value():
     # M_6 -> +-2 delta t as R grows, at rate R^-6
     params = gv.CouplingParams(1, 1, Fraction(1, 2), 1, 1)
     degrees = gv.DegreePair(1, 1)
-    a = leading_coeffs_exact(params, degrees)
-    b = second_coeffs_exact(params, degrees)
+    a, b = oracles.closed_form_tail(params, degrees)
     delta = Fraction(1, 4)
     c = (delta * 2, delta * -2)  # Step-1 amplitudes for these parameters
     gaps = []
@@ -325,8 +322,7 @@ def test_envelope_boundary_ordering(reference_profiles):
     spec = select_envelope(prof.params, prof.degrees)
     r = prof.grid.nodes
     beyond = r >= spec.R
-    bounds = gv.envelope_bounds(spec, prof.params, prof.degrees,
-                                np.array([spec.R]))
+    bounds = gv.envelope_bounds(spec, np.array([spec.R]))
     for comp, f in (("plus", prof.f_plus), ("minus", prof.f_minus)):
         lower_at_R, upper_at_R = (side[0] for side in bounds[comp])
         assert upper_at_R > np.max(f[beyond])
@@ -339,9 +335,8 @@ def test_envelope_bounds_float64_for_fraction_params():
     floats = gv.CouplingParams(1.0, 2.0, 0.5, 1.0, 0.75)
     degrees = gv.DegreePair(1, 1)
     r = np.linspace(8.0, 40.0, 9)
-    got = gv.envelope_bounds(select_envelope(exact, degrees), exact, degrees, r)
-    want = gv.envelope_bounds(select_envelope(floats, degrees), floats,
-                              degrees, r)
+    got = gv.envelope_bounds(select_envelope(exact, degrees), r)
+    want = gv.envelope_bounds(select_envelope(floats, degrees), r)
     for comp in ("plus", "minus"):
         for g, w in zip(got[comp], want[comp]):
             assert g.dtype == np.float64
@@ -398,12 +393,13 @@ def test_selection_fails_when_a_tail_coefficient_is_off(monkeypatch, order):
     # expansion as inconsistent, although it certifies the exact closed forms
     params, degrees = case_inputs("bpos")
     select_envelope(params, degrees)
-    exact = (leading_coeffs_exact, second_coeffs_exact)[order]
+    exact = asymptotics.second_coeffs_exact
 
-    def off(*args):
-        plus, minus = exact(*args)
-        return plus + Fraction(1, 1000), minus
-    monkeypatch.setattr(asymptotics, exact.__name__, off)
+    def off(*args):                 # a_plus (order 0) or b_plus (order 1)
+        tail = list(exact(*args))
+        tail[2 * order] += Fraction(1, 1000)
+        return tuple(tail)
+    monkeypatch.setattr(asymptotics, "second_coeffs_exact", off)
     with pytest.raises(gv.SelectionFailed, match="inconsistent"):
         select_envelope(params, degrees)
 
@@ -465,8 +461,7 @@ def test_select_envelope_matches_oracle(case):
     # the certified series are the full expansion at the chosen pair
     signs = {br: (sp, sm) for fam in oracles.BRANCHES.values()
              for br, sp, sm in fam}
-    a = leading_coeffs_exact(params, degrees)
-    b = second_coeffs_exact(params, degrees)
+    a, b = oracles.closed_form_tail(params, degrees)
     assert len(spec.series) == 2
     for branch, (plus, minus) in spec.series:
         sp, sm = signs[branch]
@@ -488,13 +483,13 @@ def test_envelope_tables_match_the_oracle_expansion(case, u, R):
     # second branch's tables are the first's read at -u, so this pins that
     # mirror for either sign of B
     params, degrees = case
-    kappa, tables = asymptotics._envelope_tables(params, degrees)
+    tail, kappa, tables = asymptotics._envelope_tables(params, degrees)
     kp, km = oracles.envelope_amplitudes(params)
     assert kappa == (kp, km)
+    a, b = oracles.closed_form_tail(params, degrees)
+    assert tail == (*a, *b)
     family = oracles.BRANCHES[oracles.envelope_family(params)]
     assert list(tables) == [br for br, _, _ in family]
-    a = leading_coeffs_exact(params, degrees)
-    b = second_coeffs_exact(params, degrees)
     for br, sp, sm in family:
         (plus, req_plus), (minus, req_minus) = tables[br]
         assert (req_plus, req_minus) == (sp, sm)
@@ -524,6 +519,94 @@ def test_one_defect_expansion_per_selection(monkeypatch):
         assert len(spec.series) == 2
         assert len(calls) == 1, name
         calls.clear()
+
+
+def counted_calls(monkeypatch, name) -> list:
+    """The argument tuples of every call to asymptotics.<name> from now on."""
+    calls, original = [], getattr(asymptotics, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(asymptotics, name, counted)
+    return calls
+
+
+def test_one_closed_form_tail_per_command(monkeypatch, reference_profiles,
+                                          tmp_path, capsys):
+    # the exact (a, b) is computed once per verify and per asymptotics
+    # report, and the inputs are converted to rationals once per selection:
+    # the tail checks, the sandwich and the report read the spec's tail
+    tails = counted_calls(monkeypatch, "second_coeffs_exact")
+    conversions = counted_calls(monkeypatch, "_exact_params")
+    gv.verify(reference_profiles["asym"])
+    assert len(tails) == 1
+    config = tmp_path / "asym.json"
+    params, degrees = case_inputs("asym")
+    config.write_text(json.dumps({
+        "version": 1, "params": dataclasses.asdict(params),
+        "degrees": dataclasses.asdict(degrees)}))
+    tails.clear()
+    assert main(["asymptotics", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["R"] is not None
+    assert len(tails) == 1
+    for name in ("bpos", "bneg", "asym"):
+        conversions.clear()
+        select_envelope(*case_inputs(name))
+        assert len(conversions) == 1, name
+
+
+def test_a_failed_selection_still_reports_the_closed_form_tail(
+        monkeypatch, reference_profiles, tmp_path, capsys):
+    # no admissible input fails selection; if one did, verify's tail checks
+    # and the asymptotics report would read second_coeffs instead
+    def fail(*args):
+        raise gv.SelectionFailed("inconsistent defect")
+    prof = reference_profiles["bpos"]
+    want = gv.verify(prof)
+    monkeypatch.setattr(asymptotics, "select_envelope", fail)
+    got = gv.verify(prof)
+    assert got[:-1] == want[:-1]
+    assert got[-1] == {"check": "envelope_sandwich",
+                       "value": "inconsistent defect", "target": None,
+                       "tolerance": None, "pass": False}
+    config = tmp_path / "bpos.json"
+    config.write_text(json.dumps({
+        "version": 1, "params": dataclasses.asdict(prof.params),
+        "degrees": dataclasses.asdict(prof.degrees)}))
+    assert main(["asymptotics", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        **dataclasses.asdict(gv.second_coeffs(prof.params, prof.degrees)),
+        "delta": None, "R": None, "M_coefficients": None,
+        "selection_error": "inconsistent defect"}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=admissible_inputs(),
+       r=st.lists(st.floats(1.0, 1e4), min_size=1, max_size=6))
+def test_the_spec_carries_the_closed_form_tail(case, r):
+    # the spec's expansion is second_coeffs field for field, and its
+    # envelopes are t + a/r^2 + b/r^4 +- delta kappa R^6/r^6 evaluated from
+    # second_coeffs, bit for bit
+    params, degrees = case
+    spec = select_envelope(params, degrees)
+    closed = gv.second_coeffs(params, degrees)
+    assert spec.tail == closed
+    assert dataclasses.astuple(spec.tail) == dataclasses.astuple(closed)
+    assert (spec.t_plus, spec.t_minus) == (float(params.t_plus),
+                                           float(params.t_minus))
+    r = np.array(r)
+    got = gv.envelope_bounds(spec, r)
+    for comp, t, a, b, kappa in (
+            ("plus", params.t_plus, closed.a_plus, closed.b_plus,
+             spec.kappa_plus),
+            ("minus", params.t_minus, closed.a_minus, closed.b_minus,
+             spec.kappa_minus)):
+        base = float(t) + a / r ** 2 + b / r ** 4
+        for side, sgn in zip(got[comp], (-1.0, 1.0)):
+            want = base + sgn * spec.delta * kappa * spec.R ** 6 / r ** 6
+            assert side.dtype == np.float64
+            assert np.array_equal(side, want)
 
 
 # ---------------------------------------------------------------------------

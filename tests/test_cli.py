@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,39 @@ def test_degenerate_geometric_grid_is_a_json_error(tmp_path, capsys,
     code, stdout, stderr = run(capsys, command, *argv)
     assert code == 1
     assert stdout == ""
+    (line,) = stderr.splitlines()
+    assert json.loads(line)["error"] == "BadGridSpec"
+
+
+@pytest.mark.parametrize("R_max", [1e103, 1e60, 1e52, 1e-100])
+@pytest.mark.parametrize("route", ["config", "flag", "verify"])
+def test_grid_beyond_the_float_range_is_a_json_error(tmp_path, capsys,
+                                                     profile_text, route,
+                                                     R_max):
+    # R_max^6, which the tail fit and the envelope bounds take, overflows
+    # from R_max ~ 4e51 on; at 1e-100 over 400 uniform cells h0^3
+    # underflows: a solve config, the --r-max flag and a profile file all
+    # stop at the grid, with one JSON error line and no numpy warning
+    spec = {"R_max": R_max, "N": 400, "kind": "uniform", "stretch": None}
+    out = ["--out", str(tmp_path / "p.json")]
+    if route == "config":
+        argv = ["solve", "--config",
+                str(write_config(tmp_path / "cfg.json", grid=spec)), *out]
+    elif route == "flag":
+        argv = ["solve", "--config", str(write_config(tmp_path / "cfg.json")),
+                "--grid-n", "400", "--r-max", repr(R_max), *out]
+    else:
+        obj = json.loads(profile_text)
+        obj.update(grid=spec, f_plus=[1.0] * 401, f_minus=[1.0] * 401)
+        path = tmp_path / "hand.json"
+        path.write_text(json.dumps(obj))
+        argv = ["verify", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert not (tmp_path / "p.json").exists()
     (line,) = stderr.splitlines()
     assert json.loads(line)["error"] == "BadGridSpec"
 

@@ -80,10 +80,24 @@ def test_quadrature_length_mismatch():
     (80.0, 8000, "geometric", 1.1),
     # h0 = 2e-165: the first interior row would divide by h0 r1 hbar1 ~ 0
     (80.0, 4000, "geometric", 1.1),
+    # the same rule on a uniform grid: h0 = 2.5e-103
+    (1e-100, 400, "uniform", None),
+    # R_max^6 overflows a float; at 1e103 R_max^3 does too
+    (1e52, 400, "uniform", None),
+    (1e103, 400, "geometric", 1.01),
+    (10 ** 400, 400, "uniform", None),
 ])
 def test_bad_grid_specs(args):
     with pytest.raises(gv.BadGridSpec):
         gv.build_grid(*args)
+
+
+def test_grid_range_edges():
+    # R_max^6 = 1e306 and h0^3 = (1e-90 / 16)^3 are normal doubles
+    assert gv.build_grid(1e51, 400).R_max == 1e51
+    assert gv.build_grid(1e-90, 16).N == 16
+    with pytest.raises(gv.BadGridSpec, match="R_max"):
+        gv.build_grid(5e51, 400)
 
 
 def test_operator_annihilates_power_solutions():
