@@ -4,11 +4,12 @@ Structured results go to stdout as JSON (one object per check for `verify`);
 plot data goes to CSV.  Exit codes: 0 success, 1 configuration/parse error,
 2 solver non-convergence, 3 verification failure; `main` alone maps
 exceptions to them.  Stderr holds JSON lines only: one per distinct warning,
-then at most one error.  Configs are strict JSON: unknown keys are rejected so
-typos cannot silently change a scientific run.  This module does I/O only:
-`solver` solves and steps B, `diagnostics` and `asymptotics` compute every
-check, record and column it prints, and `model` and `grid` parse the JSON
-sections that profile files share with configs.
+of any category, then at most one error.  Configs are strict JSON: unknown
+keys are rejected so typos cannot silently change a scientific run; the one
+legacy key, `solve.far_field`, is accepted with its one value "robin".  This
+module does I/O only: `solver` solves and steps B, `diagnostics` and
+`asymptotics` compute every check, record and column it prints, and `model`
+and `grid` parse the JSON sections that profile files share with configs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import warnings
 from pathlib import Path
 
 from . import asymptotics, diagnostics, model, solver
-from .grid import FAR_FIELDS, grid_from_json
+from .grid import grid_from_json, legacy_far_field
 
 
 class ConfigError(ValueError):
@@ -70,7 +71,8 @@ def load_config(path: str, args=None) -> dict:
     A config with neither params nor bec_params is a verify config: only
     its verify tolerances and fit window are read.  Params, degrees and
     grid are parsed as profile files parse them; negative windings
-    normalize, and the flags override the grid and solve sections.
+    normalize, and the flags override the grid and solve sections.  A
+    solve section may still name the far field, as "robin" only.
     """
     with open(path) as fh:
         raw = model.json_object(json.load(fh), _CONFIG_KEYS, "config",
@@ -103,11 +105,11 @@ def load_config(path: str, args=None) -> dict:
         *model.degrees_from_json(raw.get("degrees")))
 
     gdict = {**_DEFAULT_GRID, **_section(raw, "grid", _DEFAULT_GRID)}
-    sdict = dict(_section(raw, "solve", _SOLVE_KEYS))
+    sdict = dict(_section(raw, "solve", {*_SOLVE_KEYS, "far_field"}))
+    legacy_far_field(sdict.pop("far_field", "robin"), ConfigError)
     for flag, section, key in (("grid_n", gdict, "N"),
                                ("r_max", gdict, "R_max"),
-                               ("tol", sdict, "tolerance"),
-                               ("far_field", sdict, "far_field")):
+                               ("tol", sdict, "tolerance")):
         if getattr(args, flag, None) is not None:
             section[key] = getattr(args, flag)
 
@@ -266,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-n", dest="grid_n", type=int)
         p.add_argument("--r-max", dest="r_max", type=float)
         p.add_argument("--tol", type=float)
-        p.add_argument("--far-field", dest="far_field",
-                       choices=FAR_FIELDS)
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run the check suite on a profile")
@@ -289,16 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command: the exit-code table, and stderr's JSON lines (each
-    distinct UserWarning, then the error); other warnings pass through."""
+    distinct warning, then the error)."""
     args = build_parser().parse_args(argv)
     # the lines, not the exception: its traceback would pin the command's
     # frames, and through them its grid and arrays, until a gc pass
     notes, error = {}, ""           # notes: the distinct warning lines
     with warnings.catch_warnings():
-        show = warnings.showwarning
-        def note(message, category, *rest, **kwargs):
-            if not issubclass(category, UserWarning):
-                return show(message, category, *rest, **kwargs)
+        def note(message, category, *_, **__):
             notes[json.dumps({"warning": category.__name__,
                               "message": str(message)}) + "\n"] = None
         warnings.showwarning = note

@@ -7,7 +7,8 @@ solver's residual evaluates these rows, its Jacobian reads their
 coefficients, and the Hessian is built from that Jacobian, so the three
 share one discretization.  At r = 0 the removable singularity for zero
 winding is handled with a ghost-free one-sided row (the radial Laplacian of
-an even function tends to 2 u''(0)).  No row holds boundary data, only the
+an even function tends to 2 u''(0)).  The one far row at R_max fixes the
+slope u'(R_max) by ghost elimination.  No row holds boundary data, only the
 far row's unit-datum column rhs, so a grid assembles each set of rows once.
 """
 
@@ -19,9 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .model import is_integer, is_number, json_object
-
-# far boundary rows: the slope (Robin) row or a pinned value (Dirichlet)
-FAR_FIELDS = ("robin", "dirichlet")
 
 
 class BadGridSpec(ValueError):
@@ -50,7 +48,7 @@ class RadialGrid:
     weights: np.ndarray
     kind: str
     stretch: float | None = None
-    # radial_operator's rows on this mesh, by (n, bc_far)
+    # radial_operator's rows on this mesh, by winding n
     _operators: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -125,6 +123,14 @@ def grid_from_json(obj) -> RadialGrid:
     return build_grid(obj["R_max"], obj["N"], obj["kind"], obj["stretch"])
 
 
+def legacy_far_field(value, error=ValueError) -> None:
+    """Check the far_field key that older configs and profile files carry:
+    "robin", the slope row radial_operator assembles, is its one value."""
+    if value != "robin":
+        raise error(f"far_field {value!r}: the one far boundary row is "
+                    "'robin', the others were removed")
+
+
 def quadrature(grid: RadialGrid, samples: np.ndarray) -> float:
     """Trapezoid approximation of the integral of g(r) r dr over the mesh."""
     return quadrature_upto(grid, samples, grid.R_max)
@@ -156,7 +162,7 @@ class RadialOperator:
     = d rhs[i] for a far datum d, with lower[0] = upper[N] = 0, so its
     tridiagonal coefficients are (lower, diag, upper) with
     diag = -(lower + upper) + pot.  pot is n^2/r^2 on equation rows and 1 on
-    the `pinned` rows, where a Dirichlet condition replaces the equation.
+    the `pinned` rows, where a fixed value replaces the equation.
     """
 
     lower: np.ndarray = field(repr=False)
@@ -184,27 +190,25 @@ class RadialOperator:
         return out
 
 
-def radial_operator(grid: RadialGrid, n: int, bc_far: str) -> RadialOperator:
+def radial_operator(grid: RadialGrid, n: int) -> RadialOperator:
     """The rows of -(1/r)(r u')' + n^2/r^2 on grid, with its boundary rows.
 
     The origin row is forced by the winding number: pinned to u(0) = 0 for
     n != 0 (the n^2/r^2 term is singular), one-sided second-order Neumann
-    for n = 0.  bc_far "dirichlet" pins u(R_max) = d; "robin" is the
-    ghost-eliminated row fixing the slope u'(R_max) = d.  rhs is the far
-    row's column for d = 1.  The grid object keeps the rows of the first
-    request, read-only, for every later caller; grids built apart share none.
+    for n = 0.  The far row is the ghost-eliminated row fixing the slope
+    u'(R_max) = d; rhs is its column for d = 1.  The grid object keeps the
+    rows of the first request, read-only, for every later caller; grids
+    built apart share none.
     """
     if n < 0:
         raise BadBoundarySpec("winding number must be nonnegative")
-    if bc_far not in FAR_FIELDS:
-        raise BadBoundarySpec(f"unknown far boundary {bc_far!r}")
-    if (n, bc_far) in grid._operators:
-        return grid._operators[n, bc_far]
+    if n in grid._operators:
+        return grid._operators[n]
     r = grid.nodes
     h = np.diff(r)
     lower, upper, pot, rhs = (np.zeros_like(r) for _ in range(4))
     pinned = np.zeros(r.shape, dtype=bool)
-    pinned[0], pinned[-1] = n != 0, bc_far == "dirichlet"
+    pinned[0] = n != 0
 
     rm = 0.5 * (r[:-1] + r[1:])            # half nodes r_{i+1/2}
     hbar = 0.5 * (h[:-1] + h[1:])
@@ -215,18 +219,15 @@ def radial_operator(grid: RadialGrid, n: int, bc_far: str) -> RadialOperator:
     if n == 0:
         # limit row: -(1/r)(r u')'|_0 = -2 u''(0) ~ (4/r1^2)(u0 - u1)
         upper[0] = -4.0 / r[1] ** 2
-    if bc_far == "dirichlet":
-        rhs[-1] = 1.0
-    else:
-        # ghost elimination: u_{N+1} = u_{N-1} + 2 h d, keeping the
-        # interior stencil second order at the boundary
-        hN = h[-1]
-        c_out = -(r[-1] + 0.5 * hN) / (hN * r[-1] * hN)
-        c_in = -(r[-1] - 0.5 * hN) / (hN * r[-1] * hN)
-        lower[-1] = c_in + c_out
-        rhs[-1] = -c_out * 2.0 * hN
+    # ghost elimination: u_{N+1} = u_{N-1} + 2 h d, keeping the interior
+    # stencil second order at the boundary
+    hN = h[-1]
+    c_out = -(r[-1] + 0.5 * hN) / (hN * r[-1] * hN)
+    c_in = -(r[-1] - 0.5 * hN) / (hN * r[-1] * hN)
+    lower[-1] = c_in + c_out
+    rhs[-1] = -c_out * 2.0 * hN
     for rows in (lower, upper, pot, rhs, pinned):
         rows.flags.writeable = False
-    op = grid._operators[n, bc_far] = RadialOperator(
+    op = grid._operators[n] = RadialOperator(
         lower=lower, upper=upper, pot=pot, rhs=rhs, pinned=pinned)
     return op

@@ -1,5 +1,9 @@
 """Damped Newton solver for the coupled radial vortex system.
 
+The far row at R_max fixes each profile's slope to that of its closed-form
+tail t + a/r^2 (`asymptotics.leading_coeffs`), so the solve keeps the
+algebraic tail the paper proves rather than cutting it off.
+
 The discretized system interleaves the two components per node, so the exact
 Jacobian is banded with two sub/super-diagonals and a banded LU solve costs
 O(N).  Each B gets its own discrete system on operator rows the grid
@@ -32,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -40,7 +43,8 @@ import orjson
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import asymptotics
-from .grid import FAR_FIELDS, RadialGrid, grid_from_json, radial_operator
+from .grid import (RadialGrid, grid_from_json, legacy_far_field,
+                   radial_operator)
 from .model import (CouplingParams, DegreePair, coupling_from_json,
                     degrees_from_json, is_integer, is_number)
 
@@ -88,7 +92,6 @@ POSITIVITY_TOL = 1e-9
 class SolveOptions:
     tolerance: float = 1e-10           # sup-norm of the discrete residual
     max_newton_iters: int = 50
-    far_field: str = "robin"           # "robin" (tail-slope row) or "dirichlet"
 
     def __post_init__(self):
         if not (is_number(self.tolerance) and self.tolerance > 0):
@@ -96,8 +99,6 @@ class SolveOptions:
         if not (is_integer(self.max_newton_iters)
                 and self.max_newton_iters >= 0):
             raise ValueError("max_newton_iters must be an integer >= 0")
-        if self.far_field not in FAR_FIELDS:
-            raise ValueError(f"unknown far_field {self.far_field!r}")
 
 
 @dataclass(frozen=True)
@@ -110,11 +111,7 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class Profile:
-    """A solved pair of radial profiles with its solve metadata.
-
-    far_field records which far boundary row the discrete system used, so
-    the residual can be re-evaluated consistently after a round trip.
-    """
+    """A solved pair of radial profiles with its solve metadata."""
 
     grid: RadialGrid
     params: CouplingParams
@@ -122,44 +119,28 @@ class Profile:
     f_plus: np.ndarray = field(repr=False)
     f_minus: np.ndarray = field(repr=False)
     report: SolveReport
-    far_field: str = "robin"
 
 
 class _DiscreteSystem:
-    """The coupled residual at fixed grid, coefficients, degrees and far field.
+    """The coupled residual at fixed grid, coefficients and degrees.
 
     Holds the two single-component operators (radial Laplacian + n^2/r^2 +
     boundary rows), shared with every system on the grid, the interleaved
     indices of their pinned rows, and per component the mask of rows where
     the nonlinear potential term is active (every row not pinned) and the
-    far datum: t on a Dirichlet row, the slope -2a/R_max^3 of the tail
-    t + a/r^2 on a Robin row.  `truncated` lists |a|/R_max^2 of each tail
-    above 1e-6 that a Dirichlet row cuts off; only the solves warn of it.
+    far row's right-hand side: the slope -2a/R_max^3 of the tail t + a/r^2.
     """
 
     def __init__(self, grid: RadialGrid, params: CouplingParams,
-                 degrees: DegreePair, far_field: str):
+                 degrees: DegreePair):
         self.grid, self.params, self.degrees = grid, params, degrees
-        self.ops = [radial_operator(grid, n, far_field)
+        self.ops = [radial_operator(grid, n)
                     for n in (degrees.n_plus, degrees.n_minus)]
         self.masks = [~op.pinned for op in self.ops]
         self.pinned = np.flatnonzero(~np.column_stack(self.masks))
         R = grid.R_max
-        dirichlet = far_field == "dirichlet"
-        self.rhs, self.truncated = [], []
-        for op, t, a in zip(self.ops, (params.t_plus, params.t_minus),
-                            asymptotics.leading_coeffs(params, degrees)):
-            if dirichlet and abs(a) / R ** 2 > 1e-6:
-                self.truncated.append(abs(a) / R ** 2)
-            self.rhs.append(op.rhs * (t if dirichlet else -2.0 * a / R ** 3))
-
-    def warn_truncated(self):
-        """One UserWarning per truncated tail, pointing at the caller of the
-        solve that calls this."""
-        for size in self.truncated:
-            warnings.warn("Dirichlet far field truncates a tail of size "
-                          f"|a|/R_max^2 = {size:.2e}; enlarge R_max or use "
-                          "the robin condition", stacklevel=3)
+        self.rhs = [op.rhs * (-2.0 * a / R ** 3) for op, a in zip(
+            self.ops, asymptotics.leading_coeffs(params, degrees))]
 
     def residual(self, f_plus, f_minus):
         p = self.params
@@ -266,10 +247,8 @@ def initial_guess(grid: RadialGrid, params: CouplingParams,
 
 def residual(profile: Profile):
     """Discrete residual arrays (G_plus, G_minus) of a profile, boundary
-    rows included, under the far-field convention the profile was solved
-    with."""
-    sys = _DiscreteSystem(profile.grid, profile.params, profile.degrees,
-                          profile.far_field)
+    rows included."""
+    sys = _DiscreteSystem(profile.grid, profile.params, profile.degrees)
     return sys.residual(profile.f_plus, profile.f_minus)
 
 
@@ -282,8 +261,7 @@ def jacobian(profile: Profile):
     matrix in solve_banded layout for (l, u) = (2, 2): the two components
     interleave per node, so each row couples its neighbors, itself, and the
     partner value at the same node."""
-    sys = _DiscreteSystem(profile.grid, profile.params, profile.degrees,
-                          profile.far_field)
+    sys = _DiscreteSystem(profile.grid, profile.params, profile.degrees)
     return sys.jacobian_banded(profile.f_plus, profile.f_minus)
 
 
@@ -298,8 +276,7 @@ def newton_solve(f_plus0, f_minus0, grid: RadialGrid, params: CouplingParams,
     converged iterate that is not positive.
     """
     t0 = time.perf_counter()
-    sys = _DiscreteSystem(grid, params, degrees, options.far_field)
-    sys.warn_truncated()
+    sys = _DiscreteSystem(grid, params, degrees)
     f_plus = np.array(f_plus0, dtype=float)
     f_minus = np.array(f_minus0, dtype=float)
     iters, norm = _newton(sys, _BandLU(grid.N + 1), f_plus, f_minus, options)
@@ -311,8 +288,7 @@ def _profile(sys, f_plus, f_minus, iterations, norm, options, t0) -> Profile:
                          tolerance=options.tolerance,
                          wall_time=time.perf_counter() - t0)
     return Profile(grid=sys.grid, params=sys.params, degrees=sys.degrees,
-                   f_plus=f_plus, f_minus=f_minus, report=report,
-                   far_field=options.far_field)
+                   f_plus=f_plus, f_minus=f_minus, report=report)
 
 
 def _sup_norm(g_plus, g_minus) -> float:
@@ -395,9 +371,7 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
     def stage(b, f_plus, f_minus, want_tangent):
         """Newton solve at B = b, whose profile takes over the arrays; then,
         when wanted, the tangent there from the kept LU."""
-        sys = _DiscreteSystem(grid, replace(params, B=b), degrees,
-                              options.far_field)
-        sys.warn_truncated()
+        sys = _DiscreteSystem(grid, replace(params, B=b), degrees)
         iters, tangent = None, None
         try:
             iters, norm = _newton(sys, lu, f_plus, f_minus, options)
@@ -501,7 +475,6 @@ def profile_to_json(profile: Profile) -> str:
         "params": asdict(profile.params),
         "degrees": asdict(profile.degrees),
         "grid": profile.grid.as_dict(),
-        "far_field": profile.far_field,
         "f_plus": profile.f_plus.tolist(),
         "f_minus": profile.f_minus.tolist(),
         "report": asdict(profile.report),
@@ -547,9 +520,7 @@ def profile_from_json(text: str) -> Profile:
             and f_plus.shape == f_minus.shape == (n_nodes + 1,)):
         raise ValueError("grid needs an integer N matching the arrays")
     grid = grid_from_json(g)
-    far_field = obj.get("far_field", "robin")
-    if far_field not in FAR_FIELDS:
-        raise ValueError(f"unknown far_field {far_field!r}")
+    legacy_far_field(obj.get("far_field", "robin"))
     rep = obj.get("report")
     if not isinstance(rep, dict):
         raise ValueError("profile field 'report' must be a JSON object")
@@ -562,5 +533,4 @@ def profile_from_json(text: str) -> Profile:
                          "numbers final_residual, tolerance, wall_time")
     report = SolveReport(tuple(iterations), *(rep[k] for k in numbers))
     return Profile(grid=grid, params=params, degrees=degrees,
-                   f_plus=f_plus, f_minus=f_minus, report=report,
-                   far_field=far_field)
+                   f_plus=f_plus, f_minus=f_minus, report=report)

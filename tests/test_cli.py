@@ -51,31 +51,23 @@ def test_solve_exit_code_on_no_convergence(tmp_path, capsys):
     assert json.loads(stderr)["error"] == "NoConvergence"
 
 
-def test_dirichlet_truncation_warnings_are_json_lines(tmp_path, capsys):
-    # a failing Dirichlet solve and a converging Dirichlet sweep both warn
-    # that the tail is truncated: stderr is JSON lines only, one per
-    # distinct warning, and the solve's error line comes last
-    grid = {"R_max": 20.0, "N": 400}
-    solve = write_config(tmp_path / "solve.json", grid=grid, solve={
-        "far_field": "dirichlet", "max_newton_iters": 1})
-    sweep = write_config(tmp_path / "sweep.json", grid=grid,
-                         solve={"far_field": "dirichlet"}, sweep={
-                             "b_start": 0.0, "b_stop": 0.4, "b_step": 0.1})
-    code, stdout, stderr = run(capsys, "solve", "--config", str(solve),
-                               "--out", str(tmp_path / "p.json"))
+def test_numpy_warnings_are_json_lines(tmp_path, capsys):
+    # 400 cells on [0, 1e-60] overflow the residual: stderr is JSON lines
+    # only, one per distinct warning, and the error line comes last
+    cfg = write_config(tmp_path / "cfg.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")    # as a console run shows them
+        code, stdout, stderr = run(capsys, "solve", "--config", str(cfg),
+                                   "--grid-n", "400", "--r-max", "1e-60",
+                                   "--out", str(tmp_path / "p.json"))
     assert code == 2
     assert stdout == ""
-    *warned, last = map(json.loads, stderr.splitlines())
+    lines = stderr.splitlines()
+    *warned, last = map(json.loads, lines)
     assert last["error"] == "NoConvergence"
-    assert warned and {w["warning"] for w in warned} == {"UserWarning"}
-    code, stdout, stderr = run(capsys, "sweep", "--config", str(sweep))
-    assert code == 0
-    assert len(json.loads(stdout)["records"]) == 5
-    warned = [json.loads(line) for line in stderr.splitlines()]
-    assert warned and {w["warning"] for w in warned} == {"UserWarning"}
-    messages = [w["message"] for w in warned]
-    assert len(set(messages)) == len(messages)
-    assert all("Dirichlet far field" in m for m in messages)
+    assert warned and {w["warning"] for w in warned} == {"RuntimeWarning"}
+    assert all("overflow" in w["message"] for w in warned)
+    assert len(set(lines)) == len(lines)
 
 
 def test_solve_rejects_bad_hypothesis(tmp_path, capsys):
@@ -104,8 +96,7 @@ def test_solve_flag_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "p.json"
     code, _, _ = run(capsys, "solve", "--config", str(cfg), "--out", str(out),
-                     "--grid-n", "600", "--r-max", "30.0", "--tol", "1e-9",
-                     "--far-field", "robin")
+                     "--grid-n", "600", "--r-max", "30.0", "--tol", "1e-9")
     assert code == 0
     prof = gv.profile_from_json(out.read_text())
     assert prof.grid.N == 600
@@ -346,6 +337,7 @@ MALFORMED = {
     "grid_n_string": lambda o: o["grid"].update(N="200"),
     "report_null": lambda o: o.update(report=None),
     "far_field_neumann": lambda o: o.update(far_field="neumann"),
+    "far_field_dirichlet": lambda o: o.update(far_field="dirichlet"),
     "fractional_winding": lambda o: o["degrees"].update(n_plus=1.5),
     "f_plus_object": lambda o: o.update(f_plus={}),
     "f_plus_list_of_object": lambda o: o.update(f_plus=[{}]),
@@ -376,6 +368,47 @@ def test_malformed_profile_is_a_json_error(tmp_path, capsys, profile_text,
     assert stdout == ""
     (line,) = stderr.splitlines()
     assert json.loads(line)["error"] == "ValueError"
+
+
+def test_profile_with_legacy_far_field_key_verifies_alike(tmp_path, capsys,
+                                                          profile_text):
+    # files from earlier writers carry "far_field": "robin"; such a file
+    # loads and verifies line for line as one without the key
+    assert "far_field" not in json.loads(profile_text)
+    plain, legacy = tmp_path / "plain.json", tmp_path / "legacy.json"
+    plain.write_text(profile_text)
+    legacy.write_text(json.dumps({**json.loads(profile_text),
+                                  "far_field": "robin"}))
+    code, stdout, stderr = run(capsys, "verify", str(legacy))
+    assert stdout and stderr == ""
+    assert (code, stdout, stderr) == run(capsys, "verify", str(plain))
+
+
+def test_config_far_field_must_be_robin(tmp_path, capsys):
+    # the benchmark's configs name the one far row and solve as configs
+    # without the key; any other far row is one JSON ConfigError line
+    grid = {"R_max": 20.0, "N": 200}
+    profiles = []
+    for name, solve in (("plain", {}), ("robin", {"far_field": "robin"})):
+        cfg = write_config(tmp_path / f"{name}.json", grid=grid, solve=solve)
+        out = tmp_path / f"{name}_profile.json"
+        code, _, stderr = run(capsys, "solve", "--config", str(cfg),
+                              "--out", str(out))
+        assert (code, stderr) == (0, "")
+        profiles.append(gv.profile_from_json(out.read_text()))
+    assert np.array_equal(profiles[0].f_plus, profiles[1].f_plus)
+    assert np.array_equal(profiles[0].f_minus, profiles[1].f_minus)
+    cfg = write_config(tmp_path / "dirichlet.json", grid=grid,
+                       solve={"far_field": "dirichlet"})
+    out = tmp_path / "dirichlet_profile.json"
+    code, stdout, stderr = run(capsys, "solve", "--config", str(cfg),
+                               "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert not out.exists()
+    (line,) = stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ConfigError"
+    assert "'dirichlet'" in err["message"] and "removed" in err["message"]
 
 
 @pytest.mark.parametrize("N", [4000, 8000])
@@ -727,16 +760,21 @@ def test_numeric_output_has_17_significant_digits(tmp_path, capsys):
     assert float(rows[5][1]) == prof.f_plus[4]
 
 
-OVERRIDES = [("--grid-n", "600"), ("--r-max", "30.0"), ("--tol", "1e-9"),
-             ("--far-field", "robin")]
+OVERRIDES = [("--grid-n", "600"), ("--r-max", "30.0"), ("--tol", "1e-9")]
+# flags that solve and sweep once took
+REMOVED = [("--far-field", "robin")]
 
 
-# flags that verify, export and asymptotics once parsed and ignored
-UNREAD = [*((["verify", "p.json"], f) for f in [("--out", "x"), *OVERRIDES]),
+# flags that verify, export and asymptotics once parsed and ignored, and
+# the removed ones, which no command takes
+UNREAD = [*((["verify", "p.json"], f)
+            for f in [("--out", "x"), *OVERRIDES, *REMOVED]),
           *((["export", "p.json", "tail"], f)
-            for f in [("--config", "c.json"), *OVERRIDES]),
+            for f in [("--config", "c.json"), *OVERRIDES, *REMOVED]),
           *((["asymptotics", "--config", "c.json"], f)
-            for f in [("--out", "x"), *OVERRIDES])]
+            for f in [("--out", "x"), *OVERRIDES, *REMOVED]),
+          *(([command, "--config", "c.json"], f)
+            for command in ("solve", "sweep") for f in REMOVED)]
 
 
 @pytest.mark.parametrize("argv, flag", UNREAD,
@@ -753,5 +791,4 @@ def test_solving_commands_take_every_override(command):
     args = build_parser().parse_args(
         [command, "--config", "c.json", "--out", "o.json",
          *(part for flag in OVERRIDES for part in flag)])
-    assert (args.grid_n, args.r_max, args.tol, args.far_field) == (
-        600, 30.0, 1e-9, "robin")
+    assert (args.grid_n, args.r_max, args.tol) == (600, 30.0, 1e-9)

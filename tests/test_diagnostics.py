@@ -530,21 +530,12 @@ def test_verify_suite_passes_and_flags_corruption(reference_profiles):
     assert {"residual_norm", "positivity_min"} <= failed(f_minus=negative)
 
 
-def test_only_the_solve_warns_of_a_truncated_tail():
-    # a Dirichlet solve warns once per truncated component at each of its
-    # stages (B = 0, then B = 0.5); verify and sweep_report re-evaluate the
-    # solved profile and do not warn again
+def test_solve_verify_and_sweep_report_do_not_warn():
+    # a solve and the checks that re-evaluate its profile issue no warning
+    # of any category
     params, degrees = case_inputs("bpos")
-    grid = gv.build_grid(20.0, 400)
-    with pytest.warns(UserWarning) as solve_warnings:
-        prof = gv.continuation_solve(params, degrees, grid,
-                                     gv.SolveOptions(far_field="dirichlet"))
-    sizes = (0.5 / 400, 1 / 3 / 400)        # |a| / R_max^2 at B = 0, 0.5
-    assert [str(w.message) for w in solve_warnings] == [
-        "Dirichlet far field truncates a tail of size "
-        f"|a|/R_max^2 = {size:.2e}; enlarge R_max or use the robin condition"
-        for size in sizes for _ in range(2)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        prof = gv.continuation_solve(params, degrees, gv.build_grid(20.0, 400))
         diagnostics.verify(prof)
         diagnostics.sweep_report(params, degrees, [params.B], [prof])

@@ -105,13 +105,13 @@ def test_operator_annihilates_power_solutions():
     # reproduces that exactly for n <= 2 and to second order for n = 3
     g = gv.build_grid(8.0, 256)
     for n in (0, 1, 2):
-        op = gv.radial_operator(g, n, "dirichlet")
+        op = gv.radial_operator(g, n)
         res = op.apply(g.nodes ** n)[1:-1]
         assert np.max(np.abs(res)) < 1e-10
     sups = []
     for N in (256, 512):
         gN = gv.build_grid(8.0, N)
-        op = gv.radial_operator(gN, 3, "dirichlet")
+        op = gv.radial_operator(gN, 3)
         res = op.apply(gN.nodes ** 3)[1:-1]
         away = gN.nodes[1:-1] >= 1.0
         sups.append(np.max(np.abs(res[away])))
@@ -120,23 +120,22 @@ def test_operator_annihilates_power_solutions():
 
 def test_operator_constant_in_kernel_when_n_zero():
     g = gv.build_grid(8.0, 64)
-    op = gv.radial_operator(g, 0, "dirichlet")
+    op = gv.radial_operator(g, 0)
     u = np.full(65, 3.7)
-    # the difference form cancels a constant exactly, origin row included
-    assert np.max(np.abs(op.apply(u)[:-1])) == 0.0
+    # the difference form cancels a constant exactly, boundary rows included
+    assert np.max(np.abs(op.apply(u))) == 0.0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(geometric=st.booleans(), stretch=st.floats(1.001, 1.1),
        N=st.integers(16, 200), R_max=st.floats(1.0, 200.0),
-       n=st.integers(0, 5), bc_far=st.sampled_from(["robin", "dirichlet"]),
-       seed=st.integers(0, 2 ** 32 - 1))
+       n=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
 def test_apply_matches_tridiagonal_rows(geometric, stretch, N, R_max, n,
-                                        bc_far, seed):
+                                        seed):
     # apply() and the assembled (lower, diag, upper) are one set of rows
     g = (gv.build_grid(R_max, N, "geometric", stretch) if geometric
          else gv.build_grid(R_max, N))
-    op = gv.radial_operator(g, n, bc_far=bc_far)
+    op = gv.radial_operator(g, n)
     u = np.random.default_rng(seed).normal(size=N + 1)
     dense = (np.diag(op.diag) + np.diag(op.lower[1:], -1)
              + np.diag(op.upper[:-1], 1))
@@ -144,19 +143,15 @@ def test_apply_matches_tridiagonal_rows(geometric, stretch, N, R_max, n,
         * np.max(np.abs(u))
     assert np.all(np.abs(op.apply(u) - dense @ u) <= 1e-12 * scale)
     assert op.lower[0] == op.upper[-1] == 0.0
-    assert list(np.flatnonzero(op.pinned)) == (
-        [0] * (n != 0) + [N] * (bc_far == "dirichlet"))
+    assert list(np.flatnonzero(op.pinned)) == [0] * (n != 0)
     # rhs is the far row's column for a unit datum, no boundary data
     assert list(np.flatnonzero(op.rhs)) == [N]
-    assert (op.rhs[-1] == 1.0) == (bc_far == "dirichlet")
 
 
 def test_boundary_spec_errors():
     g = gv.build_grid(8.0, 64)
     with pytest.raises(gv.BadBoundarySpec):
-        gv.radial_operator(g, -1, "dirichlet")
-    with pytest.raises(gv.BadBoundarySpec):
-        gv.radial_operator(g, 1, bc_far="periodic")
+        gv.radial_operator(g, -1)
 
 
 def test_robin_row_consistency():
@@ -168,9 +163,9 @@ def test_robin_row_consistency():
     t, a, n = 1.0, -0.5, 1
     for N in (200, 400):
         g = gv.build_grid(40.0, N)
-        op = gv.radial_operator(g, n, bc_far="robin")
+        op = gv.radial_operator(g, n)
         u = t + a / np.maximum(g.nodes, 1e-30) ** 2
-        u[0] = 0.0  # origin row is Dirichlet for n != 0
+        u[0] = 0.0  # the origin row pins u(0) = 0 for n != 0
         R = g.R_max
         expected = n ** 2 * (t + a / R ** 2) / R ** 2 - 4 * a / R ** 4
         got = op.apply(u)[-1] - op.rhs[-1] * (-2.0 * a / R ** 3)

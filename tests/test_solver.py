@@ -1,6 +1,5 @@
 import gc
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,6 @@ from scipy.linalg import solve_banded
 
 import glvortex as gv
 from glvortex import diagnostics, solver
-from glvortex.grid import FAR_FIELDS
 from glvortex.solver import SolveOptions, _BandLU, _DiscreteSystem
 from oracles import scalar_gl_profile, uniqueness_probe
 
@@ -43,7 +41,7 @@ def test_residual_zero_for_constant_states():
     g = gv.build_grid(30.0, 400)
     params = params_of(1.5, 0.8, 0.3, 1.1, 0.9)
     deg = gv.DegreePair(0, 0)
-    sys = _DiscreteSystem(g, params, deg, "robin")
+    sys = _DiscreteSystem(g, params, deg)
     t_state = (np.full(401, params.t_plus), np.full(401, params.t_minus))
     gp, gm = sys.residual(*t_state)
     assert np.max(np.abs(gp)) == 0.0
@@ -60,7 +58,7 @@ def test_residual_matches_analytic_defect_of_ansatz():
     g = gv.build_grid(30.0, 1600)
     params = params_of(1, 1, 0, 1, 1)
     deg = gv.DegreePair(1, 0)
-    sys = _DiscreteSystem(g, params, deg, "robin")
+    sys = _DiscreteSystem(g, params, deg)
     r = g.nodes
     fp = r / np.sqrt(r ** 2 + 1)
     fm = np.ones_like(r)
@@ -78,15 +76,12 @@ def test_residual_matches_analytic_defect_of_ansatz():
     assert np.max(np.abs(gm[1:-1])) < 1e-14
 
 
-@pytest.mark.parametrize("far_field", ["robin", "dirichlet"])
 @pytest.mark.parametrize("kind", ["uniform", "geometric"])
-def test_jacobian_matches_finite_differences(kind, far_field):
+def test_jacobian_matches_finite_differences(kind):
     g = gv.build_grid(20.0, 96, kind, 1.02 if kind == "geometric" else None)
     params = params_of(1.2, 0.9, 0.4, 1.0, 0.8)
     deg = gv.DegreePair(1, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")     # the truncated-tail warning
-        sys = _DiscreteSystem(g, params, deg, far_field)
+    sys = _DiscreteSystem(g, params, deg)
     rng = np.random.default_rng(5)
     fp = np.abs(rng.normal(0.8, 0.1, 97))
     fm = np.abs(rng.normal(0.7, 0.1, 97))
@@ -115,8 +110,7 @@ def test_jacobian_matches_finite_differences(kind, far_field):
 
 def test_jacobian_decouples_at_zero_interaction():
     g = gv.build_grid(20.0, 64)
-    sys = _DiscreteSystem(g, params_of(1, 1, 0, 1, 1), gv.DegreePair(1, 1),
-                          "robin")
+    sys = _DiscreteSystem(g, params_of(1, 1, 0, 1, 1), gv.DegreePair(1, 1))
     fp, fm = gv.initial_guess(g, params_of(1, 1, 0, 1, 1), gv.DegreePair(1, 1))
     ab = sys.jacobian_banded(fp, fm)
     assert np.max(np.abs(ab[1, 1::2])) == 0.0  # plus-row cross entries
@@ -126,7 +120,7 @@ def test_jacobian_decouples_at_zero_interaction():
 def test_jacobian_blocks_at_constant_state():
     g = gv.build_grid(20.0, 64)
     params = params_of(1.3, 0.9, 0.5, 1.1, 0.8)
-    sys = _DiscreteSystem(g, params, gv.DegreePair(0, 0), "robin")
+    sys = _DiscreteSystem(g, params, gv.DegreePair(0, 0))
     fp = np.full(65, params.t_plus)
     fm = np.full(65, params.t_minus)
     ab = sys.jacobian_banded(fp, fm)
@@ -265,29 +259,19 @@ def test_no_convergence_carries_diagnostics():
     assert exc.history[-1] > 1e-12
 
 
-def test_dirichlet_far_field_warns_when_tail_truncated():
-    g = gv.build_grid(20.0, 200)
-    params = params_of(1, 1, 0, 1, 1)
-    deg = gv.DegreePair(1, 0)
-    fp, fm = gv.initial_guess(g, params, deg)
-    with pytest.warns(UserWarning, match="Dirichlet far field"):
-        prof = gv.newton_solve(fp, fm, g, params, deg,
-                               SolveOptions(far_field="dirichlet"))
-    assert prof.f_plus[-1] == pytest.approx(1.0, abs=1e-12)
-
-
 def test_solve_options_validation():
     # values as a JSON config can spell them: booleans, strings and
     # fractions are not numbers or counts
     for bad in ({"tolerance": 0.0}, {"tolerance": True},
                 {"tolerance": "1e-10"}, {"tolerance": float("inf")},
                 {"max_newton_iters": 2.5}, {"max_newton_iters": -1},
-                {"max_newton_iters": True}, {"far_field": "absorbing"},
-                {"far_field": ["robin"]}):
+                {"max_newton_iters": True}):
         with pytest.raises(ValueError):
             SolveOptions(**bad)
-    # the backtracking factor is fixed, and a leg first tries one step
-    for gone in ({"damping": 0.5}, {"continuation_steps": 1}):
+    # the backtracking factor is fixed, a leg first tries one step, and the
+    # far row is the slope row
+    for gone in ({"damping": 0.5}, {"continuation_steps": 1},
+                 {"far_field": "robin"}):
         with pytest.raises(TypeError):
             SolveOptions(**gone)
     assert SolveOptions(tolerance=1, max_newton_iters=0).tolerance == 1
@@ -303,7 +287,6 @@ def test_profile_json_roundtrip(coarse_grid):
     assert back.params == prof.params
     assert back.degrees == prof.degrees
     assert back.report == prof.report
-    assert back.far_field == prof.far_field
     assert np.array_equal(back.grid.nodes, prof.grid.nodes)
     # a second serialization is byte-identical
     assert gv.profile_to_json(back) == text
@@ -442,7 +425,7 @@ def test_band_lu_step_matches_solve_banded(degrees, kind):
         grid = gv.build_grid(30.0, 300, "geometric", 1.01)
     params = params_of(1.3, 0.8, 0.6, 1.1, 0.9)
     deg = gv.DegreePair(*degrees)
-    sys = _DiscreteSystem(grid, params, deg, "robin")
+    sys = _DiscreteSystem(grid, params, deg)
     pinned = np.column_stack([op.pinned for op in sys.ops]).ravel()
     assert pinned.any()
     lu = _BandLU(grid.N + 1)
@@ -469,7 +452,7 @@ def test_band_lu_failures_raise_singular_jacobian():
     g = gv.build_grid(10.0, 20)
     params = params_of(1, 1, 0, 1, 1)
     deg = gv.DegreePair(1, 1)
-    sys = _DiscreteSystem(g, params, deg, "robin")
+    sys = _DiscreteSystem(g, params, deg)
     assemble = sys.jacobian_banded
 
     def zero_column(f_plus, f_minus, out):
@@ -764,24 +747,18 @@ def test_sweep_matches_one_solve_per_value(case, ratios):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(start=admissible_params(), target=admissible_params(),
-       far_field=st.sampled_from(FAR_FIELDS),
        degrees=st.tuples(st.integers(0, 3), st.integers(0, 3)),
        R_max=st.floats(5.0, 2000.0), seed=st.integers(0, 2 ** 32 - 1))
-def test_system_on_cached_rows_matches_a_fresh_grid(start, target, far_field,
-                                                    degrees, R_max, seed):
+def test_system_on_cached_rows_matches_a_fresh_grid(start, target, degrees,
+                                                    R_max, seed):
     # a system on rows its grid already holds (from a system at `start`)
-    # gives, bit for bit, the system on a fresh grid of the same spec, with
-    # the same truncated tails; the two grids share no rows, and shared
-    # rows are read-only; building a system never warns
+    # gives, bit for bit, the system on a fresh grid of the same spec; the
+    # two grids share no rows, and shared rows are read-only
     grid, fresh = gv.build_grid(R_max, 64), gv.build_grid(R_max, 64)
     deg = gv.DegreePair(*degrees)
-    with warnings.catch_warnings(record=True) as built:
-        warnings.simplefilter("always")
-        first = _DiscreteSystem(grid, start, deg, far_field)
-        sys = _DiscreteSystem(grid, target, deg, far_field)
-        new = _DiscreteSystem(fresh, target, deg, far_field)
-    assert built == []
-    assert sys.truncated == new.truncated
+    first = _DiscreteSystem(grid, start, deg)
+    sys = _DiscreteSystem(grid, target, deg)
+    new = _DiscreteSystem(fresh, target, deg)
     fp, fm = np.random.default_rng(seed).uniform(0.0, 2.0, (2, 65))
     for got, want in zip(
             (*sys.residual(fp, fm), *sys.residual_dB(fp, fm),
@@ -797,20 +774,3 @@ def test_system_on_cached_rows_matches_a_fresh_grid(start, target, far_field,
                                         getattr(other, rows))
             with pytest.raises(ValueError, match="read-only"):
                 getattr(op, rows)[-1] = 0
-    # a solve warns once per truncated tail, at its caller; evaluating a
-    # profile does not warn
-    prof = gv.Profile(grid, target, deg, fp, fm,
-                      solver.SolveReport((0,), 0.0, 1e-10, 0.0), far_field)
-    with warnings.catch_warnings(record=True) as calls:
-        warnings.simplefilter("always")
-        with pytest.raises(gv.NoConvergence):
-            gv.newton_solve(fp, fm, grid, target, deg,
-                            SolveOptions(max_newton_iters=0,
-                                         far_field=far_field))
-        gv.residual(prof)
-        gv.jacobian(prof)
-    assert [str(w.message) for w in calls] == [
-        "Dirichlet far field truncates a tail of size "
-        f"|a|/R_max^2 = {size:.2e}; enlarge R_max or use the robin condition"
-        for size in new.truncated]
-    assert all(w.filename == __file__ for w in calls)
