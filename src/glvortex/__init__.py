@@ -3,11 +3,11 @@ systems: radial profiles f_pm(r) for a given coefficient set and degree pair,
 plus quantitative checks (quantization, amplitude bound, tail asymptotics,
 certified envelopes, second variation, monotonicity)."""
 
-from .asymptotics import (DefectSeries, EnvelopeSpec, IllConditionedFit,
-                          SelectionFailed, TailExpansion, TailFit,
-                          envelope_bounds, envelope_check, leading_coeffs,
-                          second_coeffs, select_envelope, tail_fit)
-from .diagnostics import (EigenFailure, MonotonicityClass, MonotonicityLabel,
+from .asymptotics import (EnvelopeSpec, IllConditionedFit, SelectionFailed,
+                          TailExpansion, envelope_bounds, envelope_check,
+                          leading_coeffs, second_coeffs, select_envelope,
+                          tail_fit)
+from .diagnostics import (EigenFailure, MonotonicityLabel,
                           amplitude_bound_check, monotonicity_classify,
                           near_origin_order, pohozaev_residual,
                           quantization_check, second_variation_min_eig, verify)

@@ -29,6 +29,9 @@ cubics are the first branch's read at -u.  C_3 is linear, so the sign of M_6
 bounds u from below, and beyond that bound each dominance inequality bounds
 R from below: select_envelope computes the radius instead of searching for
 it.
+
+envelope_check returns the sandwich's worst margin (>= 0 iff the profile
+lies inside), and tail_fit a TailExpansion, as second_coeffs does.
 """
 from __future__ import annotations
 
@@ -63,7 +66,8 @@ class IllConditionedFit(ValueError):
 
 @dataclass(frozen=True)
 class TailExpansion:
-    """Leading (a) and second (b) inverse-square tail coefficients."""
+    """Leading (a) and second (b) inverse-square tail coefficients, closed
+    form or fitted."""
 
     a_plus: float
     a_minus: float
@@ -134,22 +138,6 @@ def _m6_dominates(m) -> bool:
     return m6 > 0 and all(c * abs(m[k - 1]) <= m6 for k, c in _DOMINANCE)
 
 
-@dataclass(frozen=True)
-class DefectSeries:
-    """Coefficients M_2 .. M_18 of the defect sum_k M_2k (R/r)^(2k).
-
-    Exact rationals in the (exactly rationalized) inputs.  Only even powers
-    of R/r occur: the envelope is a polynomial in 1/r^2 and the equation
-    preserves that parity.
-    """
-
-    coefficients: tuple
-
-    def as_strings(self) -> dict:
-        return {f"M_{2 * (k + 1)}": str(c)
-                for k, c in enumerate(self.coefficients)}
-
-
 def _cubic_basis(u: Fraction) -> tuple:
     """(q^3, p q^2, p^2 q, p^3) for u = p/q: q^3 times (1, u, u^2, u^3)."""
     p, q = int(u.numerator), int(u.denominator)
@@ -170,11 +158,13 @@ class _DefectCubics:
         """q^3 den C_k(u) for k = 1..9, from _cubic_basis(u)."""
         return [sum(c * v for c, v in zip(row, basis)) for row in self.num]
 
-    def series(self, u: Fraction, R: Fraction) -> DefectSeries:
+    def series(self, u: Fraction, R: Fraction) -> tuple:
+        """(M_2, .., M_18) of the defect sum_k M_2k (R/r)^(2k) at u and R,
+        as exact rationals.  Only even powers of R/r occur: the envelope is
+        a polynomial in 1/r^2 and the equation preserves that parity."""
         basis = _cubic_basis(u)
-        return DefectSeries(tuple(
-            Fraction(c, self.den * basis[0]) / R ** (2 * k)
-            for k, c in enumerate(self.scaled(basis), 1)))
+        return tuple(Fraction(c, self.den * basis[0]) / R ** (2 * k)
+                     for k, c in enumerate(self.scaled(basis), 1))
 
     def mirrored(self) -> _DefectCubics:
         """The cubics C_k(-u): the defect with the amplitude's sign flipped."""
@@ -253,7 +243,8 @@ def _certified(tables, u: Fraction, R: Fraction) -> bool:
 
 class _CertifiedSeries(Sequence):
     """EnvelopeSpec.series of a selected pair, expanded on first read:
-    ((branch, (plus, minus DefectSeries)), ...) in the order of the tables."""
+    ((branch, (plus, minus (M_2, .., M_18))), ...) in the order of the
+    tables."""
 
     def __init__(self, tables: dict, u: Fraction, R: Fraction):
         self._args = tables, u, R
@@ -290,7 +281,8 @@ class EnvelopeSpec:
     t_plus: float
     t_minus: float
     tail: TailExpansion
-    # ((branch, (plus, minus DefectSeries)), ...) certified; () if hand-built.
+    # ((branch, (plus, minus (M_2, .., M_18))), ...) certified; () if
+    # hand-built.
     # It follows from the other fields and the inputs, so it is not compared.
     series: Sequence = field(default=(), compare=False, repr=False)
 
@@ -382,12 +374,6 @@ def select_envelope(params: CouplingParams, degrees: DegreePair) -> EnvelopeSpec
 # envelope evaluation against a solved profile
 
 
-@dataclass(frozen=True)
-class EnvelopeCheck:
-    passed: bool
-    worst_margin: float
-
-
 def envelope_bounds(spec: EnvelopeSpec, r) -> dict:
     """{component: (lower, upper)} envelope values at the radii r, around
     the expansion the spec certifies."""
@@ -413,32 +399,16 @@ def envelope_sandwich(profile: "Profile", spec: EnvelopeSpec) -> tuple:
                                      ("minus", profile.f_minus))}
 
 
-def envelope_check(profile: "Profile", spec: EnvelopeSpec) -> EnvelopeCheck:
-    """Check the two-sided sandwich w_lower <= f <= w_upper on nodes >= R.
-
-    Failure is a reported outcome (passed=False with the offending margin),
-    not an error.
-    """
-    worst = min(min(float(np.min(hi - f)), float(np.min(f - lo)))
-                for lo, f, hi in envelope_sandwich(profile, spec)[1].values())
-    return EnvelopeCheck(passed=worst >= 0.0, worst_margin=worst)
+def envelope_check(profile: "Profile", spec: EnvelopeSpec) -> float:
+    """The worst margin of the two-sided sandwich w_lower <= f <= w_upper
+    on the nodes r >= R: the profile lies inside exactly when it is >= 0.
+    Failure is this negative margin, not an error."""
+    return min(min(float(np.min(hi - f)), float(np.min(f - lo)))
+               for lo, f, hi in envelope_sandwich(profile, spec)[1].values())
 
 
 # ---------------------------------------------------------------------------
 # tail fitting of solved profiles
-
-
-@dataclass(frozen=True)
-class TailFit:
-    """Least-squares tail coefficients of a solved profile with the
-    max |residual| * r^6 over the window (an empirical C_1)."""
-
-    a_plus: float
-    a_minus: float
-    b_plus: float
-    b_minus: float
-    c1_plus: float
-    c1_minus: float
 
 
 def _tail_window(profile: "Profile", fit_window) -> np.ndarray:
@@ -456,7 +426,8 @@ def _tail_window(profile: "Profile", fit_window) -> np.ndarray:
     return mask
 
 
-def tail_fit(profile: "Profile", fit_window: tuple | None = None) -> TailFit:
+def tail_fit(profile: "Profile",
+             fit_window: tuple | None = None) -> TailExpansion:
     """Fit (f - t) against {r^-2, r^-4} over the window by weighted least
     squares with weights proportional to r^6.
 
@@ -467,7 +438,7 @@ def tail_fit(profile: "Profile", fit_window: tuple | None = None) -> TailFit:
     """
     mask = _tail_window(profile, fit_window)
     rr = profile.grid.nodes[mask]
-    out = {}
+    fits = []
     for comp, f, t in (("plus", profile.f_plus[mask], profile.params.t_plus),
                        ("minus", profile.f_minus[mask], profile.params.t_minus)):
         y = f - t
@@ -478,9 +449,6 @@ def tail_fit(profile: "Profile", fit_window: tuple | None = None) -> TailFit:
         sol, _, rank, sv = np.linalg.lstsq(design, y * rr ** 6, rcond=None)
         if rank < 2 or sv[-1] <= 0 or sv[0] / sv[-1] > 1e12:
             raise IllConditionedFit("tail basis is numerically collinear")
-        a, b = float(sol[0]), float(sol[1])
-        resid = y - a / rr ** 2 - b / rr ** 4
-        out[comp] = (a, b, float(np.max(np.abs(resid) * rr ** 6)))
-    return TailFit(a_plus=out["plus"][0], a_minus=out["minus"][0],
-                   b_plus=out["plus"][1], b_minus=out["minus"][1],
-                   c1_plus=out["plus"][2], c1_minus=out["minus"][2])
+        fits.append(sol)
+    (a_plus, b_plus), (a_minus, b_minus) = fits
+    return TailExpansion(*map(float, (a_plus, a_minus, b_plus, b_minus)))

@@ -75,8 +75,9 @@ def load_config(path: str, args=None) -> dict:
     solve section may still name the far field, as "robin" only.
     """
     with open(path) as fh:
-        raw = model.json_object(json.load(fh), _CONFIG_KEYS, "config",
-                                exact=False, error=ConfigError)
+        raw = model.json_object(model.parse_json(fh.read(), ConfigError),
+                                _CONFIG_KEYS, "config", exact=False,
+                                error=ConfigError)
     if raw.get("version") != 1:
         raise ConfigError(f"unsupported config version {raw.get('version')!r}")
     if "params" in raw and "bec_params" in raw:
@@ -101,7 +102,7 @@ def load_config(path: str, args=None) -> dict:
     else:
         cfg["params"], _ = model.bec_to_gl(
             model.bec_from_json(raw["bec_params"]))
-    cfg["degrees"], _ = model.normalize_degrees(
+    cfg["degrees"] = model.normalize_degrees(
         *model.degrees_from_json(raw.get("degrees")))
 
     gdict = {**_DEFAULT_GRID, **_section(raw, "grid", _DEFAULT_GRID)}
@@ -164,7 +165,7 @@ def cmd_solve(args) -> int:
         "wall_time": profile.report.wall_time,
         "quantization": {"lhs": q.lhs, "rhs": q.rhs,
                          "relative_gap": q.relative_gap},
-        "monotonicity": diagnostics.monotonicity_classify(profile).label.value,
+        "monotonicity": diagnostics.monotonicity_classify(profile).value,
         "bound_margin": diagnostics.amplitude_bound_check(profile),
     }
     print(json.dumps(summary))
@@ -226,9 +227,10 @@ def cmd_asymptotics(args) -> int:
         spec = asymptotics.select_envelope(params, degrees)
         tail, envelope = spec.tail, {
             "delta": spec.delta, "R": spec.R, "M_coefficients": {
-                branch: {"plus": plus.as_strings(),
-                         "minus": minus.as_strings()}
-                for branch, (plus, minus) in spec.series}}
+                branch: {comp: {f"M_{2 * k}": str(m)
+                                for k, m in enumerate(series, 1)}
+                         for comp, series in zip(("plus", "minus"), pair)}
+                for branch, pair in spec.series}}
     except asymptotics.SelectionFailed as exc:
         tail = asymptotics.second_coeffs(params, degrees)
         envelope = {"delta": None, "R": None, "M_coefficients": None,
@@ -295,6 +297,9 @@ def main(argv=None) -> int:
     # frames, and through them its grid and arrays, until a gc pass
     notes, error = {}, ""           # notes: the distinct warning lines
     with warnings.catch_warnings():
+        # note sees every warning, even under -W error
+        warnings.simplefilter("always")
+
         def note(message, category, *_, **__):
             notes[json.dumps({"warning": category.__name__,
                               "message": str(message)}) + "\n"] = None

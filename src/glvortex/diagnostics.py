@@ -1,10 +1,10 @@
 """Quantitative checks on solved profiles.
 
-Every identity or inequality a converged pair must satisfy is evaluated here
-at desk scale: the scaling (Pohozaev-type) identity, the quantization of the
-weighted potential integral by the winding numbers, the pointwise amplitude
-bound f_+^2 + f_-^2 <= Lambda^2, positivity of the second variation of the
-energy, and the monotonicity classification of the two components.
+Quantitative checks are evaluated here at desk scale, each returning the
+value `verify` gates on: the scaling (Pohozaev-type) identity, the
+quantization of the weighted potential integral, the margin below a stated
+amplitude bound (not proven; see amplitude_bound_check), the smallest
+eigenvalue of the second variation, and one monotonicity label per pair.
 Everything is a pure function of an immutable Profile.  `verify` runs them,
 with the tail and envelope checks of `asymptotics`, as one suite of
 pass/fail records; `sweep_report` and `plot_columns` hold the per-B sweep
@@ -110,9 +110,10 @@ def pohozaev_residual(profile: Profile, R: float | None = None) -> float:
 
 
 def amplitude_bound_check(profile: Profile) -> float:
-    """Margin Lambda^2 - max_i (f_+^2 + f_-^2); nonnegative (within 1e-8)
-    for converged profiles.  The bound constrains the sum of squares, not
-    each component, so one component may overshoot its own modulus."""
+    """Margin Lambda^2 - max_i (f_+^2 + f_-^2) with derived_bounds' Lambda^2,
+    a bound that converged profiles can exceed: at N = 4000 the margin is
+    negative on 9 of 108 admissible cases, down to -0.93.  It bounds the sum
+    of squares, so one component may overshoot its own modulus."""
     bounds = derived_bounds(profile.params)
     peak = float(np.max(profile.f_plus ** 2 + profile.f_minus ** 2))
     return bounds.Lambda_sq - peak
@@ -285,60 +286,36 @@ class MonotonicityLabel(str, Enum):
     Other = "Other"
 
 
-@dataclass(frozen=True)
-class Witness:
-    component: str
-    node: int
-    slope: float
-
-
-@dataclass(frozen=True)
-class MonotonicityClass:
-    label: MonotonicityLabel
-    witness: Witness | None = None
-
-
 def monotonicity_classify(profile: Profile,
-                          slope_tol: float = 1e-6) -> MonotonicityClass:
+                          slope_tol: float = 1e-6) -> MonotonicityLabel:
     """Classify the slope pattern of the two components.
 
     Discrete slopes (central differences) below -slope_tol * t/R_max or above
     +slope_tol * t/R_max count as genuine; smaller wiggles are discretization
-    noise.  A component that violates both one-sided tests is non-monotone
-    and gets a witness at its most negative slope (the unexpected stretch for
-    a profile rising from the core).
+    noise.  A component that violates both one-sided tests is non-monotone.
     """
     r = profile.grid.nodes
-    states = {}
-    witnesses = {}
-    for comp, f, t in (("plus", profile.f_plus, profile.params.t_plus),
-                       ("minus", profile.f_minus, profile.params.t_minus)):
+    states = []
+    for f, t in ((profile.f_plus, profile.params.t_plus),
+                 (profile.f_minus, profile.params.t_minus)):
         slopes = (f[2:] - f[:-2]) / (r[2:] - r[:-2])
         tol = slope_tol * t / profile.grid.R_max
-        nondecreasing = bool(np.min(slopes) >= -tol)
-        nonincreasing = bool(np.max(slopes) <= tol)
-        if nondecreasing:
-            states[comp] = "up"
-        elif nonincreasing:
-            states[comp] = "down"
+        if np.min(slopes) >= -tol:
+            states.append("up")
+        elif np.max(slopes) <= tol:
+            states.append("down")
         else:
-            states[comp] = "non"
-            i = int(np.argmin(slopes))
-            witnesses[comp] = Witness(component=comp, node=i + 1,
-                                      slope=float(slopes[i]))
-    sp, sm = states["plus"], states["minus"]
+            states.append("non")
+    sp, sm = states
     if sp == "up" and sm == "up":
-        return MonotonicityClass(MonotonicityLabel.BothNondecreasing)
+        return MonotonicityLabel.BothNondecreasing
     if sp == "up" and sm == "down":
-        return MonotonicityClass(MonotonicityLabel.PlusUpMinusDown)
+        return MonotonicityLabel.PlusUpMinusDown
     if sp == "non" and sm != "non":
-        return MonotonicityClass(MonotonicityLabel.NonMonotonePlus,
-                                 witnesses["plus"])
+        return MonotonicityLabel.NonMonotonePlus
     if sm == "non" and sp != "non":
-        return MonotonicityClass(MonotonicityLabel.NonMonotoneMinus,
-                                 witnesses["minus"])
-    witness = witnesses.get("plus") or witnesses.get("minus")
-    return MonotonicityClass(MonotonicityLabel.Other, witness)
+        return MonotonicityLabel.NonMonotoneMinus
+    return MonotonicityLabel.Other
 
 
 def near_origin_order(profile: Profile) -> tuple:
@@ -421,8 +398,8 @@ def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS,
     try:    # the closed-form tail comes with the certified envelope
         spec = asymptotics.select_envelope(p, profile.degrees)
         tail = spec.tail
-        env = asymptotics.envelope_check(profile, spec)
-        sandwich = (env.worst_margin, 0.0, 0.0, env.passed)
+        worst = asymptotics.envelope_check(profile, spec)
+        sandwich = (worst, 0.0, 0.0, worst >= 0.0)
     except asymptotics.SelectionFailed as exc:  # no admissible input
         tail = asymptotics.second_coeffs(p, profile.degrees)
         sandwich = (str(exc), None, None, False)
@@ -460,7 +437,7 @@ def sweep_report(params: CouplingParams, degrees: DegreePair, b_values,
             try:
                 record.update({
                     "converged": True,
-                    "class": monotonicity_classify(result).label.value,
+                    "class": monotonicity_classify(result).value,
                     "quantization_gap": quantization_check(result).relative_gap,
                     "hessian_min_eig": second_variation_min_eig(result)})
             except EigenFailure as exc:

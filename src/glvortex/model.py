@@ -10,6 +10,7 @@ checks this, strictly (B^2 < A_plus*A_minus, equality rejected).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields
 
@@ -54,8 +55,9 @@ class DerivedBounds:
     """Spectral quantities controlling the a priori amplitude bound.
 
     lambda_s is the smallest eigenvalue of [[A_plus, B], [B, A_minus]];
-    Lambda_sq = min(2M/lambda_s, t_plus^2 + t_minus^2) bounds
-    f_plus^2 + f_minus^2 pointwise for any solution.
+    Lambda_sq = min(2M/lambda_s, t_plus^2 + t_minus^2) is the stated
+    pointwise bound on f_plus^2 + f_minus^2, which some converged profiles
+    exceed (see diagnostics.amplitude_bound_check).
     """
 
     lambda_s: float
@@ -159,18 +161,24 @@ def bec_to_gl(bec: BecParams) -> tuple[CouplingParams, float]:
     return params, epsilon
 
 
-def normalize_degrees(n_plus: int, n_minus: int) -> tuple[DegreePair, dict]:
-    """Reduce a degree pair to nonnegative winding numbers.
-
-    Negative degrees are equivalent to conjugating the corresponding
-    component; the returned flags record which components were conjugated.
-    """
-    flags = {"conj_plus": n_plus < 0, "conj_minus": n_minus < 0}
-    return DegreePair(abs(int(n_plus)), abs(int(n_minus))), flags
+def normalize_degrees(n_plus: int, n_minus: int) -> DegreePair:
+    """Reduce a degree pair to nonnegative winding numbers: a negative
+    degree is equivalent to conjugating its component, which leaves the
+    radial profile unchanged."""
+    return DegreePair(abs(int(n_plus)), abs(int(n_minus)))
 
 
 # ---------------------------------------------------------------------------
 # strict JSON parsing, shared by run configs and profile files
+
+
+def parse_json(text: str, error: type = ValueError):
+    """json.loads, raising `error` instead of RecursionError on nesting too
+    deep for the parser."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise error("JSON nested too deeply to parse") from exc
 
 
 def is_number(value) -> bool:

@@ -33,7 +33,6 @@ buffers, so independent solves can run concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -46,7 +45,7 @@ from . import asymptotics
 from .grid import (RadialGrid, grid_from_json, legacy_far_field,
                    radial_operator)
 from .model import (CouplingParams, DegreePair, coupling_from_json,
-                    degrees_from_json, is_integer, is_number)
+                    degrees_from_json, is_integer, is_number, parse_json)
 
 
 class _SolveFailure(RuntimeError):
@@ -496,7 +495,7 @@ def profile_from_json(text: str) -> Profile:
     """Parse a profile file; every malformed field raises ValueError."""
     # stdlib json, not orjson, which rejects a NaN token: such a file loads
     # and then fails verify
-    obj = json.loads(text)
+    obj = parse_json(text)
     if not isinstance(obj, dict):
         raise ValueError("a profile must be a JSON object")
     coupling_from_json(obj.get("params"))  # strict keys, numbers, hypothesis

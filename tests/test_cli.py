@@ -53,10 +53,11 @@ def test_solve_exit_code_on_no_convergence(tmp_path, capsys):
 
 def test_numpy_warnings_are_json_lines(tmp_path, capsys):
     # 400 cells on [0, 1e-60] overflow the residual: stderr is JSON lines
-    # only, one per distinct warning, and the error line comes last
+    # only, one per distinct warning, and the error line comes last, even
+    # when the caller's filters turn warnings into errors (python -W error)
     cfg = write_config(tmp_path / "cfg.json")
     with warnings.catch_warnings():
-        warnings.simplefilter("default")    # as a console run shows them
+        warnings.simplefilter("error")
         code, stdout, stderr = run(capsys, "solve", "--config", str(cfg),
                                    "--grid-n", "400", "--r-max", "1e-60",
                                    "--out", str(tmp_path / "p.json"))
@@ -68,6 +69,25 @@ def test_numpy_warnings_are_json_lines(tmp_path, capsys):
     assert warned and {w["warning"] for w in warned} == {"RuntimeWarning"}
     assert all("overflow" in w["message"] for w in warned)
     assert len(set(lines)) == len(lines)
+
+
+def test_negative_winding_conjugates_its_component(tmp_path, capsys):
+    # conjugating a component leaves its radial profile unchanged, so a
+    # config with n = (-1, 1) writes the (1, 1) profile
+    profiles = []
+    for name, n_plus in (("neg", -1), ("pos", 1)):
+        cfg = write_config(tmp_path / f"{name}.json",
+                           degrees={"n_plus": n_plus, "n_minus": 1})
+        out = tmp_path / f"{name}_profile.json"
+        code, _, stderr = run(capsys, "solve", "--config", str(cfg),
+                              "--out", str(out))
+        assert (code, stderr) == (0, "")
+        assert json.loads(out.read_text())["degrees"] == {"n_plus": 1,
+                                                          "n_minus": 1}
+        profiles.append(gv.profile_from_json(out.read_text()))
+    neg, pos = profiles
+    assert np.array_equal(neg.f_plus, pos.f_plus)
+    assert np.array_equal(neg.f_minus, pos.f_minus)
 
 
 def test_solve_rejects_bad_hypothesis(tmp_path, capsys):
@@ -368,6 +388,27 @@ def test_malformed_profile_is_a_json_error(tmp_path, capsys, profile_text,
     assert stdout == ""
     (line,) = stderr.splitlines()
     assert json.loads(line)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "{deep}"], "ValueError"),
+    (["export", "{deep}", "profiles", "--out", "{out}"], "ValueError"),
+    (["solve", "--config", "{deep}", "--out", "{out}"], "ConfigError"),
+    (["verify", "{profile}", "--config", "{deep}"], "ConfigError")],
+    ids=["verify", "export", "solve_config", "verify_config"])
+def test_deeply_nested_json_is_a_json_error(tmp_path, capsys, profile_text,
+                                            argv, error):
+    # nesting beyond the JSON parser's recursion limit is a malformed file,
+    # not a RecursionError traceback
+    deep, profile = tmp_path / "deep.json", tmp_path / "profile.json"
+    deep.write_text("[" * 200_000)
+    profile.write_text(profile_text)
+    paths = {"deep": deep, "profile": profile, "out": tmp_path / "out"}
+    code, stdout, stderr = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, stdout) == (1, "")
+    (line,) = stderr.splitlines()
+    assert json.loads(line)["error"] == error
+    assert not paths["out"].exists()
 
 
 def test_profile_with_legacy_far_field_key_verifies_alike(tmp_path, capsys,

@@ -192,8 +192,8 @@ def test_continuation_path_monotone_for_negative_interaction(coarse_grid):
     assert [p.params.B for p in path] == b_values
     assert [len(p.report.iterations) for p in path] == [1] * 9
     for step in path:
-        cls = gv.monotonicity_classify(step)
-        assert cls.label is gv.MonotonicityLabel.BothNondecreasing
+        assert (gv.monotonicity_classify(step)
+                is gv.MonotonicityLabel.BothNondecreasing)
     # one direct predicted step reaches the same profile
     prof = gv.continuation_solve(params, gv.DegreePair(1, 1), coarse_grid)
     assert np.max(np.abs(path[-1].f_plus - prof.f_plus)) <= 1e-9
