@@ -297,8 +297,9 @@ def main(argv=None) -> int:
     # frames, and through them its grid and arrays, until a gc pass
     notes, error = {}, ""           # notes: the distinct warning lines
     with warnings.catch_warnings():
-        # note sees every warning, even under -W error
-        warnings.simplefilter("always")
+        # note sees what the filters raise (-W error), not what they ignore
+        warnings.filters[:] = [("always", *f[1:]) if f[0] == "error" else f
+                               for f in warnings.filters]
 
         def note(message, category, *_, **__):
             notes[json.dumps({"warning": category.__name__,

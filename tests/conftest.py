@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import glvortex as gv  # noqa: E402
+from glvortex.cli import main  # noqa: E402
 
 # the five reference parameter sets exercised throughout the suite
 CASES = {
@@ -21,6 +23,19 @@ CASES = {
 def case_inputs(name):
     p, d = CASES[name]
     return gv.CouplingParams(*p), gv.DegreePair(*d)
+
+
+def run_cli(capsys, *argv, warns=False):
+    """Run one command in process: (exit code, stdout, stderr).  Inside
+    cli.main a warning is a stderr JSON line, not an exception, so unless
+    the caller expects one, a warning line fails the test, as a stray
+    warning fails the rest of the suite (pyproject's filterwarnings)."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    if not warns:
+        assert not [line for line in err.splitlines()
+                    if "warning" in json.loads(line)], err
+    return code, out, err
 
 
 def package_certifies(params, degrees, u, R):

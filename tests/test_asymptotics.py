@@ -12,9 +12,8 @@ import oracles
 from glvortex import asymptotics
 from glvortex.asymptotics import (_defect_cubics, envelope_check,
                                   select_envelope, tail_fit)
-from glvortex.cli import main
 from glvortex.solver import Profile, SolveReport
-from conftest import case_inputs, package_certifies
+from conftest import case_inputs, package_certifies, run_cli
 
 
 def random_rational_params(rng, with_degrees=True):
@@ -543,8 +542,9 @@ def test_one_closed_form_tail_per_command(monkeypatch, reference_profiles,
         "version": 1, "params": dataclasses.asdict(params),
         "degrees": dataclasses.asdict(degrees)}))
     tails.clear()
-    assert main(["asymptotics", "--config", str(config)]) == 0
-    assert json.loads(capsys.readouterr().out)["R"] is not None
+    code, out, _ = run_cli(capsys, "asymptotics", "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["R"] is not None
     assert len(tails) == 1
     for name in ("bpos", "bneg", "asym"):
         conversions.clear()
@@ -570,8 +570,9 @@ def test_a_failed_selection_still_reports_the_closed_form_tail(
     config.write_text(json.dumps({
         "version": 1, "params": dataclasses.asdict(prof.params),
         "degrees": dataclasses.asdict(prof.degrees)}))
-    assert main(["asymptotics", "--config", str(config)]) == 0
-    assert json.loads(capsys.readouterr().out) == {
+    code, out, _ = run_cli(capsys, "asymptotics", "--config", str(config))
+    assert code == 0
+    assert json.loads(out) == {
         **dataclasses.asdict(gv.second_coeffs(prof.params, prof.degrees)),
         "delta": None, "R": None, "M_coefficients": None,
         "selection_error": "inconsistent defect"}

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import glvortex as gv
+from glvortex import cli
 from glvortex.cli import ConfigError, build_parser, load_config, main
+from conftest import run_cli as run
 
 
 def write_config(path, **overrides):
@@ -20,12 +22,6 @@ def write_config(path, **overrides):
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_solve_writes_profile_and_summary(tmp_path, capsys):
@@ -60,7 +56,8 @@ def test_numpy_warnings_are_json_lines(tmp_path, capsys):
         warnings.simplefilter("error")
         code, stdout, stderr = run(capsys, "solve", "--config", str(cfg),
                                    "--grid-n", "400", "--r-max", "1e-60",
-                                   "--out", str(tmp_path / "p.json"))
+                                   "--out", str(tmp_path / "p.json"),
+                                   warns=True)
     assert code == 2
     assert stdout == ""
     lines = stderr.splitlines()
@@ -69,6 +66,24 @@ def test_numpy_warnings_are_json_lines(tmp_path, capsys):
     assert warned and {w["warning"] for w in warned} == {"RuntimeWarning"}
     assert all("overflow" in w["message"] for w in warned)
     assert len(set(lines)) == len(lines)
+
+
+def test_warning_filters_keep_the_callers_ignores(monkeypatch, capsys):
+    # main reports what the caller's filters would raise and leaves what
+    # they ignore unreported, as python's default filters do
+    def command(args):
+        warnings.warn("deprecated", DeprecationWarning)
+        warnings.warn("overflow", RuntimeWarning)
+        return 0
+    monkeypatch.setattr(cli, "cmd_asymptotics", command)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stdout, stderr = run(capsys, "asymptotics", "--config", "c.json",
+                                   warns=True)
+    assert (code, stdout) == (0, "")
+    assert list(map(json.loads, stderr.splitlines())) == [
+        {"warning": "RuntimeWarning", "message": "overflow"}]
 
 
 def test_negative_winding_conjugates_its_component(tmp_path, capsys):
