@@ -13,7 +13,7 @@ from .diagnostics import (EigenFailure, MonotonicityLabel,
                           quantization_check, second_variation_min_eig, verify)
 from .grid import (BadBoundarySpec, BadGridSpec, LengthMismatch, RadialGrid,
                    RadialOperator, build_grid, quadrature, radial_operator)
-from .model import (BecParams, CouplingParams, DegreePair, DerivedBounds,
+from .model import (BecParams, CouplingParams, DegreePair,
                     HypothesisViolation, NonPositiveDensity, bec_to_gl,
                     derived_bounds, normalize_degrees, validate)
 from .solver import (NoConvergence, Profile, SingularJacobian, SolveOptions,

@@ -48,8 +48,8 @@ def _section(raw: dict, key: str, keys) -> dict:
 
 
 def _sweep_b_values(sweep: dict) -> list:
-    """The B values of a sweep section; continuation_sweep checks each
-    against the hypothesis before it solves."""
+    """The B values of a sweep section, distinct once rounded to 12 decimals;
+    continuation_sweep checks each against the hypothesis before it solves."""
     keys = ("b_start", "b_stop", "b_step")
     model.json_object(sweep, keys, "sweep", error=ConfigError)
     if not all(model.is_number(sweep[k]) for k in keys):
@@ -60,9 +60,11 @@ def _sweep_b_values(sweep: dict) -> list:
     steps = (b_stop - b_start) / b_step   # inf when the span overflows
     if not steps <= _MAX_SWEEP_VALUES - 1:
         raise ConfigError(f"sweep holds more than {_MAX_SWEEP_VALUES} values")
-    n = int(round(steps))
-    vals = [b_start + k * b_step for k in range(n + 1)]
-    return [round(v, 12) for v in vals if v <= b_stop + 1e-12]
+    vals = [b_start + k * b_step for k in range(int(round(steps)) + 1)]
+    vals = [round(v, 12) for v in vals if v <= b_stop + 1e-12]
+    if any(a >= b for a, b in zip(vals, vals[1:])):
+        raise ConfigError("sweep values coincide once rounded to 12 decimals")
+    return vals
 
 
 def load_config(path: str, args=None) -> dict:

@@ -2,9 +2,10 @@
 
 Quantitative checks are evaluated here at desk scale, each returning the
 value `verify` gates on: the scaling (Pohozaev-type) identity, the
-quantization of the weighted potential integral, the margin below a stated
-amplitude bound (not proven; see amplitude_bound_check), the smallest
-eigenvalue of the second variation, and one monotonicity label per pair.
+quantization of the weighted potential integral, the margin below the
+amplitude bound f_pm^2 <= t_pm^2 + max(B, 0) t_mp^2/A_pm that the maximum
+principle proves (model.derived_bounds), the smallest eigenvalue of the
+second variation, and one monotonicity label per pair.
 Everything is a pure function of an immutable Profile.  `verify` runs them,
 with the tail and envelope checks of `asymptotics`, as one suite of
 pass/fail records; `sweep_report` and `plot_columns` hold the per-B sweep
@@ -110,13 +111,11 @@ def pohozaev_residual(profile: Profile, R: float | None = None) -> float:
 
 
 def amplitude_bound_check(profile: Profile) -> float:
-    """Margin Lambda^2 - max_i (f_+^2 + f_-^2) with derived_bounds' Lambda^2,
-    a bound that converged profiles can exceed: at N = 4000 the margin is
-    negative on 9 of 108 admissible cases, down to -0.93.  It bounds the sum
-    of squares, so one component may overshoot its own modulus."""
-    bounds = derived_bounds(profile.params)
-    peak = float(np.max(profile.f_plus ** 2 + profile.f_minus ** 2))
-    return bounds.Lambda_sq - peak
+    """The smaller margin Lambda_pm^2 - max_i f_pm^2 below the per-component
+    bounds of derived_bounds, which the maximum principle proves; negative
+    when a component exceeds its bound."""
+    return min(float(bound - np.max(f * f)) for bound, f in zip(
+        derived_bounds(profile.params), (profile.f_plus, profile.f_minus)))
 
 
 # ---------------------------------------------------------------------------

@@ -51,21 +51,6 @@ class DegreePair:
 
 
 @dataclass(frozen=True)
-class DerivedBounds:
-    """Spectral quantities controlling the a priori amplitude bound.
-
-    lambda_s is the smallest eigenvalue of [[A_plus, B], [B, A_minus]];
-    Lambda_sq = min(2M/lambda_s, t_plus^2 + t_minus^2) is the stated
-    pointwise bound on f_plus^2 + f_minus^2, which some converged profiles
-    exceed (see diagnostics.amplitude_bound_check).
-    """
-
-    lambda_s: float
-    M: float
-    Lambda_sq: float
-
-
-@dataclass(frozen=True)
 class BecParams:
     """Two-species condensate parameters (masses, interactions, chemical
     potentials).  hbar is an explicit input so unit systems stay the
@@ -88,38 +73,46 @@ def validate(params: CouplingParams) -> CouplingParams:
     Strictness matters: B^2 = A_plus*A_minus is rejected because positive
     definiteness of the quartic form degenerates there.
     """
-    if not params.A_plus > 0:
-        raise HypothesisViolation(f"A_plus > 0 fails (A_plus={params.A_plus})")
-    if not params.A_minus > 0:
-        raise HypothesisViolation(f"A_minus > 0 fails (A_minus={params.A_minus})")
-    if not params.t_plus > 0:
-        raise HypothesisViolation(f"t_plus > 0 fails (t_plus={params.t_plus})")
-    if not params.t_minus > 0:
-        raise HypothesisViolation(f"t_minus > 0 fails (t_minus={params.t_minus})")
-    if not params.B * params.B < params.A_plus * params.A_minus:
-        raise HypothesisViolation(
-            "B^2 < A_plus*A_minus fails "
-            f"(B^2={params.B * params.B}, A_plus*A_minus={params.A_plus * params.A_minus}; "
-            "equality not allowed)")
+    for name in ("A_plus", "A_minus", "t_plus", "t_minus"):
+        value = getattr(params, name)
+        if not value > 0:
+            raise HypothesisViolation(f"{name} > 0 fails ({name}={value})")
+    b2, a2 = params.B * params.B, params.A_plus * params.A_minus
+    if not b2 < a2:
+        raise HypothesisViolation(f"B^2 < A_plus*A_minus fails (B^2={b2}, "
+                                  f"A_plus*A_minus={a2}; equality not allowed)")
     return params
 
 
-def derived_bounds(params: CouplingParams) -> DerivedBounds:
-    """Compute lambda_s, M and the amplitude bound Lambda^2.
+def derived_bounds(params: CouplingParams) -> tuple:
+    """(Lambda_+^2, Lambda_-^2), Lambda_pm^2 = t_pm^2 + max(B, 0) t_mp^2/A_pm,
+    the bounds on f_pm^2 that the maximum principle proves for a positive
+    solution (Protter & Weinberger, Maximum Principles in Differential
+    Equations, 1967, ch. 3).
 
-    lambda_s uses the closed 2x2 eigenvalue formula, exact at machine
-    precision.  M = max(A_plus*t_plus^2 + B*t_minus^2,
-    A_minus*t_minus^2 + B*t_plus^2) and Lambda^2 = min(2M/lambda_s,
-    t_plus^2 + t_minus^2).
+    With x_pm = f_pm^2 - t_pm^2 the equation reads
+    f'' + f'/r = [n^2/r^2 + A_pm x_pm + B x_mp] f_pm, whose left side is
+    <= 0 at a maximum of f_pm > 0 (a supremum only approached as r -> oo is
+    t_pm), so A_pm x_pm + B x_mp <= 0 there.  B > 0: x_mp >= -t_mp^2 gives
+    A_pm x_pm <= B t_mp^2.  B <= 0: the weights c_+ = sqrt(A_-) and
+    c_- = sqrt(A_+) have A_+ c_+ > |B| c_- and A_- c_- > |B| c_+, so were
+    m = max(sup x_+/c_+, sup x_-/c_-) > 0, attained say by x_+ = m c_+, then
+    0 >= A_+ x_+ + B x_- >= m (A_+ c_+ - |B| c_-) > 0; hence f_pm <= t_pm.
+
+    The argument holds at a nodal maximum of grid.radial_operator's rows,
+    where each difference u[j] - u[i] <= 0 has a negative coefficient and
+    pot >= 0: on interior rows and the origin row always (a pinned origin
+    is 0), and on the Robin far row when a_pm >= 0, whose datum
+    -2a/R_max^3 is then <= 0, or when f_pm(R_max) <= t_pm, as the tail
+    t + a/r^2 has it.  A grid ending inside the core, where f_pm(R_max) >
+    t_pm with a_pm < 0, can break the bound at R_max.  So `verify` checks
+    the bound rather than proves it; a converged profile also solves the
+    rows only to its residual and is positive only to POSITIVITY_TOL.
     """
     p = params
-    disc = math.sqrt((p.A_plus - p.A_minus) ** 2 + 4.0 * p.B * p.B)
-    lambda_s = 0.5 * (p.A_plus + p.A_minus - disc)
-    tp2 = p.t_plus * p.t_plus
-    tm2 = p.t_minus * p.t_minus
-    M = max(p.A_plus * tp2 + p.B * tm2, p.A_minus * tm2 + p.B * tp2)
-    Lambda_sq = min(2.0 * M / lambda_s, tp2 + tm2)
-    return DerivedBounds(lambda_s=lambda_s, M=M, Lambda_sq=Lambda_sq)
+    tp2, tm2 = p.t_plus * p.t_plus, p.t_minus * p.t_minus
+    b = max(p.B, 0)
+    return tp2 + b * tm2 / p.A_plus, tm2 + b * tp2 / p.A_minus
 
 
 def bec_to_gl(bec: BecParams) -> tuple[CouplingParams, float]:
@@ -146,10 +139,9 @@ def bec_to_gl(bec: BecParams) -> tuple[CouplingParams, float]:
     ratio = math.sqrt(bec.m2 / bec.m1)
     tp2 = (bec.mu1 * bec.g2 - bec.mu2 * bec.g12) / det * ratio
     tm2 = (bec.mu2 * bec.g1 - bec.mu1 * bec.g12) / det / ratio
-    if tp2 <= 0:
-        raise NonPositiveDensity(f"t_plus^2 = {tp2} <= 0")
-    if tm2 <= 0:
-        raise NonPositiveDensity(f"t_minus^2 = {tm2} <= 0")
+    for name, t2 in (("t_plus", tp2), ("t_minus", tm2)):
+        if t2 <= 0:
+            raise NonPositiveDensity(f"{name}^2 = {t2} <= 0")
     params = CouplingParams(
         A_plus=(bec.m1 / bec.m2) * bec.g1,
         A_minus=(bec.m2 / bec.m1) * bec.g2,
@@ -182,9 +174,13 @@ def parse_json(text: str, error: type = ValueError):
 
 
 def is_number(value) -> bool:
-    """A finite JSON number; true and false do not count."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite JSON number; true and false do not count, nor an integer
+    beyond the float range."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:       # an int too large to convert to float
+        return False
 
 
 def is_integer(value) -> bool:
@@ -224,9 +220,10 @@ def bec_from_json(obj) -> BecParams:
 
 
 def degrees_from_json(obj) -> tuple:
-    """The integer winding numbers (n_plus, n_minus) of a JSON object; the
-    caller decides what a negative one means."""
+    """The integer windings (n_plus, n_minus) of a JSON object, each with n^2
+    a finite float; the caller decides what a negative one means."""
     json_object(obj, ("n_plus", "n_minus"), "degrees")
-    if not all(map(is_integer, obj.values())):
-        raise ValueError("degrees must be integers n_plus and n_minus")
+    if not all(is_integer(n) and is_number(n * n) for n in obj.values()):
+        raise ValueError("degrees must be integers n_plus and n_minus "
+                         "whose squares are finite floats")
     return obj["n_plus"], obj["n_minus"]

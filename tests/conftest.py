@@ -20,6 +20,20 @@ CASES = {
 }
 
 
+# the admissible grid near the hypothesis boundary: (A+, A-, t+, t-)
+# anisotropies, B / sqrt(A+ A-) ratios and winding pairs, 3 * 6 * 6 = 108
+# cases, each labelled (A+, A-, t+, t-, ratio, n+, n-)
+ANISOTROPY = ((1.0, 1.0, 1.0, 1.0), (2.0, 1.0, 1.0, 0.7), (1.0, 4.0, 1.0, 1.0))
+B_RATIOS = (0.5, 0.9, 0.99, -0.5, -0.9, -0.99)
+WINDINGS = ((1, 1), (1, 0), (0, 1), (2, 1), (5, 1), (3, 3))
+ADMISSIBLE_GRID = {
+    (A_plus, A_minus, t_plus, t_minus, ratio, *n): (
+        gv.CouplingParams(A_plus, A_minus, ratio * (A_plus * A_minus) ** 0.5,
+                          t_plus, t_minus), gv.DegreePair(*n))
+    for (A_plus, A_minus, t_plus, t_minus) in ANISOTROPY
+    for ratio in B_RATIOS for n in WINDINGS}
+
+
 def case_inputs(name):
     p, d = CASES[name]
     return gv.CouplingParams(*p), gv.DegreePair(*d)

@@ -385,6 +385,10 @@ MALFORMED = {
     "f_plus_bool_entry": lambda o: o["f_plus"].__setitem__(1, True),
     # an OverflowError to numpy
     "f_plus_huge_int_entry": lambda o: o["f_plus"].__setitem__(1, 10 ** 400),
+    # integers beyond the float range, and a winding whose square is one
+    "param_huge_int": lambda o: o["params"].update(A_plus=10 ** 400),
+    "r_max_huge_int": lambda o: o["grid"].update(R_max=10 ** 400),
+    "winding_huge_square": lambda o: o["degrees"].update(n_plus=10 ** 160),
 }
 
 
@@ -403,6 +407,30 @@ def test_malformed_profile_is_a_json_error(tmp_path, capsys, profile_text,
     assert stdout == ""
     (line,) = stderr.splitlines()
     assert json.loads(line)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("command", ["solve", "asymptotics", "sweep"])
+@pytest.mark.parametrize("section", [
+    {"params": {"A_plus": 10 ** 400, "A_minus": 1.0, "B": 0.5,
+                "t_plus": 1.0, "t_minus": 1.0}},
+    {"degrees": {"n_plus": 10 ** 160, "n_minus": 1}},
+    {"grid": {"R_max": 10 ** 400, "N": 200}},
+    {"sweep": {"b_start": 0.0, "b_stop": 10 ** 400, "b_step": 0.1}},
+    {"verify": {"bound_tol": 10 ** 400}},
+], ids=["A_plus", "winding", "R_max", "b_stop", "bound_tol"])
+def test_huge_integer_in_config_is_a_json_error(tmp_path, capsys, command,
+                                                section):
+    # an integer beyond the float range is no finite number, and a winding
+    # whose square is one would overflow the solver's n^2
+    sweep = {"b_start": 0.0, "b_stop": 0.1, "b_step": 0.1}
+    cfg = write_config(tmp_path / "cfg.json", **{"sweep": sweep, **section})
+    code, stdout, stderr = run(capsys, command, "--config", str(cfg),
+                               *(["--out", str(tmp_path / "out.json")]
+                                 if command != "asymptotics" else []))
+    assert (code, stdout) == (1, "")
+    (line,) = stderr.splitlines()
+    assert json.loads(line)["error"] in ("ValueError", "ConfigError")
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -671,6 +699,25 @@ def test_sweep_value_count_is_bounded(tmp_path, capsys, sweep):
     assert code == 1
     assert stdout == ""
     assert json.loads(stderr)["error"] == "ConfigError"
+
+
+def test_sweep_rejects_values_merged_by_rounding(tmp_path, capsys):
+    # 0, 1e-13, 2e-13 and 3e-13 all round to B = 0.0 at 12 decimals
+    sweep = {"b_start": 0.0, "b_stop": 3e-13, "b_step": 1e-13}
+    cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
+    with pytest.raises(ConfigError, match="coincide"):
+        load_config(str(cfg))
+    code, stdout, stderr = run(capsys, "sweep", "--config", str(cfg))
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr)["error"] == "ConfigError"
+
+
+def test_sweep_values_of_the_benchmark_range(tmp_path):
+    # the 19 values -0.9, ..., 0.9 stay distinct and keep their rounding
+    sweep = {"b_start": -0.9, "b_stop": 0.9, "b_step": 0.1}
+    cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
+    assert load_config(str(cfg))["sweep"] == [
+        round(-0.9 + k * 0.1, 12) for k in range(19)]
 
 
 def test_sweep_value_count_at_the_bound(tmp_path):

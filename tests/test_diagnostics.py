@@ -12,7 +12,7 @@ from glvortex import diagnostics
 from glvortex.diagnostics import quantization_rhs, second_variation_matrix
 from glvortex.grid import quadrature_upto
 from glvortex.solver import Profile, SolveReport
-from conftest import case_inputs
+from conftest import ADMISSIBLE_GRID, case_inputs
 from oracles import (hessian_band_loop, min_eig_bisection, radial_energy,
                      scalar_gl_profile, scalar_hessian_min_eig)
 
@@ -132,7 +132,7 @@ def test_quantization_higher_degrees():
 
 
 def test_amplitude_bound_ground_state_margin(ground_state):
-    # Lambda^2 equals t_+^2 + t_-^2 here, so the constant state has margin 0
+    # Lambda_pm^2 = t_pm^2 at B = 0, so the constant state has margin 0
     assert gv.amplitude_bound_check(ground_state) == pytest.approx(0.0,
                                                                    abs=1e-14)
 
@@ -143,9 +143,76 @@ def test_amplitude_bound_on_solves(reference_profiles):
 
 
 def test_amplitude_bound_overshoot_constrains_sum(reference_profiles):
+    # f_- overshoots its modulus, as B > 0 allows, but stays below
+    # Lambda_-^2 = 1 + 1.5/4; so does the sum below Lambda_+^2 + Lambda_-^2
     prof = reference_profiles["overshoot"]
-    assert np.max(prof.f_minus) > prof.params.t_minus  # one component exceeds
-    assert gv.amplitude_bound_check(prof) >= -1e-8     # the sum does not
+    lam_plus, lam_minus = gv.derived_bounds(prof.params)
+    assert np.max(prof.f_minus) > prof.params.t_minus
+    assert np.max(prof.f_minus ** 2) <= lam_minus == 1.375
+    assert np.max(prof.f_plus ** 2 + prof.f_minus ** 2) <= lam_plus + lam_minus
+    assert gv.amplitude_bound_check(prof) >= -1e-8
+
+
+# the admissible-grid cases (A+, A-, t+, t-, B/sqrt(A+ A-), n+, n-) whose
+# solves exceed the old sum bound max(f_+^2 + f_-^2) <= t_+^2 + t_-^2
+SUM_BOUND_FAILURES = {
+    (2.0, 1.0, 1.0, 0.7, 0.9, 1, 0), (2.0, 1.0, 1.0, 0.7, 0.9, 2, 1),
+    (2.0, 1.0, 1.0, 0.7, 0.9, 5, 1), (2.0, 1.0, 1.0, 0.7, 0.99, 1, 0),
+    (2.0, 1.0, 1.0, 0.7, 0.99, 2, 1), (2.0, 1.0, 1.0, 0.7, 0.99, 5, 1),
+    (1.0, 4.0, 1.0, 1.0, 0.5, 0, 1), (1.0, 4.0, 1.0, 1.0, 0.9, 0, 1),
+    (1.0, 4.0, 1.0, 1.0, 0.99, 0, 1)}
+
+
+def test_amplitude_bound_on_the_admissible_grid():
+    # all 108 cases at N = 400, R_max = 40 keep to the proven bound within
+    # verify's bound_tol; the nine that break the old sum bound, worst at
+    # A = (1, 4), B/sqrt(A+ A-) = 0.99, n = (0, 1), are among them
+    grid = gv.build_grid(40.0, 400)
+    tol = diagnostics.VERIFY_DEFAULTS["bound_tol"]
+    margins, over_sum = {}, set()
+    for label, (params, degrees) in ADMISSIBLE_GRID.items():
+        prof = gv.continuation_solve(params, degrees, grid)
+        margins[label] = gv.amplitude_bound_check(prof)
+        if (np.max(prof.f_plus ** 2 + prof.f_minus ** 2)
+                > params.t_plus ** 2 + params.t_minus ** 2 + tol):
+            over_sum.add(label)
+    assert len(margins) == 108
+    assert {k: m for k, m in margins.items() if m < -tol} == {}
+    assert over_sum == SUM_BOUND_FAILURES
+
+
+def test_amplitude_bound_flags_a_grid_ending_inside_the_core():
+    # a_- < 0, so the far row's datum pushes f_- up at R_max = 10, past its
+    # modulus and past Lambda_-, where the tail t + a/r^2 has no hold yet;
+    # on R_max = 40 the same case keeps to its bound
+    params = gv.CouplingParams(1, 1, 0.984375, 1, 0.5)
+    degrees = gv.DegreePair(0, 2)
+    assert gv.leading_coeffs(params, degrees)[1] < 0
+    short = gv.continuation_solve(params, degrees, gv.build_grid(10.0, 100))
+    assert short.f_minus[-1] ** 2 > gv.derived_bounds(params)[1]
+    assert gv.amplitude_bound_check(short) < -1e-2
+    wide = gv.continuation_solve(params, degrees, gv.build_grid(40.0, 400))
+    assert gv.amplitude_bound_check(wide) >= 0
+
+
+def test_amplitude_bound_rejects_corrupted_profiles(reference_profiles):
+    # B < 0: f_+ (1 + 1e-3) exceeds t_+, which the old sum bound also
+    # rejects; B > 0: one node of f_+ just above Lambda_+
+    bneg = reference_profiles["bneg"]
+    fp = bneg.f_plus * (1 + 1e-3)
+    params = bneg.params
+    assert (np.max(fp ** 2 + bneg.f_minus ** 2)
+            > params.t_plus ** 2 + params.t_minus ** 2)
+    bumped = replace(bneg, f_plus=fp)
+    bpos = reference_profiles["bpos"]
+    fp = bpos.f_plus.copy()
+    fp[2000] = np.sqrt(gv.derived_bounds(bpos.params)[0]) * (1 + 1e-6)
+    raised = replace(bpos, f_plus=fp)
+    for prof in (bumped, raised):
+        assert gv.amplitude_bound_check(prof) < -1e-6
+        (record,) = [c for c in gv.verify(prof)
+                     if c["check"] == "amplitude_bound_margin"]
+        assert record["pass"] is False
 
 
 def test_hessian_positive_at_constant_state(ground_state):
@@ -159,7 +226,8 @@ def test_hessian_positive_at_constant_state(ground_state):
                           [p.B * p.t_plus * p.t_minus,
                            p.A_minus * p.t_minus ** 2]])
     pot_min = np.linalg.eigvalsh(pot)[0]
-    lam_s = gv.derived_bounds(p).lambda_s
+    lam_s = np.linalg.eigvalsh(np.array([[p.A_plus, p.B],
+                                         [p.B, p.A_minus]]))[0]
     assert pot_min >= 2 * lam_s * min(p.t_plus, p.t_minus) ** 2 - 1e-12
     assert eig > 0
     assert eig >= pot_min - 1e-10  # gradient part only adds

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import glvortex as gv
 from glvortex.model import bec_from_json, coupling_from_json
@@ -35,49 +35,65 @@ def test_validate_names_failed_inequality(vals, name):
 
 
 def test_derived_bounds_examples():
-    b = gv.derived_bounds(gv.CouplingParams(2, 2, 1, 1, 1))
-    assert b.lambda_s == pytest.approx(1.0, abs=1e-15)
-    assert b.M == pytest.approx(3.0)
-    assert b.Lambda_sq == pytest.approx(2.0)
-
-    b = gv.derived_bounds(gv.CouplingParams(1, 1, 0, 1, 1))
-    assert (b.lambda_s, b.M, b.Lambda_sq) == pytest.approx((1.0, 1.0, 2.0))
-
-
-def test_derived_bounds_against_eigen_solver():
-    p = gv.CouplingParams(1, 4, -1, 1, 2)
-    b = gv.derived_bounds(p)
-    assert b.lambda_s == pytest.approx((5 - math.sqrt(13)) / 2, rel=1e-14)
-    oracle = np.linalg.eigvalsh(np.array([[1.0, -1.0], [-1.0, 4.0]]))[0]
-    assert b.lambda_s == pytest.approx(oracle, rel=1e-13)
+    # Lambda_pm^2 = t_pm^2 + max(B, 0) t_mp^2 / A_pm
+    assert gv.derived_bounds(gv.CouplingParams(2, 2, 1, 1, 1)) == (1.5, 1.5)
+    assert gv.derived_bounds(gv.CouplingParams(1, 1, 0, 1, 1)) == (1.0, 1.0)
+    assert gv.derived_bounds(gv.CouplingParams(1, 4, -1, 1, 2)) == (1.0, 4.0)
+    assert gv.derived_bounds(gv.CouplingParams(1, 4, 1.5, 1, 1)) == (
+        pytest.approx(2.5), pytest.approx(1.375))
+    assert gv.derived_bounds(gv.CouplingParams(2, 1, 0.8, 1, 0.7)) == (
+        pytest.approx(1.196), pytest.approx(1.29))
 
 
-def test_lambda_s_positive_and_below_diagonal():
+_POSITIVE = st.fractions(Fraction(1, 8), 4, max_denominator=64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(A_plus=_POSITIVE, A_minus=_POSITIVE, t_plus=_POSITIVE,
+       t_minus=_POSITIVE, ratio=st.fractions(-1, 1, max_denominator=64))
+def test_derived_bounds_closed_form_exact(A_plus, A_minus, t_plus, t_minus,
+                                          ratio):
+    # in exact arithmetic: for B > 0, Lambda_pm^2 - t_pm^2 is the largest
+    # x_pm with A_pm x_pm + B x_mp <= 0 for some x_mp >= -t_mp^2, the
+    # inequality at a maximum of f_pm; for B <= 0 it is 0
+    assume(abs(ratio) < 1)
+    B = ratio * min(A_plus, A_minus)     # B^2 < A_plus A_minus
+    p = gv.CouplingParams(A_plus, A_minus, B, t_plus, t_minus)
+    lam_plus, lam_minus = gv.derived_bounds(p)
+    x_plus, x_minus = lam_plus - t_plus ** 2, lam_minus - t_minus ** 2
+    if B > 0:
+        assert A_plus * x_plus - B * t_minus ** 2 == 0
+        assert A_minus * x_minus - B * t_plus ** 2 == 0
+    else:
+        assert x_plus == x_minus == 0
+
+
+def test_derived_bounds_imply_the_sum_bound_exactly_for_B_nonpositive():
+    # the per-component bounds sum to t_+^2 + t_-^2, the old sum bound,
+    # when B <= 0 and exceed it when B > 0, where the sum bound is false
     rng = np.random.default_rng(7)
     for _ in range(200):
-        A_plus, A_minus = rng.uniform(0.1, 5.0, 2)
+        A_plus, A_minus, t_plus, t_minus = rng.uniform(0.1, 5.0, 4)
         B = rng.uniform(-1, 1) * math.sqrt(A_plus * A_minus) * 0.999
-        p = gv.CouplingParams(A_plus, A_minus, B, 1.0, 1.0)
-        b = gv.derived_bounds(p)
-        assert b.lambda_s > 0
-        assert b.lambda_s <= min(A_plus, A_minus) + 1e-12
-        assert b.Lambda_sq <= p.t_plus ** 2 + p.t_minus ** 2 + 1e-12
+        p = gv.CouplingParams(A_plus, A_minus, B, t_plus, t_minus)
+        lam_plus, lam_minus = gv.derived_bounds(p)
+        assert lam_plus >= t_plus ** 2 and lam_minus >= t_minus ** 2
+        total = t_plus ** 2 + t_minus ** 2
+        if B <= 0:
+            assert (lam_plus, lam_minus) == (t_plus ** 2, t_minus ** 2)
+        else:
+            assert lam_plus + lam_minus > total
 
 
-def test_lambda_s_perturbation_bound():
+def test_derived_bounds_nondecreasing_in_B():
     rng = np.random.default_rng(11)
-    delta = 1e-3
     for _ in range(50):
         A_plus, A_minus = rng.uniform(0.5, 3.0, 2)
-        B = rng.uniform(-0.9, 0.9) * math.sqrt(A_plus * A_minus)
-        base = gv.derived_bounds(
-            gv.CouplingParams(A_plus, A_minus, B, 1, 1)).lambda_s
-        for bumped in [(A_plus + delta, A_minus, B),
-                       (A_plus, A_minus + delta, B),
-                       (A_plus, A_minus, B + delta)]:
-            pert = gv.derived_bounds(
-                gv.CouplingParams(*bumped, 1, 1)).lambda_s
-            assert abs(pert - base) <= 2 * delta + 1e-12
+        bounds = [gv.derived_bounds(gv.CouplingParams(
+            A_plus, A_minus, r * math.sqrt(A_plus * A_minus), 1, 0.7))
+            for r in np.linspace(-0.99, 0.99, 21)]
+        for lower, upper in zip(bounds, bounds[1:]):
+            assert lower[0] <= upper[0] and lower[1] <= upper[1]
 
 
 def test_bec_to_gl_symmetric_case():

@@ -206,8 +206,9 @@ def test_amplitude_bound_holds_on_converged_profiles(coarse_grid):
                       ((2, 1, 0.8, 1, 0.7), (1, 1))]:
         params = params_of(*vals)
         prof = gv.continuation_solve(params, gv.DegreePair(*deg), coarse_grid)
-        bound = gv.derived_bounds(params).Lambda_sq
-        assert np.max(prof.f_plus ** 2 + prof.f_minus ** 2) <= bound + 1e-8
+        lam_plus, lam_minus = gv.derived_bounds(params)
+        assert np.max(prof.f_plus ** 2) <= lam_plus + 1e-8
+        assert np.max(prof.f_minus ** 2) <= lam_minus + 1e-8
 
 
 def test_near_origin_exponent(coarse_grid):
@@ -725,6 +726,21 @@ def test_predicted_step_matches_eight_steps(case):
     if one is not None:
         assert np.max(np.abs(one.f_plus - eight.f_plus)) <= 1e-8
         assert np.max(np.abs(one.f_minus - eight.f_minus)) <= 1e-8
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=admissible_cases())
+def test_amplitude_bound_holds_on_admissible_solves(case):
+    # the maximum principle bounds every positive solution of the discrete
+    # rows, however coarse the grid, unless a component with a < 0 ends
+    # above its modulus: then the grid ends inside the core (R_max = 10 with
+    # a_- = -129, say), against its tail t + a/r^2
+    prof = gv.continuation_solve(*case)
+    p = prof.params
+    a = gv.leading_coeffs(p, prof.degrees)
+    inside_core = any(a_pm < 0 and f[-1] > t for a_pm, f, t in zip(
+        a, (prof.f_plus, prof.f_minus), (p.t_plus, p.t_minus)))
+    assert inside_core or gv.amplitude_bound_check(prof) >= -1e-8
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
