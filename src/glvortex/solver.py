@@ -9,7 +9,9 @@ Jacobian is banded with two sub/super-diagonals and a banded LU solve costs
 O(N).  Each B gets its own discrete system on operator rows the grid
 holds, and a solve or sweep owns one LAPACK band buffer: each Newton
 iteration writes the Jacobian into it, factors it in place (`dgbtrf`) and
-solves in one right-hand side (`dgbtrs`).
+solves in one right-hand side (`dgbtrs`).  At B = 0 the Jacobian is two
+tridiagonal blocks, one per component, which the same buffer holds and
+`dgttrf`/`dgttrs` factor and solve at a fraction of the band's cost.
 
 Globalization is by backtracking on the residual sup-norm plus continuation
 in the interaction coefficient B from the decoupled system (B = 0), whose
@@ -39,7 +41,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import orjson
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from . import asymptotics
 from .grid import (RadialGrid, grid_from_json, legacy_far_field,
@@ -124,10 +126,10 @@ class _DiscreteSystem:
     """The coupled residual at fixed grid, coefficients and degrees.
 
     Holds the two single-component operators (radial Laplacian + n^2/r^2 +
-    boundary rows), shared with every system on the grid, the interleaved
-    indices of their pinned rows, and per component the mask of rows where
-    the nonlinear potential term is active (every row not pinned) and the
-    far row's right-hand side: the slope -2a/R_max^3 of the tail t + a/r^2.
+    boundary rows), shared with every system on the grid, and per component
+    the indices of its pinned rows, the mask of rows where the nonlinear
+    potential term is active (every row not pinned) and the far row's
+    right-hand side: the slope -2a/R_max^3 of the tail t + a/r^2.
     """
 
     def __init__(self, grid: RadialGrid, params: CouplingParams,
@@ -136,7 +138,7 @@ class _DiscreteSystem:
         self.ops = [radial_operator(grid, n)
                     for n in (degrees.n_plus, degrees.n_minus)]
         self.masks = [~op.pinned for op in self.ops]
-        self.pinned = np.flatnonzero(~np.column_stack(self.masks))
+        self.pinned = [np.flatnonzero(op.pinned) for op in self.ops]
         R = grid.R_max
         self.rhs = [op.rhs * (-2.0 * a / R ** 3) for op, a in zip(
             self.ops, asymptotics.leading_coeffs(params, degrees))]
@@ -192,46 +194,112 @@ class _DiscreteSystem:
         ab[3, 1::2] = 0.0
         return ab
 
+    def jacobian_tridiagonal(self, f_plus, f_minus, out):
+        """The exact Jacobian at B = 0, where it is one tridiagonal block
+        per component: out[k, 0, :-1], out[k, 1] and out[k, 2, :-1] get the
+        sub-, main and super-diagonal of component k.  Each is written
+        whole and contiguous, the main diagonal in place with the values of
+        jacobian_banded's; the other entries of out are left alone."""
+        p = self.params
+        for rows, op, mask, f, A, t in zip(
+                out, self.ops, self.masks, (f_plus, f_minus),
+                (p.A_plus, p.A_minus), (p.t_plus, p.t_minus)):
+            rows[0, :-1] = op.lower[1:]
+            d = rows[1]         # op.diag + mask * (A * (3 f^2 - t^2))
+            np.square(f, out=d)
+            d *= 3.0
+            d -= t ** 2
+            d *= A
+            d *= mask
+            d += op.diag
+            rows[2, :-1] = op.upper[:-1]
+
 
 class _BandLU:
-    """The work buffers of one solve: a Fortran-ordered (7, 2N+2) band
-    holding the Jacobian in rows 2..6 and its LU fill-in in rows 0..1, as
-    LAPACK's `dgbtrf` wants it for (kl, ku) = (2, 2), and one right-hand
-    side that `dgbtrs` overwrites with the solution."""
+    """The work buffers of one solve: one Fortran-ordered (7, 2N+2) band
+    and one right-hand side, which the solve overwrites.
+
+    A coupled system interleaves the components per node, so its Jacobian
+    is one band with (kl, ku) = (2, 2): `jacobian_banded` writes it into
+    rows 2..6, LAPACK's `dgbtrf` factors it in place with its fill-in in
+    rows 0..1, and `dgbtrs` solves on it.  At B = 0 the components
+    decouple, so the same memory holds two tridiagonal systems, one per
+    component, each as four contiguous diagonals (dl, d, du, du2) that
+    `dgttrf` factors in place and `dgttrs` solves on.  The coefficients
+    pick the path; the two give the same step up to roundoff.
+    """
 
     def __init__(self, n_nodes: int):
-        self.ab = np.empty((7, 2 * n_nodes), order="F")
+        memory = np.empty(14 * n_nodes)
+        self.ab = memory.reshape((7, 2 * n_nodes), order="F")
+        # per component the rows dl, d, du and du2, of lengths n_nodes - 1,
+        # n_nodes, n_nodes - 1 and n_nodes - 2
+        self.tri = memory[:8 * n_nodes].reshape(2, 4, n_nodes)
         self.rhs = np.empty(2 * n_nodes)
         self.ipiv = None            # None until a factorization succeeds
 
     def factor(self, sys, f_plus, f_minus):
         """Assemble the Jacobian at (f_plus, f_minus) and factor it in place."""
         self.ipiv = None
-        sys.jacobian_banded(f_plus, f_minus, out=self.ab[2:])
-        _, ipiv, info = dgbtrf(self.ab, 2, 2, overwrite_ab=1)
-        if info != 0:
-            raise SingularJacobian(f"dgbtrf info {info} (zero pivot)")
-        self.ipiv = ipiv
         self.pinned = sys.pinned
+        self.decoupled = sys.params.B == 0.0
+        if self.decoupled:
+            sys.jacobian_tridiagonal(f_plus, f_minus, self.tri)
+            self.moved, ipiv = [], []
+            for (dl, d, du, du2), rows in zip(self.tri, sys.pinned):
+                # a pinned row is an identity row, so its unknown is its rhs
+                # entry: the entry below it in its column moves to the rhs,
+                # and the pivoting no longer swaps the identity row down
+                # past the next row, which cost that row about a digit
+                self.moved.append(dl[rows].copy())
+                dl[rows] = 0.0
+                *_, fill, piv, info = dgttrf(dl[:-1], d, du[:-1],
+                                             overwrite_dl=1, overwrite_d=1,
+                                             overwrite_du=1)
+                if info != 0:
+                    raise SingularJacobian(f"dgttrf info {info} (zero pivot)")
+                du2[:-2] = fill
+                ipiv.append(piv)
+        else:
+            sys.jacobian_banded(f_plus, f_minus, out=self.ab[2:])
+            _, ipiv, info = dgbtrf(self.ab, 2, 2, overwrite_ab=1)
+            if info != 0:
+                raise SingularJacobian(f"dgbtrf info {info} (zero pivot)")
+        self.ipiv = ipiv
 
     def solve(self, g_plus, g_minus):
-        """Solve J x = (g_plus, g_minus) interleaved, on the last LU; x is
-        the rhs buffer, valid until the next solve."""
-        self.rhs[0::2] = g_plus
-        self.rhs[1::2] = g_minus
+        """Solve J x = (g_plus, g_minus) on the last LU; returns x as the
+        pair (x_plus, x_minus), views of the rhs buffer valid until the
+        next solve."""
+        n = len(g_plus)
+        if self.decoupled:
+            x = self.rhs[:n], self.rhs[n:]
+            for xk, g, (dl, d, du, du2), piv, rows, moved in zip(
+                    x, (g_plus, g_minus), self.tri, self.ipiv, self.pinned,
+                    self.moved):
+                xk[:] = g
+                xk[rows + 1] -= moved * g[rows]     # origin rows: never N
+                dgttrs(dl[:-1], d, du[:-1], du2[:-2], piv, xk, overwrite_b=1)
+        else:
+            x = self.rhs[0::2], self.rhs[1::2]
+            x[0][:] = g_plus
+            x[1][:] = g_minus
+            dgbtrs(self.ab, 2, 2, self.rhs, self.ipiv, overwrite_b=1)
         # pinned rows are identity rows of J: exact entries, not LU roundoff
-        pinned = self.rhs[self.pinned]
-        dgbtrs(self.ab, 2, 2, self.rhs, self.ipiv, overwrite_b=1)
-        self.rhs[self.pinned] = pinned
+        for xk, g, rows in zip(x, (g_plus, g_minus), self.pinned):
+            xk[rows] = g[rows]
         if not np.all(np.isfinite(self.rhs)):
             raise SingularJacobian("non-finite solution of the banded system")
-        return self.rhs
+        return x
 
 
 def initial_guess(grid: RadialGrid, params: CouplingParams,
                   degrees: DegreePair):
     """Ansatz with the correct vanishing order at 0 and limit at infinity:
-    f0(r) = t r^n / (r^2 + n^2/(A t^2))^(n/2) for n >= 1, constant t for n = 0."""
+    f0(r) = t r^n / (r^2 + n^2/(A t^2))^(n/2) for n >= 1, constant t for
+    n = 0.  It is evaluated as t (r^2/(r^2 + c))^(n/2), whose base lies in
+    [0, 1), so a large winding neither overflows r^n nor divides inf by
+    inf."""
     r = grid.nodes
     out = []
     for n, t, A in ((degrees.n_plus, params.t_plus, params.A_plus),
@@ -240,7 +308,8 @@ def initial_guess(grid: RadialGrid, params: CouplingParams,
             out.append(np.full_like(r, t))
         else:
             core = n * n / (A * t * t)
-            out.append(t * r ** n / (r ** 2 + core) ** (n / 2.0))
+            r2 = r ** 2
+            out.append(t * (r2 / (r2 + core)) ** (n / 2.0))
     return tuple(out)
 
 
@@ -271,8 +340,9 @@ def newton_solve(f_plus0, f_minus0, grid: RadialGrid, params: CouplingParams,
 
     Backtracks the step by the factor _DAMPING whenever the residual sup-norm
     fails to decrease; raises NoConvergence (with the best iterate and the
-    residual history) after max_newton_iters, a stalled line search, or a
-    converged iterate that is not positive.
+    residual history) after max_newton_iters, a stalled line search (the
+    step fell below 1e-8, or a halved step left the iterate unchanged), or
+    a converged iterate that is not positive.
     """
     t0 = time.perf_counter()
     sys = _DiscreteSystem(grid, params, degrees)
@@ -294,12 +364,26 @@ def _sup_norm(g_plus, g_minus) -> float:
     return float(max(np.max(np.abs(g_plus)), np.max(np.abs(g_minus))))
 
 
+def _unmoved(cand_plus, cand_minus, f_plus, f_minus) -> bool:
+    """Whether a trial iterate equals the current one bit for bit.  Rounding
+    is monotone, so every shorter step along the same direction gives the
+    same iterate, and with it the same residual: the line search is over."""
+    return np.array_equal(cand_plus, f_plus) and np.array_equal(cand_minus,
+                                                                f_minus)
+
+
 def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
     """In-place Newton iteration on the LU buffers `lu`, followed by the
     positivity check; returns (iterations, residual norm).  On success `lu`
     holds the LU of the last iteration's Jacobian (none if no iteration
     ran).  A failure carries the residual history: the starting residual
-    and one entry per completed iteration."""
+    and one entry per completed iteration.
+
+    The line search halves the step until the residual sup-norm decreases.
+    It stalls when the step falls below 1e-8 of the Newton step, or as soon
+    as a halved trial iterate equals the current one bit for bit: every
+    shorter step then gives that iterate too, so both end in the same
+    NoConvergence, the second without the residual evaluations between."""
     history = []
     g_plus, g_minus = sys.residual(f_plus, f_minus)
     norm = _sup_norm(g_plus, g_minus)
@@ -313,21 +397,23 @@ def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
                 f_plus=f_plus.copy(), f_minus=f_minus.copy(), history=history)
         try:
             lu.factor(sys, f_plus, f_minus)
-            step = lu.solve(g_plus, g_minus)
+            step_plus, step_minus = lu.solve(g_plus, g_minus)
         except SingularJacobian as exc:
             exc.args = (f"Newton step failed at iteration {it}: {exc}",)
             exc.history = history
             raise
         alpha = 1.0
+        cand_plus, cand_minus = f_plus - step_plus, f_minus - step_minus
         while True:
-            cand_plus = f_plus - alpha * step[0::2]
-            cand_minus = f_minus - alpha * step[1::2]
             g_plus, g_minus = sys.residual(cand_plus, cand_minus)
             cand_norm = _sup_norm(g_plus, g_minus)
             if cand_norm < norm or cand_norm <= options.tolerance:
                 break
             alpha *= _DAMPING
-            if alpha < 1e-8:
+            cand_plus = f_plus - alpha * step_plus
+            cand_minus = f_minus - alpha * step_minus
+            if alpha < 1e-8 or _unmoved(cand_plus, cand_minus,
+                                        f_plus, f_minus):
                 raise NoConvergence(
                     f"line search stalled at residual {norm:.3e}",
                     f_plus=f_plus.copy(), f_minus=f_minus.copy(),
@@ -377,7 +463,8 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
             if want_tangent:
                 if lu.ipiv is None:     # no Newton iteration factored yet
                     lu.factor(sys, f_plus, f_minus)
-                tangent = -lu.solve(*sys.residual_dB(f_plus, f_minus))
+                tangent = [-x for x in lu.solve(*sys.residual_dB(f_plus,
+                                                                 f_minus))]
         except _SolveFailure as exc:
             lu.ipiv = None      # the LU of a failed iterate predicts nothing
             exc.B_value = b
@@ -401,8 +488,8 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
             db = b - profile.params.B
             try:
                 next_profile, next_tangent = stage(
-                    b, profile.f_plus + db * tangent[0::2],
-                    profile.f_minus + db * tangent[1::2],
+                    b, profile.f_plus + db * tangent[0],
+                    profile.f_minus + db * tangent[1],
                     want_tangent or not last)
             except _SolveFailure:
                 if size == 1:

@@ -25,6 +25,23 @@ def eight_steps(params, degrees, grid):
     return None if any(isinstance(p, Exception) for p in path) else path[-1]
 
 
+def test_initial_guess_is_finite_at_large_winding(reference_profiles,
+                                                  recwarn):
+    # r^n overflows at n = 400, but the base r^2/(r^2 + c) of the guess lies
+    # in [0, 1); the five reference sets still take the same Newton
+    # iterations per continuation stage from it
+    g = gv.build_grid(20.0, 200)
+    fp, fm = gv.initial_guess(g, params_of(1, 1, 0, 1, 1),
+                              gv.DegreePair(400, 1))
+    assert np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))
+    assert fp[0] == 0.0 and np.all((0.0 <= fp) & (fp < 1.0))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert {name: prof.report.iterations
+            for name, prof in reference_profiles.items()} == {
+        "classical": (4,), "bpos": (4, 3), "bneg": (4, 3), "asym": (4, 4),
+        "overshoot": (4, 4)}
+
+
 def test_initial_guess_shapes():
     g = gv.build_grid(20.0, 100)
     fp, fm = gv.initial_guess(g, params_of(1, 1, 0, 1, 1), gv.DegreePair(0, 0))
@@ -115,6 +132,13 @@ def test_jacobian_decouples_at_zero_interaction():
     ab = sys.jacobian_banded(fp, fm)
     assert np.max(np.abs(ab[1, 1::2])) == 0.0  # plus-row cross entries
     assert np.max(np.abs(ab[3, 0::2])) == 0.0  # minus-row cross entries
+    # the two tridiagonal blocks hold the band's entries bit for bit
+    tri = np.full((2, 4, g.N + 1), np.nan)
+    sys.jacobian_tridiagonal(fp, fm, tri)
+    for k in (0, 1):
+        assert np.array_equal(tri[k, 0, :-1], ab[4, k:-2:2])
+        assert np.array_equal(tri[k, 1], ab[2, k::2])
+        assert np.array_equal(tri[k, 2, :-1], ab[0, 2 + k::2])
 
 
 def test_jacobian_blocks_at_constant_state():
@@ -412,63 +436,134 @@ def test_solve_on_geometric_grid():
     assert gv.quantization_check(prof_geo).relative_gap < 0.01
 
 
+def _pinned_columns_moved(ab, rhs, pinned):
+    """The banded system (l, u) = (2, 2) with each pinned unknown, known to
+    be its identity row's rhs entry, moved from its column to the rhs."""
+    ab, rhs = ab.copy(), rhs.copy()
+    for j in np.flatnonzero(pinned):
+        for r in (0, 1, 3, 4):
+            i = j + r - 2
+            if 0 <= i < len(rhs):
+                rhs[i] -= ab[r, j] * rhs[j]
+                ab[r, j] = 0.0
+    return ab, rhs
+
+
 @pytest.mark.parametrize("degrees", [(1, 1), (1, 0), (0, 1)])
 @pytest.mark.parametrize("kind", ["uniform", "geometric"])
 def test_band_lu_step_matches_solve_banded(degrees, kind):
-    # the in-place dgbtrf/dgbtrs step against scipy's solve_banded on the
-    # same Jacobians; the buffers start as NaN and are reused over several
-    # iterates, as in a solve, so every band entry must be rewritten.  A
+    # the in-place step, dgttrf/dgttrs on the two decoupled tridiagonal
+    # systems at B = 0 and dgbtrf/dgbtrs on the coupled band, against
+    # scipy's solve_banded on the same Jacobians.  One buffer starts as NaN
+    # and is reused over several iterates of each system in turn, as in a
+    # sweep, so every entry a factorization reads must be rewritten.  A
     # pinned row is an identity row, so its entry is the rhs's exactly,
-    # where the pivoted reference carries roundoff
+    # where the pivoted reference carries roundoff.  At B = 0 the pinned
+    # unknowns' columns move to the right-hand side before factoring, and
+    # so they do for the reference: pivoting on the identity row costs the
+    # next row's unknown about a digit on the geometric grid, which the
+    # 1e-13 bound would see
     if kind == "uniform":
         grid = gv.build_grid(30.0, 400)
     else:
         grid = gv.build_grid(30.0, 300, "geometric", 1.01)
-    params = params_of(1.3, 0.8, 0.6, 1.1, 0.9)
     deg = gv.DegreePair(*degrees)
-    sys = _DiscreteSystem(grid, params, deg)
-    pinned = np.column_stack([op.pinned for op in sys.ops]).ravel()
-    assert pinned.any()
     lu = _BandLU(grid.N + 1)
     lu.ab[:] = np.nan
     lu.rhs[:] = np.nan
     rng = np.random.default_rng(11)
-    fp, fm = gv.initial_guess(grid, params, deg)
-    for _ in range(3):
-        fp = fp * (1.0 + 0.2 * rng.random(fp.shape))
-        fm = fm * (1.0 + 0.2 * rng.random(fm.shape))
-        gp, gm = sys.residual(fp, fm)
-        lu.factor(sys, fp, fm)
-        step = lu.solve(gp, gm)
-        rhs = np.empty(2 * (grid.N + 1))
-        rhs[0::2] = gp
-        rhs[1::2] = gm
-        ref = solve_banded((2, 2), sys.jacobian_banded(fp, fm), rhs)
-        assert np.array_equal(step[pinned], rhs[pinned])
-        assert (np.max(np.abs(step - ref)[~pinned])
-                <= 1e-13 * np.max(np.abs(ref)))
+    for B in (0.0, 0.6, 0.0):
+        params = params_of(1.3, 0.8, B, 1.1, 0.9)
+        sys = _DiscreteSystem(grid, params, deg)
+        pinned = np.column_stack([op.pinned for op in sys.ops]).ravel()
+        assert pinned.any()
+        fp, fm = gv.initial_guess(grid, params, deg)
+        for _ in range(3):
+            # + 0.01 moves the pinned values off 0 too, so the rhs has
+            # nonzero pinned entries
+            fp = fp * (1.0 + 0.2 * rng.random(fp.shape)) + 0.01
+            fm = fm * (1.0 + 0.2 * rng.random(fm.shape)) + 0.01
+            gp, gm = sys.residual(fp, fm)
+            lu.factor(sys, fp, fm)
+            step = np.column_stack(lu.solve(gp, gm)).ravel()
+            rhs = np.empty(2 * (grid.N + 1))
+            rhs[0::2] = gp
+            rhs[1::2] = gm
+            ab = sys.jacobian_banded(fp, fm)
+            if B == 0.0:
+                ab, rhs = _pinned_columns_moved(ab, rhs, pinned)
+            ref = solve_banded((2, 2), ab, rhs)
+            assert np.array_equal(step[pinned], rhs[pinned])
+            assert (np.max(np.abs(step - ref)[~pinned])
+                    <= 1e-13 * np.max(np.abs(ref)))
 
 
 def test_band_lu_failures_raise_singular_jacobian():
+    # matrix column 5 is node 2 of the f_minus component; zeroed, it gives
+    # dgttrf on the f_minus block at B = 0, and dgbtrf on the coupled band,
+    # an exact zero pivot
     g = gv.build_grid(10.0, 20)
-    params = params_of(1, 1, 0, 1, 1)
     deg = gv.DegreePair(1, 1)
-    sys = _DiscreteSystem(g, params, deg)
-    assemble = sys.jacobian_banded
+    for B in (0.0, 0.5):
+        params = params_of(1, 1, B, 1, 1)
+        sys = _DiscreteSystem(g, params, deg)
+        if B == 0.0:
+            assemble = sys.jacobian_tridiagonal
 
-    def zero_column(f_plus, f_minus, out):
-        assemble(f_plus, f_minus, out)
-        out[:, 5] = 0.0     # the whole of matrix column 5
+            def zero_column(f_plus, f_minus, out):
+                assemble(f_plus, f_minus, out)
+                out[1, 0, 2] = out[1, 1, 2] = out[1, 2, 1] = 0.0
 
-    sys.jacobian_banded = zero_column
-    lu = _BandLU(g.N + 1)
-    with pytest.raises(gv.SingularJacobian, match="zero pivot"):
-        lu.factor(sys, np.ones(21), np.ones(21))
-    assert lu.ipiv is None
-    # a NaN start gives a non-finite Newton step
-    nan = np.full(21, np.nan)
-    with pytest.raises(gv.SingularJacobian, match="non-finite"):
-        gv.newton_solve(nan, nan, g, params, deg)
+            sys.jacobian_tridiagonal = zero_column
+        else:
+            assemble = sys.jacobian_banded
+
+            def zero_column(f_plus, f_minus, out):
+                assemble(f_plus, f_minus, out)
+                out[:, 5] = 0.0     # the whole of matrix column 5
+
+            sys.jacobian_banded = zero_column
+        lu = _BandLU(g.N + 1)
+        with pytest.raises(gv.SingularJacobian, match="zero pivot"):
+            lu.factor(sys, np.ones(21), np.ones(21))
+        assert lu.ipiv is None
+        # a NaN start fails the Newton step: dgttrf's pivoting, whose
+        # comparisons with NaN are false, ends in a zero pivot, and the band
+        # solve gives a non-finite step
+        nan = np.full(21, np.nan)
+        with pytest.raises(gv.SingularJacobian,
+                           match="non-finite" if B else "zero pivot"):
+            gv.newton_solve(nan, nan, g, params, deg)
+
+
+def test_decoupled_stages_factor_no_band(coarse_grid, monkeypatch):
+    # at B = 0 the Jacobian is factored as two tridiagonal systems: a
+    # classical solve calls no dgbtrf, and in a sweep only the stages at
+    # B != 0 do
+    stages, band, tridiagonal = [], [], []
+    newton = solver._newton
+
+    def spy_newton(sys, *args):
+        stages.append(sys.params.B)
+        return newton(sys, *args)
+
+    def spy(calls, factor):
+        def counted(*args, **kwargs):
+            calls.append(stages[-1])
+            return factor(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(solver, "_newton", spy_newton)
+    monkeypatch.setattr(solver, "dgbtrf", spy(band, solver.dgbtrf))
+    monkeypatch.setattr(solver, "dgttrf", spy(tridiagonal, solver.dgttrf))
+    gv.continuation_solve(params_of(1, 1, 0, 1, 1), gv.DegreePair(1, 0),
+                          coarse_grid)
+    assert band == [] and set(tridiagonal) == {0.0}
+    out = gv.continuation_sweep(params_of(1, 1, 0, 1, 1), gv.DegreePair(1, 1),
+                                [0.3, 0.0, -0.3], coarse_grid)
+    assert all(isinstance(p, gv.Profile) for p in out)
+    assert band and 0.0 not in band
+    assert set(tridiagonal) == {0.0}
 
 
 def test_pinned_origin_values_are_exact(reference_profiles):
@@ -671,6 +766,40 @@ def test_failures_leave_no_reference_cycles(coarse_grid, monkeypatch, error):
     finally:
         gc.enable()
     assert caught == [error, gv.NoConvergence, error]
+
+
+@pytest.mark.parametrize("B, degrees", [(0.5, (1, 1)), (0.0, (1, 0))])
+def test_stalled_line_search_stops_once_the_iterate_is_unmoved(B, degrees,
+                                                               monkeypatch):
+    # a tolerance under the roundoff floor stalls the line search; once a
+    # halved step leaves the iterate unchanged bit for bit, every shorter
+    # one does too, so stopping there gives the failure of halving down to
+    # the smallest step, from fewer residual evaluations
+    grid = gv.build_grid(20.0, 200)
+    params, deg = params_of(1, 1, B, 1, 1), gv.DegreePair(*degrees)
+    evals = []
+    residual = _DiscreteSystem.residual
+
+    def counted(self, *args):
+        evals.append(1)
+        return residual(self, *args)
+
+    monkeypatch.setattr(_DiscreteSystem, "residual", counted)
+    failures = []
+    for _ in range(2):
+        evals.clear()
+        with pytest.raises(gv.NoConvergence,
+                           match="line search stalled") as info:
+            gv.newton_solve(*gv.initial_guess(grid, params, deg), grid,
+                            params, deg, SolveOptions(tolerance=1e-16))
+        failures.append((info.value, len(evals)))
+        monkeypatch.setattr(solver, "_unmoved", lambda *args: False)
+    (early, early_evals), (late, late_evals) = failures
+    assert str(early) == str(late)
+    assert early.history == late.history
+    assert early.f_plus.tobytes() == late.f_plus.tobytes()
+    assert early.f_minus.tobytes() == late.f_minus.tobytes()
+    assert early_evals < late_evals
 
 
 def test_positivity_failure_carries_history():
