@@ -321,18 +321,16 @@ def _envelope_tables(params: CouplingParams, degrees: DegreePair) -> tuple:
                                      (minus.mirrored(), -sm))}
 
 
-def _radii(pair, base: Fraction) -> list:
+def _radii(every, base: Fraction) -> list:
     """[least integer R >= 1 with R^(2k-6) >= c |C_k(u)| / |C_3(u)| for
     every (k, c) in _DOMINANCE] at u = base 2^j, j = 1..48, in float on
-    the tables as cubics in 2^j over their largest coefficient.  pair is
-    one branch's (plus, minus) tables; the other branch's, at -u, are the
-    same floats with the odd powers of u negated."""
+    the tables as cubics in 2^j over their largest coefficient.  every is
+    the (cubics, sign) tables of both branches."""
     basis, tables = _cubic_basis(base), []
-    for cubics, _ in pair:
+    for cubics, _ in every:
         rows = [c * v for row in cubics.num for c, v in zip(row, basis)]
         big = max(map(abs, rows))
         tables.append([c / big for c in rows])
-    tables += [[-c if j % 2 else c for j, c in enumerate(t)] for t in tables]
     y = 2.0 ** np.arange(1, 49)
     C = np.abs(np.reshape(tables, (-1, 9, 4)) @ [y ** 0, y, y * y, y ** 3])
     bound = np.max([(c * C[:, k - 1] / C[:, 2]) ** (1 / (2 * k - 6))
@@ -357,7 +355,7 @@ def select_envelope(params: CouplingParams, degrees: DegreePair) -> EnvelopeSpec
                               "M_2 or M_4 nonzero, or M_6 never of its sign")
     u0 = max(Fraction(-cub.num[2][0], cub.num[2][1]) for cub, _ in every)
     base = u0 if u0 > 0 else Fraction(1)
-    radii = _radii(every[:2], base)
+    radii = _radii(every, base)
     j = min(range(1, 49), key=lambda j: (radii[j - 1], -j))
     u = base * 2 ** j
     for R in itertools.count(radii[j - 1]):  # the float bound may fall short

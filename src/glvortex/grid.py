@@ -7,13 +7,16 @@ solver's residual evaluates these rows, its Jacobian reads their
 coefficients, and the Hessian is built from that Jacobian, so the three
 share one discretization.  At r = 0 the removable singularity for zero
 winding is handled with a ghost-free one-sided row (the radial Laplacian of
-an even function tends to 2 u''(0)).  The one far row at R_max fixes the
-slope u'(R_max) by ghost elimination.  No row holds boundary data, only the
-far row's unit-datum column rhs, so a grid assembles each set of rows once.
+an even function tends to 2 u''(0)); a nonzero winding pins u(0) = 0 in a
+row scaled to keep its place under LU pivoting.  The one far row at R_max
+fixes the slope u'(R_max) by ghost elimination.  No row holds boundary
+data, only the far row's unit-datum column rhs, so a grid assembles each
+set of rows once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -161,8 +164,8 @@ class RadialOperator:
         pot[i] u[i] + lower[i] (u[i-1] - u[i]) + upper[i] (u[i+1] - u[i])
     = d rhs[i] for a far datum d, with lower[0] = upper[N] = 0, so its
     tridiagonal coefficients are (lower, diag, upper) with
-    diag = -(lower + upper) + pot.  pot is n^2/r^2 on equation rows and 1 on
-    the `pinned` rows, where a fixed value replaces the equation.
+    diag = -(lower + upper) + pot.  pot is n^2/r^2 on equation rows and a
+    power of two on the `pinned` rows, where u = 0 replaces the equation.
     """
 
     lower: np.ndarray = field(repr=False)
@@ -195,10 +198,12 @@ def radial_operator(grid: RadialGrid, n: int) -> RadialOperator:
 
     The origin row is forced by the winding number: pinned to u(0) = 0 for
     n != 0 (the n^2/r^2 term is singular), one-sided second-order Neumann
-    for n = 0.  The far row is the ghost-eliminated row fixing the slope
-    u'(R_max) = d; rhs is its column for d = 1.  The grid object keeps the
-    rows of the first request, read-only, for every later caller; grids
-    built apart share none.
+    for n = 0.  The pinned row reads 2^e u(0) = 0, 2^e the smallest power
+    of two above -lower[1]: partial pivoting keeps it as its own pivot row,
+    and an LU solve gives its entry g / 2^e exactly.  The far row is the
+    ghost-eliminated row fixing the slope u'(R_max) = d; rhs is its column
+    for d = 1.  The grid object keeps the rows of the first request,
+    read-only, for every later caller; grids built apart share none.
     """
     if n < 0:
         raise BadBoundarySpec("winding number must be nonnegative")
@@ -215,10 +220,11 @@ def radial_operator(grid: RadialGrid, n: int) -> RadialOperator:
     lower[1:-1] = -rm[:-1] / (h[:-1] * r[1:-1] * hbar)
     upper[1:-1] = -rm[1:] / (h[1:] * r[1:-1] * hbar)
     pot[1:] = n * n / r[1:] ** 2
-    pot[pinned] = 1.0
     if n == 0:
         # limit row: -(1/r)(r u')'|_0 = -2 u''(0) ~ (4/r1^2)(u0 - u1)
         upper[0] = -4.0 / r[1] ** 2
+    else:
+        pot[0] = 2.0 ** math.frexp(-lower[1])[1]
     # ghost elimination: u_{N+1} = u_{N-1} + 2 h d, keeping the interior
     # stencil second order at the boundary
     hN = h[-1]

@@ -127,9 +127,9 @@ class _DiscreteSystem:
 
     Holds the two single-component operators (radial Laplacian + n^2/r^2 +
     boundary rows), shared with every system on the grid, and per component
-    the indices of its pinned rows, the mask of rows where the nonlinear
-    potential term is active (every row not pinned) and the far row's
-    right-hand side: the slope -2a/R_max^3 of the tail t + a/r^2.
+    the mask of rows where the nonlinear potential term is active (every
+    row not pinned) and the far row's right-hand side: the slope
+    -2a/R_max^3 of the tail t + a/r^2.
     """
 
     def __init__(self, grid: RadialGrid, params: CouplingParams,
@@ -138,7 +138,6 @@ class _DiscreteSystem:
         self.ops = [radial_operator(grid, n)
                     for n in (degrees.n_plus, degrees.n_minus)]
         self.masks = [~op.pinned for op in self.ops]
-        self.pinned = [np.flatnonzero(op.pinned) for op in self.ops]
         R = grid.R_max
         self.rhs = [op.rhs * (-2.0 * a / R ** 3) for op, a in zip(
             self.ops, asymptotics.leading_coeffs(params, degrees))]
@@ -226,7 +225,9 @@ class _BandLU:
     decouple, so the same memory holds two tridiagonal systems, one per
     component, each as four contiguous diagonals (dl, d, du, du2) that
     `dgttrf` factors in place and `dgttrs` solves on.  The coefficients
-    pick the path; the two give the same step up to roundoff.
+    pick the path; the two give the same step up to roundoff.  A pinned
+    origin row 2^e u(0) = 0 (`grid.radial_operator`) outweighs its column,
+    so neither LU moves it and its step entry is g / 2^e exactly.
     """
 
     def __init__(self, n_nodes: int):
@@ -241,18 +242,11 @@ class _BandLU:
     def factor(self, sys, f_plus, f_minus):
         """Assemble the Jacobian at (f_plus, f_minus) and factor it in place."""
         self.ipiv = None
-        self.pinned = sys.pinned
         self.decoupled = sys.params.B == 0.0
         if self.decoupled:
             sys.jacobian_tridiagonal(f_plus, f_minus, self.tri)
-            self.moved, ipiv = [], []
-            for (dl, d, du, du2), rows in zip(self.tri, sys.pinned):
-                # a pinned row is an identity row, so its unknown is its rhs
-                # entry: the entry below it in its column moves to the rhs,
-                # and the pivoting no longer swaps the identity row down
-                # past the next row, which cost that row about a digit
-                self.moved.append(dl[rows].copy())
-                dl[rows] = 0.0
+            ipiv = []
+            for dl, d, du, du2 in self.tri:
                 *_, fill, piv, info = dgttrf(dl[:-1], d, du[:-1],
                                              overwrite_dl=1, overwrite_d=1,
                                              overwrite_du=1)
@@ -274,20 +268,15 @@ class _BandLU:
         n = len(g_plus)
         if self.decoupled:
             x = self.rhs[:n], self.rhs[n:]
-            for xk, g, (dl, d, du, du2), piv, rows, moved in zip(
-                    x, (g_plus, g_minus), self.tri, self.ipiv, self.pinned,
-                    self.moved):
+            for xk, g, (dl, d, du, du2), piv in zip(
+                    x, (g_plus, g_minus), self.tri, self.ipiv):
                 xk[:] = g
-                xk[rows + 1] -= moved * g[rows]     # origin rows: never N
                 dgttrs(dl[:-1], d, du[:-1], du2[:-2], piv, xk, overwrite_b=1)
         else:
             x = self.rhs[0::2], self.rhs[1::2]
             x[0][:] = g_plus
             x[1][:] = g_minus
             dgbtrs(self.ab, 2, 2, self.rhs, self.ipiv, overwrite_b=1)
-        # pinned rows are identity rows of J: exact entries, not LU roundoff
-        for xk, g, rows in zip(x, (g_plus, g_minus), self.pinned):
-            xk[rows] = g[rows]
         if not np.all(np.isfinite(self.rhs)):
             raise SingularJacobian("non-finite solution of the banded system")
         return x

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +146,11 @@ def test_apply_matches_tridiagonal_rows(geometric, stretch, N, R_max, n,
     assert np.all(np.abs(op.apply(u) - dense @ u) <= 1e-12 * scale)
     assert op.lower[0] == op.upper[-1] == 0.0
     assert list(np.flatnonzero(op.pinned)) == [0] * (n != 0)
+    if n != 0:
+        # the pinned row's scale is a power of two above row 1's coefficient
+        # on u(0), so partial pivoting keeps the row in place
+        mantissa, _ = math.frexp(op.pot[0])
+        assert mantissa == 0.5 and op.pot[0] > -op.lower[1]
     # rhs is the far row's column for a unit datum, no boundary data
     assert list(np.flatnonzero(op.rhs)) == [N]
 

@@ -436,17 +436,19 @@ def test_solve_on_geometric_grid():
     assert gv.quantization_check(prof_geo).relative_gap < 0.01
 
 
-def _pinned_columns_moved(ab, rhs, pinned):
-    """The banded system (l, u) = (2, 2) with each pinned unknown, known to
-    be its identity row's rhs entry, moved from its column to the rhs."""
-    ab, rhs = ab.copy(), rhs.copy()
-    for j in np.flatnonzero(pinned):
-        for r in (0, 1, 3, 4):
-            i = j + r - 2
-            if 0 <= i < len(rhs):
-                rhs[i] -= ab[r, j] * rhs[j]
-                ab[r, j] = 0.0
-    return ab, rhs
+def _refined_band_solve(ab, rhs):
+    """The solution of the banded system (l, u) = (2, 2) by iterative
+    refinement of solve_banded's, with residuals and iterate in long
+    double: accurate well below double roundoff in the solution."""
+    J = ab.astype(np.longdouble)
+    x = solve_banded((2, 2), ab, rhs).astype(np.longdouble)
+    for _ in range(4):
+        res = rhs - J[2] * x            # J[i, j] = ab[2 + i - j, j]
+        for k in (1, 2):
+            res[k:] -= J[2 + k, :-k] * x[:-k]
+            res[:-k] -= J[2 - k, k:] * x[k:]
+        x += solve_banded((2, 2), ab, res.astype(float))
+    return x
 
 
 @pytest.mark.parametrize("degrees", [(1, 1), (1, 0), (0, 1)])
@@ -457,12 +459,11 @@ def test_band_lu_step_matches_solve_banded(degrees, kind):
     # scipy's solve_banded on the same Jacobians.  One buffer starts as NaN
     # and is reused over several iterates of each system in turn, as in a
     # sweep, so every entry a factorization reads must be rewritten.  A
-    # pinned row is an identity row, so its entry is the rhs's exactly,
-    # where the pivoted reference carries roundoff.  At B = 0 the pinned
-    # unknowns' columns move to the right-hand side before factoring, and
-    # so they do for the reference: pivoting on the identity row costs the
-    # next row's unknown about a digit on the geometric grid, which the
-    # 1e-13 bound would see
+    # pinned row 2^e u(0) = 0 outweighs its column, so no pivoting moves it
+    # and its step entry is g / 2^e exactly.  On the geometric grid the
+    # coupled step also meets a long-double refined solve to 2e-14: a
+    # pinned row that pivoting swapped below the next row would cost that
+    # row's unknown about a digit there
     if kind == "uniform":
         grid = gv.build_grid(30.0, 400)
     else:
@@ -472,10 +473,12 @@ def test_band_lu_step_matches_solve_banded(degrees, kind):
     lu.ab[:] = np.nan
     lu.rhs[:] = np.nan
     rng = np.random.default_rng(11)
+    extended = np.finfo(np.longdouble).eps < np.finfo(float).eps
     for B in (0.0, 0.6, 0.0):
         params = params_of(1.3, 0.8, B, 1.1, 0.9)
         sys = _DiscreteSystem(grid, params, deg)
         pinned = np.column_stack([op.pinned for op in sys.ops]).ravel()
+        pot = np.column_stack([op.pot for op in sys.ops]).ravel()
         assert pinned.any()
         fp, fm = gv.initial_guess(grid, params, deg)
         for _ in range(3):
@@ -490,12 +493,14 @@ def test_band_lu_step_matches_solve_banded(degrees, kind):
             rhs[0::2] = gp
             rhs[1::2] = gm
             ab = sys.jacobian_banded(fp, fm)
-            if B == 0.0:
-                ab, rhs = _pinned_columns_moved(ab, rhs, pinned)
             ref = solve_banded((2, 2), ab, rhs)
-            assert np.array_equal(step[pinned], rhs[pinned])
-            assert (np.max(np.abs(step - ref)[~pinned])
+            assert np.array_equal(step[pinned], rhs[pinned] / pot[pinned])
+            assert (np.max(np.abs(step - ref))
                     <= 1e-13 * np.max(np.abs(ref)))
+            if B and kind == "geometric" and extended:
+                exact = _refined_band_solve(ab, rhs)
+                assert (np.max(np.abs(step - exact))
+                        <= 2e-14 * np.max(np.abs(exact)))
 
 
 def test_band_lu_failures_raise_singular_jacobian():
@@ -527,12 +532,9 @@ def test_band_lu_failures_raise_singular_jacobian():
         with pytest.raises(gv.SingularJacobian, match="zero pivot"):
             lu.factor(sys, np.ones(21), np.ones(21))
         assert lu.ipiv is None
-        # a NaN start fails the Newton step: dgttrf's pivoting, whose
-        # comparisons with NaN are false, ends in a zero pivot, and the band
-        # solve gives a non-finite step
+        # a NaN start fails the Newton step: both LUs give a non-finite step
         nan = np.full(21, np.nan)
-        with pytest.raises(gv.SingularJacobian,
-                           match="non-finite" if B else "zero pivot"):
+        with pytest.raises(gv.SingularJacobian, match="non-finite"):
             gv.newton_solve(nan, nan, g, params, deg)
 
 
@@ -567,7 +569,8 @@ def test_decoupled_stages_factor_no_band(coarse_grid, monkeypatch):
 
 
 def test_pinned_origin_values_are_exact(reference_profiles):
-    # u(0) = 0 is an identity row of J, so every Newton step keeps it exact
+    # u(0) = 0 is a pinned row 2^e u(0) = 0 that no LU pivoting moves, so
+    # every Newton step keeps it exact
     for prof in reference_profiles.values():
         for n, f in ((prof.degrees.n_plus, prof.f_plus),
                      (prof.degrees.n_minus, prof.f_minus)):
