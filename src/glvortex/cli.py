@@ -1,15 +1,16 @@
 """Command-line front end: solves, sweeps, verification, tail reports, CSV export.
 
 Structured results go to stdout as JSON (one object per check for `verify`);
-plot data goes to CSV.  Exit codes: 0 success, 1 configuration/parse error,
-2 solver non-convergence, 3 verification failure; `main` alone maps
-exceptions to them.  Stderr holds JSON lines only: one per distinct warning,
-of any category, then at most one error.  Configs are strict JSON: unknown
-keys are rejected so typos cannot silently change a scientific run; the one
-legacy key, `solve.far_field`, is accepted with its one value "robin".  This
-module does I/O only: `solver` solves and steps B, `diagnostics` and
-`asymptotics` compute every check, record and column it prints, and `model`
-and `grid` parse the JSON sections that profile files share with configs.
+plot data goes to CSV.  Exit codes: 0 success, 1 configuration/parse error
+or a closed form beyond the float range, 2 solver non-convergence, 3
+verification failure; `main` alone maps exceptions to them.  Stderr holds
+JSON lines only: one per distinct warning, of any category, then at most one
+error.  Configs are strict JSON: unknown keys are rejected so typos cannot
+silently change a scientific run; the one legacy key, `solve.far_field`, is
+accepted with its one value "robin".  This module does I/O only: `solver`
+solves and steps B, `diagnostics` and `asymptotics` compute every check,
+record and column it prints, and `model` and `grid` parse the JSON sections
+that profile files share with configs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ _DEFAULT_GRID = {"R_max": 80.0, "N": 4000, "kind": "uniform", "stretch": None}
 # the solve defaults live on solver.SolveOptions alone
 _SOLVE_KEYS = {f.name for f in dataclasses.fields(solver.SolveOptions)}
 _CONFIG_KEYS = {"version", "params", "bec_params", "degrees", "grid", "solve",
-                "sweep", "fit_window", "verify"}
+                "sweep", "verify"}
 _ONE_PARAMS = "exactly one of params / bec_params must be present"
 # each sweep value is one continuation stage (a few ms at N = 4000), so 10^4
 # values is minutes of work; the bound is checked before the list is built
@@ -71,10 +72,10 @@ def load_config(path: str, args=None) -> dict:
     """Read and validate a run configuration, applying flag overrides.
 
     A config with neither params nor bec_params is a verify config: only
-    its verify tolerances and fit window are read.  Params, degrees and
-    grid are parsed as profile files parse them; negative windings
-    normalize, and the flags override the grid and solve sections.  A
-    solve section may still name the far field, as "robin" only.
+    its verify tolerances are read.  Params, degrees and grid are parsed as
+    profile files parse them; negative windings normalize, and the flags
+    override the grid and solve sections.  A solve section may still name
+    the far field, as "robin" only.
     """
     with open(path) as fh:
         raw = model.json_object(model.parse_json(fh.read(), ConfigError),
@@ -88,14 +89,7 @@ def load_config(path: str, args=None) -> dict:
     bad = [k for k, v in verify.items() if not (model.is_number(v) and v >= 0)]
     if bad:
         raise ConfigError(f"verify values {bad} must be finite numbers >= 0")
-    window = raw.get("fit_window")
-    if window is not None and not (
-            isinstance(window, list) and len(window) == 2
-            and all(map(model.is_number, window)) and window[0] < window[1]):
-        raise ConfigError("fit_window must be [r_lo, r_hi] with finite "
-                          f"r_lo < r_hi, got {window!r}")
-    cfg = {"verify": {**diagnostics.VERIFY_DEFAULTS, **verify},
-           "fit_window": window}
+    cfg = {"verify": {**diagnostics.VERIFY_DEFAULTS, **verify}}
     if "params" not in raw and "bec_params" not in raw:
         return cfg
 
@@ -206,13 +200,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tolerances, window = diagnostics.VERIFY_DEFAULTS, None
+    tolerances = diagnostics.VERIFY_DEFAULTS
     if args.config:
-        cfg = load_config(args.config)
-        tolerances, window = cfg["verify"], cfg["fit_window"]
+        tolerances = load_config(args.config)["verify"]
     with open(args.profile) as fh:
         profile = solver.profile_from_json(fh.read())
-    checks = diagnostics.verify(profile, tolerances, window)
+    checks = diagnostics.verify(profile, tolerances)
     for c in checks:
         print(json.dumps(c))
     return 0 if all(c["pass"] for c in checks) else 3
@@ -311,7 +304,8 @@ def main(argv=None) -> int:
             code = args.func(args)
         except (solver.NoConvergence, solver.SingularJacobian) as exc:
             code, error = 2, _error(exc)
-        except (OSError, ValueError, asymptotics.SelectionFailed) as exc:
+        except (OSError, ValueError, OverflowError,
+                asymptotics.SelectionFailed) as exc:
             code, error = 1, _error(exc)
     sys.stderr.write("".join(notes) + error)
     return code

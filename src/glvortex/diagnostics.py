@@ -345,8 +345,7 @@ VERIFY_DEFAULTS = {"residual_tol": 1e-10, "quantization_tol": 0.01,
                    "tail_b_rel": 0.05}
 
 
-def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS,
-           fit_window=None) -> list:
+def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS) -> list:
     """The check suite: one {"check", "value", "target", "tolerance",
     "pass"} record per check.  The residual is gated on residual_tol, never
     on the file's own report.  A check that cannot be computed fails with
@@ -393,19 +392,18 @@ def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS,
     except EigenFailure as exc:
         check("hessian_min_eig", str(exc), None, None, False)
 
-    p = profile.params
+    p, tail = profile.params, None
     try:    # the closed-form tail comes with the certified envelope
         spec = asymptotics.select_envelope(p, profile.degrees)
         tail = spec.tail
         worst = asymptotics.envelope_check(profile, spec)
         sandwich = (worst, 0.0, 0.0, worst >= 0.0)
-    except asymptotics.SelectionFailed as exc:  # no admissible input
-        tail = asymptotics.second_coeffs(p, profile.degrees)
+    except (asymptotics.SelectionFailed,        # inputs far from unit scale
+            ValueError) as exc:                 # a grid that ends before R
         sandwich = (str(exc), None, None, False)
-    except ValueError as exc:                   # a grid that ends before R
-        sandwich = (str(exc), None, None, False)
-    try:
-        fit = asymptotics.tail_fit(profile, fit_window)
+    try:    # without a spec, second_coeffs may leave the float range
+        tail = tail or asymptotics.second_coeffs(p, profile.degrees)
+        fit = asymptotics.tail_fit(profile)
         # relative tolerances, floored for coefficients near zero
         for coeff, rel, floor in (("a", tol["tail_a_rel"], 1e-4),
                                   ("b", tol["tail_b_rel"], 1e-2)):
@@ -414,7 +412,7 @@ def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS,
                 got, want = getattr(fit, name), getattr(tail, name)
                 bound = max(rel * abs(want), floor * t)
                 check(f"tail_{name}", got, want, bound, abs(got - want) <= bound)
-    except asymptotics.IllConditionedFit as exc:
+    except (asymptotics.IllConditionedFit, OverflowError) as exc:
         check("tail_fit", str(exc), None, None, False)
 
     check("envelope_sandwich", *sandwich)

@@ -79,8 +79,10 @@ class SingularJacobian(_SolveFailure):
 
 
 # A continuation step is halved at most this many times below the whole
-# leg before the failure ends the leg.
+# leg before the failure ends the leg, and a Newton solve gives up after
+# this many iterations.
 _MAX_HALVINGS = 6
+_MAX_NEWTON_ITERS = 50
 
 # the line search's backtracking factor
 _DAMPING = 0.5
@@ -92,14 +94,10 @@ POSITIVITY_TOL = 1e-9
 @dataclass(frozen=True)
 class SolveOptions:
     tolerance: float = 1e-10           # sup-norm of the discrete residual
-    max_newton_iters: int = 50
 
     def __post_init__(self):
         if not (is_number(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be a finite number > 0")
-        if not (is_integer(self.max_newton_iters)
-                and self.max_newton_iters >= 0):
-            raise ValueError("max_newton_iters must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -288,7 +286,7 @@ def initial_guess(grid: RadialGrid, params: CouplingParams,
     f0(r) = t r^n / (r^2 + n^2/(A t^2))^(n/2) for n >= 1, constant t for
     n = 0.  It is evaluated as t (r^2/(r^2 + c))^(n/2), whose base lies in
     [0, 1), so a large winding neither overflows r^n nor divides inf by
-    inf."""
+    inf; an A t^2 that underflows to 0 gives c = inf, and f0 = 0."""
     r = grid.nodes
     out = []
     for n, t, A in ((degrees.n_plus, params.t_plus, params.A_plus),
@@ -296,7 +294,7 @@ def initial_guess(grid: RadialGrid, params: CouplingParams,
         if n == 0:
             out.append(np.full_like(r, t))
         else:
-            core = n * n / (A * t * t)
+            core = n * n / max(A * t * t, math.ulp(0.0))
             r2 = r ** 2
             out.append(t * (r2 / (r2 + core)) ** (n / 2.0))
     return tuple(out)
@@ -329,7 +327,7 @@ def newton_solve(f_plus0, f_minus0, grid: RadialGrid, params: CouplingParams,
 
     Backtracks the step by the factor _DAMPING whenever the residual sup-norm
     fails to decrease; raises NoConvergence (with the best iterate and the
-    residual history) after max_newton_iters, a stalled line search (the
+    residual history) after _MAX_NEWTON_ITERS, a stalled line search (the
     step fell below 1e-8, or a halved step left the iterate unchanged), or
     a converged iterate that is not positive.
     """
@@ -379,9 +377,9 @@ def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
     history.append(norm)
     it = 0
     while not norm <= options.tolerance:        # a NaN residual never passes
-        if it == options.max_newton_iters:
+        if it == _MAX_NEWTON_ITERS:
             raise NoConvergence(
-                f"no convergence after {options.max_newton_iters} iterations "
+                f"no convergence after {_MAX_NEWTON_ITERS} iterations "
                 f"(residual {norm:.3e}, tolerance {options.tolerance:.1e})",
                 f_plus=f_plus.copy(), f_minus=f_minus.copy(), history=history)
         try:

@@ -512,11 +512,11 @@ def radial_energy(profile, R=None):
     return 0.5 * quadrature_upto(g, integrand, R)
 
 
-def derivative_tail_check(profile, fit_window=None):
+def derivative_tail_check(profile):
     """Empirical constants (C2_plus, C2_minus) of the derivative tail bound:
     max over tail_fit's window of |f' + 2a/r^3| r^5, a from the closed form."""
     r = profile.grid.nodes
-    mask = _tail_window(profile, fit_window)
+    mask = _tail_window(profile)
     return tuple(float(np.max(np.abs(df[mask] + 2.0 * a / r[mask] ** 3)
                               * r[mask] ** 5))
                  for df, a in zip(_derivatives(profile),

@@ -56,7 +56,7 @@ def test_criterion_02_pohozaev(reference_profiles):
 def test_criterion_03_tail_coefficients(reference_profiles):
     worst_a = worst_b = 0.0
     for name, prof in reference_profiles.items():
-        fit = tail_fit(prof, (20.0, 60.0))
+        fit = tail_fit(prof)
         closed = gv.second_coeffs(prof.params, prof.degrees)
         for got, want, kind, t in (
                 (fit.a_plus, closed.a_plus, "a", prof.params.t_plus),

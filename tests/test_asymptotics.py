@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -465,6 +466,52 @@ def test_select_envelope_matches_oracle(case):
             params, degrees, a, b, (sp * delta * kp, sm * delta * km), spec.R)
 
 
+@st.composite
+def scaled_inputs(draw):
+    """A+-, t+- = 10^u with u in [-30, 30], B / sqrt(A+ A-) in [-0.99, 0.99],
+    windings 0..5."""
+    Ap, Am, tp, tm = (10.0 ** draw(st.floats(-30, 30)) for _ in range(4))
+    B = draw(st.floats(-0.99, 0.99)) * math.sqrt(Ap * Am)
+    degrees = gv.DegreePair(draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    return gv.CouplingParams(Ap, Am, B, tp, tm), degrees
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=scaled_inputs())
+@example(case=(gv.CouplingParams(1.0, 1.0, 0.5, 1e-20, 1.0),
+               gv.DegreePair(0, 0)))
+@example(case=(gv.CouplingParams(1.0, 1.0, 0.5, 1e-22, 1.0),
+               gv.DegreePair(1, 1)))
+@example(case=(gv.CouplingParams(1.0, 1.0, 0.5, 1.0, 1e-30),
+               gv.DegreePair(1, 1)))
+@example(case=(gv.CouplingParams(1e-300, 1.0, 0.0, 1.0, 1.0),
+               gv.DegreePair(1, 1)))
+def test_select_envelope_certifies_or_fails_at_any_scale(case):
+    # decades from unit scale the float radius bound can be infinite, or
+    # the radius can pass 2^53, where a float R is no longer the integer
+    # certified: selection then fails after a bounded number of exact
+    # checks, and without a warning; a spec it returns is certified at its
+    # own (delta, R)
+    params, degrees = case
+    calls = []
+    certified = asymptotics._certified
+
+    def counted(*args):
+        calls.append(args)
+        return certified(*args)
+    with mock.patch.object(asymptotics, "_certified", counted):
+        try:
+            spec = select_envelope(params, degrees)
+        except gv.SelectionFailed:
+            spec = None
+    assert len(calls) <= asymptotics._CONFIRMS
+    if spec is not None:
+        R = int(spec.R)
+        assert R == spec.R
+        assert package_certifies(params, degrees,
+                                 Fraction(spec.delta) * R ** 6, R)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(case=admissible_inputs(NON_DYADIC),
        u=st.fractions(-1000, 1000, max_denominator=99),
@@ -554,8 +601,8 @@ def test_one_closed_form_tail_per_command(monkeypatch, reference_profiles,
 
 def test_a_failed_selection_still_reports_the_closed_form_tail(
         monkeypatch, reference_profiles, tmp_path, capsys):
-    # no admissible input fails selection; if one did, verify's tail checks
-    # and the asymptotics report would read second_coeffs instead
+    # when selection fails (inputs far from unit scale), verify's tail checks
+    # and the asymptotics report read second_coeffs instead
     def fail(*args):
         raise gv.SelectionFailed("inconsistent defect")
     prof = reference_profiles["bpos"]
@@ -617,7 +664,7 @@ def test_tail_fit_exact_on_synthetic_data():
     tail = gv.TailExpansion(a_plus=-0.4, a_minus=-0.3, b_plus=2.0,
                             b_minus=-1.5)
     prof = synthetic_profile(grid, params, degrees, tail)
-    fit = tail_fit(prof, (20.0, 60.0))
+    fit = tail_fit(prof)
     assert isinstance(fit, gv.TailExpansion)
     assert fit.a_plus == pytest.approx(tail.a_plus, abs=1e-10)
     assert fit.a_minus == pytest.approx(tail.a_minus, abs=1e-10)
@@ -637,7 +684,7 @@ def test_tail_fit_exact_on_synthetic_data():
 
 def test_tail_fit_recovers_closed_forms(reference_profiles):
     prof = reference_profiles["classical"]
-    fit = tail_fit(prof, (20.0, 60.0))
+    fit = tail_fit(prof)
     assert fit.a_plus == pytest.approx(-0.5, rel=0.01)
     assert fit.b_plus == pytest.approx(-1.125, rel=0.05)
     assert abs(fit.a_minus) < 1e-6
@@ -653,31 +700,32 @@ def test_tail_fit_random_parameters_match_closed_forms():
         params = gv.CouplingParams(A_plus, A_minus, B, 1.0, 1.0)
         degrees = gv.DegreePair(1, 1)
         prof = gv.continuation_solve(params, degrees, grid)
-        fit = tail_fit(prof, (15.0, 45.0))
+        fit = tail_fit(prof)
         closed = gv.second_coeffs(params, degrees)
         assert fit.a_plus == pytest.approx(closed.a_plus, rel=0.01)
         assert fit.a_minus == pytest.approx(closed.a_minus, rel=0.01)
 
 
-def test_tail_fit_window_validation(reference_profiles):
-    prof = reference_profiles["classical"]
+def test_tail_fit_window_validation():
+    # the window [R_max/4, 3 R_max/4] of 30 cells holds 15 nodes; on
+    # [0, 4] it lies in the core, where f - t is not small
+    params, degrees = gv.CouplingParams(1, 1, 0, 1, 1), gv.DegreePair(1, 1)
+    tail = gv.second_coeffs(params, degrees)
+    coarse = synthetic_profile(gv.build_grid(80.0, 30), params, degrees, tail)
     with pytest.raises(gv.IllConditionedFit, match="nodes"):
-        tail_fit(prof, (60.0, 60.2))
-    with pytest.raises(gv.IllConditionedFit, match="beyond"):
-        tail_fit(prof, (20.0, 100.0))
+        tail_fit(coarse)
+    short = synthetic_profile(gv.build_grid(4.0, 400), params, degrees, tail)
     with pytest.raises(gv.IllConditionedFit, match="close in"):
-        tail_fit(prof, (0.5, 30.0))
+        tail_fit(short)
 
 
-def test_derivative_tail_check_window_validation(reference_profiles):
-    # the same window rules as tail_fit: no silent clipping at R_max
-    prof = reference_profiles["classical"]
-    with pytest.raises(gv.IllConditionedFit, match="beyond"):
-        oracles.derivative_tail_check(prof, (20.0, 100.0))
+def test_derivative_tail_check_window_validation():
+    # the same window rule as tail_fit
+    params, degrees = gv.CouplingParams(1, 1, 0, 1, 1), gv.DegreePair(1, 0)
+    prof = synthetic_profile(gv.build_grid(80.0, 30), params, degrees,
+                             gv.second_coeffs(params, degrees))
     with pytest.raises(gv.IllConditionedFit, match="nodes"):
-        oracles.derivative_tail_check(prof, (60.0, 60.2))
-    assert (oracles.derivative_tail_check(prof)
-            == oracles.derivative_tail_check(prof, (20.0, 60.0)))
+        oracles.derivative_tail_check(prof)
 
 
 def test_derivative_tail_check_synthetic():
@@ -686,7 +734,7 @@ def test_derivative_tail_check_synthetic():
     degrees = gv.DegreePair(1, 0)
     closed = gv.second_coeffs(params, degrees)
     prof = synthetic_profile(grid, params, degrees, closed)
-    c2p, c2m = oracles.derivative_tail_check(prof, (20.0, 60.0))
+    c2p, c2m = oracles.derivative_tail_check(prof)
     # d/dr of b/r^4 is -4b/r^5, so the empirical constant sits near 4|b|
     assert c2p == pytest.approx(4 * abs(closed.b_plus), rel=0.05)
     assert c2m < 1e-4  # a flat component, up to r^5-amplified roundoff

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import glvortex as gv
-from glvortex import cli
+from glvortex import cli, solver
 from glvortex.cli import ConfigError, build_parser, load_config, main
 from conftest import run_cli as run
 
@@ -39,9 +39,9 @@ def test_solve_writes_profile_and_summary(tmp_path, capsys):
     assert prof.grid.N == 1000
 
 
-def test_solve_exit_code_on_no_convergence(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json",
-                       solve={"max_newton_iters": 1, "tolerance": 1e-14})
+def test_solve_exit_code_on_no_convergence(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 1)
+    cfg = write_config(tmp_path / "cfg.json", solve={"tolerance": 1e-14})
     code, _, stderr = run(capsys, "solve", "--config", str(cfg))
     assert code == 2
     assert json.loads(stderr)["error"] == "NoConvergence"
@@ -236,8 +236,7 @@ def test_bec_config_variant(tmp_path, capsys):
 
 def test_verify_accepts_good_profile(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
-                       grid={"R_max": 60.0, "N": 1800},
-                       fit_window=[15.0, 45.0])
+                       grid={"R_max": 60.0, "N": 1800})
     out = tmp_path / "p.json"
     code, _, _ = run(capsys, "solve", "--config", str(cfg), "--out", str(out))
     assert code == 0
@@ -556,7 +555,7 @@ def test_grid_beyond_the_float_range_is_a_json_error(tmp_path, capsys,
 @pytest.mark.parametrize("solve", [
     {"tolerance": True},
     {"tolerance": "1e-10"},
-    {"max_newton_iters": 2.5},
+    {"max_newton_iters": 50},
     {"continuation_steps": 1.5},
     {"damping": 0.5},
     {"continuation_steps": 4},
@@ -731,7 +730,7 @@ def test_verify_config_without_params(tmp_path, capsys):
     prof = tmp_path / "p.json"
     run(capsys, "solve", "--config", str(cfg), "--out", str(prof))
     vcfg = tmp_path / "v.json"
-    vcfg.write_text(json.dumps({"version": 1, "fit_window": [10.0, 30.0],
+    vcfg.write_text(json.dumps({"version": 1,
                                 "verify": {"residual_tol": 1e-9}}))
     code, stdout, _ = run(capsys, "verify", str(prof), "--config", str(vcfg))
     checks = {c["check"]: c for c in map(json.loads,
@@ -743,15 +742,56 @@ def test_verify_config_without_params(tmp_path, capsys):
         code, _, stderr = run(capsys, command, "--config", str(vcfg))
         assert code == 1
         assert "exactly one" in json.loads(stderr)["message"]
-    # a fit window must be two finite numbers in increasing order
-    for window in ([10.0], ["a", "b"], [30.0, 10.0], [10.0, float("nan")],
-                   [True, 30.0], 20.0):
-        vcfg.write_text(json.dumps({"version": 1, "fit_window": window}))
-        code, stdout, stderr = run(capsys, "verify", str(prof),
-                                   "--config", str(vcfg))
-        assert code == 1
-        assert stdout == ""
-        assert json.loads(stderr)["error"] == "ConfigError"
+    # the tail fit window is fixed at [R_max/4, 3 R_max/4]: a config that
+    # names one, even that one, is refused
+    vcfg.write_text(json.dumps({"version": 1, "fit_window": [10.0, 30.0]}))
+    code, stdout, stderr = run(capsys, "verify", str(prof),
+                               "--config", str(vcfg))
+    assert code == 1
+    assert stdout == ""
+    assert json.loads(stderr)["error"] == "ConfigError"
+
+
+def test_inputs_far_from_unit_scale_end_in_json_lines(tmp_path, capsys,
+                                                      profile_text):
+    # far from unit scale no envelope radius R <= 2^53 certifies, the
+    # closed-form tail can leave the float range, and A t^2 can underflow:
+    # each command still ends in its exit code and JSON lines
+    params = {"A_plus": 1.0, "A_minus": 1.0, "B": 0.5, "t_plus": 1e-22,
+              "t_minus": 1.0}
+    cfg = write_config(tmp_path / "t22.json", params=params)
+    code, stdout, _ = run(capsys, "asymptotics", "--config", str(cfg))
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["R"] is None and "2^53" in report["selection_error"]
+    cfg = write_config(tmp_path / "t170.json",
+                       params={**params, "t_plus": 1e-170},
+                       grid={"R_max": 20.0, "N": 200})
+    code, stdout, stderr = run(capsys, "solve", "--config", str(cfg),
+                               "--out", str(tmp_path / "p.json"), warns=True)
+    assert code in (1, 2)
+    assert stdout == ""
+    assert "error" in [json.loads(line) for line in stderr.splitlines()][-1]
+    obj = json.loads(profile_text)
+    obj["params"].update(A_plus=1e-300, B=0.0)
+    cfg = write_config(tmp_path / "a300.json", params=obj["params"])
+    code, stdout, stderr = run(capsys, "asymptotics", "--config", str(cfg))
+    assert code == 1
+    assert stdout == ""
+    (line,) = stderr.splitlines()
+    assert json.loads(line)["error"] == "OverflowError"
+    path = tmp_path / "a300_profile.json"
+    path.write_text(json.dumps(obj))
+    code, stdout, _ = run(capsys, "verify", str(path))
+    checks = {c["check"]: c for c in map(json.loads, stdout.splitlines())}
+    assert code == 3
+    assert {"residual_norm", "positivity_min", "amplitude_bound_margin",
+            "quantization_gap", "pohozaev_at_R_max", "near_origin_order_plus",
+            "near_origin_order_minus", "hessian_min_eig", "tail_fit",
+            "envelope_sandwich"} <= set(checks)
+    for name in ("tail_fit", "envelope_sandwich"):
+        assert checks[name]["pass"] is False
+        assert isinstance(checks[name]["value"], str)
 
 
 def test_asymptotics_report(tmp_path, capsys):

@@ -271,12 +271,13 @@ def test_uniqueness_probe_zero_degrees(coarse_grid):
     assert d <= 1e-10
 
 
-def test_no_convergence_carries_diagnostics():
+def test_no_convergence_carries_diagnostics(monkeypatch):
     g = gv.build_grid(30.0, 300)
     params = params_of(1, 1, 0.5, 1, 1)
     deg = gv.DegreePair(1, 1)
     fp, fm = gv.initial_guess(g, params, deg)
-    opts = SolveOptions(max_newton_iters=1, tolerance=1e-12)
+    monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 1)
+    opts = SolveOptions(tolerance=1e-12)
     with pytest.raises(gv.NoConvergence) as info:
         gv.newton_solve(fp, fm, g, params, deg, opts)
     exc = info.value
@@ -288,18 +289,16 @@ def test_solve_options_validation():
     # values as a JSON config can spell them: booleans, strings and
     # fractions are not numbers or counts
     for bad in ({"tolerance": 0.0}, {"tolerance": True},
-                {"tolerance": "1e-10"}, {"tolerance": float("inf")},
-                {"max_newton_iters": 2.5}, {"max_newton_iters": -1},
-                {"max_newton_iters": True}):
+                {"tolerance": "1e-10"}, {"tolerance": float("inf")}):
         with pytest.raises(ValueError):
             SolveOptions(**bad)
-    # the backtracking factor is fixed, a leg first tries one step, and the
-    # far row is the slope row
-    for gone in ({"damping": 0.5}, {"continuation_steps": 1},
-                 {"far_field": "robin"}):
+    # the backtracking factor and the Newton iteration cap are fixed, a leg
+    # first tries one step, and the far row is the slope row
+    for gone in ({"damping": 0.5}, {"max_newton_iters": 50},
+                 {"continuation_steps": 1}, {"far_field": "robin"}):
         with pytest.raises(TypeError):
             SolveOptions(**gone)
-    assert SolveOptions(tolerance=1, max_newton_iters=0).tolerance == 1
+    assert SolveOptions(tolerance=1).tolerance == 1
 
 
 def test_profile_json_roundtrip(coarse_grid):
@@ -600,10 +599,10 @@ def test_operators_assembled_once_per_solve_and_sweep(monkeypatch):
     assert len(built) == 1
     diagnostics.sweep_report(params, deg, b_values, out)
     assert len(built) == 1
+    monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 4)
     prof = gv.continuation_solve(params_of(1, 4, 1.9, 1, 1),
                                  gv.DegreePair(1, 0),
-                                 gv.build_grid(40.0, 1200),
-                                 SolveOptions(max_newton_iters=4))
+                                 gv.build_grid(40.0, 1200))
     assert len(prof.report.iterations) > 2      # halved steps
     assert len(built) == 3
     for profile, windings in ((out[-1], 1), (prof, 2)):
@@ -636,8 +635,8 @@ def test_failed_step_is_halved_and_converges(coarse_grid, monkeypatch):
     params = params_of(1, 4, 1.9, 1, 1)
     deg = gv.DegreePair(1, 1)
     runs = _spy_newton(monkeypatch)
-    prof = gv.continuation_solve(params, deg, coarse_grid,
-                                 SolveOptions(max_newton_iters=4))
+    monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 4)
+    prof = gv.continuation_solve(params, deg, coarse_grid)
     assert runs[1][:2] == (1.9, None)      # the full step fails
     converged = [b for b, it, _ in runs if it is not None]
     assert converged[:2] == [0.0, 0.95]
@@ -695,10 +694,11 @@ def test_sweep_failure_restarts_its_chain(coarse_grid, monkeypatch):
         assert np.max(np.abs(out[i].f_minus - ref.f_minus)) <= 1e-8
 
 
-def test_sweep_failure_at_zero_interaction_is_every_entry(coarse_grid):
+def test_sweep_failure_at_zero_interaction_is_every_entry(coarse_grid,
+                                                         monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 3)
     out = gv.continuation_sweep(params_of(1, 4, 0, 1, 1), gv.DegreePair(1, 1),
-                                [0.5, -0.5, 0.0], coarse_grid,
-                                SolveOptions(max_newton_iters=3))
+                                [0.5, -0.5, 0.0], coarse_grid)
     assert all(isinstance(r, gv.NoConvergence) for r in out)
     assert out[0] is out[1] is out[2] and out[0].B_value == 0.0
 
@@ -712,9 +712,10 @@ def test_failure_at_zero_interaction_is_not_retried(coarse_grid, monkeypatch):
             super().__init__(grid, params, *args)
 
     monkeypatch.setattr(solver, "_DiscreteSystem", Counting)
+    monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 3)
     with pytest.raises(gv.NoConvergence) as info:
         gv.continuation_solve(params_of(1, 4, 1.9, 1, 1), gv.DegreePair(1, 1),
-                              coarse_grid, SolveOptions(max_newton_iters=3))
+                              coarse_grid)
     assert info.value.B_value == 0.0
     assert built == [0.0]
     assert len(info.value.history) == 4
@@ -756,9 +757,10 @@ def test_failures_leave_no_reference_cycles(coarse_grid, monkeypatch, error):
     gc.collect()
     gc.disable()
     try:
-        for options in (SolveOptions(), SolveOptions(max_newton_iters=1)):
+        for iters in (1, solver._MAX_NEWTON_ITERS):
+            monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", iters)
             try:
-                gv.continuation_solve(params, deg, coarse_grid, options)
+                gv.continuation_solve(params, deg, coarse_grid)
             except (gv.NoConvergence, gv.SingularJacobian) as exc:
                 caught.append(type(exc))
         out = gv.continuation_sweep(params, deg, [0.5, 0.2, -0.2],
@@ -768,7 +770,7 @@ def test_failures_leave_no_reference_cycles(coarse_grid, monkeypatch, error):
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert caught == [error, gv.NoConvergence, error]
+    assert caught == [gv.NoConvergence, error, error]
 
 
 @pytest.mark.parametrize("B, degrees", [(0.5, (1, 1)), (0.0, (1, 0))])
