@@ -111,8 +111,8 @@ def second_coeffs_exact(x, degrees: DegreePair) -> tuple:
 
 
 def leading_coeffs(params: CouplingParams, degrees: DegreePair) -> tuple:
-    """Closed-form (a_plus, a_minus) as floats: the Robin datum, the sweep
-    records and the tail export need no b."""
+    """Closed-form (a_plus, a_minus) as floats: the sweep records and the
+    tail export need no b."""
     a_plus, a_minus = _leading_exact(_exact_params(params), degrees)
     return float(a_plus), float(a_minus)
 

@@ -9,9 +9,10 @@ share one discretization.  At r = 0 the removable singularity for zero
 winding is handled with a ghost-free one-sided row (the radial Laplacian of
 an even function tends to 2 u''(0)); a nonzero winding pins u(0) = 0 in a
 row scaled to keep its place under LU pivoting.  The one far row at R_max
-fixes the slope u'(R_max) by ghost elimination.  No row holds boundary
-data, only the far row's unit-datum column rhs, so a grid assembles each
-set of rows once.
+imposes R u'(R) + 2 (u(R) - t) = 0, which every tail t + a/r^2 satisfies
+(Lentini & Keller's asymptotic boundary condition, SIAM J. Numer. Anal.
+17, 1980).  No row holds boundary data, only the far row's column rhs for
+t = 1, so a grid assembles each set of rows once.
 """
 
 from __future__ import annotations
@@ -127,11 +128,11 @@ def grid_from_json(obj) -> RadialGrid:
 
 
 def legacy_far_field(value, error=ValueError) -> None:
-    """Check the far_field key that older configs and profile files carry:
-    "robin", the slope row radial_operator assembles, is its one value."""
+    """Check the far_field key of older configs and profile files: "robin",
+    its one value, selects nothing, as radial_operator has one far row."""
     if value != "robin":
-        raise error(f"far_field {value!r}: the one far boundary row is "
-                    "'robin', the others were removed")
+        raise error(f"far_field {value!r}: only the legacy 'robin' is "
+                    "accepted, the other far rows were removed")
 
 
 def quadrature(grid: RadialGrid, samples: np.ndarray) -> float:
@@ -162,10 +163,11 @@ class RadialOperator:
 
     One set of rows for every use: row i reads
         pot[i] u[i] + lower[i] (u[i-1] - u[i]) + upper[i] (u[i+1] - u[i])
-    = d rhs[i] for a far datum d, with lower[0] = upper[N] = 0, so its
+    = t rhs[i] for the far modulus t, with lower[0] = upper[N] = 0, so its
     tridiagonal coefficients are (lower, diag, upper) with
-    diag = -(lower + upper) + pot.  pot is n^2/r^2 on equation rows and a
-    power of two on the `pinned` rows, where u = 0 replaces the equation.
+    diag = -(lower + upper) + pot.  pot is n^2/r^2 on equation rows, plus
+    rhs[N] on the far row, and a power of two on the `pinned` rows, where
+    u = 0 replaces the equation.
     """
 
     lower: np.ndarray = field(repr=False)
@@ -201,9 +203,10 @@ def radial_operator(grid: RadialGrid, n: int) -> RadialOperator:
     for n = 0.  The pinned row reads 2^e u(0) = 0, 2^e the smallest power
     of two above -lower[1]: partial pivoting keeps it as its own pivot row,
     and an LU solve gives its entry g / 2^e exactly.  The far row is the
-    ghost-eliminated row fixing the slope u'(R_max) = d; rhs is its column
-    for d = 1.  The grid object keeps the rows of the first request,
-    read-only, for every later caller; grids built apart share none.
+    ghost-eliminated R u'(R) + 2 (u(R) - t) = 0; rhs is its column for
+    t = 1, which pot[N] also holds, so with n = 0 u = t cancels exactly.
+    The grid object keeps the rows of the first request, read-only, for
+    every later caller; grids built apart share none.
     """
     if n < 0:
         raise BadBoundarySpec("winding number must be nonnegative")
@@ -225,13 +228,14 @@ def radial_operator(grid: RadialGrid, n: int) -> RadialOperator:
         upper[0] = -4.0 / r[1] ** 2
     else:
         pot[0] = 2.0 ** math.frexp(-lower[1])[1]
-    # ghost elimination: u_{N+1} = u_{N-1} + 2 h d, keeping the interior
-    # stencil second order at the boundary
+    # ghost elimination: u_{N+1} = u_{N-1} + 2 h u'(R), keeping the interior
+    # stencil second order at the boundary, with u'(R) = (2/R)(t - u_N)
     hN = h[-1]
     c_out = -(r[-1] + 0.5 * hN) / (hN * r[-1] * hN)
     c_in = -(r[-1] - 0.5 * hN) / (hN * r[-1] * hN)
     lower[-1] = c_in + c_out
-    rhs[-1] = -c_out * 2.0 * hN
+    rhs[-1] = -c_out * 2.0 * hN * 2.0 / r[-1]
+    pot[-1] += rhs[-1]
     for rows in (lower, upper, pot, rhs, pinned):
         rows.flags.writeable = False
     op = grid._operators[n] = RadialOperator(

@@ -101,13 +101,11 @@ def derived_bounds(params: CouplingParams) -> tuple:
 
     The argument holds at a nodal maximum of grid.radial_operator's rows,
     where each difference u[j] - u[i] <= 0 has a negative coefficient and
-    pot >= 0: on interior rows and the origin row always (a pinned origin
-    is 0), and on the Robin far row when a_pm >= 0, whose datum
-    -2a/R_max^3 is then <= 0, or when f_pm(R_max) <= t_pm, as the tail
-    t + a/r^2 has it.  A grid ending inside the core, where f_pm(R_max) >
-    t_pm with a_pm < 0, can break the bound at R_max.  So `verify` checks
-    the bound rather than proves it; a converged profile also solves the
-    rows only to its residual and is positive only to POSITIVITY_TOL.
+    pot >= 0, on every row: the origin row (a pinned origin is 0), the
+    interior rows, and the far row, whose extra term rhs (f_pm - t_pm) is
+    > 0 where f_pm(R_max) > t_pm.  `verify` still checks the bound rather
+    than assumes it: a converged profile solves the rows only to its
+    residual and is positive only to POSITIVITY_TOL.
     """
     p = params
     tp2, tm2 = p.t_plus * p.t_plus, p.t_minus * p.t_minus

@@ -1,8 +1,8 @@
 """Damped Newton solver for the coupled radial vortex system.
 
-The far row at R_max fixes each profile's slope to that of its closed-form
-tail t + a/r^2 (`asymptotics.leading_coeffs`), so the solve keeps the
-algebraic tail the paper proves rather than cutting it off.
+The far row at R_max imposes R f'(R) + 2 (f(R) - t) = 0, which every tail
+t + a/r^2 satisfies whatever a is: the solve keeps the paper's algebraic
+tail and reads only the coefficients (A_pm, B, t_pm) and the windings.
 
 The discretized system interleaves the two components per node, so the exact
 Jacobian is banded with two sub/super-diagonals and a banded LU solve costs
@@ -43,7 +43,6 @@ import numpy as np
 import orjson
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
-from . import asymptotics
 from .grid import (RadialGrid, grid_from_json, legacy_far_field,
                    radial_operator)
 from .model import (CouplingParams, DegreePair, coupling_from_json,
@@ -126,8 +125,8 @@ class _DiscreteSystem:
     Holds the two single-component operators (radial Laplacian + n^2/r^2 +
     boundary rows), shared with every system on the grid, and per component
     the mask of rows where the nonlinear potential term is active (every
-    row not pinned) and the far row's right-hand side: the slope
-    -2a/R_max^3 of the tail t + a/r^2.
+    row not pinned) and the far row's right-hand side, the operator's
+    column rhs times t.
     """
 
     def __init__(self, grid: RadialGrid, params: CouplingParams,
@@ -136,9 +135,8 @@ class _DiscreteSystem:
         self.ops = [radial_operator(grid, n)
                     for n in (degrees.n_plus, degrees.n_minus)]
         self.masks = [~op.pinned for op in self.ops]
-        R = grid.R_max
-        self.rhs = [op.rhs * (-2.0 * a / R ** 3) for op, a in zip(
-            self.ops, asymptotics.leading_coeffs(params, degrees))]
+        self.rhs = [op.rhs * t for op, t in zip(
+            self.ops, (params.t_plus, params.t_minus))]
 
     def residual(self, f_plus, f_minus):
         p = self.params
@@ -153,8 +151,7 @@ class _DiscreteSystem:
         return g_plus, g_minus
 
     def residual_dB(self, f_plus, f_minus):
-        """Derivative of the residual with respect to B at fixed profiles
-        and far data: it leaves out the Robin datum's motion with a(B)."""
+        """Derivative of the residual with respect to B at fixed profiles."""
         p = self.params
         return (self.masks[0] * (f_minus ** 2 - p.t_minus ** 2) * f_plus,
                 self.masks[1] * (f_plus ** 2 - p.t_plus ** 2) * f_minus)

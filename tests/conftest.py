@@ -72,7 +72,7 @@ def coarse_grid():
 
 @pytest.fixture(scope="session")
 def reference_profiles(default_grid):
-    """The five cases solved once on the default grid (Robin far field)."""
+    """The five cases solved once on the default grid."""
     out = {}
     for name in CASES:
         params, degrees = case_inputs(name)

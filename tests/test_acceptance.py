@@ -1,8 +1,8 @@
 """Acceptance suite: every quantitative claim at its stated tolerance.
 
 Each test covers one criterion and prints a one-line verdict; the reference
-profiles live on the default production grid (R_max = 80, N = 4000, Robin
-far field, residual tolerance 1e-10).
+profiles live on the default production grid (R_max = 80, N = 4000, tail
+far row, residual tolerance 1e-10).
 """
 
 import dataclasses

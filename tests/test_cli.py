@@ -1,6 +1,7 @@
 import csv
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,23 +49,25 @@ def test_solve_exit_code_on_no_convergence(tmp_path, capsys, monkeypatch):
 
 
 def test_numpy_warnings_are_json_lines(tmp_path, capsys):
-    # 400 cells on [0, 1e-60] overflow the residual: stderr is JSON lines
-    # only, one per distinct warning, and the error line comes last, even
-    # when the caller's filters turn warnings into errors (python -W error)
-    cfg = write_config(tmp_path / "cfg.json")
+    # at t_+ = 1e155, A t^2 overflows the initial guess and the residual:
+    # stderr is JSON lines only, one per distinct warning, and the error
+    # line comes last, even when the caller's filters turn warnings into
+    # errors (python -W error)
+    cfg = write_config(tmp_path / "cfg.json",
+                       params={"A_plus": 1.0, "A_minus": 1.0, "B": 0.5,
+                               "t_plus": 1e155, "t_minus": 1.0})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, stdout, stderr = run(capsys, "solve", "--config", str(cfg),
-                                   "--grid-n", "400", "--r-max", "1e-60",
                                    "--out", str(tmp_path / "p.json"),
                                    warns=True)
-    assert code == 2
+    assert code == 1
     assert stdout == ""
     lines = stderr.splitlines()
     *warned, last = map(json.loads, lines)
-    assert last["error"] == "NoConvergence"
+    assert last["error"] == "OverflowError"
     assert warned and {w["warning"] for w in warned} == {"RuntimeWarning"}
-    assert all("overflow" in w["message"] for w in warned)
+    assert any("overflow" in w["message"] for w in warned)
     assert len(set(lines)) == len(lines)
 
 
@@ -467,6 +470,22 @@ def test_profile_with_legacy_far_field_key_verifies_alike(tmp_path, capsys,
     assert (code, stdout, stderr) == run(capsys, "verify", str(plain))
 
 
+def test_slope_row_profile_loads_and_fails_its_residual(capsys):
+    # a file solved with the earlier far row, the slope f'(R) = -2a/R^3 of
+    # the closed-form tail (bpos, R_max = 20, N = 200), still loads; it
+    # does not solve the tail row R f'(R) + 2 (f(R) - t) = 0, so verify
+    # fails its residual_norm (7.1e-6 against 1e-10), as for any file
+    # whose arrays do not solve the rows
+    path = Path(__file__).parent / "data" / "slope_row_bpos_n200.json"
+    prof = gv.profile_from_json(path.read_text())
+    assert prof.report.final_residual <= 1e-10
+    code, stdout, _ = run(capsys, "verify", str(path))
+    checks = {c["check"]: c for c in map(json.loads, stdout.splitlines())}
+    assert code == 3
+    assert checks["residual_norm"]["pass"] is False
+    assert checks["residual_norm"]["value"] > 1e-6
+
+
 def test_config_far_field_must_be_robin(tmp_path, capsys):
     # the benchmark's configs name the one far row and solve as configs
     # without the key; any other far row is one JSON ConfigError line
@@ -756,7 +775,9 @@ def test_inputs_far_from_unit_scale_end_in_json_lines(tmp_path, capsys,
                                                       profile_text):
     # far from unit scale no envelope radius R <= 2^53 certifies, the
     # closed-form tail can leave the float range, and A t^2 can underflow:
-    # each command still ends in its exit code and JSON lines
+    # each command still ends in its exit code and JSON lines.  The solve
+    # at t_+ = 1e-170 converges, since its far row reads only t, and its
+    # profile fails only the closed-form tail's checks
     params = {"A_plus": 1.0, "A_minus": 1.0, "B": 0.5, "t_plus": 1e-22,
               "t_minus": 1.0}
     cfg = write_config(tmp_path / "t22.json", params=params)
@@ -767,11 +788,15 @@ def test_inputs_far_from_unit_scale_end_in_json_lines(tmp_path, capsys,
     cfg = write_config(tmp_path / "t170.json",
                        params={**params, "t_plus": 1e-170},
                        grid={"R_max": 20.0, "N": 200})
+    out = tmp_path / "p.json"
     code, stdout, stderr = run(capsys, "solve", "--config", str(cfg),
-                               "--out", str(tmp_path / "p.json"), warns=True)
-    assert code in (1, 2)
-    assert stdout == ""
-    assert "error" in [json.loads(line) for line in stderr.splitlines()][-1]
+                               "--out", str(out))
+    assert (code, stderr) == (0, "")
+    assert json.loads(stdout)["iterations"] == [4, 0]
+    code, stdout, _ = run(capsys, "verify", str(out))
+    assert code == 3
+    assert {c["check"] for c in map(json.loads, stdout.splitlines())
+            if not c["pass"]} == {"tail_fit", "envelope_sandwich"}
     obj = json.loads(profile_text)
     obj["params"].update(A_plus=1e-300, B=0.0)
     cfg = write_config(tmp_path / "a300.json", params=obj["params"])

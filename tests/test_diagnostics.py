@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -5,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import glvortex as gv
 from glvortex import diagnostics
@@ -181,18 +182,29 @@ def test_amplitude_bound_on_the_admissible_grid():
     assert over_sum == SUM_BOUND_FAILURES
 
 
-def test_amplitude_bound_flags_a_grid_ending_inside_the_core():
-    # a_- < 0, so the far row's datum pushes f_- up at R_max = 10, past its
-    # modulus and past Lambda_-, where the tail t + a/r^2 has no hold yet;
-    # on R_max = 40 the same case keeps to its bound
-    params = gv.CouplingParams(1, 1, 0.984375, 1, 0.5)
-    degrees = gv.DegreePair(0, 2)
-    assert gv.leading_coeffs(params, degrees)[1] < 0
-    short = gv.continuation_solve(params, degrees, gv.build_grid(10.0, 100))
-    assert short.f_minus[-1] ** 2 > gv.derived_bounds(params)[1]
-    assert gv.amplitude_bound_check(short) < -1e-2
-    wide = gv.continuation_solve(params, degrees, gv.build_grid(40.0, 400))
-    assert gv.amplitude_bound_check(wide) >= 0
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scales=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       ratio=st.floats(-0.99, 0.99), n_plus=st.integers(0, 3),
+       n_minus=st.integers(0, 3), R_max=st.floats(2.0, 20.0),
+       N=st.just(200))
+# a grid ending inside the core: a_- = -129 on R_max = 10
+@example(scales=[0.0, 0.0, 0.0, -math.log10(2)], ratio=0.984375, n_plus=0,
+         n_minus=2, R_max=10.0, N=100)
+@example(scales=[0.0, 0.0, 0.0, -math.log10(2)], ratio=0.984375, n_plus=0,
+         n_minus=3, R_max=10.0, N=100)
+def test_amplitude_bound_holds_on_short_grids(scales, ratio, n_plus, n_minus,
+                                              R_max, N):
+    # the maximum principle covers the far row too, so every solve keeps to
+    # its bound however short the grid, even one ending inside the core,
+    # where f(R_max) is far from its tail t + a/r^2
+    A_plus, A_minus, t_plus, t_minus = (10.0 ** s for s in scales)
+    params = gv.CouplingParams(A_plus, A_minus,
+                               ratio * math.sqrt(A_plus * A_minus),
+                               t_plus, t_minus)
+    prof = gv.continuation_solve(params, gv.DegreePair(n_plus, n_minus),
+                                 gv.build_grid(R_max, N))
+    assert (gv.amplitude_bound_check(prof)
+            >= -diagnostics.VERIFY_DEFAULTS["bound_tol"])
 
 
 def test_amplitude_bound_rejects_corrupted_profiles(reference_profiles):

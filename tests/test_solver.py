@@ -10,6 +10,7 @@ from scipy.linalg import solve_banded
 import glvortex as gv
 from glvortex import diagnostics, solver
 from glvortex.solver import SolveOptions, _BandLU, _DiscreteSystem
+from conftest import case_inputs
 from oracles import scalar_gl_profile, uniqueness_probe
 
 
@@ -63,10 +64,12 @@ def test_residual_zero_for_constant_states():
     gp, gm = sys.residual(*t_state)
     assert np.max(np.abs(gp)) == 0.0
     assert np.max(np.abs(gm)) == 0.0
-    # the zero function also solves the discrete system when degrees vanish
-    gp, gm = sys.residual(np.zeros(401), np.zeros(401))
-    assert np.max(np.abs(gp)) == 0.0
-    assert np.max(np.abs(gm)) == 0.0
+    # the zero function solves every row but the far one, which asks for
+    # the modulus: its residual there is -t rhs[N]
+    for g_k, op, t in zip(sys.residual(np.zeros(401), np.zeros(401)),
+                          sys.ops, (params.t_plus, params.t_minus)):
+        assert np.all(g_k[:-1] == 0.0)
+        assert g_k[-1] == -t * op.rhs[-1] != 0.0
 
 
 def test_residual_matches_analytic_defect_of_ansatz():
@@ -255,6 +258,43 @@ def test_grid_refinement_second_order():
     assert d_coarse / d_fine == pytest.approx(4.0, rel=0.15)
 
 
+@pytest.mark.parametrize("name, slope_row_errors", [
+    ("bpos", (3.75e-7, 1.14e-8)), ("asym", (7.35e-6, 2.03e-7))])
+def test_far_row_truncation_error(name, slope_row_errors):
+    # at h = 0.02 the sup distance to the R_max = 320 solve on the same
+    # nodes is at most 0.55 of the slope row f'(R) = -2a/R^3's (the numbers
+    # given, at R_max = 20 and 40): the tail row leaves a defect -2b/R^4 in
+    # R f' where the slope row left -4b/R^4
+    params, degrees = case_inputs(name)
+    ref = gv.continuation_solve(params, degrees, gv.build_grid(320.0, 16000))
+    for R_max, slope_row_error in zip((20.0, 40.0), slope_row_errors):
+        N = round(R_max / 0.02)
+        prof = gv.continuation_solve(params, degrees, gv.build_grid(R_max, N))
+        error = max(np.max(np.abs(prof.f_plus - ref.f_plus[:N + 1])),
+                    np.max(np.abs(prof.f_minus - ref.f_minus[:N + 1])))
+        assert error <= 0.55 * slope_row_error
+
+
+def test_tangent_is_the_derivative_of_the_solution_path():
+    # J f' = -dG/dB at bpos against the central difference of the profiles
+    # at B = 0.5 +- 1e-4: the far row does not move with B, so the tangent
+    # is exact (the slope row's datum moved with a(B): error 3.25e-5)
+    grid, degrees = gv.build_grid(20.0, 400), gv.DegreePair(1, 1)
+    params = params_of(1, 1, 0.5, 1, 1)
+    prof = gv.continuation_solve(params, degrees, grid)
+    sys = _DiscreteSystem(grid, params, degrees)
+    lu = _BandLU(grid.N + 1)
+    lu.factor(sys, prof.f_plus, prof.f_minus)
+    tangent = [-x for x in lu.solve(*sys.residual_dB(prof.f_plus,
+                                                     prof.f_minus))]
+    delta = 1e-4
+    up, down = (gv.continuation_solve(replace(params, B=0.5 + s * delta),
+                                      degrees, grid) for s in (1, -1))
+    for x, f_up, f_down in zip(tangent, (up.f_plus, up.f_minus),
+                               (down.f_plus, down.f_minus)):
+        assert np.max(np.abs(x - (f_up - f_down) / (2 * delta))) <= 1e-8
+
+
 def test_uniqueness_probe_cases(coarse_grid):
     d = uniqueness_probe(params_of(1, 1, 0, 1, 1), gv.DegreePair(1, 0),
                          coarse_grid, seed_count=3)
@@ -293,7 +333,7 @@ def test_solve_options_validation():
         with pytest.raises(ValueError):
             SolveOptions(**bad)
     # the backtracking factor and the Newton iteration cap are fixed, a leg
-    # first tries one step, and the far row is the slope row
+    # first tries one step, and there is one far row
     for gone in ({"damping": 0.5}, {"max_newton_iters": 50},
                  {"continuation_steps": 1}, {"far_field": "robin"}):
         with pytest.raises(TypeError):
@@ -650,7 +690,7 @@ def test_failed_step_is_halved_and_converges(coarse_grid, monkeypatch):
 
 
 def test_report_counts_iterations_of_failed_attempts(monkeypatch):
-    # the full step stalls in the line search after 20 iterations, the
+    # the full step stalls in the line search after 21 iterations, the
     # halved steps converge; the report lists all four stages
     A_plus, A_minus = 2.0, 1.0
     params = params_of(A_plus, A_minus, -0.99 * np.sqrt(A_plus * A_minus),
@@ -658,9 +698,9 @@ def test_report_counts_iterations_of_failed_attempts(monkeypatch):
     runs = _spy_newton(monkeypatch)
     prof = gv.continuation_solve(params, gv.DegreePair(5, 1),
                                  gv.build_grid(80.0, 4000))
-    assert prof.report.iterations == (5, 20, 4, 9)
+    assert prof.report.iterations == (5, 21, 4, 9)
     assert [it for _, it, _ in runs] == [5, None, 4, 9]
-    assert sum(prof.report.iterations) == sum(n for _, _, n in runs) == 38
+    assert sum(prof.report.iterations) == sum(n for _, _, n in runs) == 39
 
 
 def test_sweep_failure_restarts_its_chain(coarse_grid, monkeypatch):
@@ -866,15 +906,9 @@ def test_predicted_step_matches_eight_steps(case):
 @given(case=admissible_cases())
 def test_amplitude_bound_holds_on_admissible_solves(case):
     # the maximum principle bounds every positive solution of the discrete
-    # rows, however coarse the grid, unless a component with a < 0 ends
-    # above its modulus: then the grid ends inside the core (R_max = 10 with
-    # a_- = -129, say), against its tail t + a/r^2
+    # rows, the far row included, however coarse the grid
     prof = gv.continuation_solve(*case)
-    p = prof.params
-    a = gv.leading_coeffs(p, prof.degrees)
-    inside_core = any(a_pm < 0 and f[-1] > t for a_pm, f, t in zip(
-        a, (prof.f_plus, prof.f_minus), (p.t_plus, p.t_minus)))
-    assert inside_core or gv.amplitude_bound_check(prof) >= -1e-8
+    assert gv.amplitude_bound_check(prof) >= -1e-8
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
