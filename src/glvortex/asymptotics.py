@@ -39,7 +39,7 @@ import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -110,18 +110,27 @@ def second_coeffs_exact(x, degrees: DegreePair) -> tuple:
             (Ap * q_minus - B * q_plus) / (D * tm))
 
 
+def _float(name: str, value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise OverflowError(f"closed-form tail coefficient {name} leaves "
+                            "the float range") from None
+
+
 def leading_coeffs(params: CouplingParams, degrees: DegreePair) -> tuple:
     """Closed-form (a_plus, a_minus) as floats: the sweep records and the
     tail export need no b."""
     a_plus, a_minus = _leading_exact(_exact_params(params), degrees)
-    return float(a_plus), float(a_minus)
+    return _float("a_plus", a_plus), _float("a_minus", a_minus)
 
 
 def second_coeffs(params: CouplingParams, degrees: DegreePair) -> TailExpansion:
     """Closed-form tail coefficients of both orders as floats.  An
     EnvelopeSpec carries the same values as its tail."""
-    return TailExpansion(*map(float, second_coeffs_exact(
-        _exact_params(params), degrees)))
+    exact = second_coeffs_exact(_exact_params(params), degrees)
+    return TailExpansion(*(_float(f.name, value)
+                           for f, value in zip(fields(TailExpansion), exact)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +423,8 @@ def envelope_check(profile: "Profile", spec: EnvelopeSpec) -> float:
     """The worst margin of the two-sided sandwich w_lower <= f <= w_upper
     on the nodes r >= R: the profile lies inside exactly when it is >= 0.
     Failure is this negative margin, not an error."""
-    return min(min(float(np.min(hi - f)), float(np.min(f - lo)))
-               for lo, f, hi in envelope_sandwich(profile, spec)[1].values())
+    return float(np.min([np.min(d) for lo, f, hi in envelope_sandwich(
+        profile, spec)[1].values() for d in (hi - f, f - lo)]))
 
 
 # ---------------------------------------------------------------------------

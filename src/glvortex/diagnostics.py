@@ -28,10 +28,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import asymptotics
 from .grid import quadrature, quadrature_upto
+from .lapack import dpbtrf, dpbtrs
 from .model import CouplingParams, DegreePair, derived_bounds
 from .solver import POSITIVITY_TOL, Profile, jacobian, residual_norm
 
@@ -114,8 +114,8 @@ def amplitude_bound_check(profile: Profile) -> float:
     """The smaller margin Lambda_pm^2 - max_i f_pm^2 below the per-component
     bounds of derived_bounds, which the maximum principle proves; negative
     when a component exceeds its bound."""
-    return min(float(bound - np.max(f * f)) for bound, f in zip(
-        derived_bounds(profile.params), (profile.f_plus, profile.f_minus)))
+    return float(np.min([bound - np.max(f * f) for bound, f in zip(
+        derived_bounds(profile.params), (profile.f_plus, profile.f_minus))]))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,7 @@ def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS) -> list:
     check("residual_norm", resnorm, 0.0, tol["residual_tol"],
           resnorm <= tol["residual_tol"])
 
-    low = min(float(np.min(profile.f_plus)), float(np.min(profile.f_minus)))
+    low = float(np.minimum(np.min(profile.f_plus), np.min(profile.f_minus)))
     check("positivity_min", low, 0.0, POSITIVITY_TOL, low >= -POSITIVITY_TOL)
 
     margin = amplitude_bound_check(profile)

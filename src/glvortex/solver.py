@@ -41,10 +41,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import orjson
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .grid import (RadialGrid, grid_from_json, legacy_far_field,
                    radial_operator)
+from .lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from .model import (CouplingParams, DegreePair, coupling_from_json,
                     degrees_from_json, is_integer, is_number, parse_json)
 
@@ -345,7 +345,7 @@ def _profile(sys, f_plus, f_minus, iterations, norm, options, t0) -> Profile:
 
 
 def _sup_norm(g_plus, g_minus) -> float:
-    return float(max(np.max(np.abs(g_plus)), np.max(np.abs(g_minus))))
+    return float(np.maximum(np.max(np.abs(g_plus)), np.max(np.abs(g_minus))))
 
 
 def _unmoved(cand_plus, cand_minus, f_plus, f_minus) -> bool:
@@ -408,8 +408,8 @@ def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
         history.append(norm)
         it += 1
     # positivity is verified after convergence rather than enforced
-    low = min(float(np.min(f_plus)), float(np.min(f_minus)))
-    if low < -POSITIVITY_TOL:
+    low = float(np.minimum(np.min(f_plus), np.min(f_minus)))
+    if not low >= -POSITIVITY_TOL:      # a NaN fails too
         raise NoConvergence(
             f"converged iterate violates positivity (min value {low:.3e})",
             f_plus=f_plus.copy(), f_minus=f_minus.copy(), history=history)

@@ -59,6 +59,20 @@ def test_leading_coeffs_examples():
     assert a_minus == Fraction(1, 7)
 
 
+def test_closed_forms_beyond_the_float_range_name_the_coefficient():
+    # an exact coefficient too large for a float is reported by name, not as
+    # the bare int division overflow
+    p = gv.CouplingParams(1.0, 1.0, 0.0, 1e-320, 1.0)
+    for closed_form in (gv.leading_coeffs, gv.second_coeffs):
+        with pytest.raises(OverflowError, match="^closed-form tail "
+                           "coefficient a_plus leaves the float range$"):
+            closed_form(p, gv.DegreePair(1, 1))
+    p = gv.CouplingParams(1e-300, 1.0, 0.0, 1.0, 1.0)
+    assert gv.leading_coeffs(p, gv.DegreePair(1, 1))[1] == -0.5
+    with pytest.raises(OverflowError, match="coefficient b_plus leaves"):
+        gv.second_coeffs(p, gv.DegreePair(1, 1))
+
+
 def test_second_coeffs_decoupled_reduction():
     p = gv.CouplingParams(1, 1, 0, 1, 1)
     t = gv.second_coeffs(p, gv.DegreePair(1, 0))

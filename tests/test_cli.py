@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -804,7 +806,8 @@ def test_inputs_far_from_unit_scale_end_in_json_lines(tmp_path, capsys,
     assert code == 1
     assert stdout == ""
     (line,) = stderr.splitlines()
-    assert json.loads(line)["error"] == "OverflowError"
+    overflow = "closed-form tail coefficient b_plus leaves the float range"
+    assert json.loads(line) == {"error": "OverflowError", "message": overflow}
     path = tmp_path / "a300_profile.json"
     path.write_text(json.dumps(obj))
     code, stdout, _ = run(capsys, "verify", str(path))
@@ -817,6 +820,7 @@ def test_inputs_far_from_unit_scale_end_in_json_lines(tmp_path, capsys,
     for name in ("tail_fit", "envelope_sandwich"):
         assert checks[name]["pass"] is False
         assert isinstance(checks[name]["value"], str)
+    assert checks["tail_fit"]["value"] == overflow
 
 
 def test_asymptotics_report(tmp_path, capsys):
@@ -960,3 +964,47 @@ def test_solving_commands_take_every_override(command):
         [command, "--config", "c.json", "--out", "o.json",
          *(part for flag in OVERRIDES for part in flag)])
     assert (args.grid_n, args.r_max, args.tol) == (600, 30.0, 1e-9)
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+# solve, verify and a 3-value sweep through cli.main in a fresh isolated
+# interpreter, as a console-script user runs them; the last stdout line is
+# the sorted names of the scipy modules loaded by then
+_CLI_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from glvortex import cli
+work = sys.argv[2]
+config = work + "/bpos.json"
+with open(config, "w") as f:
+    json.dump({"version": 1, "params": {"A_plus": 1.0, "A_minus": 1.0,
+               "B": 0.5, "t_plus": 1.0, "t_minus": 1.0},
+               "degrees": {"n_plus": 1, "n_minus": 1},
+               "grid": {"R_max": 20.0, "N": 200},
+               "sweep": {"b_start": 0.4, "b_stop": 0.6, "b_step": 0.1}}, f)
+codes = []
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes.append(cli.main(["solve", "--config", config,
+                           "--out", work + "/profile.json"]))
+    codes.append(cli.main(["verify", work + "/profile.json"]))
+    codes.append(cli.main(["sweep", "--config", config]))
+sweep = json.loads(out.getvalue().splitlines()[-1])
+print(json.dumps({"codes": codes, "sweep_records": len(sweep["records"]),
+                  "scipy": sorted(m for m in sys.modules
+                                  if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_cli_commands_import_no_scipy_module(tmp_path):
+    # the LAPACK routines come from scipy's extension file, loaded by spec:
+    # no scipy package module, scipy.linalg's imports least of all, runs
+    done = subprocess.run([sys.executable, "-I", "-c", _CLI_CHILD,
+                           str(SRC), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["codes"][0] == report["codes"][2] == 0
+    assert report["codes"][1] in (0, 3)         # a coarse grid may fail checks
+    assert report["sweep_records"] == 3
+    assert report["scipy"] == []

@@ -613,6 +613,21 @@ def test_verify_suite_passes_and_flags_corruption(reference_profiles):
     assert {"residual_norm", "positivity_min"} <= failed(f_minus=negative)
 
 
+def test_a_nan_in_either_component_fails_its_records(reference_profiles):
+    # min and max that drop a NaN unless it comes first would pass these
+    # records when only f_minus holds one
+    prof = reference_profiles["bpos"]
+    for comp in ("f_plus", "f_minus"):
+        holed = getattr(prof, comp).copy()
+        holed[3900] = np.nan
+        checks = {c["check"]: c
+                  for c in diagnostics.verify(replace(prof, **{comp: holed}))}
+        for name in ("positivity_min", "amplitude_bound_margin",
+                     "envelope_sandwich"):
+            assert (checks[name]["value"], checks[name]["pass"]) == (
+                "nan", False), (comp, name)
+
+
 def test_solve_verify_and_sweep_report_do_not_warn():
     # a solve and the checks that re-evaluate its profile issue no warning
     # of any category

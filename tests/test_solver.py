@@ -958,3 +958,10 @@ def test_system_on_cached_rows_matches_a_fresh_grid(start, target, degrees,
                                         getattr(other, rows))
             with pytest.raises(ValueError, match="read-only"):
                 getattr(op, rows)[-1] = 0
+
+
+def test_sup_norm_propagates_a_nan_from_either_component():
+    # Python's max drops a NaN that is not its first argument
+    assert np.isnan(solver._sup_norm([1.0], [np.nan]))
+    assert np.isnan(solver._sup_norm([np.nan], [1.0]))
+    assert solver._sup_norm([-3.0, 1.0], [2.0]) == 3.0
