@@ -1,13 +1,14 @@
 """Command-line front end: solves, sweeps, verification, tail reports, CSV export.
 
 Structured results go to stdout as JSON (one object per check for `verify`);
-plot data goes to CSV.  Exit codes: 0 success, 1 configuration/parse error
-or a closed form beyond the float range, 2 solver non-convergence, 3
-verification failure; `main` alone maps exceptions to them.  Stderr holds
-JSON lines only: one per distinct warning, of any category, then at most one
-error.  Configs are strict JSON: unknown keys are rejected so typos cannot
-silently change a scientific run; the one legacy key, `solve.far_field`, is
-accepted with its one value "robin".  This module does I/O only: `solver`
+plot data goes to CSV.  Exit codes: 0 success, 1 configuration/parse error,
+a closed form beyond the float range or a grid too large to allocate, 2
+solver non-convergence, 3 verification failure; `main` alone maps
+exceptions to them.  Stderr holds JSON lines only: one per distinct
+warning, of any category, then at most one error.  Configs are strict
+JSON: unknown keys are rejected so typos cannot silently change a
+scientific run; the one legacy key, `solve.far_field`, is accepted with
+its one value "robin".  This module does I/O only: `solver`
 solves and steps B, `diagnostics` and `asymptotics` compute every check,
 record and column it prints, and `model` and `grid` parse the JSON sections
 that profile files share with configs.
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
             code = args.func(args)
         except (solver.NoConvergence, solver.SingularJacobian) as exc:
             code, error = 2, _error(exc)
-        except (OSError, ValueError, OverflowError,
+        except (OSError, ValueError, OverflowError, MemoryError,
                 asymptotics.SelectionFailed) as exc:
             code, error = 1, _error(exc)
     sys.stderr.write("".join(notes) + error)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +51,7 @@ class RadialGrid:
     weights: np.ndarray
     kind: str
     stretch: float | None = None
-    # radial_operator's rows on this mesh, by winding n
+    # radial_operator's rows on this mesh, by winding n or tuple of windings
     _operators: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -167,7 +166,8 @@ class RadialOperator:
     tridiagonal coefficients are (lower, diag, upper) with
     diag = -(lower + upper) + pot.  pot is n^2/r^2 on equation rows, plus
     rhs[N] on the far row, and a power of two on the `pinned` rows, where
-    u = 0 replaces the equation.
+    u = 0 replaces the equation.  Rows stacked per component have arrays of
+    shape (k, N+1), row j for component j.
     """
 
     lower: np.ndarray = field(repr=False)
@@ -175,27 +175,29 @@ class RadialOperator:
     pot: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
     pinned: np.ndarray = field(repr=False)
+    diag: np.ndarray = field(repr=False)
 
-    @cached_property
-    def diag(self) -> np.ndarray:
-        diag = -(self.lower + self.upper) + self.pot
-        diag.flags.writeable = False
-        return diag
+    def __post_init__(self):
+        for rows in vars(self).values():
+            rows.flags.writeable = False
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """The rows at u in difference form, rhs not subtracted: unlike a
-        product with diag, a constant u cancels exactly."""
+        """The rows at u, of shape (..., N+1), in difference form, rhs not
+        subtracted: unlike a product with diag, constant u cancels exactly."""
         u = np.asarray(u, dtype=float)
-        if u.shape != self.pot.shape:
+        if u.shape[-1:] != self.pot.shape[-1:]:
             raise LengthMismatch("sample length does not match grid")
-        du = np.diff(u)
         out = self.pot * u
-        out[1:] -= self.lower[1:] * du
-        out[:-1] += self.upper[:-1] * du
+        flux = np.diff(u)           # one buffer for both fluxes
+        flux *= self.lower[..., 1:]
+        out[..., 1:] -= flux
+        np.subtract(u[..., 1:], u[..., :-1], out=flux)
+        flux *= self.upper[..., :-1]
+        out[..., :-1] += flux
         return out
 
 
-def radial_operator(grid: RadialGrid, n: int) -> RadialOperator:
+def radial_operator(grid: RadialGrid, n: int | tuple) -> RadialOperator:
     """The rows of -(1/r)(r u')' + n^2/r^2 on grid, with its boundary rows.
 
     The origin row is forced by the winding number: pinned to u(0) = 0 for
@@ -205,13 +207,21 @@ def radial_operator(grid: RadialGrid, n: int) -> RadialOperator:
     and an LU solve gives its entry g / 2^e exactly.  The far row is the
     ghost-eliminated R u'(R) + 2 (u(R) - t) = 0; rhs is its column for
     t = 1, which pot[N] also holds, so with n = 0 u = t cancels exactly.
-    The grid object keeps the rows of the first request, read-only, for
-    every later caller; grids built apart share none.
+    A tuple of windings gives their rows stacked, row k for n[k].  The grid
+    object keeps the rows of the first request, read-only, for every later
+    caller; grids built apart share none.
     """
-    if n < 0:
-        raise BadBoundarySpec("winding number must be nonnegative")
     if n in grid._operators:
         return grid._operators[n]
+    if isinstance(n, tuple):
+        # one winding's rows repeated are a broadcast view, not a copy
+        rows = zip(*(vars(radial_operator(grid, k)).values() for k in n))
+        op = grid._operators[n] = RadialOperator(*(
+            np.broadcast_to(r[0], (len(r), grid.N + 1)) if len(set(n)) == 1
+            else np.stack(r) for r in rows))
+        return op
+    if n < 0:
+        raise BadBoundarySpec("winding number must be nonnegative")
     r = grid.nodes
     h = np.diff(r)
     lower, upper, pot, rhs = (np.zeros_like(r) for _ in range(4))
@@ -236,8 +246,6 @@ def radial_operator(grid: RadialGrid, n: int) -> RadialOperator:
     lower[-1] = c_in + c_out
     rhs[-1] = -c_out * 2.0 * hN * 2.0 / r[-1]
     pot[-1] += rhs[-1]
-    for rows in (lower, upper, pot, rhs, pinned):
-        rows.flags.writeable = False
-    op = grid._operators[n] = RadialOperator(
-        lower=lower, upper=upper, pot=pot, rhs=rhs, pinned=pinned)
+    op = grid._operators[n] = RadialOperator(lower, upper, pot, rhs, pinned,
+                                             -(lower + upper) + pot)
     return op

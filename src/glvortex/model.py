@@ -5,7 +5,8 @@ with coefficients (A_plus, A_minus, B, t_plus, t_minus).  Everything downstream
 (well-posedness, the a priori amplitude bound, the tail expansion) requires the
 coupling matrix [[A_plus, B], [B, A_minus]] to be positive definite with
 positive asymptotic moduli t_plus, t_minus; constructing a CouplingParams
-checks this, strictly (B^2 < A_plus*A_minus, equality rejected).
+checks this, strictly (B^2 < A_plus*A_minus, equality rejected), and that
+the products the residual forms, t^2, A t^2 and |B| t^2, are finite floats.
 """
 
 from __future__ import annotations
@@ -71,7 +72,9 @@ def validate(params: CouplingParams) -> CouplingParams:
 
     Raises HypothesisViolation naming the failed inequality otherwise.
     Strictness matters: B^2 = A_plus*A_minus is rejected because positive
-    definiteness of the quartic form degenerates there.
+    definiteness of the quartic form degenerates there.  The residual forms
+    t_pm^2, A_pm t_pm^2 and B t_mp^2, so each of them, with |B|, must be a
+    finite float too; rational inputs are checked exactly.
     """
     for name in ("A_plus", "A_minus", "t_plus", "t_minus"):
         value = getattr(params, name)
@@ -81,6 +84,19 @@ def validate(params: CouplingParams) -> CouplingParams:
     if not b2 < a2:
         raise HypothesisViolation(f"B^2 < A_plus*A_minus fails (B^2={b2}, "
                                   f"A_plus*A_minus={a2}; equality not allowed)")
+    p = params
+    tp2, tm2 = p.t_plus * p.t_plus, p.t_minus * p.t_minus
+    for name, value in (("t_plus^2", tp2), ("t_minus^2", tm2),
+                        ("A_plus*t_plus^2", p.A_plus * tp2),
+                        ("A_minus*t_minus^2", p.A_minus * tm2),
+                        ("|B|*t_minus^2", abs(p.B) * tm2),
+                        ("|B|*t_plus^2", abs(p.B) * tp2)):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:   # an int or a rational beyond the float range
+            finite = False
+        if not finite:
+            raise HypothesisViolation(f"{name} is not a finite float")
     return params
 
 

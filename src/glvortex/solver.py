@@ -4,14 +4,14 @@ The far row at R_max imposes R f'(R) + 2 (f(R) - t) = 0, which every tail
 t + a/r^2 satisfies whatever a is: the solve keeps the paper's algebraic
 tail and reads only the coefficients (A_pm, B, t_pm) and the windings.
 
-The discretized system interleaves the two components per node, so the exact
+The solver carries f = (f_plus, f_minus) as one (2, N+1) state on operator
+rows the grid holds stacked per component.  Interleaved per node, the exact
 Jacobian is banded with two sub/super-diagonals and a banded LU solve costs
-O(N).  Each B gets its own discrete system on operator rows the grid
-holds, and a solve or sweep owns one LAPACK band buffer: each Newton
-iteration writes the Jacobian into it, factors it in place (`dgbtrf`) and
-solves in one right-hand side (`dgbtrs`).  At B = 0 the Jacobian is two
-tridiagonal blocks, one per component, which the same buffer holds and
-`dgttrf`/`dgttrs` factor and solve at a fraction of the band's cost.
+O(N).  A solve or sweep owns one LAPACK band buffer: each Newton iteration
+writes the Jacobian into it, factors it in place (`dgbtrf`) and solves in
+one right-hand side (`dgbtrs`).  At B = 0 the Jacobian is two tridiagonal
+blocks, one per component, which the same buffer holds and `dgttrf`/`dgttrs`
+factor and solve at a fraction of the band's cost.
 
 Globalization is by backtracking on the residual sup-norm plus continuation
 in the interaction coefficient B from the decoupled system (B = 0), whose
@@ -54,11 +54,10 @@ class _SolveFailure(RuntimeError):
     residual history; B_value is set by the continuation, at the B where
     the attempt failed."""
 
-    def __init__(self, message, f_plus=None, f_minus=None, history=None,
-                 B_value=None):
+    def __init__(self, message, f=None, history=None, B_value=None):
         super().__init__(message)
-        self.f_plus = f_plus
-        self.f_minus = f_minus
+        # the rows of the failed solve's state, which it no longer updates
+        self.f_plus, self.f_minus = (None, None) if f is None else f
         self.history = history or []
         self.B_value = B_value
 
@@ -120,93 +119,81 @@ class Profile:
 
 
 class _DiscreteSystem:
-    """The coupled residual at fixed grid, coefficients and degrees.
+    """The coupled residual at fixed grid, coefficients and degrees, on
+    states f of shape (2, N+1), row k for component k.
 
-    Holds the two single-component operators (radial Laplacian + n^2/r^2 +
-    boundary rows), shared with every system on the grid, and per component
-    the mask of rows where the nonlinear potential term is active (every
-    row not pinned) and the far row's right-hand side, the operator's
-    column rhs times t.
+    Holds the operator rows (radial Laplacian + n^2/r^2 + boundary rows)
+    stacked per component, shared with every system on the grid, the mask
+    of rows where the nonlinear potential term is active (every row not
+    pinned) and the far row's right-hand side t rhs[N], the one nonzero
+    entry of the operator's column.
     """
 
     def __init__(self, grid: RadialGrid, params: CouplingParams,
                  degrees: DegreePair):
         self.grid, self.params, self.degrees = grid, params, degrees
-        self.ops = [radial_operator(grid, n)
-                    for n in (degrees.n_plus, degrees.n_minus)]
-        self.masks = [~op.pinned for op in self.ops]
-        self.rhs = [op.rhs * t for op, t in zip(
-            self.ops, (params.t_plus, params.t_minus))]
+        self.op = radial_operator(grid, (degrees.n_plus, degrees.n_minus))
+        self.mask = ~self.op.pinned
+        p = params
+        self.rhs = self.op.rhs[:, -1:] * np.array([[p.t_plus], [p.t_minus]],
+                                                  float)
+        self.t2 = np.array([[p.t_plus ** 2], [p.t_minus ** 2]], float)
+        self.A = np.array([[p.A_plus], [p.A_minus]], float)
 
-    def residual(self, f_plus, f_minus):
-        p = self.params
-        v_plus = (p.A_plus * (f_plus ** 2 - p.t_plus ** 2)
-                  + p.B * (f_minus ** 2 - p.t_minus ** 2))
-        v_minus = (p.A_minus * (f_minus ** 2 - p.t_minus ** 2)
-                   + p.B * (f_plus ** 2 - p.t_plus ** 2))
-        g_plus = (self.ops[0].apply(f_plus) - self.rhs[0]
-                  + self.masks[0] * v_plus * f_plus)
-        g_minus = (self.ops[1].apply(f_minus) - self.rhs[1]
-                   + self.masks[1] * v_minus * f_minus)
-        return g_plus, g_minus
+    def residual(self, f):
+        # V_k = A_k (f_k^2 - t_k^2) + B (f_j^2 - t_j^2), j the partner of k,
+        # in place, as fresh (2, N+1) temporaries slow it at large N
+        g = self.op.apply(f)
+        g[:, -1:] -= self.rhs
+        v = np.square(f)
+        v -= self.t2
+        partner = v[::-1] * self.params.B
+        v *= self.A
+        v += partner
+        v *= self.mask
+        v *= f
+        g += v
+        return g
 
-    def residual_dB(self, f_plus, f_minus):
+    def residual_dB(self, f):
         """Derivative of the residual with respect to B at fixed profiles."""
-        p = self.params
-        return (self.masks[0] * (f_minus ** 2 - p.t_minus ** 2) * f_plus,
-                self.masks[1] * (f_plus ** 2 - p.t_plus ** 2) * f_minus)
+        return self.mask * (np.square(f[::-1]) - self.t2[::-1]) * f
 
-    def jacobian_banded(self, f_plus, f_minus, out=None):
-        """Exact Jacobian in scipy solve_banded layout for (l, u) = (2, 2).
+    def jacobian_diagonal(self, f, out=None):
+        """The Jacobian's main diagonal at f, shaped as f, written into out
+        when given: the operator's diagonal plus, on the rows where the
+        potential is active, A_k (3 f_k^2 - t_k^2) + B (f_j^2 - t_j^2)."""
+        out = np.square(f, out=out)
+        out *= 3.0
+        out -= self.t2
+        out *= self.A
+        if self.params.B:
+            partner = np.square(f[::-1])
+            partner -= self.t2[::-1]
+            partner *= self.params.B
+            out += partner
+        out *= self.mask
+        out += self.op.diag
+        return out
+
+    def jacobian_banded(self, f, out=None):
+        """Exact Jacobian in scipy solve_banded layout for (l, u) = (2, 2),
+        the components interleaved per node.
 
         Written into `out` (shape (5, 2N+2), every entry set) when given,
         else into a new array."""
-        p = self.params
-        ab = np.empty((5, 2 * (self.grid.N + 1))) if out is None else out
-        (op_p, op_m), (mask_p, mask_m) = self.ops, self.masks
-        ab[2, 0::2] = op_p.diag + mask_p * (
-            p.A_plus * (3.0 * f_plus ** 2 - p.t_plus ** 2)
-            + p.B * (f_minus ** 2 - p.t_minus ** 2))
-        ab[2, 1::2] = op_m.diag + mask_m * (
-            p.A_minus * (3.0 * f_minus ** 2 - p.t_minus ** 2)
-            + p.B * (f_plus ** 2 - p.t_plus ** 2))
-        # sub/super within a component sit two scalar columns away; the
-        # first two columns of row 0 and the last two of row 4 lie outside
-        # the matrix
-        ab[0, :2] = 0.0
-        ab[0, 2::2] = op_p.upper[:-1]
-        ab[0, 3::2] = op_m.upper[:-1]
-        ab[4, -2:] = 0.0
-        ab[4, 0:-2:2] = op_p.lower[1:]
-        ab[4, 1:-2:2] = op_m.lower[1:]
-        # cross-component coupling is diagonal in the node index, so only
-        # every other entry of rows 1 and 3 is nonzero
-        cross = 2.0 * p.B * f_plus * f_minus
-        ab[1, 0::2] = 0.0
-        ab[1, 1::2] = mask_p * cross
-        ab[3, 0::2] = mask_m * cross
-        ab[3, 1::2] = 0.0
+        ab = np.empty((5, f.size)) if out is None else out
+        # band row i as (2, N+1): its even (f_plus) columns, then its odd
+        rows = ab.reshape(5, -1, 2).transpose(0, 2, 1)
+        rows[2] = self.jacobian_diagonal(f)  # contiguous, then a strided copy
+        # sub/super within a component sit two scalar columns away, and the
+        # coupling is diagonal in the node index: every other entry of rows
+        # 1 and 3 is zero, as are the columns of rows 0 and 4 outside J
+        rows[0, :, 0] = rows[4, :, -1] = rows[1, 0] = rows[3, 1] = 0.0
+        rows[0, :, 1:] = self.op.upper[:, :-1]
+        rows[4, :, :-1] = self.op.lower[:, 1:]
+        rows[1, 1], rows[3, 0] = 2.0 * self.params.B * f[0] * f[1] * self.mask
         return ab
-
-    def jacobian_tridiagonal(self, f_plus, f_minus, out):
-        """The exact Jacobian at B = 0, where it is one tridiagonal block
-        per component: out[k, 0, :-1], out[k, 1] and out[k, 2, :-1] get the
-        sub-, main and super-diagonal of component k.  Each is written
-        whole and contiguous, the main diagonal in place with the values of
-        jacobian_banded's; the other entries of out are left alone."""
-        p = self.params
-        for rows, op, mask, f, A, t in zip(
-                out, self.ops, self.masks, (f_plus, f_minus),
-                (p.A_plus, p.A_minus), (p.t_plus, p.t_minus)):
-            rows[0, :-1] = op.lower[1:]
-            d = rows[1]         # op.diag + mask * (A * (3 f^2 - t^2))
-            np.square(f, out=d)
-            d *= 3.0
-            d -= t ** 2
-            d *= A
-            d *= mask
-            d += op.diag
-            rows[2, :-1] = op.upper[:-1]
 
 
 class _BandLU:
@@ -234,12 +221,14 @@ class _BandLU:
         self.rhs = np.empty(2 * n_nodes)
         self.ipiv = None            # None until a factorization succeeds
 
-    def factor(self, sys, f_plus, f_minus):
-        """Assemble the Jacobian at (f_plus, f_minus) and factor it in place."""
+    def factor(self, sys, f):
+        """Assemble the Jacobian at f and factor it in place."""
         self.ipiv = None
         self.decoupled = sys.params.B == 0.0
         if self.decoupled:
-            sys.jacobian_tridiagonal(f_plus, f_minus, self.tri)
+            self.tri[:, 0, :-1] = sys.op.lower[:, 1:]
+            sys.jacobian_diagonal(f, self.tri[:, 1])
+            self.tri[:, 2, :-1] = sys.op.upper[:, :-1]
             ipiv = []
             for dl, d, du, du2 in self.tri:
                 *_, fill, piv, info = dgttrf(dl[:-1], d, du[:-1],
@@ -250,27 +239,22 @@ class _BandLU:
                 du2[:-2] = fill
                 ipiv.append(piv)
         else:
-            sys.jacobian_banded(f_plus, f_minus, out=self.ab[2:])
+            sys.jacobian_banded(f, out=self.ab[2:])
             _, ipiv, info = dgbtrf(self.ab, 2, 2, overwrite_ab=1)
             if info != 0:
                 raise SingularJacobian(f"dgbtrf info {info} (zero pivot)")
         self.ipiv = ipiv
 
-    def solve(self, g_plus, g_minus):
-        """Solve J x = (g_plus, g_minus) on the last LU; returns x as the
-        pair (x_plus, x_minus), views of the rhs buffer valid until the
-        next solve."""
-        n = len(g_plus)
+    def solve(self, g):
+        """Solve J x = g on the last LU; returns x, shaped as g, as a view
+        of the rhs buffer valid until the next solve."""
+        x = (self.rhs.reshape(2, -1) if self.decoupled
+             else self.rhs.reshape(-1, 2).T)
+        x[...] = g
         if self.decoupled:
-            x = self.rhs[:n], self.rhs[n:]
-            for xk, g, (dl, d, du, du2), piv in zip(
-                    x, (g_plus, g_minus), self.tri, self.ipiv):
-                xk[:] = g
+            for xk, (dl, d, du, du2), piv in zip(x, self.tri, self.ipiv):
                 dgttrs(dl[:-1], d, du[:-1], du2[:-2], piv, xk, overwrite_b=1)
         else:
-            x = self.rhs[0::2], self.rhs[1::2]
-            x[0][:] = g_plus
-            x[1][:] = g_minus
             dgbtrs(self.ab, 2, 2, self.rhs, self.ipiv, overwrite_b=1)
         if not np.all(np.isfinite(self.rhs)):
             raise SingularJacobian("non-finite solution of the banded system")
@@ -281,31 +265,33 @@ def initial_guess(grid: RadialGrid, params: CouplingParams,
                   degrees: DegreePair):
     """Ansatz with the correct vanishing order at 0 and limit at infinity:
     f0(r) = t r^n / (r^2 + n^2/(A t^2))^(n/2) for n >= 1, constant t for
-    n = 0.  It is evaluated as t (r^2/(r^2 + c))^(n/2), whose base lies in
-    [0, 1), so a large winding neither overflows r^n nor divides inf by
-    inf; an A t^2 that underflows to 0 gives c = inf, and f0 = 0."""
-    r = grid.nodes
+    n = 0, returned as the rows (f_plus, f_minus) of one array.  It is
+    evaluated as t (r^2/(r^2 + c))^(n/2), whose base lies in [0, 1), so a
+    large winding neither overflows r^n nor divides inf by inf; an A t^2
+    that underflows to 0 gives c = inf, and f0 = 0."""
+    r2 = grid.nodes ** 2
     out = []
     for n, t, A in ((degrees.n_plus, params.t_plus, params.A_plus),
                     (degrees.n_minus, params.t_minus, params.A_minus)):
-        if n == 0:
-            out.append(np.full_like(r, t))
-        else:
-            core = n * n / max(A * t * t, math.ulp(0.0))
-            r2 = r ** 2
-            out.append(t * (r2 / (r2 + core)) ** (n / 2.0))
-    return tuple(out)
+        core = n * n / max(A * t * t, math.ulp(0.0))
+        out.append(t * (r2 / (r2 + core)) ** (n / 2.0) if n
+                   else np.full_like(r2, t))
+    return np.array(out)
+
+
+def _state(profile: Profile):
+    return np.array((profile.f_plus, profile.f_minus), dtype=float)
 
 
 def residual(profile: Profile):
-    """Discrete residual arrays (G_plus, G_minus) of a profile, boundary
-    rows included."""
+    """Discrete residual rows (G_plus, G_minus) of a profile, as one array,
+    boundary rows included."""
     sys = _DiscreteSystem(profile.grid, profile.params, profile.degrees)
-    return sys.residual(profile.f_plus, profile.f_minus)
+    return sys.residual(_state(profile))
 
 
 def residual_norm(profile: Profile) -> float:
-    return _sup_norm(*residual(profile))
+    return _sup_norm(residual(profile))
 
 
 def jacobian(profile: Profile):
@@ -314,7 +300,7 @@ def jacobian(profile: Profile):
     interleave per node, so each row couples its neighbors, itself, and the
     partner value at the same node."""
     sys = _DiscreteSystem(profile.grid, profile.params, profile.degrees)
-    return sys.jacobian_banded(profile.f_plus, profile.f_minus)
+    return sys.jacobian_banded(_state(profile))
 
 
 def newton_solve(f_plus0, f_minus0, grid: RadialGrid, params: CouplingParams,
@@ -330,47 +316,38 @@ def newton_solve(f_plus0, f_minus0, grid: RadialGrid, params: CouplingParams,
     """
     t0 = time.perf_counter()
     sys = _DiscreteSystem(grid, params, degrees)
-    f_plus = np.array(f_plus0, dtype=float)
-    f_minus = np.array(f_minus0, dtype=float)
-    iters, norm = _newton(sys, _BandLU(grid.N + 1), f_plus, f_minus, options)
-    return _profile(sys, f_plus, f_minus, (iters,), norm, options, t0)
+    f = np.array((f_plus0, f_minus0), dtype=float)
+    iters, norm = _newton(sys, _BandLU(grid.N + 1), f, options)
+    return _profile(sys, f, (iters,), norm, options, t0)
 
 
-def _profile(sys, f_plus, f_minus, iterations, norm, options, t0) -> Profile:
+def _profile(sys, f, iterations, norm, options, t0) -> Profile:
     report = SolveReport(iterations=iterations, final_residual=norm,
                          tolerance=options.tolerance,
                          wall_time=time.perf_counter() - t0)
     return Profile(grid=sys.grid, params=sys.params, degrees=sys.degrees,
-                   f_plus=f_plus, f_minus=f_minus, report=report)
+                   f_plus=f[0], f_minus=f[1], report=report)
 
 
-def _sup_norm(g_plus, g_minus) -> float:
-    return float(np.maximum(np.max(np.abs(g_plus)), np.max(np.abs(g_minus))))
+def _sup_norm(g) -> float:
+    return float(np.max(np.abs(g)))
 
 
-def _unmoved(cand_plus, cand_minus, f_plus, f_minus) -> bool:
-    """Whether a trial iterate equals the current one bit for bit.  Rounding
-    is monotone, so every shorter step along the same direction gives the
-    same iterate, and with it the same residual: the line search is over."""
-    return np.array_equal(cand_plus, f_plus) and np.array_equal(cand_minus,
-                                                                f_minus)
-
-
-def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
-    """In-place Newton iteration on the LU buffers `lu`, followed by the
-    positivity check; returns (iterations, residual norm).  On success `lu`
-    holds the LU of the last iteration's Jacobian (none if no iteration
-    ran).  A failure carries the residual history: the starting residual
-    and one entry per completed iteration.
+def _newton(sys, lu: _BandLU, f, options):
+    """In-place Newton iteration on the state f and the LU buffers `lu`,
+    followed by the positivity check; returns (iterations, residual norm).
+    On success `lu` holds the LU of the last iteration's Jacobian (none if
+    no iteration ran).  A failure carries the residual history: the
+    starting residual and one entry per completed iteration.
 
     The line search halves the step until the residual sup-norm decreases.
     It stalls when the step falls below 1e-8 of the Newton step, or as soon
-    as a halved trial iterate equals the current one bit for bit: every
-    shorter step then gives that iterate too, so both end in the same
-    NoConvergence, the second without the residual evaluations between."""
+    as a halved trial iterate equals the current one bit for bit: rounding
+    is monotone, so every shorter step gives that iterate too, and both end
+    in the same NoConvergence, the second without the residuals between."""
     history = []
-    g_plus, g_minus = sys.residual(f_plus, f_minus)
-    norm = _sup_norm(g_plus, g_minus)
+    g = sys.residual(f)
+    norm = _sup_norm(g)
     history.append(norm)
     it = 0
     while not norm <= options.tolerance:        # a NaN residual never passes
@@ -378,41 +355,38 @@ def _newton(sys, lu: _BandLU, f_plus, f_minus, options):
             raise NoConvergence(
                 f"no convergence after {_MAX_NEWTON_ITERS} iterations "
                 f"(residual {norm:.3e}, tolerance {options.tolerance:.1e})",
-                f_plus=f_plus.copy(), f_minus=f_minus.copy(), history=history)
+                f=f, history=history)
         try:
-            lu.factor(sys, f_plus, f_minus)
-            step_plus, step_minus = lu.solve(g_plus, g_minus)
+            lu.factor(sys, f)
+            step = lu.solve(g)
         except SingularJacobian as exc:
             exc.args = (f"Newton step failed at iteration {it}: {exc}",)
             exc.history = history
             raise
         alpha = 1.0
-        cand_plus, cand_minus = f_plus - step_plus, f_minus - step_minus
+        cand = f - step
         while True:
-            g_plus, g_minus = sys.residual(cand_plus, cand_minus)
-            cand_norm = _sup_norm(g_plus, g_minus)
+            g = sys.residual(cand)
+            cand_norm = _sup_norm(g)
             if cand_norm < norm or cand_norm <= options.tolerance:
                 break
             alpha *= _DAMPING
-            cand_plus = f_plus - alpha * step_plus
-            cand_minus = f_minus - alpha * step_minus
-            if alpha < 1e-8 or _unmoved(cand_plus, cand_minus,
-                                        f_plus, f_minus):
+            cand = step * -alpha
+            cand += f
+            if alpha < 1e-8 or np.array_equal(cand, f):
                 raise NoConvergence(
                     f"line search stalled at residual {norm:.3e}",
-                    f_plus=f_plus.copy(), f_minus=f_minus.copy(),
-                    history=history)
-        f_plus[:] = cand_plus
-        f_minus[:] = cand_minus
+                    f=f, history=history)
+        f[...] = cand
         norm = cand_norm
         history.append(norm)
         it += 1
     # positivity is verified after convergence rather than enforced
-    low = float(np.minimum(np.min(f_plus), np.min(f_minus)))
+    low = float(np.min(f))
     if not low >= -POSITIVITY_TOL:      # a NaN fails too
         raise NoConvergence(
             f"converged iterate violates positivity (min value {low:.3e})",
-            f_plus=f_plus.copy(), f_minus=f_minus.copy(), history=history)
+            f=f, history=history)
     return it, norm
 
 
@@ -429,7 +403,8 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
     |B|, one leg per value; a failed leg sends its chain back to the B = 0
     profile and tangent.  A profile's report lists the Newton iterations of
     every stage attempted since the previous profile returned, failed
-    stages included, and the time they took.
+    stages included, and the time they took.  Each stage solves on a state
+    array of its own, so no two profiles share memory.
     """
     for b in b_values:      # an inadmissible B fails before any solve
         replace(params, B=b)
@@ -437,26 +412,24 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
     stages = []                 # Newton iterations since the last profile out
     t_out = time.perf_counter()
 
-    def stage(b, f_plus, f_minus, want_tangent):
-        """Newton solve at B = b, whose profile takes over the arrays; then,
-        when wanted, the tangent there from the kept LU."""
+    def stage(b, f, want_tangent):
+        """Newton solve at B = b in place on the state f, whose rows the
+        profile takes; then, when wanted, the tangent from the kept LU."""
         sys = _DiscreteSystem(grid, replace(params, B=b), degrees)
         iters, tangent = None, None
         try:
-            iters, norm = _newton(sys, lu, f_plus, f_minus, options)
+            iters, norm = _newton(sys, lu, f, options)
             if want_tangent:
                 if lu.ipiv is None:     # no Newton iteration factored yet
-                    lu.factor(sys, f_plus, f_minus)
-                tangent = [-x for x in lu.solve(*sys.residual_dB(f_plus,
-                                                                 f_minus))]
+                    lu.factor(sys, f)
+                tangent = -lu.solve(sys.residual_dB(f))
         except _SolveFailure as exc:
             lu.ipiv = None      # the LU of a failed iterate predicts nothing
             exc.B_value = b
             stages.append(exc.iterations if iters is None else iters)
             raise
         stages.append(iters)
-        return (_profile(sys, f_plus, f_minus, (iters,), norm, options,
-                         t_out), tangent)
+        return (_profile(sys, f, (iters,), norm, options, t_out), tangent)
 
     def leg(profile, tangent, target, want_tangent):
         # B advances in units of 2^-_MAX_HALVINGS of the leg; `size` is the
@@ -472,8 +445,7 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
             db = b - profile.params.B
             try:
                 next_profile, next_tangent = stage(
-                    b, profile.f_plus + db * tangent[0],
-                    profile.f_minus + db * tangent[1],
+                    b, _state(profile) + db * tangent,
                     want_tangent or not last)
             except _SolveFailure:
                 if size == 1:
@@ -488,7 +460,7 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
     # a failure is kept without its traceback, whose frames would pin the
     # solve buffers and, through this frame, the results that hold it
     try:
-        origin = stage(0.0, *initial_guess(grid, params, degrees),
+        origin = stage(0.0, initial_guess(grid, params, degrees),
                        any(b != 0.0 for b in b_values))
     except _SolveFailure as exc:
         return [exc.with_traceback(None)] * len(b_values)
@@ -552,8 +524,7 @@ def profile_to_json(profile: Profile) -> str:
     rep = obj["report"]
     scalars = (*obj["params"].values(), profile.grid.R_max,
                rep["final_residual"], rep["tolerance"], rep["wall_time"])
-    if not (np.isfinite(profile.f_plus).all()
-            and np.isfinite(profile.f_minus).all()
+    if not (np.isfinite(_state(profile)).all()
             and all(map(math.isfinite, scalars))):
         raise ValueError("a profile file holds finite numbers only")
     # the numpy option takes a numpy.float64 final_residual; .tolist() keeps

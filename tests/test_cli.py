@@ -51,26 +51,44 @@ def test_solve_exit_code_on_no_convergence(tmp_path, capsys, monkeypatch):
 
 
 def test_numpy_warnings_are_json_lines(tmp_path, capsys):
-    # at t_+ = 1e155, A t^2 overflows the initial guess and the residual:
-    # stderr is JSON lines only, one per distinct warning, and the error
-    # line comes last, even when the caller's filters turn warnings into
-    # errors (python -W error)
+    # an f_plus entry of 1e200 overflows its square in the checks of
+    # verify: stderr is JSON lines only, one per distinct warning, even when
+    # the caller's filters turn warnings into errors (python -W error), and
+    # verify still prints every check and fails
+    cfg = write_config(tmp_path / "cfg.json", grid={"R_max": 20.0, "N": 200})
+    profile = tmp_path / "p.json"
+    assert run(capsys, "solve", "--config", str(cfg),
+               "--out", str(profile))[0] == 0
+    obj = json.loads(profile.read_text())
+    obj["f_plus"][100] = 1e200
+    profile.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(capsys, "verify", str(profile),
+                                   warns=True)
+    assert code == 3
+    checks = [json.loads(line) for line in stdout.splitlines()]
+    assert checks and not all(c["pass"] for c in checks)
+    lines = stderr.splitlines()
+    warned = list(map(json.loads, lines))
+    assert warned and {w["warning"] for w in warned} == {"RuntimeWarning"}
+    assert any("overflow" in w["message"] for w in warned)
+    assert len(set(lines)) == len(lines)
+
+
+def test_coefficients_whose_squares_overflow_are_refused(tmp_path, capsys):
+    # at t_+ = 1e155, t_+^2 leaves the float range: the config is refused
+    # with one error line, before any solve could warn
     cfg = write_config(tmp_path / "cfg.json",
                        params={"A_plus": 1.0, "A_minus": 1.0, "B": 0.5,
                                "t_plus": 1e155, "t_minus": 1.0})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, stdout, stderr = run(capsys, "solve", "--config", str(cfg),
-                                   "--out", str(tmp_path / "p.json"),
-                                   warns=True)
-    assert code == 1
-    assert stdout == ""
-    lines = stderr.splitlines()
-    *warned, last = map(json.loads, lines)
-    assert last["error"] == "OverflowError"
-    assert warned and {w["warning"] for w in warned} == {"RuntimeWarning"}
-    assert any("overflow" in w["message"] for w in warned)
-    assert len(set(lines)) == len(lines)
+                                   "--out", str(tmp_path / "p.json"))
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "HypothesisViolation",
+                                  "message": "t_plus^2 is not a finite float"}
 
 
 def test_warning_filters_keep_the_callers_ignores(monkeypatch, capsys):
@@ -118,6 +136,23 @@ def test_solve_rejects_bad_hypothesis(tmp_path, capsys):
     assert code == 1
     err = json.loads(stderr)
     assert err["error"] == "HypothesisViolation"
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_grid_too_large_to_allocate_is_one_error_line(tmp_path, capsys,
+                                                      command):
+    # 10^18 nodes ask for 6.94 EiB, beyond any 57-bit address space, so
+    # the node array fails at once without allocating: exit 1 and one JSON
+    # line, not a traceback
+    cfg = write_config(tmp_path / "cfg.json",
+                       sweep={"b_start": 0.0, "b_stop": 0.5, "b_step": 0.5})
+    code, stdout, stderr = run(capsys, command, "--config", str(cfg),
+                               "--grid-n", str(10 ** 18),
+                               "--out", str(tmp_path / "out.json"))
+    assert (code, stdout) == (1, "")
+    error = json.loads(stderr)
+    assert error["error"].endswith("MemoryError")
+    assert "Unable to allocate 6.94 EiB" in error["message"]
 
 
 def test_solve_zero_degrees_constant_profile(tmp_path, capsys):

@@ -156,6 +156,18 @@ def test_apply_matches_tridiagonal_rows(geometric, stretch, N, R_max, n,
     assert list(np.flatnonzero(op.rhs)) == [N]
 
 
+@pytest.mark.parametrize("windings", [(1, 0), (0, 3), (2, 2)])
+def test_stacked_rows_apply_as_each_winding(windings):
+    # the rows stacked per component evaluate a (2, N+1) state bit for bit
+    # as each winding's own rows evaluate its row
+    g = gv.build_grid(30.0, 300, "geometric", 1.01)
+    stack = gv.radial_operator(g, windings)
+    assert gv.radial_operator(g, windings) is stack
+    u = np.random.default_rng(7).uniform(0.0, 2.0, (2, 301))
+    want = [gv.radial_operator(g, n).apply(row) for n, row in zip(windings, u)]
+    assert stack.apply(u).tobytes() == np.array(want).tobytes()
+
+
 def test_boundary_spec_errors():
     g = gv.build_grid(8.0, 64)
     with pytest.raises(gv.BadBoundarySpec):

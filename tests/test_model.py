@@ -28,6 +28,15 @@ def test_validate_rejects_equality_case():
     ((1, 1, 0, -2, 1), "t_plus"),
     ((1, 1, 0, 1, 0), "t_minus"),
     ((1, 1, 1.5, 1, 1), "B"),
+    # the residual squares t: each product must stay a finite float
+    ((1, 1, 0.5, 1e155, 1), "t_plus\\^2"),
+    ((1, 1, 0, 1, 1e155), "t_minus\\^2"),
+    ((1e300, 1, 0, 1e10, 1), "A_plus\\*t_plus\\^2"),
+    ((1, 1e300, 0, 1, 1e10), "A_minus\\*t_minus\\^2"),
+    ((1e300, 1, 1e100, 1, 1e110), "\\|B\\|\\*t_minus\\^2"),
+    ((1, 1e300, -1e100, 1e110, 1), "\\|B\\|\\*t_plus\\^2"),
+    ((1, 1, 0, Fraction(10 ** 160), 1), "t_plus\\^2"),
+    ((1, 1, 0, 10 ** 160, 1), "t_plus\\^2"),
 ])
 def test_validate_names_failed_inequality(vals, name):
     with pytest.raises(gv.HypothesisViolation, match=name):
@@ -192,6 +201,12 @@ def test_validate_exact_on_rational_inputs():
     with pytest.raises(gv.HypothesisViolation):
         gv.validate(gv.CouplingParams(Fraction(1), Fraction(1), Fraction(1),
                                       Fraction(1), Fraction(1)))
+    # products in the float range validate however large their terms'
+    # numerators and denominators are
+    huge = Fraction(10 ** 400 + 1, 10 ** 400)
+    p = gv.CouplingParams(huge, huge, Fraction(1, 2), huge,
+                          Fraction(10 ** 150))
+    assert gv.validate(p) is p
 
 
 def _admissible(A_plus, A_minus, B, t_plus, t_minus) -> bool:
