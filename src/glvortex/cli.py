@@ -183,13 +183,15 @@ def cmd_sweep(args) -> int:
                                         cfg["sweep"], cfg["grid"],
                                         cfg["options"])
     report = diagnostics.sweep_report(cfg["params"], cfg["degrees"],
-                                      cfg["sweep"], results)
+                                      cfg["sweep"], results,
+                                      cfg["verify"]["hessian_tol"])
     text = json.dumps(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
         header = ["B", "converged", "class", "a_plus", "a_minus",
-                  "quantization_gap", "hessian_min_eig"]
+                  "quantization_gap", "hessian_min_eig",
+                  "hessian_min_eig_upper"]
         _write_csv(Path(args.out).with_suffix(".csv"), header,
                    ([rec[k] for k in header] for rec in report["records"]))
     print(text)

@@ -12,13 +12,15 @@ pass/fail records; `sweep_report` and `plot_columns` hold the per-B sweep
 records and the plot data the command line writes.
 
 The second variation is the solver's Newton Jacobian weighted by the
-finite-volume masses.  Its smallest eigenvalue is bracketed by banded
-Cholesky factorizations, O(N) each, whose factors also drive shifted inverse
-iteration toward it.  After the flip D = diag(1, -sign B) that makes the
-system cooperative, the scaled Hessian is a Z-matrix for positive profiles,
-and the Collatz-Wielandt quotients of each positive iterate bracket the
-eigenvalue from both sides without a factorization: 6-8 factorizations on
-the reference sets at N = 4000, against about 51 for bisection alone.
+finite-volume masses.  One O(N) banded Cholesky factorization, shifted by
+the gate's tolerance, decides whether its smallest eigenvalue passes, and
+three inverse iterates with that factor bracket the eigenvalue: after the
+flip D = diag(1, -sign B) that makes the system cooperative, the scaled
+Hessian is a Z-matrix for positive profiles, and the Collatz-Wielandt
+quotients of a positive iterate bound the eigenvalue from both sides.  The
+lower end of the bracket is the certified value `verify` and the sweep
+records report.  Only a profile that fails the gate runs the shift loop that
+narrows the bracket below the tolerance with further factorizations.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ from .solver import POSITIVITY_TOL, Profile, jacobian, residual_norm
 
 class EigenFailure(RuntimeError):
     """The second variation has non-finite entries or cannot be factored."""
+
+
+# the tolerances of `verify`, each overridable in a run config
+VERIFY_DEFAULTS = {"residual_tol": 1e-10, "quantization_tol": 0.01,
+                   "pohozaev_tol": 0.01, "origin_order_tol": 0.05,
+                   "bound_tol": 1e-8, "hessian_tol": 1e-8, "tail_a_rel": 0.01,
+                   "tail_b_rel": 0.05}
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +159,24 @@ def second_variation_matrix(profile: Profile):
     m = g.weights.copy()
     m[0] = g.nodes[1] ** 2 / 8.0
     mass = np.repeat(m, 2)
-    keep = _retained_unknowns(profile)
     ab = jacobian(profile)  # ab[2 + i - j, j] = J[i, j]
-    band = np.zeros((3, keep.size))
-    band[2] = mass[keep] * ab[2, keep]
-    for k in (1, 2):
-        i, j = keep[:-k], keep[k:]
-        d = j - i  # a dropped origin unknown can widen the gap beyond k
-        near = d <= 2
-        band[2 - k, k:][near] = mass[i[near]] * ab[2 - d[near], j[near]]
-    return band, mass[keep]
+    # the upper band of diag(m) J over every unknown but R_max's:
+    # full[2 - k, j] is K[j - k, j]
+    n = ab.shape[1] - 2
+    full = ab[:3, :n]
+    full[2] *= mass[:n]
+    full[1, 1:] *= mass[:n - 1]
+    full[0, 2:] *= mass[:n - 2]
+    # the dropped origin unknowns lead the interleaved order, except the
+    # f_- one alone, which sits between (0, +) and (1, +): its column gives
+    # way to (0, +), whose neighbour (1, +) is then one column away
+    n_plus, n_minus = profile.degrees.n_plus, profile.degrees.n_minus
+    first = (n_plus != 0) + (n_minus != 0)
+    band = full[:, first:]
+    if n_minus and not n_plus:
+        band[2, 0], band[1, 1], band[0, 2] = full[2, 0], full[0, 2], 0.0
+    band[1, 0] = band[0, :2] = 0.0    # outside K or on a dropped unknown
+    return band, mass[first:n]    # m is the same at (0, +) and (0, -)
 
 
 def _band_matvec(sym, u):
@@ -182,19 +199,24 @@ def _collatz_wielandt(flip, u, su):
     return float(np.min(q)), float(np.max(q))
 
 
-def second_variation_min_eig(profile: Profile) -> float:
-    """Smallest eigenvalue of the second variation in the r-weighted inner
-    product (generalized problem K u = lambda M u).
+def second_variation_min_eig(
+        profile: Profile,
+        hessian_tol: float = VERIFY_DEFAULTS["hessian_tol"]) -> tuple:
+    """Certified bracket (lower, upper) of the smallest eigenvalue of the
+    second variation in the r-weighted inner product (generalized problem
+    K u = lambda M u), and the gate lambda_min >= -hessian_tol decided by
+    one factorization.
 
     With S = M^{-1/2} K M^{-1/2}, S - sigma I has a Cholesky factor exactly
-    when sigma < lambda_min, so each O(N) banded factorization moves one end
-    of a bracket [lo, hi] that starts at the Gershgorin lower bound and the
-    smallest diagonal entry.  A factor that exists also drives two steps of
-    inverse iteration: the Rayleigh quotient rho of the iterate u caps hi,
-    and the next shift is rho - 2 ||S u - rho u||, just below the eigenvalue
-    that the Krylov-Weinstein bound places within ||S u - rho u|| of rho.  A
-    shift outside the bracket, and the one after a failed factorization,
-    falls back to the midpoint.
+    when sigma < lambda_min, so one O(N) banded factorization at
+    sigma = -hessian_tol decides the gate.  When it succeeds, the factor
+    drives three steps of inverse iteration from the start vector below, and
+    the bracket is [max(sigma, min q), min(rho, max q)]: rho is the Rayleigh
+    quotient of the last iterate u and q its Collatz-Wielandt quotients, so
+    lower >= sigma = -hessian_tol holds by construction.  When it fails,
+    lambda_min < sigma and the bracket comes from _bisect_below, which
+    starts with upper just below sigma: lower < -hessian_tol again by
+    construction, and only failing profiles pay for the loop.
 
     The flip D = diag(1, -sign B) on the (+, -) unknowns (D = I for B <= 0)
     reflects f_- as the paper's comparison argument does.  When both
@@ -202,73 +224,109 @@ def second_variation_min_eig(profile: Profile) -> float:
     entries always are, the coupling 2B f_+ f_- is once the components are
     positive), D S D is a symmetric Z-matrix, so for every x > 0 the
     Collatz-Wielandt quotients q = (D S D x) / x satisfy min q <= lambda_min
-    <= max q: each iterate u with x = D u > 0 then tightens both ends of the
-    bracket without a factorization.  The start vector is D times the
-    constant pair in the metric; it is positive after the flip, and by
-    Perron-Frobenius the lowest mode of D S D has no sign change, so the
-    start has weight on that mode.  Inverse iteration below lambda_min
-    applies (D S D - sigma I)^{-1} >= 0 and keeps x > 0.  Without the Z
-    pattern, or with an entry of x <= 0, the bracket moves by the
-    factorizations alone.
+    <= max q.  The start vector is D times the constant pair in the metric;
+    it is positive after the flip, and by Perron-Frobenius the lowest mode
+    of D S D has no sign change, so the start has weight on that mode.
+    Below lambda_min, D S D - sigma I is a nonsingular M-matrix whose
+    Cholesky factor has nonpositive off-diagonal entries, so each
+    triangular solve only adds nonnegative terms: x = D u stays positive in
+    floating point too.  Without the Z pattern the lower end is sigma.
 
-    The loop stops at a relative width of 1e-12, or at eps ||S|| below which
-    the factorization cannot tell two shifts apart.  In floating point a
-    successful factorization proves sigma < lambda_min up to its O(eps ||S||)
-    backward error, and a computed quotient q_i is off by at most
-    gamma_6 (|S| x)_i / x_i = gamma_6 (|S_ii| + S_ii - q_i): at most about
-    18 eps ||S||_inf at a row that moves the bracket, since such a row has
-    q_i above the Gershgorin bound lo >= -||S||_inf.  That is the order of
+    In floating point a successful factorization proves sigma < lambda_min
+    up to its O(eps ||S||) backward error, and a computed quotient q_i is
+    off by at most gamma_6 (|S| x)_i / x_i = gamma_6 (|S_ii| + S_ii - q_i):
+    at most about 18 eps ||S||_inf at a row that sets an end, since such a
+    row has q_i above the Gershgorin bound -||S||_inf.  That is the order of
     the factorization's own error, so no slack is subtracted, and nothing is
-    proven beyond that roundoff.  The reference profiles take 6-8
-    factorizations, where bisection alone takes about 51.
+    proven beyond that roundoff.
     """
     band, masses = second_variation_matrix(profile)
     if not np.all(np.isfinite(band)):
         raise EigenFailure("second variation has non-finite entries")
     scale = np.sqrt(masses)
-    sym = np.zeros_like(band, order="F")  # LAPACK layout: factor in place
-    sym[2] = band[2] / masses
+    sym = band / masses     # the diagonal is final, both bands are redone
     sym[1, 1:] = band[1, 1:] / (scale[1:] * scale[:-1])
     sym[0, 2:] = band[0, 2:] / (scale[2:] * scale[:-2])
-    radius = np.abs(sym[1]) + np.abs(sym[0])
-    radius[:-1] += np.abs(sym[1, 1:])
-    radius[:-2] += np.abs(sym[0, 2:])
-    lo = float(np.min(sym[2] - radius))
-    hi = float(np.min(sym[2]))
-    floor = np.finfo(float).eps * float(np.max(np.abs(sym[2]) + radius))
-    shifted = np.empty_like(sym)
     minus = _retained_unknowns(profile) % 2 == 1
     flip = np.where(minus & (profile.params.B > 0), -1.0, 1.0)
     z_pattern = all(np.all(sym[2 - k, k:] * flip[k:] * flip[:-k] <= 0)
                     for k in (1, 2))
+    sigma = -hessian_tol
+    shifted = np.asfortranarray(sym)    # LAPACK layout: factored in place
+    shifted[2] -= sigma
     u = scale * flip
-    info = 0
+    if not _factor(shifted):
+        return _bisect_below(sym, shifted, u, flip if z_pattern else None,
+                             sigma)
+    for _ in range(3):  # rescaled, so that a far shift cannot underflow u
+        u /= np.max(np.abs(u))
+        u, _ = dpbtrs(shifted, u, overwrite_b=1)  # the factor
+    u /= np.max(np.abs(u))
+    u /= np.sqrt(np.sum(u * u))
+    su = _band_matvec(sym, u)
+    lo, hi = sigma, float(np.sum(u * su))
+    bounds = _collatz_wielandt(flip, u, su) if z_pattern else None
+    if bounds is not None:
+        lo, hi = max(lo, bounds[0]), min(hi, bounds[1])
+    return lo, hi
+
+
+def _factor(shifted) -> bool:
+    """Factor the band in place; False when it is not positive definite."""
+    _, info = dpbtrf(shifted, lower=0, overwrite_ab=1)
+    if info < 0:
+        raise EigenFailure(f"banded Cholesky rejected argument {-info}")
+    return info == 0
+
+
+def _bisect_below(sym, shifted, u, flip, sigma):
+    """(lower, upper) with lower <= upper < sigma, upper - lower below a
+    relative 1e-12 or eps ||S||, for a band sym whose shift by sigma has no
+    Cholesky factor; shifted is a work band, u the start vector and flip the
+    D of the Z pattern, or None without it.
+
+    The bracket starts at the Gershgorin lower bound and just below sigma.
+    Each O(N) factorization moves one end, and a factor that exists also
+    drives two steps of inverse iteration: the Rayleigh quotient rho of the
+    iterate u caps the upper end, and the next shift is
+    rho - 2 ||S u - rho u||, just below the eigenvalue that the
+    Krylov-Weinstein bound places within ||S u - rho u|| of rho.  A shift
+    outside the bracket falls back to the midpoint.  With the Z pattern the
+    Collatz-Wielandt quotients of each iterate with D u > 0 move both ends
+    without a factorization.
+    """
+    radius = np.abs(sym[1]) + np.abs(sym[0])
+    radius[:-1] += np.abs(sym[1, 1:])
+    radius[:-2] += np.abs(sym[0, 2:])
+    lo = float(np.min(sym[2] - radius))
+    hi = float(np.nextafter(sigma, -np.inf))
+    floor = np.finfo(float).eps * float(np.max(np.abs(sym[2]) + radius))
+    factored = True
     while True:
-        if info == 0:  # u is the start vector or was just iterated
+        if factored:    # u is the start vector or was just iterated
             # numpy sums, not BLAS dot: a threaded ddot can spend
             # milliseconds waking its threads on every call
             u /= np.sqrt(np.sum(u * u))
             su = _band_matvec(sym, u)
             rho = float(np.sum(u * su))
             hi = min(hi, rho)
-            bounds = _collatz_wielandt(flip, u, su) if z_pattern else None
+            bounds = (_collatz_wielandt(flip, u, su) if flip is not None
+                      else None)
             if bounds is not None:
                 lo, hi = max(lo, bounds[0]), min(hi, bounds[1])
             su -= rho * u
-            sigma = rho - 2.0 * float(np.sqrt(np.sum(su * su)))
+            shift = rho - 2.0 * float(np.sqrt(np.sum(su * su)))
         if hi - lo <= max(1e-12 * max(abs(lo), abs(hi)), floor):
-            return 0.5 * (lo + hi)
-        if not lo < sigma < hi:
-            sigma = 0.5 * (lo + hi)
+            return min(lo, hi), hi
+        if not lo < shift < hi:
+            shift = 0.5 * (lo + hi)
         shifted[:] = sym
-        shifted[2] -= sigma
-        _, info = dpbtrf(shifted, lower=0, overwrite_ab=1)
-        if info < 0:
-            raise EigenFailure(f"banded Cholesky rejected argument {-info}")
-        if info > 0:
-            hi = sigma
+        shifted[2] -= shift
+        factored = _factor(shifted)
+        if not factored:
+            hi = shift
             continue
-        lo = sigma
+        lo = shift
         for _ in range(2):
             u, _ = dpbtrs(shifted, u, overwrite_b=1)  # the factor
 
@@ -338,13 +396,6 @@ def near_origin_order(profile: Profile) -> tuple:
 # the verification suite, sweep records and plot data
 
 
-# the tolerances of `verify`, each overridable in a run config
-VERIFY_DEFAULTS = {"residual_tol": 1e-10, "quantization_tol": 0.01,
-                   "pohozaev_tol": 0.01, "origin_order_tol": 0.05,
-                   "bound_tol": 1e-8, "hessian_tol": 1e-8, "tail_a_rel": 0.01,
-                   "tail_b_rel": 0.05}
-
-
 def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS) -> list:
     """The check suite: one {"check", "value", "target", "tolerance",
     "pass"} record per check.  The residual is gated on residual_tol, never
@@ -385,8 +436,8 @@ def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS) -> list:
         check(f"near_origin_order_{comp}", got, float(n),
               tol["origin_order_tol"], abs(got - n) <= tol["origin_order_tol"])
 
-    try:
-        eig = second_variation_min_eig(profile)
+    try:    # the certified lower end, >= -hessian_tol exactly on a pass
+        eig, _ = second_variation_min_eig(profile, tol["hessian_tol"])
         check("hessian_min_eig", eig, 0.0, tol["hessian_tol"],
               eig >= -tol["hessian_tol"])
     except EigenFailure as exc:
@@ -420,23 +471,29 @@ def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS) -> list:
 
 
 def sweep_report(params: CouplingParams, degrees: DegreePair, b_values,
-                 results) -> dict:
+                 results,
+                 hessian_tol: float = VERIFY_DEFAULTS["hessian_tol"]) -> dict:
     """A record per B of continuation_sweep's results (a failed solve or
     Hessian gives "converged": false and the error) and empirical_B0, the
-    largest B at which both components are nondecreasing."""
+    largest B at which both components are nondecreasing.  A record's
+    hessian_min_eig and hessian_min_eig_upper are the ends of the bracket
+    second_variation_min_eig certifies at hessian_tol."""
     records = []
     for b, result in zip(b_values, results):
         a = asymptotics.leading_coeffs(replace(params, B=b), degrees)
         record = {"B": b, "converged": False, "class": None,
                   "a_plus": a[0], "a_minus": a[1],
-                  "quantization_gap": None, "hessian_min_eig": None}
+                  "quantization_gap": None, "hessian_min_eig": None,
+                  "hessian_min_eig_upper": None}
         if isinstance(result, Profile):
             try:
+                lower, upper = second_variation_min_eig(result, hessian_tol)
                 record.update({
                     "converged": True,
                     "class": monotonicity_classify(result).value,
                     "quantization_gap": quantization_check(result).relative_gap,
-                    "hessian_min_eig": second_variation_min_eig(result)})
+                    "hessian_min_eig": lower,
+                    "hessian_min_eig_upper": upper})
             except EigenFailure as exc:
                 result = exc
         if not record["converged"]:

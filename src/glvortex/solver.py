@@ -397,7 +397,9 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
     from params.
 
     Returns one entry per B, in input order: the Profile, or the
-    NoConvergence/SingularJacobian raised at that B.  B = 0 is solved once
+    NoConvergence/SingularJacobian raised at that B.  The values may come in
+    any order; an inadmissible one, or two that coincide once rounded to 12
+    decimals, are a ValueError before any solve.  B = 0 is solved once
     and never retried, so its failure is every entry.  From it one chain
     walks the values B >= 0 and another the values B < 0, each in order of
     |B|, one leg per value; a failed leg sends its chain back to the B = 0
@@ -408,6 +410,8 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
     """
     for b in b_values:      # an inadmissible B fails before any solve
         replace(params, B=b)
+    if len({round(b, 12) for b in b_values}) < len(b_values):
+        raise ValueError("sweep values coincide once rounded to 12 decimals")
     lu = _BandLU(grid.N + 1)
     stages = []                 # Newton iterations since the last profile out
     t_out = time.perf_counter()

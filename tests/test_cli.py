@@ -677,6 +677,38 @@ def test_sweep_records_and_empirical_threshold(tmp_path, capsys):
     assert len(rows) == 6
 
 
+def test_sweep_brackets_at_the_config_tolerance(tmp_path, capsys,
+                                               monkeypatch):
+    # the records' bracket is decided at the config's verify.hessian_tol,
+    # and the CSV carries both of its ends
+    seen = []
+    min_eig = cli.diagnostics.second_variation_min_eig
+
+    def spy(profile, hessian_tol):
+        seen.append(hessian_tol)
+        return min_eig(profile, hessian_tol)
+    monkeypatch.setattr(cli.diagnostics, "second_variation_min_eig", spy)
+    cfg = write_config(tmp_path / "cfg.json",
+                       grid={"R_max": 30.0, "N": 400},
+                       sweep={"b_start": -0.1, "b_stop": 0.1, "b_step": 0.1},
+                       verify={"hessian_tol": 0.25})
+    out = tmp_path / "sweep.json"
+    code, stdout, _ = run(capsys, "sweep", "--config", str(cfg),
+                          "--out", str(out))
+    assert code == 0
+    assert seen == [0.25] * 3
+    records = json.loads(stdout)["records"]
+    for rec in records:
+        assert -0.25 <= rec["hessian_min_eig"] <= rec["hessian_min_eig_upper"]
+    rows = list(csv.reader((tmp_path / "sweep.csv").read_text().splitlines()))
+    assert rows[0] == ["B", "converged", "class", "a_plus", "a_minus",
+                       "quantization_gap", "hessian_min_eig",
+                       "hessian_min_eig_upper"]
+    assert [[float(x) for x in row[6:]] for row in rows[1:]] == [
+        [rec["hessian_min_eig"], rec["hessian_min_eig_upper"]]
+        for rec in records]
+
+
 def test_sweep_csv_path_keeps_dotted_directories(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        grid={"R_max": 30.0, "N": 400},

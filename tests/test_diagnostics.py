@@ -232,7 +232,7 @@ def test_hessian_positive_at_constant_state(ground_state):
     grid = ground_state.grid
     prof = make_profile(grid, p, gv.DegreePair(0, 0),
                         np.full(601, p.t_plus), np.full(601, p.t_minus))
-    eig = gv.second_variation_min_eig(prof)
+    eig, upper = gv.second_variation_min_eig(prof)
     pot = 2.0 * np.array([[p.A_plus * p.t_plus ** 2,
                            p.B * p.t_plus * p.t_minus],
                           [p.B * p.t_plus * p.t_minus,
@@ -241,24 +241,26 @@ def test_hessian_positive_at_constant_state(ground_state):
     lam_s = np.linalg.eigvalsh(np.array([[p.A_plus, p.B],
                                          [p.B, p.A_minus]]))[0]
     assert pot_min >= 2 * lam_s * min(p.t_plus, p.t_minus) ** 2 - 1e-12
+    lam = min_eig_bisection(prof)
+    _assert_brackets((eig, upper), prof, lam)
     assert eig > 0
-    assert eig >= pot_min - 1e-10  # gradient part only adds
+    assert lam >= pot_min - 1e-10  # gradient part only adds
 
 
 def test_hessian_matches_scalar_oracle():
     grid = gv.build_grid(40.0, 2000)
     params = gv.CouplingParams(1, 1, 0, 1, 1)
     prof = gv.continuation_solve(params, gv.DegreePair(1, 0), grid)
-    lib = gv.second_variation_min_eig(prof)
+    lower, upper = gv.second_variation_min_eig(prof)
     oracle_f = scalar_gl_profile(1.0, 1.0, 1, grid.nodes)
     oracle = scalar_hessian_min_eig(1.0, 1.0, 1, oracle_f, grid.nodes)
     assert oracle < 2.0  # the decoupled partner block sits at 2 A t^2
-    assert lib == pytest.approx(oracle, abs=1e-4)
+    assert lower - 1e-4 <= oracle <= upper + 1e-4
 
 
 def test_hessian_positive_on_solves(reference_profiles):
     for prof in reference_profiles.values():
-        assert gv.second_variation_min_eig(prof) >= -1e-8
+        assert gv.second_variation_min_eig(prof)[0] >= -1e-8
 
 
 def test_hessian_symmetric_by_construction():
@@ -377,8 +379,9 @@ def test_min_eig_matches_dense_eigh(prof, where):
         K += np.diag(band[2 - k, k:], k) + np.diag(band[2 - k, k:], -k)
     ref = scipy.linalg.eigh(K, np.diag(masses), eigvals_only=True,
                             subset_by_index=[0, 0])[0]
-    lam = gv.second_variation_min_eig(prof)
-    assert abs(lam - ref) <= 1e-9 * max(1.0, abs(ref))
+    lower, upper = gv.second_variation_min_eig(prof)
+    slack = 1e-9 * max(1.0, abs(ref))
+    assert lower - slack <= ref <= upper + slack
     # sweep records an unusable profile through EigenFailure
     bad = prof.f_plus.copy()
     bad[1 + int(where * (prof.grid.N - 2))] = np.nan
@@ -409,13 +412,20 @@ def _agreement_tol(prof, lam):
     return max(1e-11 * abs(lam), 2.0 * eps * _scaled_band(prof)[1])
 
 
+def _assert_brackets(bracket, prof, lam):
+    """lower <= lam <= upper up to the agreement tolerance."""
+    lower, upper = bracket
+    slack = _agreement_tol(prof, lam)
+    assert lower - slack <= lam <= upper + slack, (bracket, lam)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(prof=admissible_profiles())
 def test_min_eig_matches_bisection(prof):
     # the draws are unsolved arrays, so lambda_min may be negative and
     # need not be an isolated bound state
-    lam = gv.second_variation_min_eig(prof)
-    assert abs(lam - min_eig_bisection(prof)) <= _agreement_tol(prof, lam)
+    _assert_brackets(gv.second_variation_min_eig(prof), prof,
+                     min_eig_bisection(prof))
 
 
 def _dense(sym):
@@ -467,9 +477,10 @@ def test_min_eig_without_z_pattern(case):
     ref = scipy.linalg.eigvalsh(_dense(_scaled_band(prof)[0]))[0]
     with mock.patch.object(diagnostics, "_collatz_wielandt",
                            wraps=diagnostics._collatz_wielandt) as cw:
-        lam = gv.second_variation_min_eig(prof)
+        bracket = gv.second_variation_min_eig(prof)
     cw.assert_not_called()
-    assert abs(lam - ref) <= _agreement_tol(prof, lam)
+    assert bracket[0] == -1e-8  # the factorization's shift alone
+    _assert_brackets(bracket, prof, ref)
 
 
 def test_sweep_report_min_eig_matches_bisection():
@@ -481,8 +492,31 @@ def test_sweep_report_min_eig_matches_bisection():
                                        results)["records"]
     for rec, prof in zip(records, results):
         assert rec["converged"]
-        lam = rec["hessian_min_eig"]
-        assert abs(lam - min_eig_bisection(prof)) <= _agreement_tol(prof, lam)
+        bracket = rec["hessian_min_eig"], rec["hessian_min_eig_upper"]
+        _assert_brackets(bracket, prof, min_eig_bisection(prof))
+
+
+def test_sweep_report_brackets_at_the_sweep_tolerance(default_grid):
+    # the benchmark's 19-value bpos sweep: every record's lower end is
+    # within 10 % of lambda_min, and a tolerance that puts the shift above
+    # lambda_min gives a record below -hessian_tol
+    params, degrees = case_inputs("bpos")
+    b_values = [round(-0.9 + 0.1 * k, 12) for k in range(19)]
+    results = gv.continuation_sweep(params, degrees, b_values, default_grid)
+    records = diagnostics.sweep_report(params, degrees, b_values,
+                                       results)["records"]
+    lams = [min_eig_bisection(prof) for prof in results]
+    for rec, prof, lam in zip(records, results, lams):
+        assert rec["converged"]
+        bracket = rec["hessian_min_eig"], rec["hessian_min_eig_upper"]
+        _assert_brackets(bracket, prof, lam)
+        assert rec["hessian_min_eig"] >= 0.9 * lam > 0
+    tol = -1.01 * lams[0]
+    rec, = diagnostics.sweep_report(params, degrees, b_values[:1],
+                                    results[:1], tol)["records"]
+    assert rec["hessian_min_eig"] < -tol
+    _assert_brackets((rec["hessian_min_eig"], rec["hessian_min_eig_upper"]),
+                     results[0], lams[0])
 
 
 def _count_factorizations(monkeypatch):
@@ -498,19 +532,84 @@ def _count_factorizations(monkeypatch):
 
 
 def test_min_eig_factorization_count(reference_profiles, monkeypatch):
-    # bisection to the same width takes about 51 factorizations
+    # one factorization decides the gate, and three inverse iterates with
+    # it bring the certified lower end within 10 % of lambda_min, which
+    # LAPACK's banded eigensolver gives independently
     calls = _count_factorizations(monkeypatch)
     for prof in reference_profiles.values():
         calls.clear()
-        lam = gv.second_variation_min_eig(prof)
-        assert len(calls) <= 8
-        assert abs(lam - min_eig_bisection(prof)) <= _agreement_tol(prof, lam)
+        bracket = gv.second_variation_min_eig(prof)
+        assert len(calls) == 1
+        lam = min_eig_bisection(prof)
+        _assert_brackets(bracket, prof, lam)
+        sym, _ = _scaled_band(prof)
+        ref = scipy.linalg.eig_banded(sym, eigvals_only=True,
+                                      select="i", select_range=(0, 0))[0]
+        _assert_brackets(bracket, prof, ref)
+        assert bracket[0] >= 0.9 * lam
+
+
+@pytest.mark.parametrize("N", [16000, 32000])
+def test_min_eig_factorization_count_does_not_grow(N, monkeypatch):
+    # bpos at N = 4000 is a reference set of the count test above; the
+    # shift loop took 6 factorizations there, and 10 and 11 here
+    params, degrees = case_inputs("bpos")
+    prof = gv.continuation_solve(params, degrees, gv.build_grid(80.0, N))
+    calls = _count_factorizations(monkeypatch)
+    bracket = gv.second_variation_min_eig(prof)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    _assert_brackets(bracket, prof, min_eig_bisection(prof))
+
+
+@pytest.mark.parametrize("case", ["bpos", "asym"])
+def test_gate_decided_at_the_tolerance(case, reference_profiles):
+    # hessian_tol = -lambda_min (1 -+ 1e-6) puts the factorization's shift
+    # just below and just above lambda_min
+    prof = reference_profiles[case]
+    lam = min_eig_bisection(prof)
+    for factor, passes in ((1 - 1e-6, True), (1 + 1e-6, False)):
+        tol = -lam * factor
+        rec, = [c for c in diagnostics.verify(
+            prof, {**diagnostics.VERIFY_DEFAULTS, "hessian_tol": tol})
+            if c["check"] == "hessian_min_eig"]
+        assert rec["pass"] is passes
+        assert rec["tolerance"] == tol
+        assert (rec["value"] >= -tol) is passes
+        _assert_brackets(gv.second_variation_min_eig(prof, tol), prof, lam)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e300, 1.7e308])
+def test_gate_at_extreme_tolerances(tol, reference_profiles):
+    # a shift far below the spectrum shrinks each inverse iterate by about
+    # 1/tol; the iterates are rescaled, so no entry underflows and no warning
+    # is raised, and the bracket still holds lambda_min
+    prof = reference_profiles["bpos"]
+    lower, upper = gv.second_variation_min_eig(prof, tol)
+    assert -tol <= lower <= upper < math.inf
+    _assert_brackets((lower, upper), prof, min_eig_bisection(prof))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(prof=admissible_profiles())
+def test_indefinite_draws_fail_the_gate(prof):
+    # an unsolved array with lambda_min < -hessian_tol fails with its
+    # certified lower end, strictly below -hessian_tol
+    lam = min_eig_bisection(prof)
+    assume(lam < -1e-8)
+    rec, = [c for c in diagnostics.verify(prof)
+            if c["check"] == "hessian_min_eig"]
+    assert rec["pass"] is False
+    assert rec["value"] < -1e-8
+    lower, upper = gv.second_variation_min_eig(prof)
+    assert rec["value"] == lower <= upper < -1e-8
+    _assert_brackets((lower, upper), prof, lam)
 
 
 def test_min_eig_equal_coefficients(monkeypatch):
     # equal coefficients and windings decouple f_+ + f_- from f_+ - f_-; a
-    # start vector with no weight on the lower of the two would leave the
-    # loop to bisect
+    # start vector with no weight on the lower of the two would leave
+    # inverse iteration on the upper one
     params, degrees = case_inputs("bpos")
     prof = gv.continuation_solve(params, degrees, gv.build_grid(20.0, 200))
     band, masses = second_variation_matrix(prof)
@@ -520,9 +619,10 @@ def test_min_eig_equal_coefficients(monkeypatch):
     ref = scipy.linalg.eigh(K, np.diag(masses), eigvals_only=True,
                             subset_by_index=[0, 0])[0]
     calls = _count_factorizations(monkeypatch)
-    lam = gv.second_variation_min_eig(prof)
-    assert len(calls) <= 8
-    assert abs(lam - ref) <= _agreement_tol(prof, lam)
+    bracket = gv.second_variation_min_eig(prof)
+    assert len(calls) == 1
+    _assert_brackets(bracket, prof, ref)
+    assert bracket[1] <= 1.1 * ref  # the upper end is the lower mode's
 
 
 def test_monotonicity_classes(reference_profiles, coarse_grid):

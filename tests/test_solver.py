@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 import glvortex as gv
@@ -20,9 +20,10 @@ def params_of(*vals):
 
 def eight_steps(params, degrees, grid):
     """The profile at params.B reached through eight equal B-steps, or None
-    if any step fails."""
-    path = gv.continuation_sweep(params, degrees,
-                                 [params.B * k / 8 for k in range(1, 9)], grid)
+    if any step fails.  Steps that coincide once rounded to 12 decimals
+    (all eight at B = 0) are one value, the last of them."""
+    steps = {round(b, 12): b for b in (params.B * k / 8 for k in range(1, 9))}
+    path = gv.continuation_sweep(params, degrees, list(steps.values()), grid)
     return None if any(isinstance(p, Exception) for p in path) else path[-1]
 
 
@@ -790,6 +791,19 @@ def test_sweep_profiles_share_no_memory(coarse_grid, monkeypatch):
         assert p.f_minus.tobytes() == f_minus.tobytes()
 
 
+@pytest.mark.parametrize("b_values", [[0.3, 0.3, 0.0, 0.0],
+                                      [0.2, -0.1, 0.2 + 1e-13]])
+def test_sweep_refuses_repeated_values(b_values, coarse_grid, monkeypatch):
+    # a repeat would share its profile's arrays with the first one and
+    # report no iterations; values merging at 12 decimals count as repeats,
+    # as the sweep config's rule has them
+    runs = _spy_newton(monkeypatch)
+    with pytest.raises(ValueError, match="coincide"):
+        gv.continuation_sweep(params_of(1, 1, 0.5, 1, 1), gv.DegreePair(1, 1),
+                              b_values, coarse_grid)
+    assert runs == []
+
+
 def test_sweep_failure_at_zero_interaction_is_every_entry(coarse_grid,
                                                          monkeypatch):
     monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 3)
@@ -975,6 +989,8 @@ def test_amplitude_bound_holds_on_admissible_solves(case):
 def test_sweep_matches_one_solve_per_value(case, ratios):
     params, degrees, grid = case
     b_values = [r * np.sqrt(params.A_plus * params.A_minus) for r in ratios]
+    # repeated values are refused (test_sweep_refuses_repeated_values)
+    assume(len({round(b, 12) for b in b_values}) == len(b_values))
     swept = gv.continuation_sweep(params, degrees, b_values, grid)
     assert len(swept) == len(b_values)
     for b, got in zip(b_values, swept):
