@@ -12,15 +12,15 @@ pass/fail records; `sweep_report` and `plot_columns` hold the per-B sweep
 records and the plot data the command line writes.
 
 The second variation is the solver's Newton Jacobian weighted by the
-finite-volume masses.  One O(N) banded Cholesky factorization, shifted by
-the gate's tolerance, decides whether its smallest eigenvalue passes, and
-three inverse iterates with that factor bracket the eigenvalue: after the
-flip D = diag(1, -sign B) that makes the system cooperative, the scaled
-Hessian is a Z-matrix for positive profiles, and the Collatz-Wielandt
-quotients of a positive iterate bound the eigenvalue from both sides.  The
-lower end of the bracket is the certified value `verify` and the sweep
-records report.  Only a profile that fails the gate runs the shift loop that
-narrows the bracket below the tolerance with further factorizations.
+finite-volume masses.  One shift loop brackets its smallest eigenvalue with
+O(N) banded Cholesky factorizations; each that succeeds drives three inverse
+iterates: after the flip D = diag(1, -sign B) that makes the system
+cooperative, the scaled Hessian is a Z-matrix for positive profiles, and the
+Collatz-Wielandt quotients of a positive iterate bound the eigenvalue from
+both sides.  The first shift is the gate's tolerance, so a profile that
+passes costs one factorization; one that fails goes on shifting below the
+tolerance until the bracket is narrow.  The lower end of the bracket is the
+certified value `verify` and the sweep records report.
 """
 
 from __future__ import annotations
@@ -205,18 +205,28 @@ def second_variation_min_eig(
     """Certified bracket (lower, upper) of the smallest eigenvalue of the
     second variation in the r-weighted inner product (generalized problem
     K u = lambda M u), and the gate lambda_min >= -hessian_tol decided by
-    one factorization.
+    its first factorization.
 
-    With S = M^{-1/2} K M^{-1/2}, S - sigma I has a Cholesky factor exactly
-    when sigma < lambda_min, so one O(N) banded factorization at
-    sigma = -hessian_tol decides the gate.  When it succeeds, the factor
-    drives three steps of inverse iteration from the start vector below, and
-    the bracket is [max(sigma, min q), min(rho, max q)]: rho is the Rayleigh
-    quotient of the last iterate u and q its Collatz-Wielandt quotients, so
-    lower >= sigma = -hessian_tol holds by construction.  When it fails,
-    lambda_min < sigma and the bracket comes from _bisect_below, which
-    starts with upper just below sigma: lower < -hessian_tol again by
-    construction, and only failing profiles pay for the loop.
+    With S = M^{-1/2} K M^{-1/2}, S - shift I has a Cholesky factor exactly
+    when shift < lambda_min.  One loop narrows the bracket with one O(N)
+    banded factorization per pass.  A factor that exists raises the lower
+    end to its shift and drives three steps of inverse iteration from the
+    start vector below: rho, the Rayleigh quotient of the last iterate u,
+    caps the upper end, and its Collatz-Wielandt quotients q move both ends.
+    A factorization that fails lowers the upper end to just below its shift.
+
+    The first shift is sigma = -hessian_tol.  When it factors, the gate
+    passes and the loop returns at once with [max(sigma, min q),
+    min(rho, max q)], so lower >= -hessian_tol holds by construction.  When
+    it does not, lambda_min <= sigma: the lower end drops to the Gershgorin
+    bound, and the loop goes on below sigma until the bracket is narrower
+    than a relative 1e-12 or eps ||S||_inf, below which the factorization
+    cannot tell two shifts apart; lower <= upper < -hessian_tol then holds
+    by construction.  Each further shift is rho - 2 ||S u - rho u||, just
+    below the eigenvalue that the Krylov-Weinstein bound places within
+    ||S u - rho u|| of rho (u is the start vector after the first failure),
+    or the midpoint when that shift leaves the bracket or the last
+    factorization failed.
 
     The flip D = diag(1, -sign B) on the (+, -) unknowns (D = I for B <= 0)
     reflects f_- as the paper's comparison argument does.  When both
@@ -227,19 +237,21 @@ def second_variation_min_eig(
     <= max q.  The start vector is D times the constant pair in the metric;
     it is positive after the flip, and by Perron-Frobenius the lowest mode
     of D S D has no sign change, so the start has weight on that mode.
-    Below lambda_min, D S D - sigma I is a nonsingular M-matrix whose
+    Below lambda_min, D S D - shift I is a nonsingular M-matrix whose
     Cholesky factor has nonpositive off-diagonal entries, so each
     triangular solve only adds nonnegative terms: x = D u stays positive in
-    floating point too.  Without the Z pattern the lower end is sigma.
+    floating point too.  Without the Z pattern a passing lower end is sigma.
 
-    In floating point a successful factorization proves sigma < lambda_min
+    In floating point a successful factorization proves shift < lambda_min
     up to its O(eps ||S||) backward error, and a computed quotient q_i is
     off by at most gamma_6 (|S| x)_i / x_i = gamma_6 (|S_ii| + S_ii - q_i):
     at most about 18 eps ||S||_inf at a row that sets an end, since such a
     row has q_i above the Gershgorin bound -||S||_inf.  That is the order of
     the factorization's own error, so no slack is subtracted, and nothing is
-    proven beyond that roundoff.
+    proven beyond that roundoff.  A non-finite hessian_tol is a ValueError.
     """
+    if not math.isfinite(hessian_tol):
+        raise ValueError(f"hessian_tol must be finite, not {hessian_tol}")
     band, masses = second_variation_matrix(profile)
     if not np.all(np.isfinite(band)):
         raise EigenFailure("second variation has non-finite entries")
@@ -251,84 +263,49 @@ def second_variation_min_eig(
     flip = np.where(minus & (profile.params.B > 0), -1.0, 1.0)
     z_pattern = all(np.all(sym[2 - k, k:] * flip[k:] * flip[:-k] <= 0)
                     for k in (1, 2))
-    sigma = -hessian_tol
-    shifted = np.asfortranarray(sym)    # LAPACK layout: factored in place
-    shifted[2] -= sigma
+    sigma = shift = -hessian_tol
+    hi, floor = math.inf, None      # floor is set once sigma fails
+    shifted = np.empty_like(sym, order="F")  # LAPACK layout: factored in place
     u = scale * flip
-    if not _factor(shifted):
-        return _bisect_below(sym, shifted, u, flip if z_pattern else None,
-                             sigma)
-    for _ in range(3):  # rescaled, so that a far shift cannot underflow u
-        u /= np.max(np.abs(u))
-        u, _ = dpbtrs(shifted, u, overwrite_b=1)  # the factor
-    u /= np.max(np.abs(u))
-    u /= np.sqrt(np.sum(u * u))
-    su = _band_matvec(sym, u)
-    lo, hi = sigma, float(np.sum(u * su))
-    bounds = _collatz_wielandt(flip, u, su) if z_pattern else None
-    if bounds is not None:
-        lo, hi = max(lo, bounds[0]), min(hi, bounds[1])
-    return lo, hi
-
-
-def _factor(shifted) -> bool:
-    """Factor the band in place; False when it is not positive definite."""
-    _, info = dpbtrf(shifted, lower=0, overwrite_ab=1)
-    if info < 0:
-        raise EigenFailure(f"banded Cholesky rejected argument {-info}")
-    return info == 0
-
-
-def _bisect_below(sym, shifted, u, flip, sigma):
-    """(lower, upper) with lower <= upper < sigma, upper - lower below a
-    relative 1e-12 or eps ||S||, for a band sym whose shift by sigma has no
-    Cholesky factor; shifted is a work band, u the start vector and flip the
-    D of the Z pattern, or None without it.
-
-    The bracket starts at the Gershgorin lower bound and just below sigma.
-    Each O(N) factorization moves one end, and a factor that exists also
-    drives two steps of inverse iteration: the Rayleigh quotient rho of the
-    iterate u caps the upper end, and the next shift is
-    rho - 2 ||S u - rho u||, just below the eigenvalue that the
-    Krylov-Weinstein bound places within ||S u - rho u|| of rho.  A shift
-    outside the bracket falls back to the midpoint.  With the Z pattern the
-    Collatz-Wielandt quotients of each iterate with D u > 0 move both ends
-    without a factorization.
-    """
-    radius = np.abs(sym[1]) + np.abs(sym[0])
-    radius[:-1] += np.abs(sym[1, 1:])
-    radius[:-2] += np.abs(sym[0, 2:])
-    lo = float(np.min(sym[2] - radius))
-    hi = float(np.nextafter(sigma, -np.inf))
-    floor = np.finfo(float).eps * float(np.max(np.abs(sym[2]) + radius))
-    factored = True
     while True:
-        if factored:    # u is the start vector or was just iterated
+        shifted[:] = sym
+        shifted[2] -= shift
+        _, info = dpbtrf(shifted, lower=0, overwrite_ab=1)
+        if info < 0:
+            raise EigenFailure(f"banded Cholesky rejected argument {-info}")
+        if info == 0:
+            lo = shift
+            for _ in range(3):  # rescaled: a far shift cannot underflow u
+                u /= np.max(np.abs(u))
+                u, _ = dpbtrs(shifted, u, overwrite_b=1)  # the factor
+            u /= np.max(np.abs(u))
+        else:
+            hi = float(np.nextafter(shift, -np.inf))
+            if floor is None:   # the gate fails; u is still the start vector
+                radius = np.abs(sym[1]) + np.abs(sym[0])
+                radius[:-1] += np.abs(sym[1, 1:])
+                radius[:-2] += np.abs(sym[0, 2:])
+                lo = float(np.min(sym[2] - radius))
+                floor = np.finfo(float).eps * float(
+                    np.max(np.abs(sym[2]) + radius))
+        if info == 0 or shift == sigma:     # a new u, or the start vector
             # numpy sums, not BLAS dot: a threaded ddot can spend
             # milliseconds waking its threads on every call
             u /= np.sqrt(np.sum(u * u))
             su = _band_matvec(sym, u)
             rho = float(np.sum(u * su))
             hi = min(hi, rho)
-            bounds = (_collatz_wielandt(flip, u, su) if flip is not None
-                      else None)
+            bounds = _collatz_wielandt(flip, u, su) if z_pattern else None
             if bounds is not None:
                 lo, hi = max(lo, bounds[0]), min(hi, bounds[1])
+            if floor is None:   # sigma factored: the gate passes
+                return lo, hi
             su -= rho * u
             shift = rho - 2.0 * float(np.sqrt(np.sum(su * su)))
         if hi - lo <= max(1e-12 * max(abs(lo), abs(hi)), floor):
             return min(lo, hi), hi
-        if not lo < shift < hi:
+        if not lo < shift < hi:     # after a failure, shift is above hi
             shift = 0.5 * (lo + hi)
-        shifted[:] = sym
-        shifted[2] -= shift
-        factored = _factor(shifted)
-        if not factored:
-            hi = shift
-            continue
-        lo = shift
-        for _ in range(2):
-            u, _ = dpbtrs(shifted, u, overwrite_b=1)  # the factor
 
 
 # ---------------------------------------------------------------------------

@@ -590,13 +590,28 @@ def test_gate_at_extreme_tolerances(tol, reference_profiles):
     _assert_brackets((lower, upper), prof, min_eig_bisection(prof))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(prof=admissible_profiles())
-def test_indefinite_draws_fail_the_gate(prof):
-    # an unsolved array with lambda_min < -hessian_tol fails with its
-    # certified lower end, strictly below -hessian_tol
-    lam = min_eig_bisection(prof)
-    assume(lam < -1e-8)
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+def test_non_finite_tolerance_is_refused(tol, reference_profiles,
+                                         monkeypatch):
+    # no shift to factor at: the records would hold -inf or nan, and the
+    # loop below a failing shift would never end on nan
+    calls = _count_factorizations(monkeypatch)
+    prof = reference_profiles["bpos"]
+    with pytest.raises(ValueError, match="hessian_tol"):
+        gv.second_variation_min_eig(prof, tol)
+    with pytest.raises(ValueError, match="hessian_tol"):
+        diagnostics.verify(prof, {**diagnostics.VERIFY_DEFAULTS,
+                                  "hessian_tol": tol})
+    with pytest.raises(ValueError, match="hessian_tol"):
+        diagnostics.sweep_report(prof.params, prof.degrees, [prof.params.B],
+                                 [prof], tol)
+    assert calls == []
+
+
+def _assert_fails_the_gate(prof, lam):
+    """verify fails the gate with the certified lower end, strictly below
+    -hessian_tol, and the bracket is as narrow as the shift loop stops:
+    a relative 1e-12, or eps ||S||_inf."""
     rec, = [c for c in diagnostics.verify(prof)
             if c["check"] == "hessian_min_eig"]
     assert rec["pass"] is False
@@ -604,6 +619,28 @@ def test_indefinite_draws_fail_the_gate(prof):
     lower, upper = gv.second_variation_min_eig(prof)
     assert rec["value"] == lower <= upper < -1e-8
     _assert_brackets((lower, upper), prof, lam)
+    width = max(1e-12 * max(abs(lower), abs(upper)),
+                np.finfo(float).eps * _scaled_band(prof)[1])
+    assert upper - lower <= width, (lower, upper)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(prof=admissible_profiles())
+def test_indefinite_draws_fail_the_gate(prof):
+    # an unsolved array with lambda_min < -hessian_tol
+    lam = min_eig_bisection(prof)
+    assume(lam < -1e-8)
+    _assert_fails_the_gate(prof, lam)
+
+
+def test_halved_plus_component_fails_the_gate(reference_profiles):
+    # bpos with every f_+ entry halved: far from a solution, lambda_min is
+    # about -0.3735, so every further shift runs below the first
+    prof = reference_profiles["bpos"]
+    prof = replace(prof, f_plus=0.5 * prof.f_plus)
+    lam = min_eig_bisection(prof)
+    assert lam == pytest.approx(-0.3735, abs=1e-4)
+    _assert_fails_the_gate(prof, lam)
 
 
 def test_min_eig_equal_coefficients(monkeypatch):
