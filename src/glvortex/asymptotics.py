@@ -300,12 +300,6 @@ class EnvelopeSpec:
     # It follows from the other fields and the inputs, so it is not compared.
     series: Sequence = field(default=(), compare=False, repr=False)
 
-    def envelope_c(self, component: str, side: str) -> float:
-        """Signed r^-6 amplitude (to be scaled by R^6) for one envelope."""
-        sgn = 1.0 if side == "upper" else -1.0
-        kappa = self.kappa_plus if component == "plus" else self.kappa_minus
-        return sgn * self.delta * kappa
-
 
 # (sign of the f_+ amplitude, of the f_- amplitude) per envelope pair, +1
 # upper / -1 lower: also the required defect signs, since an upper envelope
@@ -394,37 +388,37 @@ def select_envelope(params: CouplingParams, degrees: DegreePair) -> EnvelopeSpec
 # envelope evaluation against a solved profile
 
 
-def envelope_bounds(spec: EnvelopeSpec, r) -> dict:
-    """{component: (lower, upper)} envelope values at the radii r, around
-    the expansion the spec certifies."""
-    tail, out = spec.tail, {}
-    for comp, t, a, b in (("plus", spec.t_plus, tail.a_plus, tail.b_plus),
-                          ("minus", spec.t_minus, tail.a_minus, tail.b_minus)):
-        base = t + a / r ** 2 + b / r ** 4
-        out[comp] = tuple(base + spec.envelope_c(comp, side) * spec.R ** 6
-                          / r ** 6 for side in ("lower", "upper"))
-    return out
+def envelope_bounds(spec: EnvelopeSpec, r) -> tuple:
+    """(lower, upper) envelope values at the radii r, each of shape
+    (2, len(r)), row k for component k, around the expansion the spec
+    certifies."""
+    tail = spec.tail
+    t, a, b, kappa = np.array([
+        [spec.t_plus, tail.a_plus, tail.b_plus, spec.kappa_plus],
+        [spec.t_minus, tail.a_minus, tail.b_minus, spec.kappa_minus]],
+        dtype=float).T[:, :, None]
+    base = t + a / r ** 2 + b / r ** 4
+    amplitude = spec.delta * kappa * spec.R ** 6 / r ** 6
+    return base - amplitude, base + amplitude
 
 
 def envelope_sandwich(profile: "Profile", spec: EnvelopeSpec) -> tuple:
-    """(r, {component: (w_lower, f, w_upper)}) on the nodes r >= R; raises
-    ValueError when no node reaches R."""
+    """(r, w_lower, f, w_upper) on the nodes r >= R, the last three of shape
+    (2, len(r)); raises ValueError when no node reaches R."""
     r = profile.grid.nodes
     mask = r >= spec.R - 1e-12
     if not mask.any():
         raise ValueError(f"envelope radius R={spec.R} beyond the grid")
-    bounds = envelope_bounds(spec, r[mask])
-    return r[mask], {comp: (bounds[comp][0], f[mask], bounds[comp][1])
-                     for comp, f in (("plus", profile.f_plus),
-                                     ("minus", profile.f_minus))}
+    lower, upper = envelope_bounds(spec, r[mask])
+    return r[mask], lower, profile.f[:, mask], upper
 
 
 def envelope_check(profile: "Profile", spec: EnvelopeSpec) -> float:
     """The worst margin of the two-sided sandwich w_lower <= f <= w_upper
     on the nodes r >= R: the profile lies inside exactly when it is >= 0.
     Failure is this negative margin, not an error."""
-    return float(np.min([np.min(d) for lo, f, hi in envelope_sandwich(
-        profile, spec)[1].values() for d in (hi - f, f - lo)]))
+    _, lower, f, upper = envelope_sandwich(profile, spec)
+    return float(np.min((upper - f, f - lower)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +448,8 @@ def tail_fit(profile: "Profile") -> TailExpansion:
     mask = _tail_window(profile)
     rr = profile.grid.nodes[mask]
     fits = []
-    for comp, f, t in (("plus", profile.f_plus[mask], profile.params.t_plus),
-                       ("minus", profile.f_minus[mask], profile.params.t_minus)):
+    for comp, f, t in zip(("plus", "minus"), profile.f[:, mask],
+                          (profile.params.t_plus, profile.params.t_minus)):
         y = f - t
         if np.max(np.abs(y)) > 0.1 * t:
             raise IllConditionedFit(

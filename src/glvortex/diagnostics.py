@@ -54,15 +54,13 @@ VERIFY_DEFAULTS = {"residual_tol": 1e-10, "quantization_tol": 0.01,
 
 
 def _derivatives(profile: Profile):
-    return (np.gradient(profile.f_plus, profile.grid.nodes, edge_order=2),
-            np.gradient(profile.f_minus, profile.grid.nodes, edge_order=2))
+    return np.gradient(profile.f, profile.grid.nodes, axis=1, edge_order=2)
 
 
 def _potential_quartic(profile: Profile):
     """Integrand A_+ x^2 + 2B x y + A_- y^2 with x = f_+^2 - t_+^2 etc."""
     p = profile.params
-    x = profile.f_plus ** 2 - p.t_plus ** 2
-    y = profile.f_minus ** 2 - p.t_minus ** 2
+    x, y = profile.f ** 2 - [[p.t_plus ** 2], [p.t_minus ** 2]]
     return p.A_plus * x * x + 2.0 * p.B * x * y + p.A_minus * y * y
 
 
@@ -100,11 +98,13 @@ def pohozaev_residual(profile: Profile, R: float | None = None) -> float:
 
     R snaps to the nearest grid node; the boundary derivative is the
     np.gradient stencil of the slope export (edge_order=2), evaluated on the
-    at most five nodes around R.
+    at most five nodes around R.  A NaN R is a ValueError.
     """
     g = profile.grid
     if R is None:
         R = g.R_max
+    if math.isnan(R):       # it would snap to the origin node
+        raise ValueError("Pohozaev radius R is NaN")
     if R > g.R_max + 1e-12:
         raise ValueError(f"R={R} beyond the grid")
     i = int(np.argmin(np.abs(g.nodes - R)))
@@ -112,8 +112,8 @@ def pohozaev_residual(profile: Profile, R: float | None = None) -> float:
     if i == 0:
         raise ValueError("Pohozaev radius must be positive")
     near = slice(max(i - 2, 0), i + 3)      # every node the stencil reads
-    dfp, dfm = (np.gradient(f[near], g.nodes[near], edge_order=2)
-                [i - near.start] for f in (profile.f_plus, profile.f_minus))
+    dfp, dfm = np.gradient(profile.f[:, near], g.nodes[near], axis=1,
+                           edge_order=2)[:, i - near.start]
     boundary = (R_node * dfp) ** 2 + (R_node * dfm) ** 2
     bulk = quadrature_upto(g, _potential_quartic(profile), R_node)
     return float(boundary + bulk - quantization_rhs(profile))
@@ -123,8 +123,8 @@ def amplitude_bound_check(profile: Profile) -> float:
     """The smaller margin Lambda_pm^2 - max_i f_pm^2 below the per-component
     bounds of derived_bounds, which the maximum principle proves; negative
     when a component exceeds its bound."""
-    return float(np.min([bound - np.max(f * f) for bound, f in zip(
-        derived_bounds(profile.params), (profile.f_plus, profile.f_minus))]))
+    return float(np.min(derived_bounds(profile.params)
+                        - np.max(np.square(profile.f), axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +328,12 @@ def monotonicity_classify(profile: Profile,
     +slope_tol * t/R_max count as genuine; smaller wiggles are discretization
     noise.  A component that violates both one-sided tests is non-monotone.
     """
-    r = profile.grid.nodes
-    states = []
-    for f, t in ((profile.f_plus, profile.params.t_plus),
-                 (profile.f_minus, profile.params.t_minus)):
-        slopes = (f[2:] - f[:-2]) / (r[2:] - r[:-2])
-        tol = slope_tol * t / profile.grid.R_max
-        if np.min(slopes) >= -tol:
-            states.append("up")
-        elif np.max(slopes) <= tol:
-            states.append("down")
-        else:
-            states.append("non")
-    sp, sm = states
+    r, f, p = profile.grid.nodes, profile.f, profile.params
+    slopes = (f[:, 2:] - f[:, :-2]) / (r[2:] - r[:-2])
+    tols = slope_tol * np.array([p.t_plus, p.t_minus]) / profile.grid.R_max
+    sp, sm = ("up" if low >= -tol else "down" if high <= tol else "non"
+              for low, high, tol in zip(np.min(slopes, axis=1),
+                                        np.max(slopes, axis=1), tols))
     if sp == "up" and sm == "up":
         return MonotonicityLabel.BothNondecreasing
     if sp == "up" and sm == "down":
@@ -359,13 +352,10 @@ def near_origin_order(profile: Profile) -> tuple:
     lo, hi = r[1], 10.0 * r[1]
     mask = (r >= lo) & (r <= hi)
     out = []
-    for f in (profile.f_plus, profile.f_minus):
+    for f in profile.f:
         sel = mask & (f > 1e-300)
-        if int(sel.sum()) < 3:
-            out.append(float("nan"))
-            continue
-        slope = np.polyfit(np.log(r[sel]), np.log(f[sel]), 1)[0]
-        out.append(float(slope))
+        out.append(float(np.polyfit(np.log(r[sel]), np.log(f[sel]), 1)[0])
+                   if sel.sum() >= 3 else math.nan)
     return tuple(out)
 
 
@@ -392,7 +382,7 @@ def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS) -> list:
     check("residual_norm", resnorm, 0.0, tol["residual_tol"],
           resnorm <= tol["residual_tol"])
 
-    low = float(np.minimum(np.min(profile.f_plus), np.min(profile.f_minus)))
+    low = float(np.min(profile.f))
     check("positivity_min", low, 0.0, POSITIVITY_TOL, low >= -POSITIVITY_TOL)
 
     margin = amplitude_bound_check(profile)
@@ -407,9 +397,9 @@ def verify(profile: Profile, tolerances: dict = VERIFY_DEFAULTS) -> list:
     check("pohozaev_at_R_max", poh_rel, 0.0, tol["pohozaev_tol"],
           poh_rel <= tol["pohozaev_tol"])
 
-    orders = near_origin_order(profile)
-    for comp, got, n in (("plus", orders[0], profile.degrees.n_plus),
-                         ("minus", orders[1], profile.degrees.n_minus)):
+    d = profile.degrees
+    for comp, got, n in zip(("plus", "minus"), near_origin_order(profile),
+                            (d.n_plus, d.n_minus)):
         check(f"near_origin_order_{comp}", got, float(n),
               tol["origin_order_tol"], abs(got - n) <= tol["origin_order_tol"])
 
@@ -454,9 +444,10 @@ def sweep_report(params: CouplingParams, degrees: DegreePair, b_values,
     Hessian gives "converged": false and the error) and empirical_B0, the
     largest B at which both components are nondecreasing.  A record's
     hessian_min_eig and hessian_min_eig_upper are the ends of the bracket
-    second_variation_min_eig certifies at hessian_tol."""
+    second_variation_min_eig certifies at hessian_tol.  Results of another
+    length than b_values are a ValueError."""
     records = []
-    for b, result in zip(b_values, results):
+    for b, result in zip(b_values, results, strict=True):
         a = asymptotics.leading_coeffs(replace(params, B=b), degrees)
         record = {"B": b, "converged": False, "class": None,
                   "a_plus": a[0], "a_minus": a[1],
@@ -488,24 +479,21 @@ def plot_columns(profile: Profile, kind: str):
     no node reaches R)."""
     r = profile.grid.nodes
     if kind == "profiles":
-        return ["r", "f_plus", "f_minus"], [r, profile.f_plus, profile.f_minus]
+        return ["r", "f_plus", "f_minus"], [r, *profile.f]
     if kind == "slopes":
         return ["r", "df_plus", "df_minus"], [r, *_derivatives(profile)]
     if kind == "tail":
-        a = asymptotics.leading_coeffs(profile.params, profile.degrees)
-        mask = r > 0
+        p, mask = profile.params, r > 0
+        a = np.array(asymptotics.leading_coeffs(p, profile.degrees))
         rr = r[mask]
-        yp = profile.f_plus[mask] - profile.params.t_plus
-        ym = profile.f_minus[mask] - profile.params.t_minus
+        y = profile.f[:, mask] - [[p.t_plus], [p.t_minus]]
         return (["r", "tail2_plus", "tail2_minus", "resid4_plus",
                  "resid4_minus"],
-                [rr, yp * rr ** 2, ym * rr ** 2,
-                 (yp - a[0] / rr ** 2) * rr ** 4,
-                 (ym - a[1] / rr ** 2) * rr ** 4])
+                [rr, *(y * rr ** 2), *((y - a[:, None] / rr ** 2) * rr ** 4)])
     if kind == "envelope":
         spec = asymptotics.select_envelope(profile.params, profile.degrees)
-        rr, sandwich = asymptotics.envelope_sandwich(profile, spec)
+        rr, *sandwich = asymptotics.envelope_sandwich(profile, spec)
         return (["r", "w_lower_plus", "f_plus", "w_upper_plus",
                  "w_lower_minus", "f_minus", "w_upper_minus"],
-                [rr, *sandwich["plus"], *sandwich["minus"]])
+                [rr, *(rows[k] for k in (0, 1) for rows in sandwich)])
     raise ValueError(f"unknown plot data kind {kind!r}")

@@ -141,7 +141,9 @@ def quadrature(grid: RadialGrid, samples: np.ndarray) -> float:
 
 def quadrature_upto(grid: RadialGrid, samples: np.ndarray, R: float) -> float:
     """Trapezoid approximation of the integral of g(r) r dr over the nodes
-    with r <= R."""
+    with r <= R; a NaN R is a ValueError."""
+    if math.isnan(R):       # searchsorted would place it past every node
+        raise ValueError("quadrature radius R is NaN")
     samples = np.asarray(samples, dtype=float)
     if samples.shape != grid.nodes.shape:
         raise LengthMismatch(

@@ -56,8 +56,7 @@ class _SolveFailure(RuntimeError):
 
     def __init__(self, message, f=None, history=None, B_value=None):
         super().__init__(message)
-        # the rows of the failed solve's state, which it no longer updates
-        self.f_plus, self.f_minus = (None, None) if f is None else f
+        self.f = f      # the failed solve's state, which it no longer updates
         self.history = history or []
         self.B_value = B_value
 
@@ -108,13 +107,13 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class Profile:
-    """A solved pair of radial profiles with its solve metadata."""
+    """A solved pair of radial profiles with its solve metadata: f is one
+    (2, N+1) float64 array, row 0 f_plus and row 1 f_minus."""
 
     grid: RadialGrid
     params: CouplingParams
     degrees: DegreePair
-    f_plus: np.ndarray = field(repr=False)
-    f_minus: np.ndarray = field(repr=False)
+    f: np.ndarray = field(repr=False)
     report: SolveReport
 
 
@@ -279,15 +278,11 @@ def initial_guess(grid: RadialGrid, params: CouplingParams,
     return np.array(out)
 
 
-def _state(profile: Profile):
-    return np.array((profile.f_plus, profile.f_minus), dtype=float)
-
-
 def residual(profile: Profile):
     """Discrete residual rows (G_plus, G_minus) of a profile, as one array,
     boundary rows included."""
     sys = _DiscreteSystem(profile.grid, profile.params, profile.degrees)
-    return sys.residual(_state(profile))
+    return sys.residual(profile.f)
 
 
 def residual_norm(profile: Profile) -> float:
@@ -300,13 +295,14 @@ def jacobian(profile: Profile):
     interleave per node, so each row couples its neighbors, itself, and the
     partner value at the same node."""
     sys = _DiscreteSystem(profile.grid, profile.params, profile.degrees)
-    return sys.jacobian_banded(_state(profile))
+    return sys.jacobian_banded(profile.f)
 
 
-def newton_solve(f_plus0, f_minus0, grid: RadialGrid, params: CouplingParams,
+def newton_solve(f0, grid: RadialGrid, params: CouplingParams,
                  degrees: DegreePair,
                  options: SolveOptions = SolveOptions()) -> Profile:
-    """Damped Newton iteration from the given starting arrays.
+    """Damped Newton iteration from the starting rows f0 = (f_plus,
+    f_minus), any array-like of shape (2, N+1).
 
     Backtracks the step by the factor _DAMPING whenever the residual sup-norm
     fails to decrease; raises NoConvergence (with the best iterate and the
@@ -316,7 +312,7 @@ def newton_solve(f_plus0, f_minus0, grid: RadialGrid, params: CouplingParams,
     """
     t0 = time.perf_counter()
     sys = _DiscreteSystem(grid, params, degrees)
-    f = np.array((f_plus0, f_minus0), dtype=float)
+    f = np.array(f0, dtype=float)
     iters, norm = _newton(sys, _BandLU(grid.N + 1), f, options)
     return _profile(sys, f, (iters,), norm, options, t0)
 
@@ -326,7 +322,7 @@ def _profile(sys, f, iterations, norm, options, t0) -> Profile:
                          tolerance=options.tolerance,
                          wall_time=time.perf_counter() - t0)
     return Profile(grid=sys.grid, params=sys.params, degrees=sys.degrees,
-                   f_plus=f[0], f_minus=f[1], report=report)
+                   f=f, report=report)
 
 
 def _sup_norm(g) -> float:
@@ -399,25 +395,28 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
     Returns one entry per B, in input order: the Profile, or the
     NoConvergence/SingularJacobian raised at that B.  The values may come in
     any order; an inadmissible one, or two that coincide once rounded to 12
-    decimals, are a ValueError before any solve.  B = 0 is solved once
-    and never retried, so its failure is every entry.  From it one chain
-    walks the values B >= 0 and another the values B < 0, each in order of
-    |B|, one leg per value; a failed leg sends its chain back to the B = 0
-    profile and tangent.  A profile's report lists the Newton iterations of
-    every stage attempted since the previous profile returned, failed
-    stages included, and the time they took.  Each stage solves on a state
-    array of its own, so no two profiles share memory.
+    decimals, are a ValueError before any solve, and no values solve
+    nothing.  B = 0 is solved once and never retried, so its failure is
+    every entry.  From it one chain walks the values B >= 0 and another the
+    values B < 0, each in order of |B|, one leg per value; a failed leg
+    sends its chain back to the B = 0 profile and tangent.  A profile's
+    report lists the Newton iterations of every stage attempted since the
+    previous profile returned, failed stages included, and the time they
+    took.  Each stage solves on a state array of its own, so no two
+    profiles share memory.
     """
     for b in b_values:      # an inadmissible B fails before any solve
         replace(params, B=b)
     if len({round(b, 12) for b in b_values}) < len(b_values):
         raise ValueError("sweep values coincide once rounded to 12 decimals")
+    if len(b_values) == 0:
+        return []
     lu = _BandLU(grid.N + 1)
     stages = []                 # Newton iterations since the last profile out
     t_out = time.perf_counter()
 
     def stage(b, f, want_tangent):
-        """Newton solve at B = b in place on the state f, whose rows the
+        """Newton solve at B = b in place on the state f, which the
         profile takes; then, when wanted, the tangent from the kept LU."""
         sys = _DiscreteSystem(grid, replace(params, B=b), degrees)
         iters, tangent = None, None
@@ -449,7 +448,7 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
             db = b - profile.params.B
             try:
                 next_profile, next_tangent = stage(
-                    b, _state(profile) + db * tangent,
+                    b, profile.f + db * tangent,
                     want_tangent or not last)
             except _SolveFailure:
                 if size == 1:
@@ -521,14 +520,14 @@ def profile_to_json(profile: Profile) -> str:
         "params": asdict(profile.params),
         "degrees": asdict(profile.degrees),
         "grid": profile.grid.as_dict(),
-        "f_plus": profile.f_plus.tolist(),
-        "f_minus": profile.f_minus.tolist(),
+        "f_plus": profile.f[0].tolist(),
+        "f_minus": profile.f[1].tolist(),
         "report": asdict(profile.report),
     }
     rep = obj["report"]
     scalars = (*obj["params"].values(), profile.grid.R_max,
                rep["final_residual"], rep["tolerance"], rep["wall_time"])
-    if not (np.isfinite(_state(profile)).all()
+    if not (np.isfinite(profile.f).all()
             and all(map(math.isfinite, scalars))):
         raise ValueError("a profile file holds finite numbers only")
     # the numpy option takes a numpy.float64 final_residual; .tolist() keeps
@@ -555,15 +554,17 @@ def profile_from_json(text: str) -> Profile:
     if not all(isinstance(a, list) and set(map(type, a)) <= {int, float}
                for a in arrays):
         raise ValueError("f_plus and f_minus must be lists of numbers")
+    # checked before the grid is built, so a huge N allocates nothing, and
+    # before numpy stacks the lists, which a ragged pair would make an error
+    # about shapes
+    if not (is_integer(n_nodes)
+            and all(len(a) == n_nodes + 1 for a in arrays)):
+        raise ValueError("grid needs an integer N matching the arrays")
     try:
-        f_plus, f_minus = (np.asarray(a, dtype=float) for a in arrays)
+        f = np.array(arrays, dtype=float)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError("f_plus and f_minus hold an integer beyond the "
                          "float range") from exc
-    # checked before the grid is built, so a huge N allocates nothing
-    if not (is_integer(n_nodes)
-            and f_plus.shape == f_minus.shape == (n_nodes + 1,)):
-        raise ValueError("grid needs an integer N matching the arrays")
     grid = grid_from_json(g)
     legacy_far_field(obj.get("far_field", "robin"))
     rep = obj.get("report")
@@ -578,4 +579,4 @@ def profile_from_json(text: str) -> Profile:
                          "numbers final_residual, tolerance, wall_time")
     report = SolveReport(tuple(iterations), *(rep[k] for k in numbers))
     return Profile(grid=grid, params=params, degrees=degrees,
-                   f_plus=f_plus, f_minus=f_minus, report=report)
+                   f=f, report=report)

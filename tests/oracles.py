@@ -243,7 +243,7 @@ def hessian_band_loop(profile):
         lo, hi = min(i, j), max(i, j)
         band[2 - (hi - lo), hi] += val
 
-    fp, fm = profile.f_plus, profile.f_minus
+    fp, fm = profile.f
     pot = (p.A_plus * (3.0 * fp ** 2 - p.t_plus ** 2)
            + p.B * (fm ** 2 - p.t_minus ** 2),
            p.A_minus * (3.0 * fm ** 2 - p.t_minus ** 2)
@@ -505,8 +505,8 @@ def radial_energy(profile, R=None):
         raise ValueError(f"R={R} beyond the grid")
     dfp, dfm = _derivatives(profile)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cent = (d.n_plus ** 2 * profile.f_plus ** 2
-                + d.n_minus ** 2 * profile.f_minus ** 2) / g.nodes ** 2
+        cent = (d.n_plus ** 2 * profile.f[0] ** 2
+                + d.n_minus ** 2 * profile.f[1] ** 2) / g.nodes ** 2
     cent[0] = 0.0
     integrand = dfp ** 2 + dfm ** 2 + cent + 0.5 * _potential_quartic(profile)
     return 0.5 * quadrature_upto(g, integrand, R)
@@ -542,14 +542,13 @@ def uniqueness_probe(params, degrees, grid, seed_count=3, rng_seed=0):
          ansatz[1] * (1.0 + 0.2 * rng.random(r.shape)))
         for _ in range(seed_count - 2)]
     solutions, errors = [], []
-    for fp0, fm0 in starts:
+    for f0 in starts:
         try:
-            solutions.append(newton_solve(fp0, fm0, grid, params, degrees))
+            solutions.append(newton_solve(f0, grid, params, degrees))
         except (NoConvergence, SingularJacobian) as exc:
             errors.append(str(exc))
     if len(solutions) < 2:
         raise NoConvergence(f"uniqueness probe: only {len(solutions)} of "
                             f"{seed_count} starts converged ({errors})")
-    return max(float(max(np.max(np.abs(a.f_plus - b.f_plus)),
-                         np.max(np.abs(a.f_minus - b.f_minus))))
+    return max(float(np.max(np.abs(a.f - b.f)))
                for a, b in itertools.combinations(solutions, 2))

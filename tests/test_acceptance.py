@@ -141,7 +141,7 @@ def test_criterion_06_amplitude_bound(reference_profiles):
         m = gv.amplitude_bound_check(prof)
         assert m >= -1e-8, name
         margins[name] = m
-    assert np.max(reference_profiles["overshoot"].f_minus) > 1.0
+    assert np.max(reference_profiles["overshoot"].f[1]) > 1.0
     report("6 amplitude bound",
            f"min margin {min(margins.values()):.2e} over all cases, "
            "including the overshoot case")
@@ -155,10 +155,10 @@ def test_criterion_07_monotonicity(reference_profiles, default_grid):
     prev = start
     for b in [round(-0.1 * k, 12) for k in range(1, 10)]:
         params = gv.CouplingParams(1, 1, b, 1, 1)
-        prof = gv.newton_solve(prev[0], prev[1], default_grid, params, degrees)
+        prof = gv.newton_solve(prev, default_grid, params, degrees)
         assert (gv.monotonicity_classify(prof)
                 is gv.MonotonicityLabel.BothNondecreasing), b
-        prev = (prof.f_plus, prof.f_minus)
+        prev = prof.f
 
     # (ii) positive interaction with a trivial second degree
     params, _ = case_inputs("bpos")
@@ -212,9 +212,9 @@ def test_criterion_10_scalar_oracle():
     for n in (1, 2):
         prof = gv.continuation_solve(params, gv.DegreePair(n, 0), grid)
         oracle = scalar_gl_profile(1.0, 1.0, n, grid.nodes)
-        dev = float(np.max(np.abs(prof.f_plus - oracle)))
+        dev = float(np.max(np.abs(prof.f[0] - oracle)))
         assert dev <= 1e-6, (n, dev)
-        assert float(np.max(np.abs(prof.f_minus - 1.0))) <= 1e-12
+        assert float(np.max(np.abs(prof.f[1] - 1.0))) <= 1e-12
         devs[n] = dev
     report("10 scalar oracle",
            f"sup deviations {devs[1]:.2e} (n=1), {devs[2]:.2e} (n=2)")
@@ -228,11 +228,11 @@ def test_criterion_11_convergence_order():
         sols[N] = gv.continuation_solve(params, degrees, grid,
                                         SolveOptions(tolerance=1e-10))
     d_coarse = max(
-        np.max(np.abs(sols[2000].f_plus - sols[4000].f_plus[::2])),
-        np.max(np.abs(sols[2000].f_minus - sols[4000].f_minus[::2])))
+        np.max(np.abs(sols[2000].f[0] - sols[4000].f[0][::2])),
+        np.max(np.abs(sols[2000].f[1] - sols[4000].f[1][::2])))
     d_fine = max(
-        np.max(np.abs(sols[4000].f_plus - sols[8000].f_plus[::2])),
-        np.max(np.abs(sols[4000].f_minus - sols[8000].f_minus[::2])))
+        np.max(np.abs(sols[4000].f[0] - sols[8000].f[0][::2])),
+        np.max(np.abs(sols[4000].f[1] - sols[8000].f[1][::2])))
     assert d_coarse <= 4.5 * d_fine
     report("11 convergence order",
            f"refinement distances {d_coarse:.2e} -> {d_fine:.2e}, "

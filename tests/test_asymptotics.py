@@ -41,8 +41,8 @@ def synthetic_profile(grid, params, degrees, tail):
     fm = params.t_minus + tail.a_minus / r ** 2 + tail.b_minus / r ** 4
     report = SolveReport(iterations=(0,), final_residual=0.0, tolerance=1e-10,
                          wall_time=0.0)
-    return Profile(grid=grid, params=params, degrees=degrees, f_plus=fp,
-                   f_minus=fm, report=report)
+    return Profile(grid=grid, params=params, degrees=degrees,
+                   f=np.array((fp, fm)), report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +307,14 @@ def test_envelope_base_amplitudes():
     spec = select_envelope(gv.CouplingParams(1, 1, 0.5, 1, 1),
                            gv.DegreePair(1, 1))
     assert (spec.kappa_plus, spec.kappa_minus) == pytest.approx((2.0, 2.0))
-    assert spec.envelope_c("minus", "upper") == spec.delta * 2.0
-    assert spec.envelope_c("minus", "lower") == -spec.delta * 2.0
+    # the f_- envelopes at r = R: t + a/R^2 + b/R^4 +- delta kappa_-
+    r = np.array([spec.R])
+    lower, upper = gv.envelope_bounds(spec, r)
+    tail = spec.tail
+    base = spec.t_minus + tail.a_minus / r ** 2 + tail.b_minus / r ** 4
+    amplitude = spec.delta * 2.0 * spec.R ** 6 / r ** 6
+    assert np.array_equal(upper[1], base + amplitude)
+    assert np.array_equal(lower[1], base - amplitude)
     assert [br for br, _ in spec.series] == ["upper_plus_lower_minus",
                                              "lower_plus_upper_minus"]
     spec = select_envelope(gv.CouplingParams(1, 1, -0.5, 1, 1),
@@ -335,9 +341,8 @@ def test_envelope_boundary_ordering(reference_profiles):
     spec = select_envelope(prof.params, prof.degrees)
     r = prof.grid.nodes
     beyond = r >= spec.R
-    bounds = gv.envelope_bounds(spec, np.array([spec.R]))
-    for comp, f in (("plus", prof.f_plus), ("minus", prof.f_minus)):
-        lower_at_R, upper_at_R = (side[0] for side in bounds[comp])
+    lower, upper = gv.envelope_bounds(spec, np.array([spec.R]))
+    for lower_at_R, f, upper_at_R in zip(lower[:, 0], prof.f, upper[:, 0]):
         assert upper_at_R > np.max(f[beyond])
         assert lower_at_R < f[beyond][0]
 
@@ -350,10 +355,9 @@ def test_envelope_bounds_float64_for_fraction_params():
     r = np.linspace(8.0, 40.0, 9)
     got = gv.envelope_bounds(select_envelope(exact, degrees), r)
     want = gv.envelope_bounds(select_envelope(floats, degrees), r)
-    for comp in ("plus", "minus"):
-        for g, w in zip(got[comp], want[comp]):
-            assert g.dtype == np.float64
-            assert np.array_equal(g, w)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64
+        assert np.array_equal(g, w)
 
 
 def test_envelope_check_fails_on_corrupted_spec(reference_profiles):
@@ -655,13 +659,13 @@ def test_the_spec_carries_the_closed_form_tail(case, r):
                                            float(params.t_minus))
     r = np.array(r)
     got = gv.envelope_bounds(spec, r)
-    for comp, t, a, b, kappa in (
-            ("plus", params.t_plus, closed.a_plus, closed.b_plus,
+    for k, t, a, b, kappa in (
+            (0, params.t_plus, closed.a_plus, closed.b_plus,
              spec.kappa_plus),
-            ("minus", params.t_minus, closed.a_minus, closed.b_minus,
+            (1, params.t_minus, closed.a_minus, closed.b_minus,
              spec.kappa_minus)):
         base = float(t) + a / r ** 2 + b / r ** 4
-        for side, sgn in zip(got[comp], (-1.0, 1.0)):
+        for side, sgn in zip((got[0][k], got[1][k]), (-1.0, 1.0)):
             want = base + sgn * spec.delta * kappa * spec.R ** 6 / r ** 6
             assert side.dtype == np.float64
             assert np.array_equal(side, want)
@@ -689,8 +693,8 @@ def test_tail_fit_exact_on_synthetic_data():
     r = grid.nodes
     window = (r >= 20.0) & (r <= 60.0)
     rr = r[window]
-    for f, t, a, b in ((prof.f_plus, params.t_plus, fit.a_plus, fit.b_plus),
-                       (prof.f_minus, params.t_minus, fit.a_minus,
+    for f, t, a, b in ((prof.f[0], params.t_plus, fit.a_plus, fit.b_plus),
+                       (prof.f[1], params.t_minus, fit.a_minus,
                         fit.b_minus)):
         resid = f[window] - t - a / rr ** 2 - b / rr ** 4
         assert np.max(np.abs(resid) * rr ** 6) < 1e-4
@@ -757,7 +761,7 @@ def test_derivative_tail_check_synthetic():
 def test_derivative_tail_on_solved_profile(reference_profiles):
     prof = reference_profiles["classical"]
     r = prof.grid.nodes
-    df = np.gradient(prof.f_plus, r, edge_order=2)
+    df = np.gradient(prof.f[0], r, edge_order=2)
     i = int(np.argmin(np.abs(r - 40.0)))
     assert df[i] * r[i] ** 3 == pytest.approx(1.0, rel=0.02)  # -2 a_plus
     c2p, c2m = oracles.derivative_tail_check(prof)

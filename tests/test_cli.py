@@ -124,8 +124,8 @@ def test_negative_winding_conjugates_its_component(tmp_path, capsys):
                                                           "n_minus": 1}
         profiles.append(gv.profile_from_json(out.read_text()))
     neg, pos = profiles
-    assert np.array_equal(neg.f_plus, pos.f_plus)
-    assert np.array_equal(neg.f_minus, pos.f_minus)
+    assert np.array_equal(neg.f[0], pos.f[0])
+    assert np.array_equal(neg.f[1], pos.f[1])
 
 
 def test_solve_rejects_bad_hypothesis(tmp_path, capsys):
@@ -163,8 +163,8 @@ def test_solve_zero_degrees_constant_profile(tmp_path, capsys):
                           "--out", str(out))
     assert code == 0
     prof = gv.profile_from_json(out.read_text())
-    assert np.allclose(prof.f_plus, 1.0, atol=1e-12)
-    assert np.allclose(prof.f_minus, 1.0, atol=1e-12)
+    assert np.allclose(prof.f[0], 1.0, atol=1e-12)
+    assert np.allclose(prof.f[1], 1.0, atol=1e-12)
 
 
 def test_solve_flag_overrides(tmp_path, capsys):
@@ -417,6 +417,8 @@ MALFORMED = {
     "f_plus_list_of_object": lambda o: o.update(f_plus=[{}]),
     "f_plus_missing": lambda o: o.pop("f_plus"),
     "f_minus_missing": lambda o: o.pop("f_minus"),
+    # a ragged pair, which numpy would refuse as an inhomogeneous shape
+    "f_minus_short": lambda o: o["f_minus"].pop(),
     # numpy would read null as NaN; a NaN token itself loads and fails verify
     "f_plus_null_entry": lambda o: o["f_plus"].__setitem__(1, None),
     # numpy would read "0.5" as 0.5 and true as 1.0
@@ -535,8 +537,8 @@ def test_config_far_field_must_be_robin(tmp_path, capsys):
                               "--out", str(out))
         assert (code, stderr) == (0, "")
         profiles.append(gv.profile_from_json(out.read_text()))
-    assert np.array_equal(profiles[0].f_plus, profiles[1].f_plus)
-    assert np.array_equal(profiles[0].f_minus, profiles[1].f_minus)
+    assert np.array_equal(profiles[0].f[0], profiles[1].f[0])
+    assert np.array_equal(profiles[0].f[1], profiles[1].f[1])
     cfg = write_config(tmp_path / "dirichlet.json", grid=grid,
                        solve={"far_field": "dirichlet"})
     out = tmp_path / "dirichlet_profile.json"
@@ -996,7 +998,7 @@ def test_numeric_output_has_17_significant_digits(tmp_path, capsys):
     rows = list(csv.reader(out.read_text().splitlines()))
     # values round-trip exactly through the CSV
     prof = gv.profile_from_json(prof_path.read_text())
-    assert float(rows[5][1]) == prof.f_plus[4]
+    assert float(rows[5][1]) == prof.f[0][4]
 
 
 OVERRIDES = [("--grid-n", "600"), ("--r-max", "30.0"), ("--tol", "1e-9")]

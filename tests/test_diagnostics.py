@@ -22,8 +22,7 @@ def make_profile(grid, params, degrees, f_plus, f_minus):
     report = SolveReport(iterations=(0,), final_residual=0.0,
                          tolerance=1e-10, wall_time=0.0)
     return Profile(grid=grid, params=params, degrees=degrees,
-                   f_plus=np.asarray(f_plus, float),
-                   f_minus=np.asarray(f_minus, float), report=report)
+                   f=np.array((f_plus, f_minus), float), report=report)
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +57,11 @@ def test_energy_decreases_toward_minimizer(reference_profiles):
     assert base > 0
     rng = np.random.default_rng(17)
     for _ in range(5):
-        vp = rng.normal(size=prof.f_plus.shape) * 1e-3
-        vm = rng.normal(size=prof.f_minus.shape) * 1e-3
+        vp = rng.normal(size=prof.f[0].shape) * 1e-3
+        vm = rng.normal(size=prof.f[1].shape) * 1e-3
         vp[0] = vm[0] = vp[-1] = vm[-1] = 0.0
         bumped = make_profile(prof.grid, prof.params, prof.degrees,
-                              prof.f_plus + vp, prof.f_minus + vm)
+                              prof.f[0] + vp, prof.f[1] + vm)
         assert radial_energy(bumped) > base
     fp0, fm0 = gv.initial_guess(prof.grid, prof.params, prof.degrees)
     ansatz = make_profile(prof.grid, prof.params, prof.degrees, fp0, fm0)
@@ -90,7 +89,7 @@ def test_pohozaev_consistent_with_quantization(reference_profiles):
         r = prof.grid.nodes
         h = r[-1] - r[-2]
         flux = 0.0
-        for f in (prof.f_plus, prof.f_minus):
+        for f in (prof.f[0], prof.f[1]):
             df = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
             flux += (r[-1] * df) ** 2
         assert poh - flux == pytest.approx(q.lhs - q.rhs, abs=1e-10)
@@ -112,6 +111,12 @@ def test_pohozaev_boundary_slope_on_geometric_grid():
     exact = np.sum((R * slope) ** 2) + bulk - quantization_rhs(prof)
     tol = np.sum(R ** 2 * (2 * slope * d + d ** 2))
     assert abs(gv.pohozaev_residual(prof) - exact) <= tol
+
+
+def test_pohozaev_refuses_a_nan_radius(ground_state):
+    # a NaN R would snap to the origin node and blame a nonpositive radius
+    with pytest.raises(ValueError, match="R is NaN"):
+        gv.pohozaev_residual(ground_state, float("nan"))
 
 
 def test_quantization_rhs_values(ground_state):
@@ -148,9 +153,9 @@ def test_amplitude_bound_overshoot_constrains_sum(reference_profiles):
     # Lambda_-^2 = 1 + 1.5/4; so does the sum below Lambda_+^2 + Lambda_-^2
     prof = reference_profiles["overshoot"]
     lam_plus, lam_minus = gv.derived_bounds(prof.params)
-    assert np.max(prof.f_minus) > prof.params.t_minus
-    assert np.max(prof.f_minus ** 2) <= lam_minus == 1.375
-    assert np.max(prof.f_plus ** 2 + prof.f_minus ** 2) <= lam_plus + lam_minus
+    assert np.max(prof.f[1]) > prof.params.t_minus
+    assert np.max(prof.f[1] ** 2) <= lam_minus == 1.375
+    assert np.max(prof.f[0] ** 2 + prof.f[1] ** 2) <= lam_plus + lam_minus
     assert gv.amplitude_bound_check(prof) >= -1e-8
 
 
@@ -174,7 +179,7 @@ def test_amplitude_bound_on_the_admissible_grid():
     for label, (params, degrees) in ADMISSIBLE_GRID.items():
         prof = gv.continuation_solve(params, degrees, grid)
         margins[label] = gv.amplitude_bound_check(prof)
-        if (np.max(prof.f_plus ** 2 + prof.f_minus ** 2)
+        if (np.max(prof.f[0] ** 2 + prof.f[1] ** 2)
                 > params.t_plus ** 2 + params.t_minus ** 2 + tol):
             over_sum.add(label)
     assert len(margins) == 108
@@ -211,15 +216,15 @@ def test_amplitude_bound_rejects_corrupted_profiles(reference_profiles):
     # B < 0: f_+ (1 + 1e-3) exceeds t_+, which the old sum bound also
     # rejects; B > 0: one node of f_+ just above Lambda_+
     bneg = reference_profiles["bneg"]
-    fp = bneg.f_plus * (1 + 1e-3)
+    fp = bneg.f[0] * (1 + 1e-3)
     params = bneg.params
-    assert (np.max(fp ** 2 + bneg.f_minus ** 2)
+    assert (np.max(fp ** 2 + bneg.f[1] ** 2)
             > params.t_plus ** 2 + params.t_minus ** 2)
-    bumped = replace(bneg, f_plus=fp)
+    bumped = replace(bneg, f=np.array((fp, bneg.f[1])))
     bpos = reference_profiles["bpos"]
-    fp = bpos.f_plus.copy()
-    fp[2000] = np.sqrt(gv.derived_bounds(bpos.params)[0]) * (1 + 1e-6)
-    raised = replace(bpos, f_plus=fp)
+    f = bpos.f.copy()
+    f[0, 2000] = np.sqrt(gv.derived_bounds(bpos.params)[0]) * (1 + 1e-6)
+    raised = replace(bpos, f=f)
     for prof in (bumped, raised):
         assert gv.amplitude_bound_check(prof) < -1e-6
         (record,) = [c for c in gv.verify(prof)
@@ -383,12 +388,12 @@ def test_min_eig_matches_dense_eigh(prof, where):
     slack = 1e-9 * max(1.0, abs(ref))
     assert lower - slack <= ref <= upper + slack
     # sweep records an unusable profile through EigenFailure
-    bad = prof.f_plus.copy()
+    bad = prof.f[0].copy()
     bad[1 + int(where * (prof.grid.N - 2))] = np.nan
     with pytest.raises(gv.EigenFailure):
         gv.second_variation_min_eig(
             make_profile(prof.grid, prof.params, prof.degrees, bad,
-                         prof.f_minus))
+                         prof.f[1]))
 
 
 def _scaled_band(prof):
@@ -472,8 +477,8 @@ def test_min_eig_without_z_pattern(case):
     # factorizations only
     params, degrees = case_inputs(case)
     prof = gv.continuation_solve(params, degrees, gv.build_grid(20.0, 200))
-    prof = make_profile(prof.grid, params, degrees, prof.f_plus,
-                        -prof.f_minus)
+    prof = make_profile(prof.grid, params, degrees, prof.f[0],
+                        -prof.f[1])
     ref = scipy.linalg.eigvalsh(_dense(_scaled_band(prof)[0]))[0]
     with mock.patch.object(diagnostics, "_collatz_wielandt",
                            wraps=diagnostics._collatz_wielandt) as cw:
@@ -494,6 +499,17 @@ def test_sweep_report_min_eig_matches_bisection():
         assert rec["converged"]
         bracket = rec["hessian_min_eig"], rec["hessian_min_eig_upper"]
         _assert_brackets(bracket, prof, min_eig_bisection(prof))
+
+
+def test_sweep_report_refuses_a_length_mismatch():
+    # a record per B: results missing or left over are an error, not
+    # records silently dropped
+    params, degrees = case_inputs("bpos")
+    failed = gv.NoConvergence("forced")
+    for b_values, results in (([0.1, 0.2, 0.3], [failed] * 2),
+                              ([0.1], [failed] * 2)):
+        with pytest.raises(ValueError):
+            diagnostics.sweep_report(params, degrees, b_values, results)
 
 
 def test_sweep_report_brackets_at_the_sweep_tolerance(default_grid):
@@ -637,7 +653,7 @@ def test_halved_plus_component_fails_the_gate(reference_profiles):
     # bpos with every f_+ entry halved: far from a solution, lambda_min is
     # about -0.3735, so every further shift runs below the first
     prof = reference_profiles["bpos"]
-    prof = replace(prof, f_plus=0.5 * prof.f_plus)
+    prof = replace(prof, f=prof.f * [[0.5], [1.0]])
     lam = min_eig_bisection(prof)
     assert lam == pytest.approx(-0.3735, abs=1e-4)
     _assert_fails_the_gate(prof, lam)
@@ -676,7 +692,7 @@ def test_monotonicity_classes(reference_profiles, coarse_grid):
     assert label is gv.MonotonicityLabel.NonMonotoneMinus
     # the minus component falls somewhere by more than the slope tolerance
     # (and rises elsewhere, or it would be nonincreasing)
-    r, f = prof.grid.nodes, prof.f_minus
+    r, f = prof.grid.nodes, prof.f[1]
     slopes = (f[2:] - f[:-2]) / (r[2:] - r[:-2])
     tol = 1e-6 * prof.params.t_minus / prof.grid.R_max
     assert np.min(slopes) < -tol and np.max(slopes) > tol
@@ -737,28 +753,28 @@ def test_verify_suite_passes_and_flags_corruption(reference_profiles):
     assert by_name["hessian_min_eig"]["value"] > 1e-4
     assert by_name["residual_norm"]["tolerance"] == 1e-10
 
-    def failed(**arrays):
-        return {c["check"] for c in diagnostics.verify(replace(prof, **arrays))
+    def failed(f):
+        return {c["check"] for c in diagnostics.verify(replace(prof, f=f))
                 if not c["pass"]}
 
     # one node moved by 1e-6 leaves the discrete equation unsolved there
-    bumped = prof.f_plus.copy()
-    bumped[500] += 1e-6
-    assert failed(f_plus=bumped) == {"residual_norm"}
-    negative = prof.f_minus.copy()
-    negative[1] = -1e-3
-    assert {"residual_norm", "positivity_min"} <= failed(f_minus=negative)
+    bumped = prof.f.copy()
+    bumped[0, 500] += 1e-6
+    assert failed(bumped) == {"residual_norm"}
+    negative = prof.f.copy()
+    negative[1, 1] = -1e-3
+    assert {"residual_norm", "positivity_min"} <= failed(negative)
 
 
 def test_a_nan_in_either_component_fails_its_records(reference_profiles):
     # min and max that drop a NaN unless it comes first would pass these
     # records when only f_minus holds one
     prof = reference_profiles["bpos"]
-    for comp in ("f_plus", "f_minus"):
-        holed = getattr(prof, comp).copy()
-        holed[3900] = np.nan
+    for comp in (0, 1):
+        holed = prof.f.copy()
+        holed[comp, 3900] = np.nan
         checks = {c["check"]: c
-                  for c in diagnostics.verify(replace(prof, **{comp: holed}))}
+                  for c in diagnostics.verify(replace(prof, f=holed))}
         for name in ("positivity_min", "amplitude_bound_margin",
                      "envelope_sandwich"):
             assert (checks[name]["value"], checks[name]["pass"]) == (

@@ -64,6 +64,13 @@ def test_quadrature_upto_truncates():
     assert quadrature_upto(g, g.nodes ** 2, 10.0) == pytest.approx(full)
 
 
+def test_quadrature_upto_refuses_a_nan_radius():
+    # searchsorted places NaN past every node: the whole-grid integral
+    g = gv.build_grid(80.0, 400)
+    with pytest.raises(ValueError, match="R is NaN"):
+        quadrature_upto(g, np.ones(401), float("nan"))
+
+
 def test_quadrature_length_mismatch():
     g = gv.build_grid(10.0, 100)
     with pytest.raises(gv.LengthMismatch):
@@ -208,12 +215,11 @@ def test_cell_masses_positive_and_consistent():
     # trapezoid weight on any grid; R_max carries no unknown
     for g in (gv.build_grid(10.0, 100),
               gv.build_grid(10.0, 100, "geometric", 1.02)):
-        ones = np.ones(101)
         report = SolveReport(iterations=(0,), final_residual=0.0,
                              tolerance=1e-10, wall_time=0.0)
         prof = Profile(grid=g, params=gv.CouplingParams(1, 1, 0, 1, 1),
-                       degrees=gv.DegreePair(0, 0), f_plus=ones,
-                       f_minus=ones, report=report)
+                       degrees=gv.DegreePair(0, 0), f=np.ones((2, 101)),
+                       report=report)
         m = second_variation_matrix(prof)[1][0::2]
         assert m.shape == (100,)
         assert np.all(m > 0)

@@ -1,6 +1,7 @@
 import gc
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,18 +175,18 @@ def test_jacobian_blocks_at_constant_state():
 def test_newton_zero_degrees_immediate():
     g = gv.build_grid(30.0, 300)
     params = params_of(1, 1, 0.5, 1, 1)
-    fp, fm = gv.initial_guess(g, params, gv.DegreePair(0, 0))
-    prof = gv.newton_solve(fp, fm, g, params, gv.DegreePair(0, 0))
+    f0 = gv.initial_guess(g, params, gv.DegreePair(0, 0))
+    prof = gv.newton_solve(f0, g, params, gv.DegreePair(0, 0))
     assert prof.report.iterations[0] <= 1
-    assert np.array_equal(prof.f_plus, np.ones(301))
-    assert np.array_equal(prof.f_minus, np.ones(301))
+    assert np.array_equal(prof.f[0], np.ones(301))
+    assert np.array_equal(prof.f[1], np.ones(301))
 
 
 def test_newton_converges_from_ansatz_within_ten_iterations(default_grid):
     params = params_of(1, 1, 0, 1, 1)
     deg = gv.DegreePair(1, 1)
-    fp, fm = gv.initial_guess(default_grid, params, deg)
-    prof = gv.newton_solve(fp, fm, default_grid, params, deg)
+    f0 = gv.initial_guess(default_grid, params, deg)
+    prof = gv.newton_solve(f0, default_grid, params, deg)
     assert prof.report.iterations[0] <= 10
     assert prof.report.final_residual <= 1e-10
 
@@ -195,8 +196,8 @@ def test_decoupled_solve_matches_scalar_oracle():
     params = params_of(1, 1, 0, 1, 1)
     prof = gv.continuation_solve(params, gv.DegreePair(1, 0), grid)
     oracle = scalar_gl_profile(1.0, 1.0, 1, grid.nodes)
-    assert np.max(np.abs(prof.f_plus - oracle)) < 1e-6
-    assert np.max(np.abs(prof.f_minus - 1.0)) < 1e-12
+    assert np.max(np.abs(prof.f[0] - oracle)) < 1e-6
+    assert np.max(np.abs(prof.f[1] - 1.0)) < 1e-12
 
 
 def test_continuation_single_step_at_zero_interaction(coarse_grid):
@@ -209,10 +210,10 @@ def test_continuation_matches_direct_solve(coarse_grid):
     params = params_of(1, 1, 0.5, 1, 1)
     deg = gv.DegreePair(1, 1)
     cont = gv.continuation_solve(params, deg, coarse_grid)
-    fp, fm = gv.initial_guess(coarse_grid, params, deg)
-    direct = gv.newton_solve(fp, fm, coarse_grid, params, deg)
-    assert np.max(np.abs(cont.f_plus - direct.f_plus)) < 1e-9
-    assert np.max(np.abs(cont.f_minus - direct.f_minus)) < 1e-9
+    f0 = gv.initial_guess(coarse_grid, params, deg)
+    direct = gv.newton_solve(f0, coarse_grid, params, deg)
+    assert np.max(np.abs(cont.f[0] - direct.f[0])) < 1e-9
+    assert np.max(np.abs(cont.f[1] - direct.f[1])) < 1e-9
 
 
 def test_continuation_near_hypothesis_boundary(coarse_grid):
@@ -235,8 +236,8 @@ def test_continuation_path_monotone_for_negative_interaction(coarse_grid):
                 is gv.MonotonicityLabel.BothNondecreasing)
     # one direct predicted step reaches the same profile
     prof = gv.continuation_solve(params, gv.DegreePair(1, 1), coarse_grid)
-    assert np.max(np.abs(path[-1].f_plus - prof.f_plus)) <= 1e-9
-    assert np.max(np.abs(path[-1].f_minus - prof.f_minus)) <= 1e-9
+    assert np.max(np.abs(path[-1].f[0] - prof.f[0])) <= 1e-9
+    assert np.max(np.abs(path[-1].f[1] - prof.f[1])) <= 1e-9
 
 
 def test_amplitude_bound_holds_on_converged_profiles(coarse_grid):
@@ -246,8 +247,8 @@ def test_amplitude_bound_holds_on_converged_profiles(coarse_grid):
         params = params_of(*vals)
         prof = gv.continuation_solve(params, gv.DegreePair(*deg), coarse_grid)
         lam_plus, lam_minus = gv.derived_bounds(params)
-        assert np.max(prof.f_plus ** 2) <= lam_plus + 1e-8
-        assert np.max(prof.f_minus ** 2) <= lam_minus + 1e-8
+        assert np.max(prof.f[0] ** 2) <= lam_plus + 1e-8
+        assert np.max(prof.f[1] ** 2) <= lam_minus + 1e-8
 
 
 def test_near_origin_exponent(coarse_grid):
@@ -265,8 +266,8 @@ def test_grid_refinement_second_order():
     for N in (500, 1000, 2000):
         grid = gv.build_grid(40.0, N)
         sols[N] = gv.continuation_solve(params, deg, grid)
-    d_coarse = np.max(np.abs(sols[500].f_plus - sols[1000].f_plus[::2]))
-    d_fine = np.max(np.abs(sols[1000].f_plus - sols[2000].f_plus[::2]))
+    d_coarse = np.max(np.abs(sols[500].f[0] - sols[1000].f[0][::2]))
+    d_fine = np.max(np.abs(sols[1000].f[0] - sols[2000].f[0][::2]))
     assert d_coarse / d_fine == pytest.approx(4.0, rel=0.15)
 
 
@@ -282,8 +283,8 @@ def test_far_row_truncation_error(name, slope_row_errors):
     for R_max, slope_row_error in zip((20.0, 40.0), slope_row_errors):
         N = round(R_max / 0.02)
         prof = gv.continuation_solve(params, degrees, gv.build_grid(R_max, N))
-        error = max(np.max(np.abs(prof.f_plus - ref.f_plus[:N + 1])),
-                    np.max(np.abs(prof.f_minus - ref.f_minus[:N + 1])))
+        error = max(np.max(np.abs(prof.f[0] - ref.f[0][:N + 1])),
+                    np.max(np.abs(prof.f[1] - ref.f[1][:N + 1])))
         assert error <= 0.55 * slope_row_error
 
 
@@ -296,14 +297,13 @@ def test_tangent_is_the_derivative_of_the_solution_path():
     prof = gv.continuation_solve(params, degrees, grid)
     sys = _DiscreteSystem(grid, params, degrees)
     lu = _BandLU(grid.N + 1)
-    f = np.array([prof.f_plus, prof.f_minus])
+    f = prof.f
     lu.factor(sys, f)
     tangent = -lu.solve(sys.residual_dB(f))
     delta = 1e-4
     up, down = (gv.continuation_solve(replace(params, B=0.5 + s * delta),
                                       degrees, grid) for s in (1, -1))
-    for x, f_up, f_down in zip(tangent, (up.f_plus, up.f_minus),
-                               (down.f_plus, down.f_minus)):
+    for x, f_up, f_down in zip(tangent, up.f, down.f):
         assert np.max(np.abs(x - (f_up - f_down) / (2 * delta))) <= 1e-8
 
 
@@ -327,13 +327,13 @@ def test_no_convergence_carries_diagnostics(monkeypatch):
     g = gv.build_grid(30.0, 300)
     params = params_of(1, 1, 0.5, 1, 1)
     deg = gv.DegreePair(1, 1)
-    fp, fm = gv.initial_guess(g, params, deg)
+    f0 = gv.initial_guess(g, params, deg)
     monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 1)
     opts = SolveOptions(tolerance=1e-12)
     with pytest.raises(gv.NoConvergence) as info:
-        gv.newton_solve(fp, fm, g, params, deg, opts)
+        gv.newton_solve(f0, g, params, deg, opts)
     exc = info.value
-    assert exc.f_plus is not None and len(exc.history) >= 1
+    assert exc.f is not None and len(exc.history) >= 1
     assert exc.history[-1] > 1e-12
 
 
@@ -358,8 +358,8 @@ def test_profile_json_roundtrip(coarse_grid):
     prof = gv.continuation_solve(params, gv.DegreePair(1, 1), coarse_grid)
     text = gv.profile_to_json(prof)
     back = gv.profile_from_json(text)
-    assert np.array_equal(back.f_plus, prof.f_plus)
-    assert np.array_equal(back.f_minus, prof.f_minus)
+    assert np.array_equal(back.f[0], prof.f[0])
+    assert np.array_equal(back.f[1], prof.f[1])
     assert back.params == prof.params
     assert back.degrees == prof.degrees
     assert back.report == prof.report
@@ -375,8 +375,8 @@ def _refuse_constant(token):
 def _small_profile(f_plus, f_minus):
     return gv.Profile(grid=gv.build_grid(8.0, 16),
                       params=params_of(1, 1, 0.5, 1, 1),
-                      degrees=gv.DegreePair(1, 1), f_plus=f_plus,
-                      f_minus=f_minus,
+                      degrees=gv.DegreePair(1, 1),
+                      f=np.array((f_plus, f_minus)),
                       report=gv.SolveReport((3, 2), 4.5e-13, 1e-10, 0.25))
 
 
@@ -395,18 +395,18 @@ def test_profile_json_floats_roundtrip_bit_for_bit(f_plus, f_minus):
     prof = _small_profile(np.array(f_plus), np.array(f_minus))
     text = gv.profile_to_json(prof)
     back = gv.profile_from_json(text)
-    for a, b in ((back.f_plus, prof.f_plus), (back.f_minus, prof.f_minus)):
+    for a, b in ((back.f[0], prof.f[0]), (back.f[1], prof.f[1])):
         assert a.tobytes() == b.tobytes()
     assert back.report == prof.report and back.params == prof.params
     # strict JSON that the stdlib reads to the same values
     obj = json.loads(text, parse_constant=_refuse_constant)
-    for key in ("f_plus", "f_minus"):
-        assert np.array(obj[key]).tobytes() == getattr(prof, key).tobytes()
+    for key, row in zip(("f_plus", "f_minus"), prof.f):
+        assert np.array(obj[key]).tobytes() == row.tobytes()
     # the stdlib's own text form (", " separators, 1e-05 exponents) loads to
     # the same profile, which serializes to the same text
     legacy = gv.profile_from_json(json.dumps(obj))
-    assert legacy.f_plus.tobytes() == prof.f_plus.tobytes()
-    assert legacy.f_minus.tobytes() == prof.f_minus.tobytes()
+    assert legacy.f[0].tobytes() == prof.f[0].tobytes()
+    assert legacy.f[1].tobytes() == prof.f[1].tobytes()
     assert gv.profile_to_json(legacy) == text
 
 
@@ -424,7 +424,7 @@ def test_profile_json_refuses_non_finite_numbers(bad):
         replace(prof.params, t_plus=np.inf)
     infinite_t = replace(prof.params)
     object.__setattr__(infinite_t, "t_plus", np.inf)
-    for broken in (replace(prof, f_plus=hole), replace(prof, f_minus=hole),
+    for broken in (_small_profile(hole, ok), _small_profile(ok, hole),
                    replace(prof, report=replace(prof.report,
                                                 final_residual=bad)),
                    replace(prof, report=replace(prof.report, wall_time=bad)),
@@ -450,25 +450,27 @@ def test_profile_json_with_converged_field_loads(coarse_grid):
                      "wall_time": rep["wall_time"]}
     back = gv.profile_from_json(json.dumps(obj))
     assert back.report == prof.report
-    assert np.array_equal(back.f_plus, prof.f_plus)
-    assert np.array_equal(back.f_minus, prof.f_minus)
+    assert np.array_equal(back.f[0], prof.f[0])
+    assert np.array_equal(back.f[1], prof.f[1])
 
 
 def test_profile_json_rejects_mismatched_arrays(coarse_grid):
     params = params_of(1, 1, 0.5, 1, 1)
     prof = gv.continuation_solve(params, gv.DegreePair(1, 1), coarse_grid)
-    obj = json.loads(gv.profile_to_json(prof))
-    obj["f_plus"] = obj["f_plus"][:-1]
-    with pytest.raises(ValueError):
-        gv.profile_from_json(json.dumps(obj))
+    for key in ("f_plus", "f_minus"):
+        obj = json.loads(gv.profile_to_json(prof))
+        obj[key] = obj[key][:-1]
+        # the package's message, not numpy's about an inhomogeneous shape
+        with pytest.raises(ValueError, match="N matching the arrays"):
+            gv.profile_from_json(json.dumps(obj))
 
 
 def test_warm_start_keeps_positivity_check(coarse_grid):
     # converged profiles are nonnegative without ever being projected
     params = params_of(1, 4, 1.5, 1, 1)
     prof = gv.continuation_solve(params, gv.DegreePair(1, 1), coarse_grid)
-    assert float(np.min(prof.f_plus)) >= -1e-9
-    assert float(np.min(prof.f_minus)) >= -1e-9
+    assert float(np.min(prof.f[0])) >= -1e-9
+    assert float(np.min(prof.f[1])) >= -1e-9
 
 
 def test_jacobian_of_profile_is_banded(coarse_grid):
@@ -488,8 +490,8 @@ def test_solve_on_geometric_grid():
     uni = gv.build_grid(40.0, 4000)
     prof_geo = gv.continuation_solve(params, deg, geo)
     prof_uni = gv.continuation_solve(params, deg, uni)
-    interp = np.interp(geo.nodes, uni.nodes, prof_uni.f_plus)
-    assert np.max(np.abs(prof_geo.f_plus - interp)) < 5e-4
+    interp = np.interp(geo.nodes, uni.nodes, prof_uni.f[0])
+    assert np.max(np.abs(prof_geo.f[0] - interp)) < 5e-4
     assert gv.quantization_check(prof_geo).relative_gap < 0.01
 
 
@@ -592,9 +594,9 @@ def test_band_lu_failures_raise_singular_jacobian():
             lu.factor(sys, np.ones((2, 21)))
         assert lu.ipiv is None
         # a NaN start fails the Newton step: both LUs give a non-finite step
-        nan = np.full(21, np.nan)
+        nan = np.full((2, 21), np.nan)
         with pytest.raises(gv.SingularJacobian, match="non-finite"):
-            gv.newton_solve(nan, nan, g, params, deg)
+            gv.newton_solve(nan, g, params, deg)
 
 
 def test_decoupled_stages_factor_no_band(coarse_grid, monkeypatch):
@@ -631,8 +633,8 @@ def test_pinned_origin_values_are_exact(reference_profiles):
     # u(0) = 0 is a pinned row 2^e u(0) = 0 that no LU pivoting moves, so
     # every Newton step keeps it exact
     for prof in reference_profiles.values():
-        for n, f in ((prof.degrees.n_plus, prof.f_plus),
-                     (prof.degrees.n_minus, prof.f_minus)):
+        for n, f in zip((prof.degrees.n_plus, prof.degrees.n_minus),
+                        prof.f):
             if n != 0:
                 assert f[0] == 0.0
 
@@ -706,8 +708,8 @@ def test_failed_step_is_halved_and_converges(coarse_grid, monkeypatch):
     # one report entry per attempted stage, the failed one included
     assert prof.report.iterations == tuple(n for _, _, n in runs)
     ref = eight_steps(params, deg, coarse_grid)
-    assert np.max(np.abs(prof.f_plus - ref.f_plus)) <= 1e-9
-    assert np.max(np.abs(prof.f_minus - ref.f_minus)) <= 1e-9
+    assert np.max(np.abs(prof.f[0] - ref.f[0])) <= 1e-9
+    assert np.max(np.abs(prof.f[1] - ref.f[1])) <= 1e-9
 
 
 def test_report_counts_iterations_of_failed_attempts(monkeypatch):
@@ -745,19 +747,17 @@ def test_sweep_failure_restarts_its_chain(coarse_grid, monkeypatch):
     assert out[3].B_value == 0.2
     fresh = gv.continuation_sweep(params, deg, [0.3, 0.4], coarse_grid)
     for got, want in ((out[4], fresh[0]), (out[0], fresh[1])):
-        assert np.array_equal(got.f_plus, want.f_plus)
-        assert np.array_equal(got.f_minus, want.f_minus)
+        assert np.array_equal(got.f, want.f)
     for i in (0, 1, 2, 4):
         ref = gv.continuation_solve(params_of(1, 1, b_values[i], 1, 1), deg,
                                     coarse_grid)
         assert out[i].params.B == b_values[i]
-        assert np.max(np.abs(out[i].f_plus - ref.f_plus)) <= 1e-8
-        assert np.max(np.abs(out[i].f_minus - ref.f_minus)) <= 1e-8
+        assert np.max(np.abs(out[i].f - ref.f)) <= 1e-8
 
 
 def test_sweep_profiles_share_no_memory(coarse_grid, monkeypatch):
-    # each stage solves in place on a state array of its own, whose rows
-    # its profile takes over: no two profiles of a sweep share memory, none
+    # each stage solves in place on a state array of its own, which its
+    # profile takes over: no two profiles of a sweep share memory, none
     # shares the solve buffers, and each profile holds after the later
     # stages, failed ones included, the arrays it was made with
     made, buffers = {}, []
@@ -765,7 +765,7 @@ def test_sweep_profiles_share_no_memory(coarse_grid, monkeypatch):
 
     def spy_profile(*args):
         out = profile(*args)
-        made[id(out.f_plus)] = (out.f_plus.copy(), out.f_minus.copy())
+        made[id(out.f)] = out.f.copy()
         return out
 
     def spy_lu(n_nodes):
@@ -781,14 +781,12 @@ def test_sweep_profiles_share_no_memory(coarse_grid, monkeypatch):
     assert all(isinstance(p, gv.Profile) for p in out)
     assert (1.9, None) in [run[:2] for run in runs]     # a halved step
     (lu,) = buffers
-    arrays = [a for p in out for a in (p.f_plus, p.f_minus)]
+    arrays = [p.f for p in out]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:] + [lu.ab, lu.rhs]:
             assert not np.shares_memory(a, b)
     for p in out:
-        f_plus, f_minus = made[id(p.f_plus)]
-        assert p.f_plus.tobytes() == f_plus.tobytes()
-        assert p.f_minus.tobytes() == f_minus.tobytes()
+        assert p.f.tobytes() == made[id(p.f)].tobytes()
 
 
 @pytest.mark.parametrize("b_values", [[0.3, 0.3, 0.0, 0.0],
@@ -802,6 +800,38 @@ def test_sweep_refuses_repeated_values(b_values, coarse_grid, monkeypatch):
         gv.continuation_sweep(params_of(1, 1, 0.5, 1, 1), gv.DegreePair(1, 1),
                               b_values, coarse_grid)
     assert runs == []
+
+
+def test_empty_sweep_solves_nothing(coarse_grid, monkeypatch):
+    # no values: no band buffer is allocated and no B = 0 solve runs
+    buffers = []
+    monkeypatch.setattr(solver, "_BandLU",
+                        lambda n_nodes: buffers.append(n_nodes))
+    runs = _spy_newton(monkeypatch)
+    assert gv.continuation_sweep(params_of(1, 1, 0.5, 1, 1),
+                                 gv.DegreePair(1, 1), [], coarse_grid) == []
+    assert (buffers, runs) == ([], [])
+
+
+def test_profile_state_is_one_two_row_array(coarse_grid):
+    # every way to a Profile gives f as one C-contiguous float64 (2, N+1)
+    # array, row 0 f_plus and row 1 f_minus
+    params, deg = params_of(1, 1, 0.5, 1, 1), gv.DegreePair(1, 1)
+    solved = gv.continuation_solve(params, deg, coarse_grid)
+    swept = gv.continuation_sweep(params, deg, [-0.2, 0.0, 0.3], coarse_grid)
+    loaded = gv.profile_from_json(gv.profile_to_json(solved))
+    # written before the state became one array: its rows are its lists
+    path = Path(__file__).parent / "data" / "slope_row_bpos_n200.json"
+    old = gv.profile_from_json(path.read_text())
+    for prof in (solved, *swept, loaded, old):
+        assert isinstance(prof, gv.Profile)
+        assert prof.f.shape == (2, prof.grid.N + 1)
+        assert prof.f.dtype == np.float64
+        assert prof.f.flags.c_contiguous
+    obj = json.loads(path.read_text())
+    for row, key in zip(old.f, ("f_plus", "f_minus")):
+        assert row.tobytes() == np.array(obj[key], dtype=float).tobytes()
+        assert row.tolist() == obj[key]
 
 
 def test_sweep_failure_at_zero_interaction_is_every_entry(coarse_grid,
@@ -905,7 +935,7 @@ def test_stalled_line_search_stops_once_the_iterate_is_unmoved(B, degrees,
         evals.clear()
         with pytest.raises(gv.NoConvergence,
                            match="line search stalled") as info:
-            gv.newton_solve(*gv.initial_guess(grid, params, deg), grid,
+            gv.newton_solve(gv.initial_guess(grid, params, deg), grid,
                             params, deg, SolveOptions(tolerance=1e-16))
         failures.append((info.value, len(evals)))
         # the unmoved test is np.array_equal, which nothing else in the
@@ -914,8 +944,7 @@ def test_stalled_line_search_stops_once_the_iterate_is_unmoved(B, degrees,
     (early, early_evals), (late, late_evals) = failures
     assert str(early) == str(late)
     assert early.history == late.history
-    assert early.f_plus.tobytes() == late.f_plus.tobytes()
-    assert early.f_minus.tobytes() == late.f_minus.tobytes()
+    assert early.f.tobytes() == late.f.tobytes()
     assert early_evals < late_evals
 
 
@@ -923,14 +952,14 @@ def test_positivity_failure_carries_history():
     # from a negative constant start Newton converges to the negative
     # constant state, which the positivity check rejects
     g = gv.build_grid(30.0, 300)
-    start = np.full(301, -0.8)
+    start = np.full((2, 301), -0.8)
     with pytest.raises(gv.NoConvergence, match="positivity") as info:
-        gv.newton_solve(start, start, g, params_of(1, 1, 0.5, 1, 1),
+        gv.newton_solve(start, g, params_of(1, 1, 0.5, 1, 1),
                         gv.DegreePair(0, 0))
     history = info.value.history
     assert len(history) >= 2
     assert history[-1] <= 1e-10 < history[0]
-    assert np.all(info.value.f_plus < 0)
+    assert np.all(info.value.f[0] < 0)
 
 
 @st.composite
@@ -970,8 +999,8 @@ def test_predicted_step_matches_eight_steps(case):
     eight = eight_steps(*case)
     assert (one is None) == (eight is None)
     if one is not None:
-        assert np.max(np.abs(one.f_plus - eight.f_plus)) <= 1e-8
-        assert np.max(np.abs(one.f_minus - eight.f_minus)) <= 1e-8
+        assert np.max(np.abs(one.f[0] - eight.f[0])) <= 1e-8
+        assert np.max(np.abs(one.f[1] - eight.f[1])) <= 1e-8
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -999,8 +1028,8 @@ def test_sweep_matches_one_solve_per_value(case, ratios):
         assert isinstance(got, gv.Profile) == (want is not None)
         if want is not None:
             assert got.params.B == b
-            assert np.max(np.abs(got.f_plus - want.f_plus)) <= 1e-8
-            assert np.max(np.abs(got.f_minus - want.f_minus)) <= 1e-8
+            assert np.max(np.abs(got.f[0] - want.f[0])) <= 1e-8
+            assert np.max(np.abs(got.f[1] - want.f[1])) <= 1e-8
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
