@@ -28,18 +28,16 @@ common denominator; the second branch flips every amplitude sign, so its
 cubics are the first branch's read at -u.  C_3 is linear, so the sign of M_6
 bounds u from below, and beyond that bound each dominance inequality bounds
 R from below: select_envelope computes the radius instead of searching for
-it.
+it, and report reads its M series off the same expansion.
 
 envelope_check returns the sandwich's worst margin (>= 0 iff the profile
 lies inside), and tail_fit a TailExpansion, as second_coeffs does.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -255,27 +253,6 @@ def _certified(tables, u: Fraction, R: Fraction) -> bool:
 # envelope selection
 
 
-class _CertifiedSeries(Sequence):
-    """EnvelopeSpec.series of a selected pair, expanded on first read:
-    ((branch, (plus, minus (M_2, .., M_18))), ...) in the order of the
-    tables."""
-
-    def __init__(self, tables: dict, u: Fraction, R: Fraction):
-        self._args = tables, u, R
-
-    @functools.cached_property
-    def _items(self) -> tuple:
-        tables, u, R = self._args
-        return tuple((br, tuple(cubics.series(u, R) for cubics, _ in pair))
-                     for br, pair in tables.items())
-
-    def __getitem__(self, i):
-        return self._items[i]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 @dataclass(frozen=True)
 class EnvelopeSpec:
     """A certified envelope pair and the far-field expansion it certifies.
@@ -285,8 +262,8 @@ class EnvelopeSpec:
     b_pm, equal to second_coeffs) are the floats of the exact expansion the
     certificate was proved around, so the spec alone gives the envelopes
     and the closed-form tail.  kappa_pm > 0 comes from the sign of B (see
-    _envelope_tables); delta and R are the certified pair.
-    """
+    _envelope_tables); delta and R are the certified pair.  The exact M
+    series that certify it are report's, not the spec's."""
 
     delta: float
     R: float
@@ -295,10 +272,6 @@ class EnvelopeSpec:
     t_plus: float
     t_minus: float
     tail: TailExpansion
-    # ((branch, (plus, minus (M_2, .., M_18))), ...) certified; () if
-    # hand-built.
-    # It follows from the other fields and the inputs, so it is not compared.
-    series: Sequence = field(default=(), compare=False, repr=False)
 
 
 # (sign of the f_+ amplitude, of the f_- amplitude) per envelope pair, +1
@@ -349,16 +322,9 @@ def _radii(every, base: Fraction) -> list:
             for b in bound]
 
 
-def select_envelope(params: CouplingParams, degrees: DegreePair) -> EnvelopeSpec:
-    """The certified envelope pair (delta, R) of smallest R over u = delta R^6.
-
-    M_6 = C_3(u) / R^6 has its required sign on every table exactly for
-    u > u_0, and each such u certifies at every R above its dominance bounds
-    (_radii).  Of u = u_0 2^j (base 1 when u_0 <= 0) the smallest R wins,
-    then the largest u; delta = u / R^6 as a float, and the exact _certified
-    confirms the pair, R rising by 1 until it does, at most _CONFIRMS times
-    and up to _MAX_R; SelectionFailed if none does.  Both branches that the
-    sign of B selects share (delta, R), as the two-sided sandwich needs."""
+def _select(params: CouplingParams, degrees: DegreePair) -> tuple:
+    """(spec, tables, u, R): select_envelope's spec, the _envelope_tables
+    it certified and the exact u = delta R^6 and R, from one expansion."""
     tail, kappa, tables = _envelope_tables(params, degrees)
     every = [t for pair in tables.values() for t in pair]
     if any(c for cub, _ in every for row in cub.num[:2] for c in row) or any(
@@ -378,10 +344,41 @@ def select_envelope(params: CouplingParams, degrees: DegreePair) -> EnvelopeSpec
     else:
         raise SelectionFailed(f"no radius R <= 2^53 certified for {params}, "
                               f"{degrees}: inputs too far from unit scale")
-    return EnvelopeSpec(float(delta), float(R), *map(float, kappa),
+    spec = EnvelopeSpec(float(delta), float(R), *map(float, kappa),
                         float(params.t_plus), float(params.t_minus),
-                        TailExpansion(*map(float, tail)),
-                        _CertifiedSeries(tables, delta * R ** 6, Fraction(R)))
+                        TailExpansion(*map(float, tail)))
+    return spec, tables, delta * R ** 6, Fraction(R)
+
+
+def select_envelope(params: CouplingParams, degrees: DegreePair) -> EnvelopeSpec:
+    """The certified envelope pair (delta, R) of smallest R over u = delta R^6.
+
+    M_6 = C_3(u) / R^6 has its required sign on every table exactly for
+    u > u_0, and each such u certifies at every R above its dominance bounds
+    (_radii).  Of u = u_0 2^j (base 1 when u_0 <= 0) the smallest R wins,
+    then the largest u; delta = u / R^6 as a float, and the exact _certified
+    confirms the pair, R rising by 1 until it does, at most _CONFIRMS times
+    and up to _MAX_R; SelectionFailed if none does.  Both branches that the
+    sign of B selects share (delta, R), as the two-sided sandwich needs."""
+    return _select(params, degrees)[0]
+
+
+def report(params: CouplingParams, degrees: DegreePair) -> dict:
+    """The `glvortex asymptotics` object: the closed-form tail a_pm, b_pm,
+    delta, R and M_coefficients {branch: {plus, minus: {"M_2k": the exact
+    M_2k as a string}}} of the certified pair; when selection fails, the
+    tail of second_coeffs, None for the rest and selection_error."""
+    try:
+        spec, tables, u, R = _select(params, degrees)
+    except SelectionFailed as exc:
+        return {**asdict(second_coeffs(params, degrees)), "delta": None,
+                "R": None, "M_coefficients": None, "selection_error": str(exc)}
+    return {**asdict(spec.tail), "delta": spec.delta, "R": spec.R,
+            "M_coefficients": {branch: {
+                comp: {f"M_{2 * k}": str(m)
+                       for k, m in enumerate(cubics.series(u, R), 1)}
+                for comp, (cubics, _) in zip(("plus", "minus"), pair)}
+                for branch, pair in tables.items()}}
 
 
 # ---------------------------------------------------------------------------

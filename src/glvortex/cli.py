@@ -1,10 +1,10 @@
 """Command-line front end: solves, sweeps, verification, tail reports, CSV export.
 
 Structured results go to stdout as JSON (one object per check for `verify`);
-plot data goes to CSV.  Exit codes: 0 success, 1 configuration/parse error,
-a closed form beyond the float range or a grid too large to allocate, 2
-solver non-convergence, 3 verification failure; `main` alone maps
-exceptions to them.  Stderr holds JSON lines only: one per distinct
+plot data goes to CSV.  Exit codes: 0 success, 1 usage, configuration or
+parse error, a closed form beyond the float range or a grid too large to
+allocate, 2 solver non-convergence, 3 verification failure; `main` alone
+maps exceptions to them.  Stderr holds JSON lines only: one per distinct
 warning, of any category, then at most one error.  Configs are strict
 JSON: unknown keys are rejected so typos cannot silently change a
 scientific run; the one legacy key, `solve.far_field`, is accepted with
@@ -30,6 +30,14 @@ from .grid import grid_from_json, legacy_far_field
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError, which main reports as exit 1 and one
+    JSON line; the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 _DEFAULT_GRID = {"R_max": 80.0, "N": 4000, "kind": "uniform", "stretch": None}
@@ -189,9 +197,7 @@ def cmd_sweep(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        header = ["B", "converged", "class", "a_plus", "a_minus",
-                  "quantization_gap", "hessian_min_eig",
-                  "hessian_min_eig_upper"]
+        header = [k for k in report["records"][0] if k != "error"]
         _write_csv(Path(args.out).with_suffix(".csv"), header,
                    ([rec[k] for k in header] for rec in report["records"]))
     print(text)
@@ -220,20 +226,7 @@ def cmd_verify(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     cfg = _run_config(args)
-    params, degrees = cfg["params"], cfg["degrees"]
-    try:    # the closed-form tail comes with the certified envelope
-        spec = asymptotics.select_envelope(params, degrees)
-        tail, envelope = spec.tail, {
-            "delta": spec.delta, "R": spec.R, "M_coefficients": {
-                branch: {comp: {f"M_{2 * k}": str(m)
-                                for k, m in enumerate(series, 1)}
-                         for comp, series in zip(("plus", "minus"), pair)}
-                for branch, pair in spec.series}}
-    except asymptotics.SelectionFailed as exc:
-        tail = asymptotics.second_coeffs(params, degrees)
-        envelope = {"delta": None, "R": None, "M_coefficients": None,
-                    "selection_error": str(exc)}
-    print(json.dumps({**dataclasses.asdict(tail), **envelope}))
+    print(json.dumps(asymptotics.report(cfg["params"], cfg["degrees"])))
     return 0
 
 
@@ -253,7 +246,7 @@ def cmd_export(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="glvortex",
         description="Solve and verify symmetric two-component vortex profiles")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -290,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command: the exit-code table, and stderr's JSON lines (each
     distinct warning, then the error)."""
-    args = build_parser().parse_args(argv)
     # the lines, not the exception: its traceback would pin the command's
     # frames, and through them its grid and arrays, until a gc pass
     notes, error = {}, ""           # notes: the distinct warning lines
@@ -304,6 +296,7 @@ def main(argv=None) -> int:
                               "message": str(message)}) + "\n"] = None
         warnings.showwarning = note
         try:
+            args = build_parser().parse_args(argv)
             code = args.func(args)
         except (solver.NoConvergence, solver.SingularJacobian) as exc:
             code, error = 2, _error(exc)

@@ -315,12 +315,13 @@ def test_envelope_base_amplitudes():
     amplitude = spec.delta * 2.0 * spec.R ** 6 / r ** 6
     assert np.array_equal(upper[1], base + amplitude)
     assert np.array_equal(lower[1], base - amplitude)
-    assert [br for br, _ in spec.series] == ["upper_plus_lower_minus",
-                                             "lower_plus_upper_minus"]
-    spec = select_envelope(gv.CouplingParams(1, 1, -0.5, 1, 1),
-                           gv.DegreePair(1, 1))
+    _, tables, *_ = asymptotics._select(gv.CouplingParams(1, 1, 0.5, 1, 1),
+                                        gv.DegreePair(1, 1))
+    assert list(tables) == ["upper_plus_lower_minus", "lower_plus_upper_minus"]
+    spec, tables, *_ = asymptotics._select(
+        gv.CouplingParams(1, 1, -0.5, 1, 1), gv.DegreePair(1, 1))
     assert (spec.kappa_plus, spec.kappa_minus) == pytest.approx((2.0, 2.0))
-    assert [br for br, _ in spec.series] == ["upper_both", "lower_both"]
+    assert list(tables) == ["upper_both", "lower_both"]
     spec = select_envelope(gv.CouplingParams(1, 4, 1.5, 1, 2),
                            gv.DegreePair(1, 1))
     # (A_mp + B) / ((A_+ A_- - B^2) t_pm) for B >= 0
@@ -377,7 +378,7 @@ def test_envelope_decoupled_case_both_families(reference_profiles):
                                             Fraction(1, 16), 32, br)
     spec = select_envelope(prof.params, prof.degrees)
     assert envelope_check(prof, spec) >= 0
-    by_hand = dataclasses.replace(spec, delta=1 / 16, R=32.0, series=())
+    by_hand = dataclasses.replace(spec, delta=1 / 16, R=32.0)
     assert envelope_check(prof, by_hand) >= 0
 
 
@@ -473,14 +474,19 @@ def test_select_envelope_matches_oracle(case):
     assert not package_certifies(params, degrees, delta * R ** 6, R - 1)
     kp, km = oracles.envelope_amplitudes(params)
     assert (spec.kappa_plus, spec.kappa_minus) == (float(kp), float(km))
-    # the certified series are the full expansion at the chosen pair
+    # the reported series are the full expansion at the chosen pair
     signs = {br: (sp, sm) for fam in oracles.BRANCHES.values()
              for br, sp, sm in fam}
     a, b = oracles.closed_form_tail(params, degrees)
-    assert len(spec.series) == 2
-    for branch, (plus, minus) in spec.series:
+    report = asymptotics.report(params, degrees)
+    assert (report["delta"], report["R"]) == (spec.delta, spec.R)
+    assert len(report["M_coefficients"]) == 2
+    for branch, pair in report["M_coefficients"].items():
         sp, sm = signs[branch]
-        assert (plus, minus) == oracles.defect_series(
+        assert all(list(pair[comp]) == [f"M_{2 * k}" for k in range(1, 10)]
+                   for comp in ("plus", "minus"))
+        assert tuple(tuple(map(Fraction, pair[comp].values()))
+                     for comp in ("plus", "minus")) == oracles.defect_series(
             params, degrees, a, b, (sp * delta * kp, sm * delta * km), spec.R)
 
 
@@ -565,8 +571,8 @@ def test_envelope_tables_match_the_oracle_expansion(case, u, R):
 
 
 def test_one_defect_expansion_per_selection(monkeypatch):
-    # both branches come from one expansion, and reading the certified
-    # series expands nothing again
+    # both branches come from one expansion, and the report's certified
+    # series come from the expansion its selection made
     calls = []
     expand = asymptotics._defect_cubics
 
@@ -575,8 +581,11 @@ def test_one_defect_expansion_per_selection(monkeypatch):
         return expand(*args)
     monkeypatch.setattr(asymptotics, "_defect_cubics", counted)
     for name in ("bpos", "bneg", "asym"):
-        spec = select_envelope(*case_inputs(name))
-        assert len(spec.series) == 2
+        select_envelope(*case_inputs(name))
+        assert len(calls) == 1, name
+        calls.clear()
+        report = asymptotics.report(*case_inputs(name))
+        assert len(report["M_coefficients"]) == 2
         assert len(calls) == 1, name
         calls.clear()
 
@@ -625,7 +634,7 @@ def test_a_failed_selection_still_reports_the_closed_form_tail(
         raise gv.SelectionFailed("inconsistent defect")
     prof = reference_profiles["bpos"]
     want = gv.verify(prof)
-    monkeypatch.setattr(asymptotics, "select_envelope", fail)
+    monkeypatch.setattr(asymptotics, "_select", fail)
     got = gv.verify(prof)
     assert got[:-1] == want[:-1]
     assert got[-1] == {"check": "envelope_sandwich",
@@ -735,6 +744,14 @@ def test_tail_fit_window_validation():
     short = synthetic_profile(gv.build_grid(4.0, 400), params, degrees, tail)
     with pytest.raises(gv.IllConditionedFit, match="close in"):
         tail_fit(short)
+    # on [0, 1e-6] the columns r^4 and r^2 differ by a factor of 1e-12
+    # everywhere in the window: f = t fits no pair (a, b) stably
+    grid = gv.build_grid(1e-6, 100)
+    flat = Profile(grid=grid, params=params, degrees=degrees,
+                   f=np.ones((2, 101)),
+                   report=SolveReport((0,), 0.0, 1e-10, 0.0))
+    with pytest.raises(gv.IllConditionedFit, match="collinear"):
+        tail_fit(flat)
 
 
 def test_derivative_tail_check_window_validation():

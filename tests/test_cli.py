@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import glvortex as gv
 from glvortex import cli, solver
 from glvortex.cli import ConfigError, build_parser, load_config, main
-from conftest import run_cli as run
+from conftest import CASES, run_cli as run
 
 
 def write_config(path, **overrides):
@@ -726,6 +727,14 @@ def test_sweep_csv_path_keeps_dotted_directories(tmp_path, capsys):
     assert not (tmp_path / "run.csv").exists()
 
 
+def test_sweep_needs_a_sweep_section(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    code, stdout, stderr = run(capsys, "sweep", "--config", str(cfg))
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "ConfigError", "message":
+                                  "sweep command needs a sweep section"}
+
+
 def test_sweep_rejects_csv_out(tmp_path, capsys):
     # the JSON would be written first and then overwritten by the CSV
     cfg = write_config(tmp_path / "cfg.json",
@@ -906,6 +915,36 @@ def test_asymptotics_report(tmp_path, capsys):
     assert "/" in series["M_6"] or series["M_6"].lstrip("-").isdigit()
 
 
+# sha256 of the asymptotics report's stdout on the reference sets and at
+# t_+ = 1e-22, where selection fails: every exact M coefficient, float and
+# key order is pinned
+REPORT_DIGESTS = {
+    "classical":
+        "03d84e5206295aaa00e052287f0a35bc54ad6d5c973b7639a339a0fa2775cc7b",
+    "bpos":
+        "7a668f22bc81f025dfcd7b9645c61a19792f4c301d621fc1a6faff7246e35978",
+    "bneg":
+        "863e6fcfedbbe09c8154bd5354d4c329cd532870aaed8c8756ec73d28101923b",
+    "asym":
+        "f3dcbefff15caddbd8311230f6bab067e860b11a86b221904a84deb7888d765c",
+    "overshoot":
+        "06e0e4b85b28b7a53d371fdc2161dd87d64da84cfcdc77ecc0d2ce0526732e05",
+    "t22":
+        "ea48f4953018687fb299c5e06373dc20dcf17aa11a5132c65c9e3bee4a9fc7cd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_asymptotics_report_bytes_are_pinned(tmp_path, capsys, name):
+    p, n = CASES.get(name, ((1.0, 1.0, 0.5, 1e-22, 1.0), (1, 1)))
+    cfg = write_config(tmp_path / "cfg.json", params=dict(zip(
+        ("A_plus", "A_minus", "B", "t_plus", "t_minus"), p)),
+        degrees={"n_plus": n[0], "n_minus": n[1]})
+    code, stdout, stderr = run(capsys, "asymptotics", "--config", str(cfg))
+    assert (code, stderr) == (0, "")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_DIGESTS[name]
+
+
 def test_export_profiles_and_slopes(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     prof_path = tmp_path / "p.json"
@@ -1021,10 +1060,39 @@ UNREAD = [*((["verify", "p.json"], f)
 @pytest.mark.parametrize("argv, flag", UNREAD,
                          ids=[f"{argv[0]}{flag[0]}" for argv, flag in UNREAD])
 def test_commands_reject_flags_they_do_not_read(capsys, argv, flag):
+    code, stdout, stderr = run(capsys, *argv, *flag)
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {
+        "error": "ConfigError",
+        "message": f"unrecognized arguments: {' '.join(flag)}"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify"], "the following arguments are required: profile"),
+    (["solve", "--bogus"], "the following arguments are required: --config"),
+    (["solve", "--config", "c.json", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+    (["plot"], "argument command: invalid choice: 'plot'")],
+    ids=["no-profile", "no-config", "unread-flag", "no-command", "unknown"])
+def test_usage_error_is_one_json_line(capsys, argv, message):
+    # a usage error is a configuration error, exit 1, not the solver's 2,
+    # and stderr holds one JSON line, not argparse's usage text
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    (line,) = stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ConfigError"
+    assert error["message"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, *flag])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: glvortex") and err == ""
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])

@@ -119,6 +119,18 @@ def test_pohozaev_refuses_a_nan_radius(ground_state):
         gv.pohozaev_residual(ground_state, float("nan"))
 
 
+def test_pohozaev_refuses_radii_off_the_grid():
+    # h = 0.1: R = 0.01 snaps to the origin node, R = 25 lies past R_max
+    ones = np.ones(201)
+    prof = make_profile(gv.build_grid(20.0, 200),
+                        gv.CouplingParams(1, 1, 0, 1, 1), gv.DegreePair(0, 0),
+                        ones, ones)
+    with pytest.raises(ValueError, match="beyond the grid"):
+        gv.pohozaev_residual(prof, 25.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        gv.pohozaev_residual(prof, 0.01)
+
+
 def test_quantization_rhs_values(ground_state):
     grid = ground_state.grid
     p = gv.CouplingParams(1, 1, 0.3, 1, 2)
@@ -512,6 +524,18 @@ def test_sweep_report_refuses_a_length_mismatch():
             diagnostics.sweep_report(params, degrees, b_values, results)
 
 
+def test_sweep_report_records_a_non_finite_profile_as_failed(ground_state):
+    # a NaN node leaves the second variation non-finite: the record fails
+    # with that reason instead of the report raising
+    f = ground_state.f.copy()
+    f[0, 5] = np.nan
+    prof = replace(ground_state, f=f)
+    (record,) = diagnostics.sweep_report(
+        prof.params, prof.degrees, [0.0], [prof])["records"]
+    assert record["converged"] is False
+    assert record["error"] == "second variation has non-finite entries"
+
+
 def test_sweep_report_brackets_at_the_sweep_tolerance(default_grid):
     # the benchmark's 19-value bpos sweep: every record's lower end is
     # within 10 % of lambda_min, and a tolerance that puts the shift above
@@ -703,6 +727,19 @@ def test_monotonicity_classical_degenerate_minus(reference_profiles):
     # nondecreasing under the tolerance
     label = gv.monotonicity_classify(reference_profiles["classical"])
     assert label is gv.MonotonicityLabel.BothNondecreasing
+
+
+def test_monotonicity_both_decreasing_is_other(ground_state):
+    # no named class has both components falling
+    r = ground_state.grid.nodes
+    falling = 2.0 - r / ground_state.grid.R_max
+    prof = replace(ground_state, f=np.array((falling, falling)))
+    assert gv.monotonicity_classify(prof) is gv.MonotonicityLabel.Other
+
+
+def test_plot_columns_refuses_an_unknown_kind(ground_state):
+    with pytest.raises(ValueError, match="unknown plot data kind 'bogus'"):
+        diagnostics.plot_columns(ground_state, "bogus")
 
 
 def test_classifier_stable_under_tolerance_halving(reference_profiles):

@@ -101,6 +101,12 @@ def test_bad_grid_specs(args):
         gv.build_grid(*args)
 
 
+def test_uniform_grid_takes_no_stretch():
+    with pytest.raises(gv.BadGridSpec, match="uniform grid takes no stretch"):
+        gv.build_grid(10.0, 100, "uniform", stretch=1.05)
+    assert gv.build_grid(10.0, 100, "uniform", stretch=1.0).stretch is None
+
+
 def test_grid_range_edges():
     # R_max^6 = 1e306 and h0^3 = (1e-90 / 16)^3 are normal doubles
     assert gv.build_grid(1e51, 400).R_max == 1e51
@@ -173,6 +179,12 @@ def test_stacked_rows_apply_as_each_winding(windings):
     u = np.random.default_rng(7).uniform(0.0, 2.0, (2, 301))
     want = [gv.radial_operator(g, n).apply(row) for n, row in zip(windings, u)]
     assert stack.apply(u).tobytes() == np.array(want).tobytes()
+
+
+def test_apply_refuses_a_wrong_length():
+    op = gv.radial_operator(gv.build_grid(10.0, 100), 1)
+    with pytest.raises(gv.LengthMismatch):
+        op.apply(np.ones(100))
 
 
 def test_boundary_spec_errors():

@@ -150,6 +150,9 @@ def test_bec_to_gl_recovers_chemical_potentials():
 
 
 def test_bec_to_gl_rejects_bad_interactions():
+    for m1 in (0.0, -1.0):
+        with pytest.raises(gv.HypothesisViolation, match="masses"):
+            gv.bec_to_gl(gv.BecParams(m1, 1, 1, 1, 0.5, 1, 1))
     with pytest.raises(gv.HypothesisViolation):
         gv.bec_to_gl(gv.BecParams(1, 1, 1, 1, 1.5, 1, 1))
     with pytest.raises(gv.NonPositiveDensity):

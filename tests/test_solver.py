@@ -465,6 +465,16 @@ def test_profile_json_rejects_mismatched_arrays(coarse_grid):
             gv.profile_from_json(json.dumps(obj))
 
 
+def test_profile_json_rejects_a_non_object_and_negative_iterations():
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        gv.profile_from_json("[]")
+    obj = json.loads(gv.profile_to_json(_small_profile(np.ones(17),
+                                                       np.ones(17))))
+    obj["report"]["iterations"] = [3, -1]
+    with pytest.raises(ValueError, match="list of iteration counts"):
+        gv.profile_from_json(json.dumps(obj))
+
+
 def test_warm_start_keeps_positivity_check(coarse_grid):
     # converged profiles are nonnegative without ever being projected
     params = params_of(1, 4, 1.5, 1, 1)
