@@ -168,8 +168,8 @@ class RadialOperator:
     tridiagonal coefficients are (lower, diag, upper) with
     diag = -(lower + upper) + pot.  pot is n^2/r^2 on equation rows, plus
     rhs[N] on the far row, and a power of two on the `pinned` rows, where
-    u = 0 replaces the equation.  Rows stacked per component have arrays of
-    shape (k, N+1), row j for component j.
+    u = 0 replaces the equation.  The rows of a tuple of windings are arrays
+    of shape (k, N+1), row j for winding j, some of them broadcast views.
     """
 
     lower: np.ndarray = field(repr=False)
@@ -209,37 +209,33 @@ def radial_operator(grid: RadialGrid, n: int | tuple) -> RadialOperator:
     and an LU solve gives its entry g / 2^e exactly.  The far row is the
     ghost-eliminated R u'(R) + 2 (u(R) - t) = 0; rhs is its column for
     t = 1, which pot[N] also holds, so with n = 0 u = t cancels exactly.
-    A tuple of windings gives their rows stacked, row k for n[k].  The grid
-    object keeps the rows of the first request, read-only, for every later
-    caller; grids built apart share none.
+    A tuple of windings gives their rows, row k for n[k], as views of one
+    row where they agree.  The grid keeps the rows of the first request,
+    read-only, for every later caller; grids built apart share none.
     """
     if n in grid._operators:
         return grid._operators[n]
-    if isinstance(n, tuple):
-        # one winding's rows repeated are a broadcast view, not a copy
-        rows = zip(*(vars(radial_operator(grid, k)).values() for k in n))
-        op = grid._operators[n] = RadialOperator(*(
-            np.broadcast_to(r[0], (len(r), grid.N + 1)) if len(set(n)) == 1
-            else np.stack(r) for r in rows))
-        return op
-    if n < 0:
+    windings = n if isinstance(n, tuple) else (n,)
+    if min(windings) < 0:
         raise BadBoundarySpec("winding number must be nonnegative")
+    # n^2 as a column, one entry for equal windings
+    distinct = windings[:1] if len(set(windings)) == 1 else windings
+    n2 = np.array([[k * k] for k in distinct], dtype=float)
     r = grid.nodes
     h = np.diff(r)
-    lower, upper, pot, rhs = (np.zeros_like(r) for _ in range(4))
-    pinned = np.zeros(r.shape, dtype=bool)
-    pinned[0] = n != 0
+    lower, upper, rhs = (np.zeros_like(r) for _ in range(3))
+    pot = np.zeros((len(n2), len(r)))
+    pinned = (n2 != 0) & (r == 0.0)         # the origin rows of n != 0
 
     rm = 0.5 * (r[:-1] + r[1:])            # half nodes r_{i+1/2}
     hbar = 0.5 * (h[:-1] + h[1:])
     lower[1:-1] = -rm[:-1] / (h[:-1] * r[1:-1] * hbar)
     upper[1:-1] = -rm[1:] / (h[1:] * r[1:-1] * hbar)
-    pot[1:] = n * n / r[1:] ** 2
-    if n == 0:
-        # limit row: -(1/r)(r u')'|_0 = -2 u''(0) ~ (4/r1^2)(u0 - u1)
-        upper[0] = -4.0 / r[1] ** 2
-    else:
-        pot[0] = 2.0 ** math.frexp(-lower[1])[1]
+    pot[:, 1:] = n2 / r[1:] ** 2
+    pot[pinned] = 2.0 ** math.frexp(-lower[1])[1]
+    # n = 0, limit row: -(1/r)(r u')'|_0 = -2 u''(0) ~ (4/r1^2)(u0 - u1)
+    upper[0] = -4.0 / r[1] ** 2
+    upper = np.where(pinned, 0.0, upper)
     # ghost elimination: u_{N+1} = u_{N-1} + 2 h u'(R), keeping the interior
     # stencil second order at the boundary, with u'(R) = (2/R)(t - u_N)
     hN = h[-1]
@@ -247,7 +243,9 @@ def radial_operator(grid: RadialGrid, n: int | tuple) -> RadialOperator:
     c_in = -(r[-1] - 0.5 * hN) / (hN * r[-1] * hN)
     lower[-1] = c_in + c_out
     rhs[-1] = -c_out * 2.0 * hN * 2.0 / r[-1]
-    pot[-1] += rhs[-1]
-    op = grid._operators[n] = RadialOperator(lower, upper, pot, rhs, pinned,
-                                             -(lower + upper) + pot)
+    pot[:, -1] += rhs[-1]
+    rows = [np.broadcast_to(a, (len(windings), len(r))) for a in
+            (lower, upper, pot, rhs, pinned, -(lower + upper) + pot)]
+    op = grid._operators[n] = RadialOperator(
+        *(rows if isinstance(n, tuple) else (a[0] for a in rows)))
     return op

@@ -4,14 +4,15 @@ The far row at R_max imposes R f'(R) + 2 (f(R) - t) = 0, which every tail
 t + a/r^2 satisfies whatever a is: the solve keeps the paper's algebraic
 tail and reads only the coefficients (A_pm, B, t_pm) and the windings.
 
-The solver carries f = (f_plus, f_minus) as one (2, N+1) state on operator
-rows the grid holds stacked per component.  Interleaved per node, the exact
+The solver carries f = (f_plus, f_minus) as one (2, N+1) state on the
+grid's rows for the winding pair.  Interleaved per node, the exact
 Jacobian is banded with two sub/super-diagonals and a banded LU solve costs
 O(N).  A solve or sweep owns one LAPACK band buffer: each Newton iteration
 writes the Jacobian into it, factors it in place (`dgbtrf`) and solves in
-one right-hand side (`dgbtrs`).  At B = 0 the Jacobian is two tridiagonal
-blocks, one per component, which the same buffer holds and `dgttrf`/`dgttrs`
-factor and solve at a fraction of the band's cost.
+one right-hand side (`dgbtrs`).  At B = 0 the Jacobian is one tridiagonal
+system, the components' blocks end to end, which the same buffer holds and
+one `dgttrf` and one `dgttrs` call factor and solve at a fraction of the
+band's cost.
 
 Globalization is by backtracking on the residual sup-norm plus continuation
 in the interaction coefficient B from the decoupled system (B = 0), whose
@@ -122,10 +123,10 @@ class _DiscreteSystem:
     states f of shape (2, N+1), row k for component k.
 
     Holds the operator rows (radial Laplacian + n^2/r^2 + boundary rows)
-    stacked per component, shared with every system on the grid, the mask
-    of rows where the nonlinear potential term is active (every row not
-    pinned) and the far row's right-hand side t rhs[N], the one nonzero
-    entry of the operator's column.
+    of the winding pair, row k for component k, shared with every system on
+    the grid, the mask of rows where the nonlinear potential term is active
+    (every row not pinned) and the far row's right-hand side t rhs[N], the
+    one nonzero entry of the operator's column.
     """
 
     def __init__(self, grid: RadialGrid, params: CouplingParams,
@@ -203,20 +204,23 @@ class _BandLU:
     is one band with (kl, ku) = (2, 2): `jacobian_banded` writes it into
     rows 2..6, LAPACK's `dgbtrf` factors it in place with its fill-in in
     rows 0..1, and `dgbtrs` solves on it.  At B = 0 the components
-    decouple, so the same memory holds two tridiagonal systems, one per
-    component, each as four contiguous diagonals (dl, d, du, du2) that
-    `dgttrf` factors in place and `dgttrs` solves on.  The coefficients
-    pick the path; the two give the same step up to roundoff.  A pinned
-    origin row 2^e u(0) = 0 (`grid.radial_operator`) outweighs its column,
-    so neither LU moves it and its step entry is g / 2^e exactly.
+    decouple, so the same memory holds one tridiagonal system of 2N+2
+    unknowns, the components' diagonals (dl, d, du, du2) end to end, that
+    `dgttrf` factors in place and `dgttrs` solves on; its junction entries,
+    the rows' lower[0] and upper[N], are 0, so pivoting never crosses them.
+    The coefficients pick the path; the two give the same step up to
+    roundoff.  A pinned origin row 2^e u(0) = 0 (`grid.radial_operator`)
+    outweighs its column, so neither LU moves it and its step entry is
+    g / 2^e exactly.
     """
 
     def __init__(self, n_nodes: int):
         memory = np.empty(14 * n_nodes)
         self.ab = memory.reshape((7, 2 * n_nodes), order="F")
-        # per component the rows dl, d, du and du2, of lengths n_nodes - 1,
-        # n_nodes, n_nodes - 1 and n_nodes - 2
-        self.tri = memory[:8 * n_nodes].reshape(2, 4, n_nodes)
+        # the rows lower, diagonal, upper and fill, each (2, n_nodes)
+        self.tri = memory[:8 * n_nodes].reshape(4, 2, n_nodes)
+        dl, d, du, du2 = self.tri.reshape(4, -1)
+        self.diagonals = (dl[1:], d, du[:-1], du2[:-2])
         self.rhs = np.empty(2 * n_nodes)
         self.ipiv = None            # None until a factorization succeeds
 
@@ -225,18 +229,15 @@ class _BandLU:
         self.ipiv = None
         self.decoupled = sys.params.B == 0.0
         if self.decoupled:
-            self.tri[:, 0, :-1] = sys.op.lower[:, 1:]
-            sys.jacobian_diagonal(f, self.tri[:, 1])
-            self.tri[:, 2, :-1] = sys.op.upper[:, :-1]
-            ipiv = []
-            for dl, d, du, du2 in self.tri:
-                *_, fill, piv, info = dgttrf(dl[:-1], d, du[:-1],
-                                             overwrite_dl=1, overwrite_d=1,
-                                             overwrite_du=1)
-                if info != 0:
-                    raise SingularJacobian(f"dgttrf info {info} (zero pivot)")
-                du2[:-2] = fill
-                ipiv.append(piv)
+            self.tri[0] = sys.op.lower
+            sys.jacobian_diagonal(f, self.tri[1])
+            self.tri[2] = sys.op.upper
+            dl, d, du, du2 = self.diagonals
+            *_, fill, ipiv, info = dgttrf(dl, d, du, overwrite_dl=1,
+                                          overwrite_d=1, overwrite_du=1)
+            if info != 0:
+                raise SingularJacobian(f"dgttrf info {info} (zero pivot)")
+            du2[...] = fill
         else:
             sys.jacobian_banded(f, out=self.ab[2:])
             _, ipiv, info = dgbtrf(self.ab, 2, 2, overwrite_ab=1)
@@ -251,8 +252,7 @@ class _BandLU:
              else self.rhs.reshape(-1, 2).T)
         x[...] = g
         if self.decoupled:
-            for xk, (dl, d, du, du2), piv in zip(x, self.tri, self.ipiv):
-                dgttrs(dl[:-1], d, du[:-1], du2[:-2], piv, xk, overwrite_b=1)
+            dgttrs(*self.diagonals, self.ipiv, self.rhs, overwrite_b=1)
         else:
             dgbtrs(self.ab, 2, 2, self.rhs, self.ipiv, overwrite_b=1)
         if not np.all(np.isfinite(self.rhs)):
@@ -262,17 +262,17 @@ class _BandLU:
 
 def initial_guess(grid: RadialGrid, params: CouplingParams,
                   degrees: DegreePair):
-    """Ansatz with the correct vanishing order at 0 and limit at infinity:
-    f0(r) = t r^n / (r^2 + n^2/(A t^2))^(n/2) for n >= 1, constant t for
-    n = 0, returned as the rows (f_plus, f_minus) of one array.  It is
-    evaluated as t (r^2/(r^2 + c))^(n/2), whose base lies in [0, 1), so a
-    large winding neither overflows r^n nor divides inf by inf; an A t^2
-    that underflows to 0 gives c = inf, and f0 = 0."""
+    """Ansatz f0(r) = t r^n / (r^2 + c)^(n/2), c = n/(A t^2), for n >= 1 and
+    t for n = 0, as the rows (f_plus, f_minus) of one array: it vanishes
+    like r^n, and has the decoupled tail's r^-2 coefficient -n^2/(2 A t).
+    It is evaluated as t (r^2/(r^2 + c))^(n/2), whose base lies in [0, 1),
+    so a large winding neither overflows r^n nor divides inf by inf; an
+    A t^2 that underflows to 0 gives c = inf, and f0 = 0."""
     r2 = grid.nodes ** 2
     out = []
     for n, t, A in ((degrees.n_plus, params.t_plus, params.A_plus),
                     (degrees.n_minus, params.t_minus, params.A_minus)):
-        core = n * n / max(A * t * t, math.ulp(0.0))
+        core = n / max(A * t * t, math.ulp(0.0))
         out.append(t * (r2 / (r2 + core)) ** (n / 2.0) if n
                    else np.full_like(r2, t))
     return np.array(out)

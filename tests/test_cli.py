@@ -818,6 +818,18 @@ def test_sweep_values_of_the_benchmark_range(tmp_path):
         round(-0.9 + k * 0.1, 12) for k in range(19)]
 
 
+@pytest.mark.parametrize("b_start,b_stop", [(0.0, 30000.3),
+                                            (-30000.3, 0.0)])
+def test_sweep_keeps_its_endpoint_far_from_unit_scale(tmp_path, b_start,
+                                                      b_stop):
+    # the endpoint's rounding, 3.6e-12 here, passes b_stop by more than an
+    # absolute 1e-12; the slack scales with the range's ends
+    sweep = {"b_start": b_start, "b_stop": b_stop, "b_step": 10000.1}
+    cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
+    vals = load_config(str(cfg))["sweep"]
+    assert len(vals) == 4 and abs(vals[-1] - b_stop) < 1e-11
+
+
 def test_sweep_value_count_at_the_bound(tmp_path):
     sweep = {"b_start": -0.5, "b_stop": 0.4999, "b_step": 1e-4}
     cfg = write_config(tmp_path / "cfg.json", sweep=sweep)

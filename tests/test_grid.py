@@ -171,7 +171,7 @@ def test_apply_matches_tridiagonal_rows(geometric, stretch, N, R_max, n,
 
 @pytest.mark.parametrize("windings", [(1, 0), (0, 3), (2, 2)])
 def test_stacked_rows_apply_as_each_winding(windings):
-    # the rows stacked per component evaluate a (2, N+1) state bit for bit
+    # the rows of a winding pair evaluate a (2, N+1) state bit for bit
     # as each winding's own rows evaluate its row
     g = gv.build_grid(30.0, 300, "geometric", 1.01)
     stack = gv.radial_operator(g, windings)
@@ -179,6 +179,33 @@ def test_stacked_rows_apply_as_each_winding(windings):
     u = np.random.default_rng(7).uniform(0.0, 2.0, (2, 301))
     want = [gv.radial_operator(g, n).apply(row) for n, row in zip(windings, u)]
     assert stack.apply(u).tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(windings=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+       geometric=st.booleans(), N=st.integers(16, 300),
+       R_max=st.floats(1.0, 200.0))
+def test_pair_rows_are_the_stacked_winding_rows(windings, geometric, N,
+                                                R_max):
+    # one pass over a winding pair gives, bit for bit, each winding's own
+    # rows stacked; every request is on a fresh grid, so no cached rows
+    # answer it, and the pair's request is the one entry it leaves
+    def grid():
+        return (gv.build_grid(R_max, N, "geometric", 1.01) if geometric
+                else gv.build_grid(R_max, N))
+
+    g = grid()
+    pair = gv.radial_operator(g, windings)
+    assert list(g._operators) == [windings]
+    singles = [gv.radial_operator(grid(), n) for n in windings]
+    for rows in ("lower", "upper", "pot", "rhs", "pinned", "diag"):
+        got = getattr(pair, rows)
+        want = np.stack([getattr(op, rows) for op in singles])
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        if windings[0] == windings[1]:
+            # equal windings share one row: a view, no memory of its own
+            assert not got.flags.owndata
 
 
 def test_apply_refuses_a_wrong_length():

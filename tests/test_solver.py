@@ -1,7 +1,9 @@
 import gc
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,6 +57,28 @@ def test_initial_guess_shapes():
     assert fp[i] == pytest.approx(1 / np.sqrt(2), rel=1e-12)
     assert fp[0] == 0.0
     assert fp[-1] == pytest.approx(1.0, abs=5e-3)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "geometric"])
+def test_large_windings_solve_from_the_ansatz(kind):
+    # the ansatz's core n/(A t^2) rises over the vortex core's width
+    # n/(t sqrt(A)) and carries the decoupled tail's r^-2 coefficient
+    # -n^2/(2 A t), so windings 6..20 solve at B = 0 and along both
+    # continuation chains in a few Newton iterations per stage
+    grid = (gv.build_grid(40.0, 800) if kind == "uniform"
+            else gv.build_grid(40.0, 900, "geometric", 1.005))
+    params = params_of(1.5, 1.0, 0.0, 0.8, 1.0)
+    r = grid.nodes[-1]
+    for n in range(6, 21):
+        deg = gv.DegreePair(n, 1)
+        f0 = gv.initial_guess(grid, params, deg)
+        a = -n * n / (2 * params.A_plus * params.t_plus)
+        assert r * r * (f0[0, -1] - params.t_plus) == pytest.approx(
+            a, rel=n * n / r ** 2)
+        out = gv.continuation_sweep(params, deg, [0.0, 0.5, -0.9], grid)
+        for prof in out:
+            assert isinstance(prof, gv.Profile), (n, prof)
+            assert max(prof.report.iterations) <= 7
 
 
 def test_residual_zero_for_constant_states():
@@ -138,8 +162,9 @@ def test_jacobian_decouples_at_zero_interaction(monkeypatch):
     ab = sys.jacobian_banded(f)
     assert np.max(np.abs(ab[1, 1::2])) == 0.0  # plus-row cross entries
     assert np.max(np.abs(ab[3, 0::2])) == 0.0  # minus-row cross entries
-    # the tridiagonal block dgttrf factors per component holds the band's
-    # entries bit for bit
+    # the one tridiagonal system dgttrf factors holds the band's entries bit
+    # for bit, component k's block at nodes k(N+1) ... k(N+1) + N, and a
+    # zero at the junction of the two blocks
     seen = []
 
     def spy(dl, d, du, **kwargs):
@@ -151,11 +176,14 @@ def test_jacobian_decouples_at_zero_interaction(monkeypatch):
     lu = _BandLU(g.N + 1)
     lu.ab[:] = np.nan
     lu.factor(sys, f)
-    assert len(seen) == 2
-    for k, (dl, d, du) in enumerate(seen):
-        assert np.array_equal(dl, ab[4, k:-2:2])
-        assert np.array_equal(d, ab[2, k::2])
-        assert np.array_equal(du, ab[0, 2 + k::2])
+    (dl, d, du), = seen
+    n = g.N + 1
+    assert dl[n - 1] == du[n - 1] == 0.0
+    for k in (0, 1):
+        block = slice(k * n, k * n + n - 1)
+        assert np.array_equal(dl[block], ab[4, k:-2:2])
+        assert np.array_equal(d[k * n:k * n + n], ab[2, k::2])
+        assert np.array_equal(du[block], ab[0, 2 + k::2])
 
 
 def test_jacobian_blocks_at_constant_state():
@@ -603,14 +631,121 @@ def test_band_lu_failures_raise_singular_jacobian():
         with pytest.raises(gv.SingularJacobian, match="zero pivot"):
             lu.factor(sys, np.ones((2, 21)))
         assert lu.ipiv is None
-        # a NaN start fails the Newton step: both LUs give a non-finite step
+        # a NaN start fails the Newton step: the band LU gives a non-finite
+        # step; on the tridiagonal system dgttrf's pivot test |d| >= |dl|
+        # is false for a NaN d, so at the last f_plus row it swaps in the
+        # zero junction entry and stops there on a zero pivot, info N + 1
         nan = np.full((2, 21), np.nan)
-        with pytest.raises(gv.SingularJacobian, match="non-finite"):
+        failure = (r"dgttrf info 21 \(zero pivot\)" if B == 0.0
+                   else "non-finite")
+        with pytest.raises(gv.SingularJacobian, match=failure):
             gv.newton_solve(nan, g, params, deg)
 
 
+def _two_block_step(dl, d, du, g):
+    """The step of the decoupled system factored and solved per component,
+    one dgttrf/dgttrs pair on each block's (lower, diagonal, upper) rows."""
+    steps = []
+    for lower, diagonal, upper, rhs in zip(dl, d, du, g):
+        dlk, dk, duk, du2, piv, info = solver.dgttrf(
+            lower[1:].copy(), diagonal.copy(), upper[:-1].copy())
+        assert info == 0
+        x, info = solver.dgttrs(dlk, dk, duk, du2, piv, rhs.copy())
+        assert info == 0
+        steps.append(x)
+    return np.array(steps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_nodes=st.integers(3, 60), seed=st.integers(0, 2 ** 32 - 1),
+       pinned=st.tuples(st.booleans(), st.booleans()))
+def test_one_tridiagonal_step_matches_two_block_steps(n_nodes, seed, pinned):
+    # the one dgttrf/dgttrs call on both blocks end to end gives, bit for
+    # bit, the step of one call per block: random blocks of either sign,
+    # lower[0] = upper[N] = 0 as the operator's rows have, and optionally a
+    # pinned origin row 2^e u(0) = 0 above its column entry
+    rng = np.random.default_rng(seed)
+    lower, upper = rng.uniform(-2.0, 2.0, (2, 2, n_nodes))
+    lower[:, 0] = upper[:, -1] = 0.0
+    diagonal = ((np.abs(lower) + np.abs(upper)) * rng.uniform(1.0, 3.0)
+                * rng.choice((-1.0, 1.0), (2, n_nodes)))
+    # a dominant row whose subdiagonal entry below outweighs it, so the
+    # factorization pivots inside a block
+    lower[:, 2] = 4.0 * np.abs(diagonal[:, 1]) + 1.0
+    for k in np.flatnonzero(pinned):
+        upper[k, 0] = 0.0
+        diagonal[k, 0] = 2.0 ** math.frexp(abs(lower[k, 1]))[1]
+    lu = _BandLU(n_nodes)
+    lu.ab[:] = np.nan
+    g = rng.standard_normal((2, n_nodes))
+    # the system at B = 0 as the LU reads it: coefficients, rows, diagonal
+    rows = SimpleNamespace(
+        params=params_of(1, 1, 0, 1, 1),
+        op=SimpleNamespace(lower=lower, upper=upper),
+        jacobian_diagonal=lambda f, out: np.copyto(out, diagonal))
+    lu.factor(rows, None)
+    assert lu.ipiv.shape == (2 * n_nodes,)
+    step = lu.solve(g)
+    want = _two_block_step(lower, diagonal, upper, g)
+    assert step.tobytes() == want.tobytes()
+    for k in np.flatnonzero(pinned):
+        assert step[k, 0] == g[k, 0] / diagonal[k, 0]
+
+
+@pytest.mark.parametrize("degrees", [(1, 1), (1, 0), (0, 3)])
+def test_one_tridiagonal_step_on_a_geometric_grid(degrees):
+    # the same on a geometric grid's B = 0 Jacobians along the Newton
+    # iterates of a solve from the ansatz
+    grid = gv.build_grid(40.0, 900, "geometric", 1.005)
+    params, deg = params_of(1.3, 0.8, 0.0, 1.1, 0.9), gv.DegreePair(*degrees)
+    sys = _DiscreteSystem(grid, params, deg)
+    lu = _BandLU(grid.N + 1)
+    f = gv.initial_guess(grid, params, deg)
+    for _ in range(4):
+        g = sys.residual(f)
+        lu.factor(sys, f)
+        step = lu.solve(g).copy()
+        want = _two_block_step(sys.op.lower, sys.jacobian_diagonal(f),
+                               sys.op.upper, g)
+        assert step.tobytes() == want.tobytes()
+        f = f - step
+
+
+def test_decoupled_newton_iteration_factors_once(monkeypatch):
+    # every Newton iteration at B = 0 makes one dgttrf and one dgttrs call,
+    # and the LU keeps one pivot array on either path
+    calls = []
+
+    def spy(name):
+        routine = getattr(solver, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+        return counted
+
+    for name in ("dgttrf", "dgttrs", "dgbtrf", "dgbtrs"):
+        monkeypatch.setattr(solver, name, spy(name))
+    grid = gv.build_grid(40.0, 1200)
+    for degrees in ((1, 0), (1, 1), (2, 3)):
+        calls.clear()
+        prof = gv.continuation_solve(params_of(1, 1, 0, 1, 1),
+                                     gv.DegreePair(*degrees), grid)
+        iters, = prof.report.iterations
+        assert iters > 0
+        assert calls == ["dgttrf", "dgttrs"] * iters
+    sys = _DiscreteSystem(grid, params_of(1, 1, 0, 1, 1), gv.DegreePair(1, 1))
+    f = gv.initial_guess(grid, sys.params, sys.degrees)
+    lu = _BandLU(grid.N + 1)
+    for B in (0.0, 0.5):
+        sys = _DiscreteSystem(grid, params_of(1, 1, B, 1, 1), sys.degrees)
+        lu.factor(sys, f)
+        assert isinstance(lu.ipiv, np.ndarray)
+        assert lu.ipiv.shape == (2 * grid.N + 2,)
+
+
 def test_decoupled_stages_factor_no_band(coarse_grid, monkeypatch):
-    # at B = 0 the Jacobian is factored as two tridiagonal systems: a
+    # at B = 0 the Jacobian is factored as one tridiagonal system: a
     # classical solve calls no dgbtrf, and in a sweep only the stages at
     # B != 0 do
     stages, band, tridiagonal = [], [], []
@@ -652,10 +787,9 @@ def test_pinned_origin_values_are_exact(reference_profiles):
 def test_operators_assembled_once_per_solve_and_sweep(monkeypatch):
     # the rows belong to the grid object, counted here on fresh grids (a
     # fixture grid carries rows between tests): a (1, 1) sweep assembles
-    # the winding's rows and their stack for all its B and both components
-    # and its records none, a (1, 0) solve two windings and their stack,
-    # and verify of a profile read back from JSON, on a grid of its own,
-    # one per distinct winding and the stack
+    # the pair's rows once for all its B and both components and its
+    # records none, a (1, 0) solve its pair's rows once, and so does
+    # verify of a profile read back from JSON, on a grid of its own
     built = []
     construct = gv.RadialOperator
 
@@ -669,19 +803,19 @@ def test_operators_assembled_once_per_solve_and_sweep(monkeypatch):
     out = gv.continuation_sweep(params, deg, b_values,
                                 gv.build_grid(40.0, 1200))
     assert all(isinstance(p, gv.Profile) for p in out)
-    assert len(built) == 2
+    assert len(built) == 1
     diagnostics.sweep_report(params, deg, b_values, out)
-    assert len(built) == 2
+    assert len(built) == 1
     monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 4)
     prof = gv.continuation_solve(params_of(1, 4, 1.9, 1, 1),
                                  gv.DegreePair(1, 0),
                                  gv.build_grid(40.0, 1200))
     assert len(prof.report.iterations) > 2      # halved steps
-    assert len(built) == 5
-    for profile, windings in ((out[-1], 1), (prof, 2)):
+    assert len(built) == 2
+    for profile in (out[-1], prof):
         built.clear()
         diagnostics.verify(gv.profile_from_json(gv.profile_to_json(profile)))
-        assert len(built) == windings + 1
+        assert len(built) == 1
 
 
 def _spy_newton(monkeypatch):
@@ -723,7 +857,7 @@ def test_failed_step_is_halved_and_converges(coarse_grid, monkeypatch):
 
 
 def test_report_counts_iterations_of_failed_attempts(monkeypatch):
-    # the full step stalls in the line search after 21 iterations, the
+    # the full step stalls in the line search after 20 iterations, the
     # halved steps converge; the report lists all four stages
     A_plus, A_minus = 2.0, 1.0
     params = params_of(A_plus, A_minus, -0.99 * np.sqrt(A_plus * A_minus),
@@ -731,9 +865,9 @@ def test_report_counts_iterations_of_failed_attempts(monkeypatch):
     runs = _spy_newton(monkeypatch)
     prof = gv.continuation_solve(params, gv.DegreePair(5, 1),
                                  gv.build_grid(80.0, 4000))
-    assert prof.report.iterations == (5, 21, 4, 9)
+    assert prof.report.iterations == (5, 20, 4, 9)
     assert [it for _, it, _ in runs] == [5, None, 4, 9]
-    assert sum(prof.report.iterations) == sum(n for _, _, n in runs) == 39
+    assert sum(prof.report.iterations) == sum(n for _, _, n in runs) == 38
 
 
 def test_sweep_failure_restarts_its_chain(coarse_grid, monkeypatch):
