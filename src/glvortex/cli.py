@@ -71,8 +71,9 @@ def _sweep_b_values(sweep: dict) -> list:
     if not steps <= _MAX_SWEEP_VALUES - 1:
         raise ConfigError(f"sweep holds more than {_MAX_SWEEP_VALUES} values")
     vals = [b_start + k * b_step for k in range(int(round(steps)) + 1)]
-    vals = [round(v, 12) for v in vals
-            if v <= b_stop + 1e-12 * max(1.0, abs(b_start), abs(b_stop))]
+    if abs(vals[-1] - b_stop) <= 1e-12 * max(1.0, abs(b_start), abs(b_stop)):
+        vals[-1] = b_stop           # the endpoint, less its rounding
+    vals = [round(v, 12) for v in vals if v <= b_stop]
     if any(a >= b for a, b in zip(vals, vals[1:])):
         raise ConfigError("sweep values coincide once rounded to 12 decimals")
     return vals

@@ -51,7 +51,7 @@ class RadialGrid:
     weights: np.ndarray
     kind: str
     stretch: float | None = None
-    # radial_operator's rows on this mesh, by winding n or tuple of windings
+    # radial_operator's rows on this mesh, by tuple of windings
     _operators: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -168,8 +168,8 @@ class RadialOperator:
     tridiagonal coefficients are (lower, diag, upper) with
     diag = -(lower + upper) + pot.  pot is n^2/r^2 on equation rows, plus
     rhs[N] on the far row, and a power of two on the `pinned` rows, where
-    u = 0 replaces the equation.  The rows of a tuple of windings are arrays
-    of shape (k, N+1), row j for winding j, some of them broadcast views.
+    u = 0 replaces the equation.  The rows of k windings are arrays of
+    shape (k, N+1), row j for winding j, some of them broadcast views.
     """
 
     lower: np.ndarray = field(repr=False)
@@ -199,8 +199,9 @@ class RadialOperator:
         return out
 
 
-def radial_operator(grid: RadialGrid, n: int | tuple) -> RadialOperator:
-    """The rows of -(1/r)(r u')' + n^2/r^2 on grid, with its boundary rows.
+def radial_operator(grid: RadialGrid, windings: tuple) -> RadialOperator:
+    """The rows of -(1/r)(r u')' + n^2/r^2 on grid, with its boundary rows,
+    row k for the winding n = windings[k].
 
     The origin row is forced by the winding number: pinned to u(0) = 0 for
     n != 0 (the n^2/r^2 term is singular), one-sided second-order Neumann
@@ -209,13 +210,12 @@ def radial_operator(grid: RadialGrid, n: int | tuple) -> RadialOperator:
     and an LU solve gives its entry g / 2^e exactly.  The far row is the
     ghost-eliminated R u'(R) + 2 (u(R) - t) = 0; rhs is its column for
     t = 1, which pot[N] also holds, so with n = 0 u = t cancels exactly.
-    A tuple of windings gives their rows, row k for n[k], as views of one
-    row where they agree.  The grid keeps the rows of the first request,
-    read-only, for every later caller; grids built apart share none.
+    Rows the windings agree on are views of one row.  The grid keeps the
+    rows of the first request, read-only, for every later caller; grids
+    built apart share none.
     """
-    if n in grid._operators:
-        return grid._operators[n]
-    windings = n if isinstance(n, tuple) else (n,)
+    if windings in grid._operators:
+        return grid._operators[windings]
     if min(windings) < 0:
         raise BadBoundarySpec("winding number must be nonnegative")
     # n^2 as a column, one entry for equal windings
@@ -244,8 +244,7 @@ def radial_operator(grid: RadialGrid, n: int | tuple) -> RadialOperator:
     lower[-1] = c_in + c_out
     rhs[-1] = -c_out * 2.0 * hN * 2.0 / r[-1]
     pot[:, -1] += rhs[-1]
-    rows = [np.broadcast_to(a, (len(windings), len(r))) for a in
-            (lower, upper, pot, rhs, pinned, -(lower + upper) + pot)]
-    op = grid._operators[n] = RadialOperator(
-        *(rows if isinstance(n, tuple) else (a[0] for a in rows)))
+    op = grid._operators[windings] = RadialOperator(*(
+        np.broadcast_to(a, (len(windings), len(r))) for a in
+        (lower, upper, pot, rhs, pinned, -(lower + upper) + pot)))
     return op

@@ -72,8 +72,8 @@ class NoConvergence(_SolveFailure):
 
 
 class SingularJacobian(_SolveFailure):
-    """The banded LU factorization of the Jacobian broke down, or gave a
-    non-finite Newton step."""
+    """The banded LU factorization of the Jacobian broke down, or the
+    Newton state or step is not finite."""
 
 
 # A continuation step is halved at most this many times below the whole
@@ -341,6 +341,8 @@ def _newton(sys, lu: _BandLU, f, options):
     as a halved trial iterate equals the current one bit for bit: rounding
     is monotone, so every shorter step gives that iterate too, and both end
     in the same NoConvergence, the second without the residuals between."""
+    if not np.isfinite(f).all():    # refused before an LU misreads it
+        raise SingularJacobian("non-finite Newton state at iteration 0")
     history = []
     g = sys.residual(f)
     norm = _sup_norm(g)

@@ -823,11 +823,12 @@ def test_sweep_values_of_the_benchmark_range(tmp_path):
 def test_sweep_keeps_its_endpoint_far_from_unit_scale(tmp_path, b_start,
                                                       b_stop):
     # the endpoint's rounding, 3.6e-12 here, passes b_stop by more than an
-    # absolute 1e-12; the slack scales with the range's ends
+    # absolute 1e-12; the slack scales with the range's ends, and the last
+    # value within it is b_stop itself
     sweep = {"b_start": b_start, "b_stop": b_stop, "b_step": 10000.1}
     cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
     vals = load_config(str(cfg))["sweep"]
-    assert len(vals) == 4 and abs(vals[-1] - b_stop) < 1e-11
+    assert len(vals) == 4 and vals[-1] == b_stop
 
 
 def test_sweep_value_count_at_the_bound(tmp_path):

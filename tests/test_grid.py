@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -115,18 +116,24 @@ def test_grid_range_edges():
         gv.build_grid(5e51, 400)
 
 
+def _rows(g, n):
+    """Winding n's rows on g as 1-D arrays: row 0 of a one-winding request."""
+    op = gv.radial_operator(g, (n,))
+    return gv.RadialOperator(*(rows[0] for rows in vars(op).values()))
+
+
 def test_operator_annihilates_power_solutions():
     # -(1/r)(r u')' + n^2/r^2 annihilates r^n; the conservative stencil
     # reproduces that exactly for n <= 2 and to second order for n = 3
     g = gv.build_grid(8.0, 256)
     for n in (0, 1, 2):
-        op = gv.radial_operator(g, n)
+        op = _rows(g, n)
         res = op.apply(g.nodes ** n)[1:-1]
         assert np.max(np.abs(res)) < 1e-10
     sups = []
     for N in (256, 512):
         gN = gv.build_grid(8.0, N)
-        op = gv.radial_operator(gN, 3)
+        op = _rows(gN, 3)
         res = op.apply(gN.nodes ** 3)[1:-1]
         away = gN.nodes[1:-1] >= 1.0
         sups.append(np.max(np.abs(res[away])))
@@ -135,7 +142,7 @@ def test_operator_annihilates_power_solutions():
 
 def test_operator_constant_in_kernel_when_n_zero():
     g = gv.build_grid(8.0, 64)
-    op = gv.radial_operator(g, 0)
+    op = _rows(g, 0)
     u = np.full(65, 3.7)
     # the difference form cancels a constant exactly, boundary rows included:
     # the far row's pot[N] u[N] is the product rhs[N] t it is solved against
@@ -151,7 +158,7 @@ def test_apply_matches_tridiagonal_rows(geometric, stretch, N, R_max, n,
     # apply() and the assembled (lower, diag, upper) are one set of rows
     g = (gv.build_grid(R_max, N, "geometric", stretch) if geometric
          else gv.build_grid(R_max, N))
-    op = gv.radial_operator(g, n)
+    op = _rows(g, n)
     u = np.random.default_rng(seed).normal(size=N + 1)
     dense = (np.diag(op.diag) + np.diag(op.lower[1:], -1)
              + np.diag(op.upper[:-1], 1))
@@ -177,7 +184,7 @@ def test_stacked_rows_apply_as_each_winding(windings):
     stack = gv.radial_operator(g, windings)
     assert gv.radial_operator(g, windings) is stack
     u = np.random.default_rng(7).uniform(0.0, 2.0, (2, 301))
-    want = [gv.radial_operator(g, n).apply(row) for n, row in zip(windings, u)]
+    want = [_rows(g, n).apply(row) for n, row in zip(windings, u)]
     assert stack.apply(u).tobytes() == np.array(want).tobytes()
 
 
@@ -197,7 +204,7 @@ def test_pair_rows_are_the_stacked_winding_rows(windings, geometric, N,
     g = grid()
     pair = gv.radial_operator(g, windings)
     assert list(g._operators) == [windings]
-    singles = [gv.radial_operator(grid(), n) for n in windings]
+    singles = [_rows(grid(), n) for n in windings]
     for rows in ("lower", "upper", "pot", "rhs", "pinned", "diag"):
         got = getattr(pair, rows)
         want = np.stack([getattr(op, rows) for op in singles])
@@ -206,10 +213,59 @@ def test_pair_rows_are_the_stacked_winding_rows(windings, geometric, N,
         if windings[0] == windings[1]:
             # equal windings share one row: a view, no memory of its own
             assert not got.flags.owndata
+    # the rows each winding picks on its own, against their formulas
+    r = g.nodes
+    for k, n in enumerate(windings):
+        assert pair.pot[k, 1:-1].tobytes() == (n * n / r[1:-1] ** 2).tobytes()
+        assert list(np.flatnonzero(pair.pinned[k])) == [0] * (n != 0)
+        if n:
+            assert pair.upper[k, 0] == 0.0
+            assert pair.pot[k, 0] == 2.0 ** math.frexp(-pair.lower[k, 1])[1]
+        else:
+            assert pair.upper[k, 0] == -4.0 / r[1] ** 2
+            assert pair.pot[k, 0] == 0.0
+
+
+def _dyadic_mesh(kind):
+    """65 nodes on [0, 16], uniform, or r = 32 (i/64)^2 on [0, 32]: every
+    node is a dyadic rational, so the mesh is exact on any platform."""
+    i = np.arange(65) / 64.0
+    nodes = 16.0 * i if kind == "uniform" else 32.0 * i * i
+    return gv.RadialGrid(nodes=nodes, weights=np.zeros(65), kind="uniform")
+
+
+@pytest.mark.parametrize("kind,windings,digest", [
+    ("uniform", (1, 1), "505e9922ca4ef6dd"),
+    ("uniform", (1, 0), "d5e977191036d37e"),
+    ("uniform", (0, 1), "8a93a63bfef43a13"),
+    ("uniform", (2, 1), "505dd20f4fb87dcd"),
+    ("uniform", (5, 1), "d44dcae695afaa0a"),
+    ("uniform", (3, 3), "0d30a690a303b20a"),
+    ("uniform", (0, 0), "0d5659ed8fbb8285"),
+    ("uniform", (8, 0), "53a90e02b9ba50d8"),
+    ("quadratic", (1, 1), "c13258f06545b174"),
+    ("quadratic", (1, 0), "ca1cd1d9b216f306"),
+    ("quadratic", (0, 1), "d8b066950550133e"),
+    ("quadratic", (2, 1), "f463bec06d57cae4"),
+    ("quadratic", (5, 1), "3769786390a0beb3"),
+    ("quadratic", (3, 3), "27f5bcf12e5d3e03"),
+    ("quadratic", (0, 0), "43eccabe9a0510e9"),
+    ("quadratic", (8, 0), "1f8b818463335285"),
+])
+def test_pair_rows_are_pinned_bytes(kind, windings, digest):
+    # sha256 of every field's shape, dtype and bytes, as rows assembled one
+    # winding at a time and stacked gave them before the one-pass assembly
+    op = gv.radial_operator(_dyadic_mesh(kind), windings)
+    h = hashlib.sha256()
+    for rows in ("lower", "upper", "pot", "rhs", "pinned", "diag"):
+        a = np.ascontiguousarray(getattr(op, rows))
+        h.update(f"{a.shape}{a.dtype.str}".encode())
+        h.update(a.tobytes())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_apply_refuses_a_wrong_length():
-    op = gv.radial_operator(gv.build_grid(10.0, 100), 1)
+    op = _rows(gv.build_grid(10.0, 100), 1)
     with pytest.raises(gv.LengthMismatch):
         op.apply(np.ones(100))
 
@@ -217,7 +273,7 @@ def test_apply_refuses_a_wrong_length():
 def test_boundary_spec_errors():
     g = gv.build_grid(8.0, 64)
     with pytest.raises(gv.BadBoundarySpec):
-        gv.radial_operator(g, -1)
+        gv.radial_operator(g, (1, -1))
 
 
 def test_tail_row_consistency():
@@ -230,7 +286,7 @@ def test_tail_row_consistency():
     for t, a in ((1.0, -0.5), (0.7, 2.0)):
         for N in (200, 400):
             g = gv.build_grid(40.0, N)
-            op = gv.radial_operator(g, n)
+            op = _rows(g, n)
             u = t + a / np.maximum(g.nodes, 1e-30) ** 2
             u[0] = 0.0  # the origin row pins u(0) = 0 for n != 0
             R = g.R_max
