@@ -538,11 +538,50 @@ def profile_to_json(profile: Profile) -> str:
     return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
+# a text with at most this many brackets nests no deeper, which keeps
+# orjson's parse and _rounded_big_int's walk shallow: orjson 3.8 has no
+# depth limit of its own, and deep enough nesting crashes the interpreter
+_ORJSON_MAX_BRACKETS = 64
+
+
+def _rounded_big_int(value) -> bool:
+    """Whether value holds a float that orjson may have read from an integer
+    literal beyond 64 bits, which stdlib json keeps as an exact int."""
+    if isinstance(value, float):
+        return abs(value) >= 2.0 ** 63
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return False
+    return any(map(_rounded_big_int, value))
+
+
+def _load_profile_json(text: str):
+    """The JSON value of a profile file, as stdlib json reads it: orjson
+    reads it where the two agree, and model.parse_json everywhere else."""
+    if text.count("[") + text.count("{") <= _ORJSON_MAX_BRACKETS:
+        try:
+            obj = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            # NaN and Infinity tokens, numbers beyond the float range, lone
+            # surrogates and trailing text: stdlib json reads some of them
+            # (such a file loads and then fails verify) and rejects the
+            # rest in its own words
+            pass
+        else:
+            # an int and a float take different paths through the checks
+            # and their messages; array entries become float64 either way,
+            # to the same value
+            if not (isinstance(obj, dict) and _rounded_big_int(
+                    [v for k, v in obj.items()
+                     if k not in ("f_plus", "f_minus")])):
+                return obj
+    return parse_json(text)
+
+
 def profile_from_json(text: str) -> Profile:
     """Parse a profile file; every malformed field raises ValueError."""
-    # stdlib json, not orjson, which rejects a NaN token: such a file loads
-    # and then fails verify
-    obj = parse_json(text)
+    obj = _load_profile_json(text)
     if not isinstance(obj, dict):
         raise ValueError("a profile must be a JSON object")
     coupling_from_json(obj.get("params"))  # strict keys, numbers, hypothesis

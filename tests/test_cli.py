@@ -1158,3 +1158,33 @@ def test_cli_commands_import_no_scipy_module(tmp_path):
     assert report["codes"][1] in (0, 3)         # a coarse grid may fail checks
     assert report["sweep_records"] == 3
     assert report["scipy"] == []
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize("brackets", [
+    solver._ORJSON_MAX_BRACKETS - 1, solver._ORJSON_MAX_BRACKETS,
+    solver._ORJSON_MAX_BRACKETS + 1, 5000, 200_000])
+def test_deeply_nested_profile_ends_in_an_exit_code(tmp_path, profile_text,
+                                                     command, brackets):
+    # a profile with a nested value under an unknown key, its bracket count
+    # about the bound of orjson's parse and far beyond it: the file loads,
+    # or is one ValueError line as too deep, and the interpreter never
+    # crashes (a signal, which a child reports as a negative return code)
+    nested = brackets - profile_text.count("[") - profile_text.count("{")
+    deep = tmp_path / "deep.json"
+    deep.write_text(profile_text.replace(
+        "{", '{"deep":' + "[" * nested + "]" * nested + ",", 1))
+    argv = [command, str(deep)] + (
+        ["profiles", "--out", str(tmp_path / "out.csv")]
+        if command == "export" else [])
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", "import sys; sys.path.insert(0, "
+         "sys.argv[1]); from glvortex import cli; "
+         "sys.exit(cli.main(sys.argv[2:]))", str(SRC), *argv],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode in (0, 1, 3), done.stderr
+    lines = [json.loads(line) for line in done.stderr.splitlines()]
+    if brackets <= solver._ORJSON_MAX_BRACKETS + 1:
+        assert done.returncode in (0, 3), done.stderr
+    if done.returncode == 1:
+        assert [line["error"] for line in lines] == ["ValueError"]

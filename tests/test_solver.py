@@ -1,11 +1,12 @@
 import gc
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import solve_banded
@@ -408,6 +409,16 @@ def _small_profile(f_plus, f_minus):
                       report=gv.SolveReport((3, 2), 4.5e-13, 1e-10, 0.25))
 
 
+def _spy_stdlib_json(mp):
+    """Calls of stdlib json's parser, through every name solver reaches."""
+    calls = []
+    def spy(real):
+        return lambda *a, **kw: calls.append(a) or real(*a, **kw)
+    mp.setattr(json, "loads", spy(json.loads))
+    mp.setattr(solver, "parse_json", spy(solver.parse_json))
+    return calls
+
+
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                 1.7976931348623157e308, -1.7976931348623157e308, 1e-05, 1e16,
                 0.1, 1e15, 123456789012345680.0]
@@ -422,7 +433,11 @@ _finite_arrays = st.lists(st.floats(allow_nan=False, allow_infinity=False),
 def test_profile_json_floats_roundtrip_bit_for_bit(f_plus, f_minus):
     prof = _small_profile(np.array(f_plus), np.array(f_minus))
     text = gv.profile_to_json(prof)
-    back = gv.profile_from_json(text)
+    # orjson reads writer output: stdlib json is never asked
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_stdlib_json(mp)
+        back = gv.profile_from_json(text)
+    assert calls == []
     for a, b in ((back.f[0], prof.f[0]), (back.f[1], prof.f[1])):
         assert a.tobytes() == b.tobytes()
     assert back.report == prof.report and back.params == prof.params
@@ -501,6 +516,133 @@ def test_profile_json_rejects_a_non_object_and_negative_iterations():
     obj["report"]["iterations"] = [3, -1]
     with pytest.raises(ValueError, match="list of iteration counts"):
         gv.profile_from_json(json.dumps(obj))
+
+
+class _Token(str):
+    """A bare token that JSON text holds in place of a value."""
+
+
+def _profile_text(f_plus, f_minus, edit=None):
+    """Writer output of a small profile; edit = (path, value) replaces the
+    value at that key path, a _Token by its bare text."""
+    text = gv.profile_to_json(_small_profile(np.array(f_plus),
+                                             np.array(f_minus)))
+    if edit is None:
+        return text
+    path, value = edit
+    obj = json.loads(text)
+    *parents, last = path
+    node = obj
+    for key in parents:
+        node = node[key]
+    node[last] = "@token@" if isinstance(value, _Token) else value
+    text = json.dumps(obj)
+    if isinstance(value, _Token):
+        text = text.replace('"@token@"', value)
+    return text
+
+
+def _read(text):
+    """profile_from_json's result in comparable form: every field with its
+    types, the arrays by their bytes, or the exception's type and message."""
+    try:
+        p = gv.profile_from_json(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    typed = [(type(v), repr(v)) for v in
+             (*astuple(p.params), *astuple(p.degrees), *p.report.iterations,
+              *astuple(p.report)[1:], *p.grid.as_dict().values())]
+    return typed, p.f.dtype, p.f.shape, p.f.tobytes(), p.grid.nodes.tobytes()
+
+
+def _read_by_stdlib(text):
+    """_read with orjson refusing every text, so stdlib json parses it."""
+    def refuse(text):
+        raise orjson.JSONDecodeError("refused", "", 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver.orjson, "loads", refuse)
+        return _read(text)
+
+
+# every place a value of the file is read from, and values on which orjson
+# and stdlib json differ: integers beyond 64 bits (orjson's floats) and
+# beyond the float range, tokens orjson refuses, entries of the wrong type
+_PLACES = [("params", k) for k in ("A_plus", "A_minus", "B", "t_plus",
+                                   "t_minus")] + [
+    ("degrees", "n_plus"), ("degrees", "n_minus"), ("grid", "R_max"),
+    ("grid", "N"), ("grid", "kind"), ("grid", "stretch"),
+    ("report", "final_residual"), ("report", "tolerance"),
+    ("report", "wall_time"), ("report", "iterations", 1), ("f_plus", 3),
+    ("f_minus", 0), ("far_field",), ("unknown",)]
+_EDGE_VALUES = [
+    2 ** 63, 2 ** 64, 2 ** 64 + 1, -2 ** 63 - 1, 10 ** 30, 2 ** 63 - 1,
+    -2 ** 63, 10 ** 308, 10 ** 400, -10 ** 400, 2.0 ** 63, 1e308,
+    _Token("NaN"), _Token("Infinity"), _Token("-Infinity"), _Token("1e400"),
+    _Token("-1e400"), _Token("1e-400"), _Token("-0"), _Token("-0.0"),
+    _Token("1E+2"), True, None, "0.5", "\ud800", [2 ** 64], {"n": 2 ** 64}]
+_TEXT_EDITS = {
+    "bom": lambda t: "\ufeff" + t,
+    "whitespace": lambda t: " \n\t\r" + t + "\r\n \t",
+    "trailing_garbage": lambda t: t + "x",
+    "trailing_value": lambda t: t + " {}",
+    # stdlib json keeps the last of a duplicate key
+    "duplicate_params": lambda t: t.replace(
+        "{", '{"params":{"A_plus":2,"A_minus":1,"B":0,"t_plus":1,'
+        '"t_minus":1},', 1),
+    "duplicate_big_params": lambda t: t.replace(
+        "}", '},"params":{"A_plus":18446744073709551616,"A_minus":1.0,'
+        '"B":0.5,"t_plus":1.0,"t_minus":1.0}', 1),
+    "lone_surrogate_key": lambda t: t.replace("{", '{"\\ud800":1,', 1),
+    "raw_lone_surrogate": lambda t: t.replace("{", '{"x":"\ud800",', 1),
+    "nested_under_bound": lambda t: t.replace(
+        "{", '{"x":' + "[" * 50 + "]" * 50 + ",", 1),
+    "nested_over_bound": lambda t: t.replace(
+        "{", '{"x":' + "[" * 70 + "]" * 70 + ",", 1),
+    "not_an_object": lambda t: "[18446744073709551616]",
+}
+_ONES = [1.0] * 17
+
+
+def test_profile_json_edge_files_read_as_stdlib_json_reads_them():
+    # orjson parses a profile file only where it agrees with stdlib json:
+    # the same profile, field types included, or the same error
+    texts = [_profile_text(_ONES, _ONES, (place, value))
+             for place in _PLACES for value in _EDGE_VALUES]
+    base = _profile_text(_EDGE_FLOATS + [1.0] * 5,
+                         _EDGE_FLOATS[::-1] + [-0.0] * 5)
+    texts += [edit(base) for edit in _TEXT_EDITS.values()]
+    for text in texts:
+        assert _read(text) == _read_by_stdlib(text), text[:200]
+
+
+_json_values = st.one_of(
+    st.sampled_from(_EDGE_VALUES), st.none(), st.booleans(),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.floats(), st.text(max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(f_plus=_finite_arrays, f_minus=_finite_arrays,
+       edit=st.none() | st.tuples(st.sampled_from(_PLACES), _json_values))
+@example(f_plus=_EDGE_FLOATS + [1.0] * 5,
+         f_minus=_EDGE_FLOATS[::-1] + [-0.0] * 5, edit=None)
+@example(f_plus=_ONES, f_minus=_ONES, edit=(("f_plus", 0), _Token("NaN")))
+@example(f_plus=_ONES, f_minus=_ONES,
+         edit=(("report", "wall_time"), 2 ** 64))
+def test_profile_json_reads_as_stdlib_json_reads(f_plus, f_minus, edit):
+    text = _profile_text(f_plus, f_minus, edit)
+    assert _read(text) == _read_by_stdlib(text)
+
+
+def test_writer_output_is_read_by_orjson(reference_profiles):
+    texts = {name: gv.profile_to_json(p)
+             for name, p in reference_profiles.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_stdlib_json(mp)
+        for name, text in texts.items():
+            back = gv.profile_from_json(text)
+            assert back.f.tobytes() == reference_profiles[name].f.tobytes()
+    assert calls == []
 
 
 def test_warm_start_keeps_positivity_check(coarse_grid):
