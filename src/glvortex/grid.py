@@ -117,20 +117,25 @@ def build_grid(R_max: float, N: int, kind: str = "uniform",
 
 
 def grid_from_json(obj) -> RadialGrid:
-    """Build the grid of a JSON object {"R_max", "N", "kind", "stretch"}."""
+    """Build the grid of a JSON object {"R_max", "N", "kind", "stretch"};
+    R_max and stretch are read as floats."""
     json_object(obj, ("R_max", "N", "kind", "stretch"), "grid")
+    stretch = obj["stretch"]
     if not (is_integer(obj["N"]) and is_number(obj["R_max"])
-            and (obj["stretch"] is None or is_number(obj["stretch"]))):
-        raise ValueError("grid needs an integer N, a number R_max and a "
-                         "number or null stretch")
-    return build_grid(obj["R_max"], obj["N"], obj["kind"], obj["stretch"])
+            and isinstance(obj["kind"], str)
+            and (stretch is None or is_number(stretch))):
+        raise ValueError("grid needs an integer N, a number R_max, a string "
+                         "kind and a number or null stretch")
+    return build_grid(float(obj["R_max"]), obj["N"], obj["kind"],
+                      None if stretch is None else float(stretch))
 
 
 def legacy_far_field(value, error=ValueError) -> None:
     """Check the far_field key of older configs and profile files: "robin",
     its one value, selects nothing, as radial_operator has one far row."""
     if value != "robin":
-        raise error(f"far_field {value!r}: only the legacy 'robin' is "
+        shown = repr(value) if isinstance(value, str) else "(not a string)"
+        raise error(f"far_field {shown}: only the legacy 'robin' is "
                     "accepted, the other far rows were removed")
 
 

@@ -197,6 +197,12 @@ def is_number(value) -> bool:
         return False
 
 
+# orjson reads an integer literal outside [-2^63, 2^64) as a float and
+# stdlib json as an int, so the integer fields of a file stay below 2^63 in
+# magnitude
+INT_BOUND = 2 ** 63
+
+
 def is_integer(value) -> bool:
     """A JSON integer; true and false do not count."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -234,10 +240,11 @@ def bec_from_json(obj) -> BecParams:
 
 
 def degrees_from_json(obj) -> tuple:
-    """The integer windings (n_plus, n_minus) of a JSON object, each with n^2
-    a finite float; the caller decides what a negative one means."""
+    """The integer windings (n_plus, n_minus) of a JSON object, each of
+    magnitude below INT_BOUND; the caller decides what a negative one
+    means."""
     json_object(obj, ("n_plus", "n_minus"), "degrees")
-    if not all(is_integer(n) and is_number(n * n) for n in obj.values()):
+    if not all(is_integer(n) and abs(n) < INT_BOUND for n in obj.values()):
         raise ValueError("degrees must be integers n_plus and n_minus "
-                         "whose squares are finite floats")
+                         "of magnitude below 2^63")
     return obj["n_plus"], obj["n_minus"]

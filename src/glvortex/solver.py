@@ -46,7 +46,7 @@ import orjson
 from .grid import (RadialGrid, grid_from_json, legacy_far_field,
                    radial_operator)
 from .lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
-from .model import (CouplingParams, DegreePair, coupling_from_json,
+from .model import (INT_BOUND, CouplingParams, DegreePair, coupling_from_json,
                     degrees_from_json, is_integer, is_number, parse_json)
 
 
@@ -514,12 +514,13 @@ def profile_to_json(profile: Profile) -> str:
     """Serialize a profile as compact strict JSON.
 
     Floats are written in their shortest round-trip form, so the arrays load
-    back bit for bit.  A non-finite number raises ValueError: strict JSON
-    has no token for it, and orjson would write null, which
+    back bit for bit; params are written as floats, the type
+    profile_from_json reads them as.  A non-finite number raises ValueError:
+    strict JSON has no token for it, and orjson would write null, which
     profile_from_json rejects.
     """
     obj = {
-        "params": asdict(profile.params),
+        "params": {k: float(v) for k, v in asdict(profile.params).items()},
         "degrees": asdict(profile.degrees),
         "grid": profile.grid.as_dict(),
         "f_plus": profile.f[0].tolist(),
@@ -539,53 +540,38 @@ def profile_to_json(profile: Profile) -> str:
 
 
 # a text with at most this many brackets nests no deeper, which keeps
-# orjson's parse and _rounded_big_int's walk shallow: orjson 3.8 has no
-# depth limit of its own, and deep enough nesting crashes the interpreter
+# orjson's parse shallow: orjson 3.8 has no depth limit of its own, and deep
+# enough nesting crashes the interpreter
 _ORJSON_MAX_BRACKETS = 64
 
 
-def _rounded_big_int(value) -> bool:
-    """Whether value holds a float that orjson may have read from an integer
-    literal beyond 64 bits, which stdlib json keeps as an exact int."""
-    if isinstance(value, float):
-        return abs(value) >= 2.0 ** 63
-    if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, list):
-        return False
-    return any(map(_rounded_big_int, value))
-
-
 def _load_profile_json(text: str):
-    """The JSON value of a profile file, as stdlib json reads it: orjson
-    reads it where the two agree, and model.parse_json everywhere else."""
+    """The JSON value of a profile file: orjson reads it, model.parse_json
+    what nests too deep for orjson or what orjson refuses.  The two differ
+    only on integers outside [-2^63, 2^64) (an orjson float, a stdlib int),
+    which no field of profile_from_json tells apart."""
     if text.count("[") + text.count("{") <= _ORJSON_MAX_BRACKETS:
         try:
-            obj = orjson.loads(text)
+            return orjson.loads(text)
         except orjson.JSONDecodeError:
             # NaN and Infinity tokens, numbers beyond the float range, lone
             # surrogates and trailing text: stdlib json reads some of them
             # (such a file loads and then fails verify) and rejects the
             # rest in its own words
             pass
-        else:
-            # an int and a float take different paths through the checks
-            # and their messages; array entries become float64 either way,
-            # to the same value
-            if not (isinstance(obj, dict) and _rounded_big_int(
-                    [v for k, v in obj.items()
-                     if k not in ("f_plus", "f_minus")])):
-                return obj
     return parse_json(text)
 
 
 def profile_from_json(text: str) -> Profile:
-    """Parse a profile file; every malformed field raises ValueError."""
+    """Parse a profile file; every malformed field raises ValueError.
+
+    Each field has one type, as in a config: params, the report's numbers,
+    R_max and stretch are floats, windings and iteration counts ints below
+    2^63 in magnitude."""
     obj = _load_profile_json(text)
     if not isinstance(obj, dict):
         raise ValueError("a profile must be a JSON object")
-    coupling_from_json(obj.get("params"))  # strict keys, numbers, hypothesis
-    params = CouplingParams(**obj["params"])  # as written: rewrites match
+    params = coupling_from_json(obj.get("params"))
     degrees = DegreePair(*degrees_from_json(obj.get("degrees")))
     g = obj.get("grid")
     n_nodes = g.get("N") if isinstance(g, dict) else None
@@ -614,10 +600,11 @@ def profile_from_json(text: str) -> Profile:
     iterations = rep.get("iterations")
     numbers = ("final_residual", "tolerance", "wall_time")
     if not (isinstance(iterations, list)
-            and all(is_integer(i) and i >= 0 for i in iterations)
+            and all(is_integer(i) and 0 <= i < INT_BOUND for i in iterations)
             and all(is_number(rep.get(k)) for k in numbers)):
-        raise ValueError("report needs a list of iteration counts and "
-                         "numbers final_residual, tolerance, wall_time")
-    report = SolveReport(tuple(iterations), *(rep[k] for k in numbers))
+        raise ValueError("report needs a list of iteration counts below "
+                         "2^63 and numbers final_residual, tolerance, "
+                         "wall_time")
+    report = SolveReport(tuple(iterations), *(float(rep[k]) for k in numbers))
     return Profile(grid=grid, params=params, degrees=degrees,
                    f=f, report=report)

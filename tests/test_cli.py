@@ -611,6 +611,74 @@ def test_grid_beyond_the_float_range_is_a_json_error(tmp_path, capsys,
     assert json.loads(line)["error"] == "BadGridSpec"
 
 
+@pytest.mark.parametrize("command, code", [("solve", 0), ("verify", 3)])
+def test_integer_r_max_beyond_64_bits_reads_as_its_float(tmp_path, capsys,
+                                                         profile_text,
+                                                         command, code):
+    # an integer R_max of 2^64 is the float 2^64, in a config and in a
+    # profile file alike: the same exit code, output and written profile,
+    # with JSON lines only on stderr (run checks each), where numpy once
+    # raised a TypeError on the int
+    results = []
+    for R_max in (2 ** 64, 2.0 ** 64):
+        if command == "solve":
+            cfg = write_config(tmp_path / "cfg.json",
+                               grid={"R_max": R_max, "N": 200})
+            out = tmp_path / "p.json"
+            result = run(capsys, "solve", "--config", str(cfg),
+                         "--out", str(out))
+            summary = json.loads(result[1])
+            del summary["wall_time"]
+            prof = gv.profile_from_json(out.read_text())
+            result += (summary, prof.grid.as_dict(), prof.f.tobytes())
+        else:
+            obj = json.loads(profile_text)
+            obj["grid"]["R_max"] = R_max
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(obj))
+            result = run(capsys, "verify", str(path))
+        assert result[0] == code
+        results.append(result[:1] + result[2:] if command == "solve"
+                       else result)
+    assert results[0] == results[1]
+
+
+def test_params_and_counts_have_one_type_in_configs_and_profiles(
+        tmp_path, profile_text):
+    # int-valued params are floats whether a config or a profile file
+    # holds them, and a winding or an iteration count of magnitude 2^63,
+    # past the integers orjson and stdlib json both read as ints in either
+    # sign, is a ValueError in both
+    params = {"A_plus": 2, "A_minus": 1, "B": 0, "t_plus": 1, "t_minus": 1}
+    cfg = load_config(str(write_config(tmp_path / "cfg.json", params=params)))
+    obj = json.loads(profile_text)
+    obj["params"] = params
+    prof = gv.profile_from_json(json.dumps(obj))
+    assert cfg["params"] == prof.params
+    for p in (cfg["params"], prof.params):
+        assert [type(v) for v in vars(p).values()] == [float] * 5
+    def files(n_plus):
+        degrees = {"n_plus": n_plus, "n_minus": 1}
+        return (str(write_config(tmp_path / "cfg.json", degrees=degrees)),
+                json.dumps({**json.loads(profile_text), "degrees": degrees}))
+    for n in (2 ** 63, -2 ** 63):
+        path, text = files(n)
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            load_config(path)
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            gv.profile_from_json(text)
+    path, text = files(2 ** 63 - 1)
+    assert load_config(path)["degrees"].n_plus == 2 ** 63 - 1
+    assert gv.profile_from_json(text).degrees.n_plus == 2 ** 63 - 1
+    obj = json.loads(profile_text)
+    obj["report"]["iterations"] = [2 ** 63 - 1]
+    assert gv.profile_from_json(json.dumps(obj)).report.iterations == (
+        2 ** 63 - 1,)
+    obj["report"]["iterations"] = [2 ** 63]
+    with pytest.raises(ValueError, match="iteration counts below 2\\^63"):
+        gv.profile_from_json(json.dumps(obj))
+
+
 @pytest.mark.parametrize("solve", [
     {"tolerance": True},
     {"tolerance": "1e-10"},

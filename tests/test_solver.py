@@ -615,6 +615,22 @@ def test_profile_json_edge_files_read_as_stdlib_json_reads_them():
         assert _read(text) == _read_by_stdlib(text), text[:200]
 
 
+@pytest.mark.parametrize("place", [("params", "A_plus"),
+                                   ("report", "wall_time"),
+                                   ("grid", "R_max"), ("unknown",)])
+def test_big_integers_stay_on_orjson_path(place):
+    # orjson reads 2^64 as a float and stdlib json as an int; each field
+    # has one type, so orjson reads such a file alone, to the profile the
+    # stdlib read gives
+    text = _profile_text(_ONES, _ONES, (place, 2 ** 64))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_stdlib_json(mp)
+        read = _read(text)
+    assert calls == []
+    assert isinstance(read[0], list)    # a profile, not an error
+    assert read == _read_by_stdlib(text)
+
+
 _json_values = st.one_of(
     st.sampled_from(_EDGE_VALUES), st.none(), st.booleans(),
     st.integers(min_value=-2 ** 70, max_value=2 ** 70),
