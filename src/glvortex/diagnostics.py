@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from . import asymptotics
-from .grid import quadrature, quadrature_upto
+from .grid import quadrature, quadrature_upto, radial_operator
 from .lapack import dpbtrf, dpbtrs
 from .model import CouplingParams, DegreePair, derived_bounds
 from .solver import POSITIVITY_TOL, Profile, jacobian, residual_norm
@@ -144,10 +144,11 @@ def second_variation_matrix(profile: Profile):
     """The discrete quadratic form of the energy around the profile.
 
     K = diag(m) J restricted to the retained unknowns, where J is the Newton
-    Jacobian of the discrete residual and m the finite-volume mass of each
-    node under r dr: the trapezoid weight r_i hbar_i inside and the exact
-    measure h_0^2/8 of the origin's half cell.  This mass turns the
-    conservative stencil into a symmetric matrix on any grid.  Components
+    Jacobian of the discrete residual and m the operator's row masses
+    (`grid.radial_operator`), the finite-volume mass of each node under
+    r dr: r_i hbar_i inside and the exact measure h_0^2/8 of the origin's
+    half cell.  This mass turns the conservative stencil into a symmetric
+    matrix on any grid, the one the solver factors at B = 0.  Components
     with nonzero winding lose the origin unknown (test functions vanish
     there); both components lose R_max (decaying perturbations).
 
@@ -155,10 +156,9 @@ def second_variation_matrix(profile: Profile):
     (rows: offset 2, offset 1, diagonal) over the retained unknowns,
     interleaved (+, -) per node, and masses the diagonal metric.
     """
-    g = profile.grid
-    m = g.weights.copy()
-    m[0] = g.nodes[1] ** 2 / 8.0
-    mass = np.repeat(m, 2)
+    n_plus, n_minus = profile.degrees.n_plus, profile.degrees.n_minus
+    # interleaved per node, as the band orders the unknowns
+    mass = radial_operator(profile.grid, (n_plus, n_minus)).mass.T.ravel()
     ab = jacobian(profile)  # ab[2 + i - j, j] = J[i, j]
     # the upper band of diag(m) J over every unknown but R_max's:
     # full[2 - k, j] is K[j - k, j]
@@ -168,15 +168,16 @@ def second_variation_matrix(profile: Profile):
     full[1, 1:] *= mass[:n - 1]
     full[0, 2:] *= mass[:n - 2]
     # the dropped origin unknowns lead the interleaved order, except the
-    # f_- one alone, which sits between (0, +) and (1, +): its column gives
-    # way to (0, +), whose neighbour (1, +) is then one column away
-    n_plus, n_minus = profile.degrees.n_plus, profile.degrees.n_minus
+    # f_- one alone, which sits between (0, +) and (1, +): its column and
+    # its mass give way to (0, +), whose neighbour (1, +) is then one
+    # column away
     first = (n_plus != 0) + (n_minus != 0)
-    band = full[:, first:]
+    band, masses = full[:, first:], mass[first:n]
     if n_minus and not n_plus:
         band[2, 0], band[1, 1], band[0, 2] = full[2, 0], full[0, 2], 0.0
+        masses[0] = mass[0]
     band[1, 0] = band[0, :2] = 0.0    # outside K or on a dropped unknown
-    return band, mass[first:n]    # m is the same at (0, +) and (0, -)
+    return band, masses
 
 
 def _band_matvec(sym, u):

@@ -2,17 +2,18 @@
 
 All integrals carry the planar radial measure r dr.  `radial_operator`
 assembles the rows of -(1/r)(r u')' + n^2/r^2, conservative at half-nodes,
-which makes the operator self-adjoint in the r-weighted inner product.  The
-solver's residual evaluates these rows, its Jacobian reads their
-coefficients, and the Hessian is built from that Jacobian, so the three
-share one discretization.  At r = 0 the removable singularity for zero
-winding is handled with a ghost-free one-sided row (the radial Laplacian of
-an even function tends to 2 u''(0)); a nonzero winding pins u(0) = 0 in a
-row scaled to keep its place under LU pivoting.  The one far row at R_max
-imposes R u'(R) + 2 (u(R) - t) = 0, which every tail t + a/r^2 satisfies
-(Lentini & Keller's asymptotic boundary condition, SIAM J. Numer. Anal.
-17, 1980).  No row holds boundary data, only the far row's column rhs for
-t = 1, so a grid assembles each set of rows once.
+which makes the operator self-adjoint in the r-weighted inner product: its
+row masses m make diag(m) times the rows symmetric.  The solver's residual
+evaluates these rows, its Jacobian reads their coefficients, and both the
+decoupled Newton matrix and the Hessian are diag(m) times that Jacobian, so
+all of them share one discretization.  At r = 0 the removable singularity
+for zero winding is handled with a ghost-free one-sided row (the radial
+Laplacian of an even function tends to 2 u''(0)); a nonzero winding pins
+u(0) = 0 in a row scaled to keep its place under LU pivoting.  The one
+far row at R_max imposes R u'(R) + 2 (u(R) - t) = 0, which every tail
+t + a/r^2 satisfies (Lentini & Keller's asymptotic boundary condition,
+SIAM J. Numer. Anal. 17, 1980).  No row holds boundary data, only the far
+row's column rhs for t = 1, so a grid assembles each set of rows once.
 """
 
 from __future__ import annotations
@@ -173,8 +174,13 @@ class RadialOperator:
     tridiagonal coefficients are (lower, diag, upper) with
     diag = -(lower + upper) + pot.  pot is n^2/r^2 on equation rows, plus
     rhs[N] on the far row, and a power of two on the `pinned` rows, where
-    u = 0 replaces the equation.  The rows of k windings are arrays of
-    shape (k, N+1), row j for winding j, some of them broadcast views.
+    u = 0 replaces the equation.  mass holds the row weights m that make
+    diag(m) times the rows symmetric, m[i] upper[i] = m[i+1] lower[i+1] up
+    to roundoff: the finite-volume mass r_i hbar_i of the measure r dr at
+    interior nodes, r_1^2/8 at an n = 0 origin, m[N-1] upper[N-1] /
+    lower[N] on the far row, and 1 on a pinned row, which has no upper
+    entry.  The rows of k windings are arrays of shape (k, N+1), row j for
+    winding j, some of them broadcast views.
     """
 
     lower: np.ndarray = field(repr=False)
@@ -183,6 +189,7 @@ class RadialOperator:
     rhs: np.ndarray = field(repr=False)
     pinned: np.ndarray = field(repr=False)
     diag: np.ndarray = field(repr=False)
+    mass: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         for rows in vars(self).values():
@@ -249,7 +256,14 @@ def radial_operator(grid: RadialGrid, windings: tuple) -> RadialOperator:
     lower[-1] = c_in + c_out
     rhs[-1] = -c_out * 2.0 * hN * 2.0 / r[-1]
     pot[:, -1] += rhs[-1]
+    # the masses that symmetrize the rows: the origin's half cell h_0^2/8
+    # for n = 0, 1 on a pinned row, and on the far row the weight that
+    # matches its lower entry to the symmetric entry above it
+    mass = np.empty_like(pot)
+    mass[:, 1:-1] = r[1:-1] * hbar
+    mass[:, :1] = np.where(pinned[:, :1], 1.0, r[1] ** 2 / 8.0)
+    mass[:, -1] = mass[:, -2] * upper[:, -2] / lower[-1]
     op = grid._operators[windings] = RadialOperator(*(
         np.broadcast_to(a, (len(windings), len(r))) for a in
-        (lower, upper, pot, rhs, pinned, -(lower + upper) + pot)))
+        (lower, upper, pot, rhs, pinned, -(lower + upper) + pot, mass)))
     return op

@@ -17,5 +17,5 @@ if _spec is None:
     raise ImportError("LAPACK extension scipy.linalg._flapack not found")
 _flapack = module_from_spec(_spec)
 _spec.loader.exec_module(_flapack)
-dgbtrf, dgbtrs, dgttrf, dgttrs, dpbtrf, dpbtrs = map(vars(_flapack).get, (
-    "dgbtrf", "dgbtrs", "dgttrf", "dgttrs", "dpbtrf", "dpbtrs"))
+dgbtrf, dgbtrs, dpbtrf, dpbtrs, dpttrf, dpttrs = map(vars(_flapack).get, (
+    "dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs", "dpttrf", "dpttrs"))

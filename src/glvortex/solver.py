@@ -9,10 +9,24 @@ grid's rows for the winding pair.  Interleaved per node, the exact
 Jacobian is banded with two sub/super-diagonals and a banded LU solve costs
 O(N).  A solve or sweep owns one LAPACK band buffer: each Newton iteration
 writes the Jacobian into it, factors it in place (`dgbtrf`) and solves in
-one right-hand side (`dgbtrs`).  At B = 0 the Jacobian is one tridiagonal
-system, the components' blocks end to end, which the same buffer holds and
-one `dgttrf` and one `dgttrs` call factor and solve at a fraction of the
-band's cost.
+one right-hand side (`dgbtrs`).
+
+At B = 0 the components decouple, and each component's Jacobian J times
+the operator's row masses m (`grid.radial_operator`) is a symmetric
+tridiagonal K = diag(m) J, the cooperative structure of the paper's
+comparison argument.  K is positive definite where Newton meets it.  At
+the ansatz f0 = t s^(n/2), s = r^2/(r^2 + c), c = n/(A t^2), each row's
+potential is n^2/r^2 + A (3 f0^2 - t^2) = A t^2 [n (1 - s)/s + 3 s^n - 1]
+>= ln(3) A t^2 > 1.09 A t^2 (2 A t^2 for n = 0), on top of the weakly
+diagonally dominant stencil.  At the solution K is a symmetric Z-matrix
+with K f = m (2 A f^3 + t rhs) >= 0 for f > 0, so a nonsingular M-matrix.
+So the step solves K x = m g, both components' blocks end to end, with one
+LDL^T factorization without pivoting (`dpttrf`) and one solve (`dpttrs`)
+in the same buffer, at about a quarter of the band's cost.  A pinned
+origin row 2^e u(0) = g has no upper entry and mass 1: it is a block of
+its own whose step is g / 2^e exactly, and the row below it, whose lower
+entry has no symmetric partner, takes m_1 lower[1] g / 2^e into its
+right-hand side instead.
 
 Globalization is by backtracking on the residual sup-norm plus continuation
 in the interaction coefficient B from the decoupled system (B = 0), whose
@@ -20,15 +34,15 @@ components are independent scalar Ginzburg-Landau profiles.  One engine,
 `continuation_sweep`, steps B for every caller; `continuation_solve` is its
 one-target call.  Each leg from a converged B to the next target first
 tries one direct step.  Each step starts from the tangent predictor
-f + ΔB·ḟ, where J ḟ = -∂G/∂B is solved on the LU of the previous step's
-last Newton iteration, so the predictor costs no extra factorization.  A
-step that fails is halved and retried from the last converged profile, and
-after a success the step length doubles again, up to the whole leg; a step
-halved _MAX_HALVINGS times that still fails ends the leg.  The positive
-solution is unique on the admissible set, so every path reaches the same
-profile.  Positivity is not enforced during iteration, only verified at
-convergence: the continuum solution is strictly positive and projections
-would break Newton's local theory.
+f + ΔB·ḟ, where J ḟ = -∂G/∂B is solved on the factor of the previous
+step's last Newton iteration, so the predictor costs no extra
+factorization.  A step that fails is halved and retried from the last
+converged profile, and after a success the step length doubles again, up
+to the whole leg; a step halved _MAX_HALVINGS times that still fails ends
+the leg.  The positive solution is unique on the admissible set, so every
+path reaches the same profile.  Positivity is not enforced during
+iteration, only verified at convergence: the continuum solution is
+strictly positive and projections would break Newton's local theory.
 
 All inputs are immutable; a solve owns its output arrays and its work
 buffers, so independent solves can run concurrently.
@@ -45,7 +59,7 @@ import orjson
 
 from .grid import (RadialGrid, grid_from_json, legacy_far_field,
                    radial_operator)
-from .lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+from .lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 from .model import (INT_BOUND, CouplingParams, DegreePair, coupling_from_json,
                     degrees_from_json, is_integer, is_number, parse_json)
 
@@ -72,7 +86,8 @@ class NoConvergence(_SolveFailure):
 
 
 class SingularJacobian(_SolveFailure):
-    """The banded LU factorization of the Jacobian broke down, or the
+    """The factorization of the Jacobian broke down (a zero pivot of the
+    band LU, or a decoupled matrix that is not positive definite), or the
     Newton state or step is not finite."""
 
 
@@ -203,57 +218,70 @@ class _BandLU:
     A coupled system interleaves the components per node, so its Jacobian
     is one band with (kl, ku) = (2, 2): `jacobian_banded` writes it into
     rows 2..6, LAPACK's `dgbtrf` factors it in place with its fill-in in
-    rows 0..1, and `dgbtrs` solves on it.  At B = 0 the components
-    decouple, so the same memory holds one tridiagonal system of 2N+2
-    unknowns, the components' diagonals (dl, d, du, du2) end to end, that
-    `dgttrf` factors in place and `dgttrs` solves on; its junction entries,
-    the rows' lower[0] and upper[N], are 0, so pivoting never crosses them.
+    rows 0..1, and `dgbtrs` solves on it.  A pinned origin row
+    2^e u(0) = 0 (`grid.radial_operator`) outweighs its column, so pivoting
+    never moves it and its step entry is g / 2^e exactly.
+
+    At B = 0 the components decouple and the first 4N+4 entries of the same
+    memory hold the two rows d and e of K = diag(m) J, the components'
+    blocks end to end: d = m times the Jacobian's diagonal, e = m upper,
+    whose junction entry m upper[N] is 0.  `dpttrf` factors K = L D L^T in
+    place and `dpttrs` solves K x = m g.  K is positive definite at the
+    ansatz and at the solution (see the module docstring); a factorization
+    that meets a pivot <= 0 is a SingularJacobian.  A pinned row's e entry
+    is 0 and its mass 1, so its pivot is its diagonal 2^e and its step
+    g / 2^e exactly; the row below it, whose lower entry K leaves out, takes
+    -m_1 lower[1] g / 2^e into its right-hand side, which eliminates it.
     The coefficients pick the path; the two give the same step up to
-    roundoff.  A pinned origin row 2^e u(0) = 0 (`grid.radial_operator`)
-    outweighs its column, so neither LU moves it and its step entry is
-    g / 2^e exactly.
+    roundoff.
     """
 
     def __init__(self, n_nodes: int):
         memory = np.empty(14 * n_nodes)
         self.ab = memory.reshape((7, 2 * n_nodes), order="F")
-        # the rows lower, diagonal, upper and fill, each (2, n_nodes)
-        self.tri = memory[:8 * n_nodes].reshape(4, 2, n_nodes)
-        dl, d, du, du2 = self.tri.reshape(4, -1)
-        self.diagonals = (dl[1:], d, du[:-1], du2[:-2])
+        # at B = 0: the rows d and e of K, each (2, n_nodes)
+        self.tri = memory[:4 * n_nodes].reshape(2, 2, n_nodes)
+        d, e = self.tri.reshape(2, -1)
+        self.diagonals = (d, e[:-1])
         self.rhs = np.empty(2 * n_nodes)
-        self.ipiv = None            # None until a factorization succeeds
+        self.factored = False       # True once a factorization succeeds
 
     def factor(self, sys, f):
         """Assemble the Jacobian at f and factor it in place."""
-        self.ipiv = None
+        self.factored = False
         self.decoupled = sys.params.B == 0.0
         if self.decoupled:
-            self.tri[0] = sys.op.lower
-            sys.jacobian_diagonal(f, self.tri[1])
-            self.tri[2] = sys.op.upper
-            dl, d, du, du2 = self.diagonals
-            *_, fill, ipiv, info = dgttrf(dl, d, du, overwrite_dl=1,
-                                          overwrite_d=1, overwrite_du=1)
+            op = self.op = sys.op
+            d, e = self.tri
+            sys.jacobian_diagonal(f, d)
+            d *= op.mass
+            np.multiply(op.mass, op.upper, out=e)
+            *_, info = dpttrf(*self.diagonals, overwrite_d=1, overwrite_e=1)
             if info != 0:
-                raise SingularJacobian(f"dgttrf info {info} (zero pivot)")
-            du2[...] = fill
+                raise SingularJacobian(
+                    f"dpttrf info {info} (not positive definite)")
         else:
             sys.jacobian_banded(f, out=self.ab[2:])
-            _, ipiv, info = dgbtrf(self.ab, 2, 2, overwrite_ab=1)
+            _, self.ipiv, info = dgbtrf(self.ab, 2, 2, overwrite_ab=1)
             if info != 0:
                 raise SingularJacobian(f"dgbtrf info {info} (zero pivot)")
-        self.ipiv = ipiv
+        self.factored = True
 
     def solve(self, g):
-        """Solve J x = g on the last LU; returns x, shaped as g, as a view
-        of the rhs buffer valid until the next solve."""
-        x = (self.rhs.reshape(2, -1) if self.decoupled
-             else self.rhs.reshape(-1, 2).T)
-        x[...] = g
+        """Solve J x = g on the last factorization; returns x, shaped as g,
+        as a view of the rhs buffer valid until the next solve."""
         if self.decoupled:
-            dgttrs(*self.diagonals, self.ipiv, self.rhs, overwrite_b=1)
+            op, x = self.op, self.rhs.reshape(2, -1)
+            np.multiply(g, op.mass, out=x)
+            for k in np.flatnonzero(op.pinned[:, 0]):
+                # the pinned pivot d[k, 0] is the row's 2^e, which dpttrf
+                # leaves as it is
+                x[k, 1] -= op.mass[k, 1] * op.lower[k, 1] * (
+                    x[k, 0] / self.tri[0, k, 0])
+            dpttrs(*self.diagonals, self.rhs, overwrite_b=1)
         else:
+            x = self.rhs.reshape(-1, 2).T
+            x[...] = g
             dgbtrs(self.ab, 2, 2, self.rhs, self.ipiv, overwrite_b=1)
         if not np.all(np.isfinite(self.rhs)):
             raise SingularJacobian("non-finite solution of the banded system")
@@ -332,8 +360,8 @@ def _sup_norm(g) -> float:
 def _newton(sys, lu: _BandLU, f, options):
     """In-place Newton iteration on the state f and the LU buffers `lu`,
     followed by the positivity check; returns (iterations, residual norm).
-    On success `lu` holds the LU of the last iteration's Jacobian (none if
-    no iteration ran).  A failure carries the residual history: the
+    On success `lu` holds the factor of the last iteration's Jacobian (none
+    if no iteration ran).  A failure carries the residual history: the
     starting residual and one entry per completed iteration.
 
     The line search halves the step until the residual sup-norm decreases.
@@ -425,11 +453,11 @@ def continuation_sweep(params: CouplingParams, degrees: DegreePair, b_values,
         try:
             iters, norm = _newton(sys, lu, f, options)
             if want_tangent:
-                if lu.ipiv is None:     # no Newton iteration factored yet
+                if not lu.factored:     # no Newton iteration factored yet
                     lu.factor(sys, f)
                 tangent = -lu.solve(sys.residual_dB(f))
         except _SolveFailure as exc:
-            lu.ipiv = None      # the LU of a failed iterate predicts nothing
+            lu.factored = False  # a failed iterate's factor predicts nothing
             exc.B_value = b
             stages.append(exc.iterations if iters is None else iters)
             raise

@@ -304,6 +304,28 @@ def test_grid_roundtrip_dict():
     assert np.array_equal(g.weights, g2.weights)
 
 
+@pytest.mark.parametrize("kind,stretch", [("uniform", None),
+                                          ("geometric", 1.02)])
+@pytest.mark.parametrize("windings", [(0, 1), (3, 0)])
+def test_row_masses_symmetrize_the_rows(kind, stretch, windings):
+    # diag(m) times the rows is symmetric to a few ulps on the interior and
+    # far rows, m[i] upper[i] = m[i+1] lower[i+1], and at an n = 0 origin:
+    # the B = 0 Newton matrix and the Hessian both rely on these masses
+    g = gv.build_grid(30.0, 400, kind, stretch)
+    op = gv.radial_operator(g, windings)
+    above = op.mass[:, :-1] * op.upper[:, :-1]
+    below = op.mass[:, 1:] * op.lower[:, 1:]
+    gap = np.abs(above - below) / np.spacing(np.abs(below))
+    pinned = op.pinned[:, 0]
+    assert np.max(gap[~pinned]) <= 4.0
+    assert np.max(gap[pinned, 1:]) <= 4.0
+    assert np.all(op.mass > 0)
+    # a pinned row has mass 1 and no upper entry; an n = 0 origin the half
+    # cell's mass
+    assert np.all(op.mass[pinned, 0] == 1.0) and np.all(above[pinned, 0] == 0)
+    assert np.all(op.mass[~pinned, 0] == g.nodes[1] ** 2 / 8.0)
+
+
 def test_cell_masses_positive_and_consistent():
     # the second variation's finite-volume masses under r dr, read off the
     # n = 0 component: the origin's half cell, then r_i hbar_i, which is the

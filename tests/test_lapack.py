@@ -55,13 +55,18 @@ def test_routines_match_scipy_bit_for_bit(seed):
     lu, ipiv, info = _both("dgbtrf", ab, 2, 2, overwrite_ab=1)
     assert info == 0
     _both("dgbtrs", lu, 2, 2, rng.standard_normal(n), ipiv, overwrite_b=1)
-    # dgttrf/dgttrs on a tridiagonal system
-    dl, d, du = (rng.standard_normal(m) for m in (n - 1, n, n - 1))
-    dl, d, du, du2, piv, info = _both("dgttrf", dl, d, du, overwrite_dl=1,
-                                      overwrite_d=1, overwrite_du=1)
+    # dpttrf/dpttrs on a diagonally dominant symmetric tridiagonal system
+    # (every pivot >= 1), then with one diagonal entry -1, where both stop
+    # at that pivot
+    e = rng.uniform(-1.0, 1.0, n - 1)
+    d = 2.0 + rng.uniform(0.0, 1.0, n)
+    dd, ee, info = _both("dpttrf", d, e, overwrite_d=1, overwrite_e=1)
     assert info == 0
-    _both("dgttrs", dl, d, du, du2, piv, rng.standard_normal(n),
-          overwrite_b=1)
+    _both("dpttrs", dd, ee, rng.standard_normal(n), overwrite_b=1)
+    indefinite = d.copy()
+    indefinite[n // 2] = -1.0
+    *_, info = _both("dpttrf", indefinite, e, overwrite_d=1, overwrite_e=1)
+    assert info == n // 2 + 1
     # dpbtrf/dpbtrs on an upper band (kd = 2), diagonally dominant, then at
     # a shift beyond its smallest eigenvalue, where the factorization fails
     band = rng.uniform(-1.0, 1.0, (3, n))

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -163,28 +164,28 @@ def test_jacobian_decouples_at_zero_interaction(monkeypatch):
     ab = sys.jacobian_banded(f)
     assert np.max(np.abs(ab[1, 1::2])) == 0.0  # plus-row cross entries
     assert np.max(np.abs(ab[3, 0::2])) == 0.0  # minus-row cross entries
-    # the one tridiagonal system dgttrf factors holds the band's entries bit
-    # for bit, component k's block at nodes k(N+1) ... k(N+1) + N, and a
-    # zero at the junction of the two blocks
+    # the one symmetric tridiagonal system dpttrf factors is diag(m) times
+    # the band's entries, bit for bit, with m the operator's row masses:
+    # component k's block at nodes k(N+1) ... k(N+1) + N, and a zero
+    # off-diagonal entry at the junction of the two blocks
     seen = []
 
-    def spy(dl, d, du, **kwargs):
-        seen.append((dl.copy(), d.copy(), du.copy()))
-        return dgttrf(dl, d, du, **kwargs)
+    def spy(d, e, **kwargs):
+        seen.append((d.copy(), e.copy()))
+        return dpttrf(d, e, **kwargs)
 
-    dgttrf = solver.dgttrf
-    monkeypatch.setattr(solver, "dgttrf", spy)
+    dpttrf = solver.dpttrf
+    monkeypatch.setattr(solver, "dpttrf", spy)
     lu = _BandLU(g.N + 1)
     lu.ab[:] = np.nan
     lu.factor(sys, f)
-    (dl, d, du), = seen
+    (d, e), = seen
     n = g.N + 1
-    assert dl[n - 1] == du[n - 1] == 0.0
-    for k in (0, 1):
-        block = slice(k * n, k * n + n - 1)
-        assert np.array_equal(dl[block], ab[4, k:-2:2])
-        assert np.array_equal(d[k * n:k * n + n], ab[2, k::2])
-        assert np.array_equal(du[block], ab[0, 2 + k::2])
+    assert e.shape == (2 * n - 1,) and e[n - 1] == 0.0
+    for k, mass in enumerate(sys.op.mass):
+        assert np.array_equal(d[k * n:k * n + n], mass * ab[2, k::2])
+        assert np.array_equal(e[k * n:k * n + n - 1],
+                              mass[:-1] * ab[0, 2 + k::2])
 
 
 def test_jacobian_blocks_at_constant_state():
@@ -709,7 +710,7 @@ def _refined_band_solve(ab, rhs):
 @pytest.mark.parametrize("degrees", [(1, 1), (1, 0), (0, 1)])
 @pytest.mark.parametrize("kind", ["uniform", "geometric"])
 def test_band_lu_step_matches_solve_banded(degrees, kind):
-    # the in-place step, dgttrf/dgttrs on the two decoupled tridiagonal
+    # the in-place step, dpttrf/dpttrs on the two decoupled tridiagonal
     # systems at B = 0 and dgbtrf/dgbtrs on the coupled band, against
     # scipy's solve_banded on the same Jacobians.  One buffer starts as NaN
     # and is reused over several iterates of each system in turn, as in a
@@ -757,26 +758,26 @@ def test_band_lu_step_matches_solve_banded(degrees, kind):
 
 
 def test_band_lu_failures_raise_singular_jacobian():
-    # matrix column 5 is node 2 of the f_minus component; zeroed, it gives
-    # dgttrf on the f_minus block at B = 0, and dgbtrf on the coupled band,
-    # an exact zero pivot
+    # matrix column 5 is node 2 of the f_minus component: at B = 0 its
+    # diagonal entry set to -1 makes the f_minus block indefinite, so
+    # dpttrf meets a pivot < 0 there (LAPACK's 1-based row N + 4 of the two
+    # blocks end to end); zeroed on the coupled band, it gives dgbtrf an
+    # exact zero pivot
     g = gv.build_grid(10.0, 20)
     deg = gv.DegreePair(1, 1)
-    for B in (0.0, 0.5):
+    for B, message in ((0.0, r"dpttrf info 24 \(not positive definite\)"),
+                       (0.5, r"dgbtrf info \d+ \(zero pivot\)")):
         params = params_of(1, 1, B, 1, 1)
         sys = _DiscreteSystem(g, params, deg)
         if B == 0.0:
-            lower, upper = sys.op.lower.copy(), sys.op.upper.copy()
-            lower[1, 3] = upper[1, 1] = 0.0
-            sys.op = replace(sys.op, lower=lower, upper=upper)
             diagonal = sys.jacobian_diagonal
 
-            def zero_pivot(f, out=None):
+            def indefinite(f, out=None):
                 out = diagonal(f, out)
-                out[1, 2] = 0.0
+                out[1, 2] = -1.0
                 return out
 
-            sys.jacobian_diagonal = zero_pivot
+            sys.jacobian_diagonal = indefinite
         else:
             assemble = sys.jacobian_banded
 
@@ -786,11 +787,11 @@ def test_band_lu_failures_raise_singular_jacobian():
 
             sys.jacobian_banded = zero_column
         lu = _BandLU(g.N + 1)
-        with pytest.raises(gv.SingularJacobian, match="zero pivot"):
+        with pytest.raises(gv.SingularJacobian, match=message):
             lu.factor(sys, np.ones((2, 21)))
-        assert lu.ipiv is None
+        assert not lu.factored
         # a start with a NaN or an inf in either row is refused as
-        # non-finite before either LU reads it
+        # non-finite before either factorization reads it
         for k, bad in ((0, np.nan), (1, np.nan), (0, np.inf)):
             start = np.ones((2, 21))
             start[k] = bad
@@ -798,15 +799,19 @@ def test_band_lu_failures_raise_singular_jacobian():
                 gv.newton_solve(start, g, params, deg)
 
 
-def _two_block_step(dl, d, du, g):
-    """The step of the decoupled system factored and solved per component,
-    one dgttrf/dgttrs pair on each block's (lower, diagonal, upper) rows."""
+def _two_block_step(op, diagonal, g):
+    """The step of the decoupled system factored and solved per component:
+    one dpttrf/dpttrs pair on each block's K = diag(m) J, with a pinned
+    row's step eliminated from the right-hand side of the row below."""
     steps = []
-    for lower, diagonal, upper, rhs in zip(dl, d, du, g):
-        dlk, dk, duk, du2, piv, info = solver.dgttrf(
-            lower[1:].copy(), diagonal.copy(), upper[:-1].copy())
+    for k, rhs in enumerate(g):
+        mass = op.mass[k]
+        d, e, b = mass * diagonal[k], (mass * op.upper[k])[:-1], mass * rhs
+        if op.pinned[k, 0]:
+            b[1] -= mass[1] * op.lower[k, 1] * (b[0] / d[0])
+        d, e, info = solver.dpttrf(d, e)
         assert info == 0
-        x, info = solver.dgttrs(dlk, dk, duk, du2, piv, rhs.copy())
+        x, info = solver.dpttrs(d, e, b)
         assert info == 0
         steps.append(x)
     return np.array(steps)
@@ -816,33 +821,38 @@ def _two_block_step(dl, d, du, g):
 @given(n_nodes=st.integers(3, 60), seed=st.integers(0, 2 ** 32 - 1),
        pinned=st.tuples(st.booleans(), st.booleans()))
 def test_one_tridiagonal_step_matches_two_block_steps(n_nodes, seed, pinned):
-    # the one dgttrf/dgttrs call on both blocks end to end gives, bit for
-    # bit, the step of one call per block: random blocks of either sign,
-    # lower[0] = upper[N] = 0 as the operator's rows have, and optionally a
-    # pinned origin row 2^e u(0) = 0 above its column entry
+    # the one dpttrf/dpttrs call on both blocks end to end gives, bit for
+    # bit, the step of one call per block: random masses and rows whose
+    # K = diag(m) J is strictly diagonally dominant with a positive
+    # diagonal, so positive definite, upper[N] = 0 as the operator's rows
+    # have, and optionally a pinned origin row 2^e u(0) = 0 of mass 1 and
+    # no upper entry above a lower entry in the row below
     rng = np.random.default_rng(seed)
+    mass = rng.uniform(0.1, 10.0, (2, n_nodes))
     lower, upper = rng.uniform(-2.0, 2.0, (2, 2, n_nodes))
     lower[:, 0] = upper[:, -1] = 0.0
-    diagonal = ((np.abs(lower) + np.abs(upper)) * rng.uniform(1.0, 3.0)
-                * rng.choice((-1.0, 1.0), (2, n_nodes)))
-    # a dominant row whose subdiagonal entry below outweighs it, so the
-    # factorization pivots inside a block
-    lower[:, 2] = 4.0 * np.abs(diagonal[:, 1]) + 1.0
     for k in np.flatnonzero(pinned):
-        upper[k, 0] = 0.0
+        mass[k, 0], upper[k, 0] = 1.0, 0.0
+    off = np.abs(mass * upper)
+    off[:, 1:] += off[:, :-1].copy()
+    diagonal = (off + rng.uniform(0.1, 1.0)) * rng.uniform(1.0, 3.0) / mass
+    for k in np.flatnonzero(pinned):
         diagonal[k, 0] = 2.0 ** math.frexp(abs(lower[k, 1]))[1]
+    op = SimpleNamespace(lower=lower, upper=upper, mass=mass,
+                         pinned=np.array(pinned)[:, None] & (
+                             np.arange(n_nodes) == 0))
     lu = _BandLU(n_nodes)
     lu.ab[:] = np.nan
     g = rng.standard_normal((2, n_nodes))
-    # the system at B = 0 as the LU reads it: coefficients, rows, diagonal
+    # the system at B = 0 as the factorization reads it: coefficients,
+    # rows, diagonal
     rows = SimpleNamespace(
-        params=params_of(1, 1, 0, 1, 1),
-        op=SimpleNamespace(lower=lower, upper=upper),
+        params=params_of(1, 1, 0, 1, 1), op=op,
         jacobian_diagonal=lambda f, out: np.copyto(out, diagonal))
     lu.factor(rows, None)
-    assert lu.ipiv.shape == (2 * n_nodes,)
+    assert lu.factored
     step = lu.solve(g)
-    want = _two_block_step(lower, diagonal, upper, g)
+    want = _two_block_step(op, diagonal, g)
     assert step.tobytes() == want.tobytes()
     for k in np.flatnonzero(pinned):
         assert step[k, 0] == g[k, 0] / diagonal[k, 0]
@@ -851,7 +861,7 @@ def test_one_tridiagonal_step_matches_two_block_steps(n_nodes, seed, pinned):
 @pytest.mark.parametrize("degrees", [(1, 1), (1, 0), (0, 3)])
 def test_one_tridiagonal_step_on_a_geometric_grid(degrees):
     # the same on a geometric grid's B = 0 Jacobians along the Newton
-    # iterates of a solve from the ansatz
+    # iterates of a solve from the ansatz, pinned entries exactly g / 2^e
     grid = gv.build_grid(40.0, 900, "geometric", 1.005)
     params, deg = params_of(1.3, 0.8, 0.0, 1.1, 0.9), gv.DegreePair(*degrees)
     sys = _DiscreteSystem(grid, params, deg)
@@ -861,15 +871,17 @@ def test_one_tridiagonal_step_on_a_geometric_grid(degrees):
         g = sys.residual(f)
         lu.factor(sys, f)
         step = lu.solve(g).copy()
-        want = _two_block_step(sys.op.lower, sys.jacobian_diagonal(f),
-                               sys.op.upper, g)
+        want = _two_block_step(sys.op, sys.jacobian_diagonal(f), g)
         assert step.tobytes() == want.tobytes()
+        pinned = sys.op.pinned
+        assert np.array_equal(step[pinned], g[pinned] / sys.op.pot[pinned])
         f = f - step
 
 
 def test_decoupled_newton_iteration_factors_once(monkeypatch):
-    # every Newton iteration at B = 0 makes one dgttrf and one dgttrs call,
-    # and the LU keeps one pivot array on either path
+    # every Newton iteration at B = 0 makes one dpttrf and one dpttrs call
+    # and no band call; the factorization writes d and e into the band
+    # buffer, so a B = 0 factor and step allocate no float array of size N
     calls = []
 
     def spy(name):
@@ -880,7 +892,7 @@ def test_decoupled_newton_iteration_factors_once(monkeypatch):
             return routine(*args, **kwargs)
         return counted
 
-    for name in ("dgttrf", "dgttrs", "dgbtrf", "dgbtrs"):
+    for name in ("dpttrf", "dpttrs", "dgbtrf", "dgbtrs"):
         monkeypatch.setattr(solver, name, spy(name))
     grid = gv.build_grid(40.0, 1200)
     for degrees in ((1, 0), (1, 1), (2, 3)):
@@ -889,21 +901,93 @@ def test_decoupled_newton_iteration_factors_once(monkeypatch):
                                      gv.DegreePair(*degrees), grid)
         iters, = prof.report.iterations
         assert iters > 0
-        assert calls == ["dgttrf", "dgttrs"] * iters
-    sys = _DiscreteSystem(grid, params_of(1, 1, 0, 1, 1), gv.DegreePair(1, 1))
-    f = gv.initial_guess(grid, sys.params, sys.degrees)
-    lu = _BandLU(grid.N + 1)
-    for B in (0.0, 0.5):
-        sys = _DiscreteSystem(grid, params_of(1, 1, B, 1, 1), sys.degrees)
+        assert calls == ["dpttrf", "dpttrs"] * iters
+    # at N = 40000 numpy's cast buffers (at most 8192 entries) and the
+    # step's finiteness mask stay below one float row of N entries
+    big = gv.build_grid(40.0, 40000)
+    sys = _DiscreteSystem(big, params_of(1, 1, 0, 1, 1), gv.DegreePair(1, 1))
+    f = gv.initial_guess(big, sys.params, sys.degrees)
+    g = sys.residual(f)
+    lu = _BandLU(big.N + 1)
+    assert all(np.shares_memory(row, lu.ab) for row in lu.diagonals)
+    lu.factor(sys, f)
+    lu.solve(g)
+    tracemalloc.start()
+    try:
         lu.factor(sys, f)
-        assert isinstance(lu.ipiv, np.ndarray)
-        assert lu.ipiv.shape == (2 * grid.N + 2,)
+        lu.solve(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * big.N
+    for B in (0.0, 0.5):
+        sys = _DiscreteSystem(big, params_of(1, 1, B, 1, 1), sys.degrees)
+        lu.factor(sys, f)
+        assert lu.factored
+    assert lu.ipiv.shape == (2 * big.N + 2,)
+
+
+@pytest.mark.parametrize("grid", [gv.build_grid(80.0, 4000),
+                                  gv.build_grid(80.0, 1500, "geometric",
+                                                1.003)],
+                         ids=["default", "geometric"])
+def test_ansatz_matrix_is_positive_definite(grid):
+    # at the ansatz every row's potential n^2/r^2 + A (3 f0^2 - t^2) is at
+    # least ln(3) A t^2 on top of a weakly diagonally dominant stencil, so
+    # the B = 0 matrix K = diag(m) J factors for every winding 0 ... 30
+    params = params_of(1.3, 0.8, 0.0, 1.1, 0.9)
+    lu = _BandLU(grid.N + 1)
+    for n in range(31):
+        deg = gv.DegreePair(n, 30 - n)
+        sys = _DiscreteSystem(grid, params, deg)
+        lu.factor(sys, gv.initial_guess(grid, params, deg))
+        assert lu.factored
+
+
+@st.composite
+def census_inputs(draw):
+    """Admissible coefficients with A and t within a decade of 1,
+    |B| / sqrt(A_+ A_-) <= 0.99, windings 0-5 and a uniform or geometric
+    grid of at most 400 cells."""
+    A_plus, A_minus, t_plus, t_minus = (10.0 ** draw(st.floats(-1.0, 1.0))
+                                        for _ in range(4))
+    B = draw(st.floats(-0.99, 0.99)) * math.sqrt(A_plus * A_minus)
+    degrees = gv.DegreePair(draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    N, R_max = draw(st.integers(100, 400)), draw(st.floats(20.0, 80.0))
+    stretch = draw(st.sampled_from([None, 1.005, 1.01]))
+    grid = gv.build_grid(R_max, N, "geometric" if stretch else "uniform",
+                         stretch)
+    return params_of(A_plus, A_minus, B, t_plus, t_minus), degrees, grid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(census_inputs())
+def test_decoupled_factorizations_succeed_on_admissible_draws(inputs):
+    # a census of every B = 0 factorization of a continuation solve: each
+    # meets a positive definite matrix, whether or not the solve converges
+    # (an ansatz that solves the system, n = 0 for both, factors nothing)
+    params, degrees, grid = inputs
+    infos = []
+
+    def counted(*args, **kwargs):
+        *out, info = factor(*args, **kwargs)
+        infos.append(info)
+        return (*out, info)
+
+    factor = solver.dpttrf
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "dpttrf", counted)
+        try:
+            gv.continuation_solve(params, degrees, grid)
+        except gv.NoConvergence:
+            pass
+    assert set(infos) <= {0}
 
 
 def test_decoupled_stages_factor_no_band(coarse_grid, monkeypatch):
-    # at B = 0 the Jacobian is factored as one tridiagonal system: a
-    # classical solve calls no dgbtrf, and in a sweep only the stages at
-    # B != 0 do
+    # at B = 0 the Jacobian is factored as one symmetric tridiagonal
+    # system: a classical solve calls no dgbtrf, and in a sweep only the
+    # stages at B != 0 do, and only the stage at B = 0 calls dpttrf
     stages, band, tridiagonal = [], [], []
     newton = solver._newton
 
@@ -919,7 +1003,7 @@ def test_decoupled_stages_factor_no_band(coarse_grid, monkeypatch):
 
     monkeypatch.setattr(solver, "_newton", spy_newton)
     monkeypatch.setattr(solver, "dgbtrf", spy(band, solver.dgbtrf))
-    monkeypatch.setattr(solver, "dgttrf", spy(tridiagonal, solver.dgttrf))
+    monkeypatch.setattr(solver, "dpttrf", spy(tridiagonal, solver.dpttrf))
     gv.continuation_solve(params_of(1, 1, 0, 1, 1), gv.DegreePair(1, 0),
                           coarse_grid)
     assert band == [] and set(tridiagonal) == {0.0}
